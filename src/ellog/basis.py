@@ -18,9 +18,9 @@ import random
 from dataclasses import dataclass
 
 from .algebra import ExtFieldDesc, FieldDesc, Poly, field_make, poly_factor
-from .curve import (Curve, Point, TorsionData, find_point_of_order,
+from .curve import (Curve, Point, Singular, TorsionData, find_point_of_order,
                     point_add)
-from .psi import NdTable, nd_build
+from .psi import NdNotInvertible, NdTable, nd_build
 
 
 class SearchExhausted(RuntimeError):
@@ -69,12 +69,6 @@ class EllipticBasis:
     def q(self) -> int:
         return self.curve.field.q
 
-    def frobenius_theta(self, times: int = 1):
-        return self.ext.frobenius(self.theta, times)
-
-    def F_point(self) -> Point:
-        return Point(self.curve, self.ext, self.theta, self.tau)
-
 
 LEVEL_CANDIDATE_CAP = 384
 
@@ -115,7 +109,7 @@ def search_curve(p: int, m0: int, k: int, seed: int = 0,
         for a, b in _level_pairs(field, rng):
             try:
                 curve = Curve(field, a, b)
-            except Exception:
+            except Singular:
                 continue
             if curve.N % k:
                 continue
@@ -206,7 +200,6 @@ def build_basis(curve: Curve, P1: Point, seed: int = 0,
             continue
         nd = nd_build(curve, k, nd_degree)
         if not nd.inv_ok:
-            from .psi import NdNotInvertible
             raise NdNotInvertible(
                 "order-table lcm is not invertible modulo M for this curve")
         return EllipticBasis(curve, td, ext, theta, oriented, M, nd,
@@ -226,7 +219,7 @@ def find_basis(p: int, m0: int, k: int, seed: int = 0,
         for a, b in _level_pairs(field, rng):
             try:
                 curve = Curve(field, a, b)
-            except Exception:
+            except Singular:
                 continue
             if curve.N % k:
                 continue
@@ -239,7 +232,7 @@ def find_basis(p: int, m0: int, k: int, seed: int = 0,
                     P1 = better
             try:
                 return build_basis(curve, P1, seed, nd_degree, mu)
-            except Exception:
+            except (NoDegreeKFactor, NotSquare, OrientationFailed, NdNotInvertible):
                 continue
     raise SearchExhausted(f"no viable basis for p={p}, m0={m0}, k={k}")
 

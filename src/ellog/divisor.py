@@ -5,9 +5,10 @@ when the ordinates live in F_q[x]/(u), the ordinate polynomial v (deg v <
 deg u, y = v(x) on the place).  Ramified places have v = 0; inert places
 (ordinates outside F_q[x]/(u)) carry u alone and have degree 2 deg u.
 
-The principal-divisor map factors the norm n0^2 - n1^2 (x^3 + a x + b) of a
-function (n0 + n1 y)/(x - x1)^e and resolves, at each irreducible factor,
-how the valuation splits between the conjugate places.
+The principal-divisor map factors the norm n0^2 - n1^2 (x^3 + a x + b) of
+the primitive part p0 + p1 y of a function (n0 + n1 y)/(x - x1)^e.  At each
+irreducible factor u off the ramified locus only one conjugate place is a
+zero, the one with ordinate v = -p0/p1 mod u, so no square root is taken.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import total_ordering
 
-from .algebra import FieldDesc, Poly, poly_factor
+from .algebra import FieldDesc, Poly, poly_ext_gcd, poly_factor
 from .curve import Curve, CurveFunction, Point, TorsionData, ZeroFunction, point_add, point_neg
 
 
@@ -91,14 +92,26 @@ def place_of_point(curve: Curve, P: Point) -> Place:
 
 
 def split_ordinate(curve: Curve, u: Poly) -> Poly | None:
-    """A square root of x^3 + a x + b in F_q[x]/(u), or None if inert."""
-    R = QuotientRing(curve.field, u)
+    """A square root of x^3 + a x + b in F_q[x]/(u), or None if inert.
+
+    Over a degree-1 u the residue ring is F_q itself, so the root is taken
+    there; both paths run the same Tonelli-Shanks and give the same root.
+    """
+    K = curve.field
+    if u.degree() == 1:
+        fx = curve.rhs(K.neg(u.coeffs[0]))
+        if fx == 0:
+            return Poly(K, ())
+        if not K.is_square(fx):
+            return None
+        return Poly(K, (K.sqrt(fx),))
+    R = QuotientRing(K, u)
     fx = R.reduce(curve.rhs_poly())
     if not any(fx):
-        return Poly(curve.field, ())
+        return Poly(K, ())
     if not R.is_square(fx):
         return None
-    return Poly(curve.field, R.sqrt(fx))
+    return Poly(K, R.sqrt(fx))
 
 
 def places_over(curve: Curve, u: Poly) -> list[Place]:
@@ -208,9 +221,11 @@ def height(D: Divisor) -> int:
 def divisor_of(fun: CurveFunction, curve: Curve) -> Divisor:
     """Zeros and poles of (n0 + n1 y)/(x - x1)^e; always degree 0.
 
-    The affine zero structure comes from the content gcd(n0, n1) plus the
-    norm of the primitive part, with the valuation at each split place
-    decided by which conjugate ordinate annihilates n0 + n1 v mod u.
+    The affine zero structure comes from the content g = gcd(n0, n1) plus
+    the norm of the primitive part p0 + p1 y.  A norm factor u off the
+    ramified locus is the split place (u, v) with v = -p0 p1^-1 mod u: p1 is
+    a unit mod u because gcd(p0, p1) = 1, and p0 + p1 y vanishes only where
+    y = v.  The conjugate place (u, -v) is not a zero.
     """
     if fun.is_zero():
         raise ZeroFunction("divisor of the zero function")
@@ -248,18 +263,13 @@ def divisor_of(fun: CurveFunction, curve: Curve) -> Divisor:
                     raise AssertionError("ramified factor of a primitive part with multiplicity > 1")
                 D.add_place(Place(RAMIFIED, u.coeffs, ()), 1)
                 continue
-            v = split_ordinate(curve, u)
-            if v is None:
-                raise AssertionError("inert place met a primitive numerator")
-            resid_plus = (p0 + p1 * v) % u
-            if resid_plus.is_zero():
-                D.add_place(Place(SPLIT, u.coeffs, tuple(v.coeffs)), mult)
-            else:
-                vneg = (-v) % u if v.degree() >= 0 else v
-                resid_minus = (p0 + p1 * vneg) % u
-                if not resid_minus.is_zero():
-                    raise AssertionError("norm factor with no vanishing conjugate")
-                D.add_place(Place(SPLIT, u.coeffs, tuple(vneg.coeffs)), mult)
+            unit, p1_inv, _ = poly_ext_gcd(p1 % u, u)
+            if unit.degree() != 0:
+                raise AssertionError("norm factor divides the y-coefficient of a primitive part")
+            v = (-((p0 % u) * p1_inv)) % u
+            if not ((v * v - fres) % u).is_zero():
+                raise AssertionError("ordinate of a norm factor is off the curve")
+            D.add_place(Place(SPLIT, u.coeffs, v.coeffs), mult)
 
     # poles of the denominator (x - x1)^e
     if fun.e:

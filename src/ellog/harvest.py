@@ -24,7 +24,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .algebra import Poly, poly_irreducibles
 from .curve import TriPoly, bracket, phi_star, point_neg
-from .divisor import (Divisor, Place, decompose, orbit_places,
+from .divisor import (Divisor, Place, decompose, divisor_of, orbit_places,
                       place_of_point, places_over)
 
 
@@ -161,9 +161,6 @@ class FactorBase:
                    0: d * _sigma(q, L, M) % M}
             out.append(Relation("cycle", (col, L), {c: v for c, v in row.items() if v}))
         return out
-
-    def places_of_degree(self, deg: int) -> list[Place]:
-        return [p for p in self.place_map if p.degree == deg]
 
     def fingerprint(self) -> str:
         K = self.basis.curve.field
@@ -346,24 +343,19 @@ def pair_divisors(basis, A: TriPoly, B: TriPoly) -> PairResult:
         f = phi_star(A - B.scale(aprime), td)
         if f.is_zero():
             raise DegeneratePair("left factor pulls back to zero")
-        lefts.append(_divisor_of_cached(f, curve))
+        lefts.append(divisor_of(f, curve))
     fB = phi_star(B, td)
     if fB.is_zero():
         raise DegeneratePair("B pulls back to zero")
-    lefts.append(_divisor_of_cached(fB, curve))
+    lefts.append(divisor_of(fB, curve))
     br = bracket(A, B)
     if br.is_zero():
         raise DegeneratePair("bracket vanishes identically")
     fR = phi_star(br, td)
     if fR.is_zero():
         raise DegeneratePair("bracket pulls back to zero")
-    R = _divisor_of_cached(fR, curve)
+    R = divisor_of(fR, curve)
     return PairResult(lefts, R, True, R.finite_places())
-
-
-def _divisor_of_cached(f, curve):
-    from .divisor import divisor_of
-    return divisor_of(f, curve)
 
 
 def relation_from_pair(basis, fb: FactorBase, A: TriPoly, B: TriPoly,
@@ -430,8 +422,7 @@ def _check_core_pair_stats(sb: SieveBasis, pr: PairResult, stats: HarvestStats,
 
 
 def _core_chunk(args):
-    basis, alphas, seed = args
-    fb = _worker_fb(basis)
+    basis, fb, alphas, seed = args
     sb = core_sieve_basis(basis)
     K = basis.curve.field
     rels, stats = [], HarvestStats()
@@ -454,18 +445,6 @@ def _core_chunk(args):
     return rels, stats
 
 
-_FB_CACHE: dict[int, FactorBase] = {}
-
-
-def _worker_fb(basis) -> FactorBase:
-    key = id(basis)
-    fb = _FB_CACHE.get(key)
-    if fb is None:
-        fb = FactorBase(basis, 3)
-        _FB_CACHE[key] = fb
-    return fb
-
-
 def harvest_core(basis, fb: FactorBase, budget: int | None = None,
                  workers: int = 1, seed: int = 0):
     """Sieve the full (alpha, beta, gamma) cube (or a budgeted prefix).
@@ -475,9 +454,8 @@ def harvest_core(basis, fb: FactorBase, budget: int | None = None,
     """
     K = basis.curve.field
     alphas = list(range(K.q))
-    _FB_CACHE[id(basis)] = fb
     if workers > 1:
-        chunks = [(basis, [a], seed) for a in alphas]
+        chunks = [(basis, fb, [a], seed) for a in alphas]
         try:
             pool = multiprocessing.get_context("fork").Pool(workers)
         except (OSError, ValueError, ImportError):
@@ -488,7 +466,7 @@ def harvest_core(basis, fb: FactorBase, budget: int | None = None,
             with pool:
                 parts = pool.map(_core_chunk, chunks)
     else:
-        parts = [_core_chunk((basis, alphas, seed))]
+        parts = [_core_chunk((basis, fb, alphas, seed))]
     stats = HarvestStats()
     rels: list[Relation] = []
     for rl, st in parts:

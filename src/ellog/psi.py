@@ -109,10 +109,6 @@ class PsiValue:
         return f"PsiValue[{self.ext.enc(self.rep)}]"
 
 
-def psi_one(basis) -> PsiValue:
-    return PsiValue(basis.ext, basis.ext.one)
-
-
 # ---------------------------------------------------------------------------
 # internals: value-tracked Mumford reduction and Miller loops
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import math
 import random
 from dataclasses import dataclass, field as dc_field
 
-from .algebra import Poly, poly_factor
+from .algebra import Poly, is_probable_prime, poly_factor
 from .curve import CurveFunction, TriPoly, phi
 from .divisor import Divisor, Place, PlaceAlgebra, divisor_of
 from .harvest import C_COLUMN, FactorBase, Relation
@@ -46,11 +46,6 @@ class NotInSubgroup(ValueError):
 # ---------------------------------------------------------------------------
 # integer factorization (desk scale)
 # ---------------------------------------------------------------------------
-
-def _is_prime(n: int) -> bool:
-    from .algebra import is_probable_prime
-    return is_probable_prime(n)
-
 
 def _pollard_rho_factor(n: int, rng: random.Random, budget: int = 1_000_000) -> int:
     if n % 2 == 0:
@@ -90,7 +85,7 @@ def factor_modulus(M: int) -> list[tuple[int, int]]:
         m = stack.pop()
         if m == 1:
             continue
-        if _is_prime(m):
+        if is_probable_prime(m):
             out[m] = out.get(m, 0) + 1
             continue
         d = _pollard_rho_factor(m, rng)

@@ -1,14 +1,16 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ellog.algebra import Poly, field_make, poly_irreducibles
-from ellog.curve import (Curve, CurveFunction, Point, TorsionData, TriPoly,
-                         ZeroFunction, phi_star, point_neg)
-from ellog.divisor import (Divisor, HitsInfinity, PLACE_AT_INFINITY, Place,
-                           decompose, divisor_of, elementary_divisor, height,
+from ellog.algebra import Poly, field_make, poly_factor, poly_irreducibles
+from ellog.curve import (Curve, CurveFunction, Point, Singular, TorsionData,
+                         TriPoly, ZeroFunction, phi_star, point_neg)
+from ellog.divisor import (Divisor, HitsInfinity, INERT, PLACE_AT_INFINITY,
+                           Place, QuotientRing, RAMIFIED, SPLIT, decompose,
+                           divisor_of, elementary_divisor, height,
                            orbit_canonical, place_of_point, places_over,
-                           translate_place)
+                           split_ordinate, translate_place)
 
 
 @pytest.fixture(scope="module")
@@ -25,6 +27,106 @@ def rand_function(curve, x1, rng, emax=3):
         if n0.is_zero() and n1.is_zero():
             continue
         return CurveFunction.make(curve, x1, n0, n1, rng.randrange(emax))
+
+
+def quotient_ring_ordinate(curve, u):
+    """The square root of the cubic in F_q[x]/(u), None if there is none."""
+    K = curve.field
+    R = QuotientRing(K, u)
+    fx = R.reduce(curve.rhs_poly())
+    if not any(fx):
+        return Poly(K, ())
+    if not R.is_square(fx):
+        return None
+    return Poly(K, R.sqrt(fx))
+
+
+def places_over_two_root(curve, u):
+    v = quotient_ring_ordinate(curve, u)
+    if v is None:
+        return [Place(INERT, u.coeffs, ())]
+    if v.is_zero():
+        return [Place(RAMIFIED, u.coeffs, ())]
+    return [Place(SPLIT, u.coeffs, v.coeffs), Place(SPLIT, u.coeffs, (-v).coeffs)]
+
+
+def divisor_two_root(fun, curve):
+    """Reference principal divisor by the two-root rule.
+
+    Each split norm factor u of the primitive part p0 + p1 y is resolved by
+    taking both square roots of the cubic mod u and keeping the one where
+    p0 + p1 v vanishes mod u.
+    """
+    K = curve.field
+    f = curve.rhs_poly()
+    n0, n1 = fun.n0, fun.n1
+    if n1.is_zero():
+        g, p0, p1 = n0.monic(), Poly(K, (1,)), Poly(K, ())
+    else:
+        g = n0.gcd(n1)
+        p0, p1 = n0 // g, n1 // g
+    D = Divisor()
+    for u, mult in (poly_factor(g) if g.degree() > 0 else ()):
+        for place in places_over_two_root(curve, u):
+            D.add_place(place, 2 * mult if place.kind == RAMIFIED else mult)
+    norm = p0 * p0 - (p1 * p1) * f
+    for u, mult in (poly_factor(norm) if norm.degree() > 0 else ()):
+        places = places_over_two_root(curve, u)
+        if places[0].kind == RAMIFIED:
+            assert mult == 1
+            D.add_place(places[0], 1)
+            continue
+        zeros = [pl for pl in places if pl.kind == SPLIT
+                 and ((p0 + p1 * Poly(K, pl.v)) % u).is_zero()]
+        assert len(zeros) == 1
+        D.add_place(zeros[0], mult)
+    if fun.e:
+        for place in places_over_two_root(curve, Poly(K, (K.neg(fun.x1), 1))):
+            D.add_place(place, -2 * fun.e if place.kind == RAMIFIED else -fun.e)
+    pole = max(w for w in (2 * n0.degree() if not n0.is_zero() else None,
+                           3 + 2 * n1.degree() if not n1.is_zero() else None)
+               if w is not None)
+    D.add_place(PLACE_AT_INFINITY, -pole + 2 * fun.e)
+    return D
+
+
+@pytest.fixture(scope="module")
+def curve121():
+    K = field_make(11, 2, 0)
+    return Curve(K, 1, K.code((2, 1)))
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_divisor_of_matches_two_root_rule(env, curve121, seed):
+    rng = random.Random(seed)
+    curve, td, K = env
+    fun = rand_function(curve, td.xs[1], rng, emax=4)
+    assert divisor_of(fun, curve) == divisor_two_root(fun, curve)
+    fun = rand_function(curve121, curve121.field.code((3, 5)), rng, emax=4)
+    assert divisor_of(fun, curve121) == divisor_two_root(fun, curve121)
+
+
+def test_split_ordinate_degree_one_root(curve121):
+    """Over degree-1 u the F_q square root is the QuotientRing root itself."""
+    curves = [curve121]
+    for p in (5, 11):
+        K = field_make(p, 1)
+        for a in range(p):
+            for b in range(p):
+                try:
+                    curves.append(Curve(K, a, b))
+                except Singular:
+                    pass
+    K = curve121.field
+    curves += [Curve(K, K.code((a, 1)), K.code((b, 3))) for a, b in ((0, 1), (4, 7), (9, 2))]
+    kinds = set()
+    for curve in curves:
+        for u in poly_irreducibles(curve.field, 1):
+            v = split_ordinate(curve, u)
+            assert v == quotient_ring_ordinate(curve, u)
+            kinds.add("inert" if v is None else "ram" if v.is_zero() else "split")
+    assert kinds == {"inert", "ram", "split"}
 
 
 def test_lemma_divisors_for_v(env):
