@@ -9,10 +9,14 @@ the `FieldElem` wrapper exists for call sites that prefer operators.
 The canonical text encoding of an element is its comma-separated base-p digit
 vector, low degree first (e.g. "3,0,1"), and is used verbatim by every
 persistence format in the package.
+
+The integer primality test and factorizer that the other modules share
+live here too.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -34,6 +38,10 @@ class Reducible(ValueError):
 
 
 class ZeroPolynomial(ValueError):
+    pass
+
+
+class FactorizationTimeout(RuntimeError):
     pass
 
 
@@ -60,6 +68,52 @@ def is_probable_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def _pollard_rho_factor(n: int, rng: random.Random, budget: int = 1_000_000) -> int:
+    if n % 2 == 0:
+        return 2
+    while True:
+        c = rng.randrange(1, n)
+        x = y = rng.randrange(2, n)
+        d = 1
+        steps = 0
+        while d == 1:
+            x = (x * x + c) % n
+            y = (y * y + c) % n
+            y = (y * y + c) % n
+            d = math.gcd(abs(x - y), n)
+            steps += 1
+            if steps > budget:
+                raise FactorizationTimeout(f"rho stalled on {n}")
+        if d != n:
+            return d
+
+
+def factor_modulus(M: int) -> list[tuple[int, int]]:
+    """Full factorization, trial division to 10^6 then Pollard rho."""
+    if M < 2:
+        raise ValueError("modulus must be at least 2")
+    out: dict[int, int] = {}
+    n = M
+    for p in range(2, 1_000_000):
+        if p * p > n:
+            break
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+    rng = random.Random(0xFAC7)
+    stack = [n] if n > 1 else []
+    while stack:
+        m = stack.pop()
+        if m == 1:
+            continue
+        if is_probable_prime(m):
+            out[m] = out.get(m, 0) + 1
+            continue
+        d = _pollard_rho_factor(m, rng)
+        stack.extend([d, m // d])
+    return sorted(out.items())
 
 
 class FieldDesc:

@@ -90,9 +90,8 @@ def _level_pairs(field, rng) -> list[tuple[int, int]]:
     return pairs
 
 
-def search_curve(p: int, m0: int, k: int, seed: int = 0,
-                 require_nonzero_x1: bool = True):
-    """Find (mu, curve, P1) with k | #E(F_{q0^mu}) and P1 of exact order k.
+def _curve_candidates(p: int, m0: int, k: int, seed: int = 0):
+    """Yield (mu, curve, P1) with k | #E(F_{q0^mu}) and P1 of exact order k.
 
     Candidate (a, b) pairs at each level are visited in a seeded shuffled
     order (a capped sample once the level is large); levels run up to the
@@ -101,10 +100,8 @@ def search_curve(p: int, m0: int, k: int, seed: int = 0,
     """
     if k < 3:
         raise ValueError("extension degree k must be at least 3")
-    q0 = p ** m0
-    bound = mu_bound(q0, k)
     rng = random.Random(seed * 0x9E3779B1 + k)
-    for mu in range(1, bound + 1):
+    for mu in range(1, mu_bound(p ** m0, k) + 1):
         field = field_make(p, m0 * mu, seed)
         for a, b in _level_pairs(field, rng):
             try:
@@ -116,13 +113,20 @@ def search_curve(p: int, m0: int, k: int, seed: int = 0,
             P1 = find_point_of_order(curve, k, seed)
             if P1 is None:
                 continue
-            if require_nonzero_x1 and P1.x == 0:
+            if P1.x == 0:
                 better = _order_k_point_nonzero_x(curve, k)
                 if better is not None:
                     P1 = better
-            return mu, curve, P1
+            yield mu, curve, P1
+
+
+def search_curve(p: int, m0: int, k: int, seed: int = 0):
+    """The first (mu, curve, P1) of the seeded search (see `_curve_candidates`)."""
+    for found in _curve_candidates(p, m0, k, seed):
+        return found
+    q0 = p ** m0
     raise SearchExhausted(
-        f"no curve with a k={k} torsion point up to mu={bound} over GF({q0})")
+        f"no curve with a k={k} torsion point up to mu={mu_bound(q0, k)} over GF({q0})")
 
 
 def _order_k_point_nonzero_x(curve: Curve, k: int) -> Point | None:
@@ -209,31 +213,13 @@ def build_basis(curve: Curve, P1: Point, seed: int = 0,
 
 def find_basis(p: int, m0: int, k: int, seed: int = 0,
                nd_degree: int = CORE_HEIGHT_BOUND) -> EllipticBasis:
-    """Search driver: run search_curve, then build; skip curves that fail
-    the modulus or invertibility steps and keep searching."""
-    q0 = p ** m0
-    bound = mu_bound(q0, k)
-    rng = random.Random(seed * 0x9E3779B1 + k)
-    for mu in range(1, bound + 1):
-        field = field_make(p, m0 * mu, seed)
-        for a, b in _level_pairs(field, rng):
-            try:
-                curve = Curve(field, a, b)
-            except Singular:
-                continue
-            if curve.N % k:
-                continue
-            P1 = find_point_of_order(curve, k, seed)
-            if P1 is None:
-                continue
-            if P1.x == 0:
-                better = _order_k_point_nonzero_x(curve, k)
-                if better is not None:
-                    P1 = better
-            try:
-                return build_basis(curve, P1, seed, nd_degree, mu)
-            except (NoDegreeKFactor, NotSquare, OrientationFailed, NdNotInvertible):
-                continue
+    """Search driver: build a basis on each searched curve in turn, skipping
+    curves that fail the modulus or invertibility steps."""
+    for mu, curve, P1 in _curve_candidates(p, m0, k, seed):
+        try:
+            return build_basis(curve, P1, seed, nd_degree, mu)
+        except (NoDegreeKFactor, NotSquare, OrientationFailed, NdNotInvertible):
+            continue
     raise SearchExhausted(f"no viable basis for p={p}, m0={m0}, k={k}")
 
 

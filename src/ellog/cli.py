@@ -17,7 +17,7 @@ import os
 import random
 import sys
 
-from .algebra import FieldDesc
+from .algebra import FieldDesc, factor_modulus
 from .basis import (EllipticBasis, SearchExhausted, basis_from_json,
                     basis_to_json, build_basis, find_basis, mu_bound)
 from .curve import Curve, Point
@@ -26,9 +26,8 @@ from .harvest import (build_factor_base, extend_h4, extend_h5, harvest_core,
                       reconstruct_pair, write_relations)
 from .linalg import MoreRelationsNeeded
 from .psi import verify_relation
-from .solve import (bsgs_oracle, column_class, dlog, factor_modulus,
-                    find_generator, read_logs, solve_core, verify_log_table,
-                    write_logs)
+from .solve import (bsgs_oracle, column_class, dlog, find_generator, read_logs,
+                    solve_core, verify_log_table, write_logs)
 from . import stats as stats_mod
 
 EXIT_OK = 0
@@ -139,8 +138,7 @@ def cmd_harvest(args) -> int:
     basis = _load_basis(args.out)
     fb = build_factor_base(basis, cfg["height_base"])
     workers = _workers(args.workers)
-    rels, st = harvest_core(basis, fb, cfg.get("sieve_budget"), workers,
-                            cfg["seed"])
+    rels, st = harvest_core(basis, fb, cfg.get("sieve_budget"), workers)
     reinforced = []
     if not args.no_reinforce:
         reinforced = harvest_m1(basis, fb)
@@ -189,7 +187,7 @@ def cmd_extend(args) -> int:
     _artifact(args.out, "logs.txt", "solve")
     fb.extend_to(cfg["height_extended"])
     table, logs = read_logs(os.path.join(args.out, "logs.txt"), basis, fb)
-    pp = [(ell, e) for ell, e in factor_modulus(basis.M)]
+    pp = factor_modulus(basis.M)
     all_rels = read_relations(rel_path, fb)
     seen = {(r.mode, r.params) for r in all_rels}
     first4 = None

@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .algebra import FieldDesc, Poly
+from .algebra import FieldDesc, Poly, factor_modulus
 
 
 class MixedCurves(ValueError):
@@ -221,26 +221,10 @@ def point_order(P: Point, group_order: int) -> int:
     if P.inf:
         return 1
     n = group_order
-    for ell, _ in _int_factor(group_order):
+    for ell, _ in factor_modulus(group_order):
         while n % ell == 0 and scalar_mul(n // ell, P).inf:
             n //= ell
     return n
-
-
-def _int_factor(n: int) -> list[tuple[int, int]]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            out.append((d, e))
-        d += 1
-    if n > 1:
-        out.append((n, 1))
-    return out
 
 
 def curve_points(curve: Curve) -> list[Point]:
@@ -273,7 +257,7 @@ def find_point_of_order(curve: Curve, k: int, seed: int = 0) -> Point | None:
     for y in range(K.q):
         sq.setdefault(K.mul(y, y), y)
     cof = curve.N // k
-    kfac = _int_factor(k)
+    kfac = factor_modulus(k)
     for _ in range(96):
         x = rng.randrange(K.q)
         fx = curve.rhs(x)

@@ -18,6 +18,7 @@ from functools import total_ordering
 
 from .algebra import FieldDesc, Poly, poly_ext_gcd, poly_factor
 from .curve import Curve, CurveFunction, Point, TorsionData, ZeroFunction, point_add, point_neg
+from .linalg import solve_linear
 
 
 class HitsInfinity(ValueError):
@@ -484,57 +485,14 @@ def _min_poly(alg: PlaceAlgebra, elem) -> Poly:
     for _ in range(dim + 1):
         rows.append(alg.coords(cur))
         cur = alg.mul(cur, elem)
-    # find the first linear dependency among successive powers
+    # the first monic dependency c_0 row_0 + ... + row_deg = 0 among powers
     for deg in range(1, dim + 1):
-        sol = _solve_dependency(K, rows[: deg + 1], dim)
+        A = [[rows[i][j] for i in range(deg)] for j in range(dim)]
+        b = [K.neg(rows[deg][j]) for j in range(dim)]
+        sol, _ = solve_linear(K, A, b, deg)
         if sol is not None:
-            return Poly(K, sol)
+            return Poly(K, sol + [1])
     raise AssertionError("no minimal polynomial found")
-
-
-def _solve_dependency(K: FieldDesc, rows: list[list[int]], dim: int):
-    """Monic dependency c_0 row_0 + ... + row_last = 0, or None."""
-    n = len(rows) - 1
-    # solve sum_{i<n} c_i rows[i] = -rows[n]
-    A = [[rows[i][j] for i in range(n)] for j in range(dim)]
-    b = [K.neg(rows[n][j]) for j in range(dim)]
-    sol = _gauss_solve(K, A, b, n)
-    if sol is None:
-        return None
-    return sol + [1]
-
-
-def _gauss_solve(K: FieldDesc, A: list[list[int]], b: list[int], ncols: int):
-    """One solution of A x = b over F_q, or None; A is dense row-major."""
-    rows = [list(r) + [bv] for r, bv in zip(A, b)]
-    piv_cols = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, len(rows)):
-            if rows[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = K.inv(rows[r][c])
-        rows[r] = [K.mul(x, inv) for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [K.sub(x, K.mul(f, y)) for x, y in zip(rows[i], rows[r])]
-        piv_cols.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    for i in range(r, len(rows)):
-        if rows[i][ncols]:
-            return None
-    x = [0] * ncols
-    for i, c in enumerate(piv_cols):
-        x[c] = rows[i][ncols]
-    return x
 
 
 def translate_place(place: Place, steps: int, td: TorsionData) -> Place:
@@ -598,7 +556,7 @@ def _place_of_algebra_point(curve: Curve, alg: PlaceAlgebra, S: Point, deg: int)
             pw = R.mul(pw, S.x)
         target = R.coords(S.y)
         A = [[rows[i][j] for i in range(e)] for j in range(alg.dim)]
-        sol = _gauss_solve(K, A, target, e)
+        sol, _ = solve_linear(K, A, target, e)
         if sol is None:
             raise AssertionError("ordinate not rational over the abscissa field")
         v = Poly(K, sol) % mx
@@ -618,27 +576,9 @@ def orbit_canonical(place: Place, td: TorsionData) -> tuple[Place, int]:
     orbit of a torsion place walks through O; the gap slot is skipped as a
     candidate but still counts as one step.
     """
-    k = td.k
-    orbit: list[Place | None] = []
-    cur: Place | None = place
-    for _ in range(k):
-        orbit.append(cur)
-        if cur is None:
-            nxt = place_of_point(td.curve, point_neg(td.P1))
-        else:
-            try:
-                nxt = translate_place(cur, 1, td)
-            except HitsInfinity:
-                nxt = None
-        if nxt == place:
-            break
-        cur = nxt
-    cycle = len(orbit)
-    finite = [(p.sort_key(), i) for i, p in enumerate(orbit) if p is not None]
-    _, rep_i = min(finite)
-    rep = orbit[rep_i]
-    shift = (-rep_i) % cycle if cycle else 0
-    return rep, shift
+    orbit = orbit_places(place, td)
+    _, rep_i = min((p.sort_key(), i) for i, p in enumerate(orbit) if p is not None)
+    return orbit[rep_i], (-rep_i) % len(orbit)
 
 
 def orbit_places(place: Place, td: TorsionData) -> list[Place | None]:

@@ -26,6 +26,7 @@ from .algebra import Poly, poly_irreducibles
 from .curve import TriPoly, bracket, phi_star, point_neg
 from .divisor import (Divisor, Place, decompose, divisor_of, orbit_places,
                       place_of_point, places_over)
+from .linalg import crt, determined_mod_prime, solve_affine_mod
 
 
 class DegeneratePair(ValueError):
@@ -422,7 +423,7 @@ def _check_core_pair_stats(sb: SieveBasis, pr: PairResult, stats: HarvestStats,
 
 
 def _core_chunk(args):
-    basis, fb, alphas, seed = args
+    basis, fb, alphas = args
     sb = core_sieve_basis(basis)
     K = basis.curve.field
     rels, stats = [], HarvestStats()
@@ -446,7 +447,7 @@ def _core_chunk(args):
 
 
 def harvest_core(basis, fb: FactorBase, budget: int | None = None,
-                 workers: int = 1, seed: int = 0):
+                 workers: int = 1):
     """Sieve the full (alpha, beta, gamma) cube (or a budgeted prefix).
 
     Returns (relations, stats); relations are deduplicated by row and
@@ -455,7 +456,7 @@ def harvest_core(basis, fb: FactorBase, budget: int | None = None,
     K = basis.curve.field
     alphas = list(range(K.q))
     if workers > 1:
-        chunks = [(basis, fb, [a], seed) for a in alphas]
+        chunks = [(basis, fb, [a]) for a in alphas]
         try:
             pool = multiprocessing.get_context("fork").Pool(workers)
         except (OSError, ValueError, ImportError):
@@ -466,7 +467,7 @@ def harvest_core(basis, fb: FactorBase, budget: int | None = None,
             with pool:
                 parts = pool.map(_core_chunk, chunks)
     else:
-        parts = [_core_chunk((basis, fb, alphas, seed))]
+        parts = [_core_chunk((basis, fb, alphas))]
     stats = HarvestStats()
     rels: list[Relation] = []
     for rl, st in parts:
@@ -662,7 +663,6 @@ def _solve_rows_for_new_cols(basis, fb: FactorBase, rows: list[Relation],
 
     Only columns the system determines uniquely are returned.
     """
-    from .linalg import solve_affine_mod
     M = basis.M
     unknown_cols = sorted({c for rel in rows for c in rel.cols if c not in logs})
     if not unknown_cols:
@@ -691,47 +691,19 @@ def _solve_rows_for_new_cols(basis, fb: FactorBase, rows: list[Relation],
     for ell, e in prime_powers:
         sol = solve_affine_mod(amat, rhs, len(unknown_cols), M, ell, e)
         if sol is not None:
-            got = {i: v for i, v in enumerate(sol)}
+            got = dict(enumerate(sol))
+        elif e == 1:
+            got = determined_mod_prime(amat, rhs, len(unknown_cols), ell)
         else:
-            got = _partial_solution(amat, rhs, len(unknown_cols), ell, e)
+            got = {}
         for c in unknown_cols:
             if col_pos[c] in got:
                 partial[c].append((got[col_pos[c]], ell ** e))
     out = {}
     for c, residues in partial.items():
         if len(residues) == len(prime_powers):
-            out[c] = _crt(residues) % M
+            out[c] = crt(residues) % M
     return out
-
-
-def _partial_solution(amat, rhs, ncols, ell, e) -> dict[int, int]:
-    """Determined coordinates of the affine system mod ell^e (RREF scan)."""
-    mod = ell ** e
-    dense = []
-    for a, b in zip(amat, rhs):
-        v = [0] * (ncols + 1)
-        for c, x in a.items():
-            v[c] = x % mod
-        v[ncols] = b % mod
-        dense.append(v)
-    from .linalg import _rref_mod
-    pivots = _rref_mod(dense, ell, ncols)
-    det: dict[int, int] = {}
-    for i, pc in enumerate(pivots):
-        row = dense[i]
-        if all(row[c] % ell == 0 for c in range(ncols) if c != pc):
-            if e == 1:
-                det[pc] = row[ncols] % ell
-    return det
-
-
-def _crt(residues: list[tuple[int, int]]) -> int:
-    x, m = 0, 1
-    for r, mod in residues:
-        g = pow(m, -1, mod)
-        x = x + m * ((r - x) * g % mod)
-        m *= mod
-    return x % m
 
 
 def extend_h4(basis, fb: FactorBase, logs: dict[int, int],

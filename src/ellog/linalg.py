@@ -1,8 +1,14 @@
-"""Dense linear algebra modulo a prime power.
+"""Linear algebra over a finite field, with a Hensel lift to prime powers.
 
-Row counts stay in the low thousands at desk scale, so plain Gaussian
-elimination over Z/ell is used, with a Hensel lift for prime-power moduli.
-Rows are dicts column -> coefficient; columns are integers.
+One Gauss-Jordan elimination (`_rref`) serves every solver in the package.
+It runs over any field object with `inv`/`mul`/`sub`/`neg` on reduced
+integer elements whose zero is 0: a `FieldDesc` for systems over F_q
+(element codes), or `Zmod(ell)` for relation matrices over Z/ell, whose
+prime can exceed the F_q cap.  `solve_linear` returns the particular
+solution and the nullspace basis.  The sparse entry points take rows as
+dicts column -> coefficient, solve modulo ell and lift through ell^e;
+`crt` then joins the prime powers.  Row counts stay in the low thousands
+at desk scale, so elimination is dense.
 """
 
 from __future__ import annotations
@@ -16,52 +22,106 @@ class InconsistentSystem(RuntimeError):
     pass
 
 
-def _rref_mod(rows: list[list[int]], ell: int, width: int):
-    """In-place reduced row echelon form; returns pivot column list."""
+class Zmod:
+    """Z/ell for a prime ell, with the arithmetic interface of FieldDesc."""
+
+    __slots__ = ("ell",)
+
+    def __init__(self, ell: int):
+        self.ell = ell
+
+    def inv(self, a: int) -> int:
+        return pow(a, -1, self.ell)
+
+    def mul(self, a: int, b: int) -> int:
+        return a * b % self.ell
+
+    def sub(self, a: int, b: int) -> int:
+        return (a - b) % self.ell
+
+    def neg(self, a: int) -> int:
+        return -a % self.ell
+
+
+def _rref(F, rows: list[list[int]], ncols: int) -> list[int]:
+    """In-place reduced row echelon form over F; returns the pivot columns.
+
+    Pivots are taken in the first ncols columns only; further columns (an
+    augmented right-hand side) are carried along.  Entries must be reduced
+    elements of F.
+    """
+    mul, sub = F.mul, F.sub
     pivots = []
     r = 0
-    for c in range(width):
-        piv = None
-        for i in range(r, len(rows)):
-            if rows[i][c] % ell:
-                piv = i
-                break
+    for c in range(ncols):
+        if r == len(rows):
+            break
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        inv = pow(rows[r][c], -1, ell)
-        rows[r] = [(x * inv) % ell for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] % ell:
-                f = rows[i][c]
-                rows[i] = [(x - f * y) % ell for x, y in zip(rows[i], rows[r])]
+        inv = F.inv(rows[r][c])
+        prow = rows[r] = [mul(x, inv) if x else 0 for x in rows[r]]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if f and i != r:
+                rows[i] = [sub(x, mul(f, y)) if y else x for x, y in zip(row, prow)]
         pivots.append(c)
         r += 1
-        if r == len(rows):
-            break
     return pivots
+
+
+def solve_linear(F, A: list[list[int]], b: list[int], ncols: int):
+    """Solve A x = b over F: (x0, nullspace basis), or (None, []) if inconsistent.
+
+    A is dense row-major with reduced entries and is left untouched.  x0
+    sets every free variable to 0; the basis holds one vector per free
+    column, in column order.
+    """
+    rows = [list(r) + [bv] for r, bv in zip(A, b)]
+    pivots = _rref(F, rows, ncols)
+    if any(row[ncols] for row in rows[len(pivots):]):
+        return None, []
+    x = [0] * ncols
+    for row, pc in zip(rows, pivots):
+        x[pc] = row[ncols]
+    pivot_set = set(pivots)
+    null = []
+    for fc in range(ncols):
+        if fc in pivot_set:
+            continue
+        vec = [0] * ncols
+        vec[fc] = 1
+        for row, pc in zip(rows, pivots):
+            vec[pc] = F.neg(row[fc])
+        null.append(vec)
+    return x, null
+
+
+def _dense(rows: list[dict[int, int]], ncols: int, mod: int) -> list[list[int]]:
+    """Sparse rows as dense lists with entries reduced mod `mod`."""
+    out = []
+    for row in rows:
+        v = [0] * ncols
+        for c, x in row.items():
+            v[c] = x % mod
+        out.append(v)
+    return out
+
+
+def crt(residues: list[tuple[int, int]]) -> int:
+    """The x mod prod(m) with x = r mod m for each (r, m); moduli coprime."""
+    x, m = 0, 1
+    for r, mod in residues:
+        x += m * ((r - x) * pow(m, -1, mod) % mod)
+        m *= mod
+    return x % m
 
 
 def kernel_mod_prime(rows: list[dict[int, int]], ncols: int, ell: int) -> list[list[int]]:
     """Basis of the right kernel of the sparse row set, modulo prime ell."""
-    dense = []
-    for row in rows:
-        v = [0] * ncols
-        for c, x in row.items():
-            v[c] = x % ell
-        if any(v):
-            dense.append(v)
-    pivots = _rref_mod(dense, ell, ncols)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for fc in free:
-        vec = [0] * ncols
-        vec[fc] = 1
-        for i, pc in enumerate(pivots):
-            vec[pc] = (-dense[i][fc]) % ell
-        basis.append(vec)
-    return basis
+    _, null = solve_linear(Zmod(ell), _dense(rows, ncols, ell), [0] * len(rows), ncols)
+    return null
 
 
 def solve_affine_mod(rows: list[dict[int, int]], rhs: list[int], ncols: int,
@@ -72,52 +132,45 @@ def solve_affine_mod(rows: list[dict[int, int]], rhs: list[int], ncols: int,
     solution); lifts it through the prime power.  Raises
     InconsistentSystem when no solution exists even mod ell.
     """
-    dense = []
-    for row, b in zip(rows, rhs):
-        v = [0] * (ncols + 1)
-        for c, x in row.items():
-            v[c] = x % modulus
-        v[ncols] = b % modulus
-        dense.append(v)
+    F = Zmod(ell)
+    dense = _dense(rows, ncols, modulus)
+    dense_l = [[x % ell for x in v] for v in dense]
+    b = [v % modulus for v in rhs]
 
-    def solve_once(mat_rows, mod_l):
-        work = [[x % mod_l for x in r] for r in mat_rows]
-        pivots = _rref_mod(work, mod_l, ncols)
-        for r in work:
-            if any(x % mod_l for x in r[:ncols]):
-                continue
-            if r[ncols] % mod_l:
-                raise InconsistentSystem("inconsistent rows")
-        if len(pivots) < ncols:
-            return None
-        x = [0] * ncols
-        for i, pc in enumerate(pivots):
-            x[pc] = work[i][ncols] % mod_l
-        return x
+    def solve_once(target):
+        x, null = solve_linear(F, dense_l, [t % ell for t in target], ncols)
+        if x is None:
+            raise InconsistentSystem("inconsistent rows")
+        return None if null else x
 
-    sol = solve_once(dense, ell)
+    sol = solve_once(b)
     if sol is None:
         return None
     modk = ell
     while modk < ell ** e:
         # residual r = (A sol - rhs)/modk mod ell; correct sol by modk * d
         resid = []
-        for v in dense:
-            acc = -v[ncols]
-            for c in range(ncols):
-                if v[c]:
-                    acc += v[c] * sol[c]
+        for v, bv in zip(dense, b):
+            acc = sum(x * s for x, s in zip(v, sol) if x) - bv
             if acc % modk:
                 raise AssertionError("lift invariant broken")
-            resid.append((acc // modk) % ell)
-        corr_rows = [{c: v[c] for c in range(ncols) if v[c]} for v in dense]
-        d = solve_once([[corr.get(c, 0) for c in range(ncols)] + [(-r) % ell]
-                        for corr, r in zip(corr_rows, resid)], ell)
+            resid.append(-(acc // modk))
+        d = solve_once(resid)
         if d is None:
             return None
         sol = [(s + modk * dd) % (modk * ell) for s, dd in zip(sol, d)]
         modk *= ell
     return sol
+
+
+def determined_mod_prime(rows: list[dict[int, int]], rhs: list[int], ncols: int,
+                         ell: int) -> dict[int, int]:
+    """The coordinates that the consistent system A x = rhs fixes mod ell."""
+    x, null = solve_linear(Zmod(ell), _dense(rows, ncols, ell),
+                           [b % ell for b in rhs], ncols)
+    if x is None:
+        raise InconsistentSystem("inconsistent rows")
+    return {c: x[c] for c in range(ncols) if not any(v[c] for v in null)}
 
 
 def kernel_mod_prime_power(rows: list[dict[int, int]], ncols: int,
@@ -133,44 +186,24 @@ def kernel_mod_prime_power(rows: list[dict[int, int]], ncols: int,
     vec = basis[0]
     modk = ell
     target = ell ** e
-    vec = list(vec)
+    # the lift solves A w = -resid mod ell together with w[anchor] = 0
+    anchor = max(range(ncols), key=lambda c: vec[c] % ell != 0)
+    anchor_row = [0] * ncols
+    anchor_row[anchor] = 1
+    aug = _dense(rows, ncols, ell) + [anchor_row]
     while modk < target:
         # want A (vec + modk * w) = 0 mod modk*ell with A vec = 0 mod modk
         resid = []
-        used = []
         for row in rows:
             acc = 0
             for c, x in row.items():
                 acc += x * vec[c]
             if acc % modk:
                 raise AssertionError("kernel lift invariant broken")
-            resid.append((acc // modk) % ell)
-            used.append(row)
-        # solve A w = -resid mod ell together with w[anchor] = 0
-        anchor = max(range(ncols), key=lambda c: vec[c] % ell != 0)
-        aug_rows = [dict(r) for r in used] + [{anchor: 1}]
-        aug_rhs = [(-r) % ell for r in resid] + [0]
-        w = _solve_least(aug_rows, aug_rhs, ncols, ell)
+            resid.append(-(acc // modk) % ell)
+        w, _ = solve_linear(Zmod(ell), aug, resid + [0], ncols)
         if w is None:
-            return None
+            raise InconsistentSystem("inconsistent lift system")
         vec = [(v + modk * ww) % target for v, ww in zip(vec, w)]
         modk *= ell
     return vec
-
-
-def _solve_least(rows: list[dict[int, int]], rhs: list[int], ncols: int, ell: int):
-    dense = []
-    for row, b in zip(rows, rhs):
-        v = [0] * (ncols + 1)
-        for c, x in row.items():
-            v[c] = x % ell
-        v[ncols] = b % ell
-        dense.append(v)
-    pivots = _rref_mod(dense, ell, ncols)
-    for r in dense:
-        if not any(x for x in r[:ncols]) and r[ncols]:
-            raise InconsistentSystem("inconsistent lift system")
-    x = [0] * ncols
-    for i, pc in enumerate(pivots):
-        x[pc] = dense[i][ncols]
-    return x

@@ -14,17 +14,13 @@ import math
 import random
 from dataclasses import dataclass, field as dc_field
 
-from .algebra import Poly, is_probable_prime, poly_factor
+from .algebra import Poly, factor_modulus, poly_factor
 from .curve import CurveFunction, TriPoly, phi
 from .divisor import Divisor, Place, PlaceAlgebra, divisor_of
 from .harvest import C_COLUMN, FactorBase, Relation
-from .linalg import (InconsistentSystem, MoreRelationsNeeded, kernel_mod_prime,
-                     kernel_mod_prime_power)
+from .linalg import (InconsistentSystem, MoreRelationsNeeded, crt, kernel_mod_prime,
+                     kernel_mod_prime_power, solve_linear)
 from .psi import PsiValue, psi_elementary, translation_constant
-
-
-class FactorizationTimeout(RuntimeError):
-    pass
 
 
 class BudgetExhausted(RuntimeError):
@@ -41,56 +37,6 @@ class DescentFailed(RuntimeError):
 
 class NotInSubgroup(ValueError):
     pass
-
-
-# ---------------------------------------------------------------------------
-# integer factorization (desk scale)
-# ---------------------------------------------------------------------------
-
-def _pollard_rho_factor(n: int, rng: random.Random, budget: int = 1_000_000) -> int:
-    if n % 2 == 0:
-        return 2
-    while True:
-        c = rng.randrange(1, n)
-        x = y = rng.randrange(2, n)
-        d = 1
-        steps = 0
-        while d == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = math.gcd(abs(x - y), n)
-            steps += 1
-            if steps > budget:
-                raise FactorizationTimeout(f"rho stalled on {n}")
-        if d != n:
-            return d
-
-
-def factor_modulus(M: int) -> list[tuple[int, int]]:
-    """Full factorization, trial division to 10^6 then Pollard rho."""
-    if M < 2:
-        raise ValueError("modulus must be at least 2")
-    out: dict[int, int] = {}
-    n = M
-    for p in range(2, 1_000_000):
-        if p * p > n:
-            break
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    rng = random.Random(0xFAC7)
-    stack = [n] if n > 1 else []
-    while stack:
-        m = stack.pop()
-        if m == 1:
-            continue
-        if is_probable_prime(m):
-            out[m] = out.get(m, 0) + 1
-            continue
-        d = _pollard_rho_factor(m, rng)
-        stack.extend([d, m // d])
-    return sorted(out.items())
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +222,7 @@ def solve_core(basis, fb: FactorBase, relations: list[Relation],
         per_prime[pe] = [(v * inv) % pe for v in vec]
     mod_m = {}
     for col in range(ncols):
-        mod_m[col] = _crt([(per_prime[pe][col], pe) for pe in per_prime]) % M
+        mod_m[col] = crt([(per_prime[pe][col], pe) for pe in per_prime]) % M
     return LogTable(ref, per_prime, mod_m, M)
 
 
@@ -285,15 +231,6 @@ def _ell_of(pe: int, primes: list[int]) -> int:
         if pe % p == 0:
             return p
     raise AssertionError
-
-
-def _crt(residues):
-    x, m = 0, 1
-    for r, mod in residues:
-        g = pow(m, -1, mod)
-        x = x + m * ((r - x) * g % mod)
-        m *= mod
-    return x % m
 
 
 def verify_log_table(basis, fb: FactorBase, table: LogTable,
@@ -664,8 +601,7 @@ def _build_coeffs(K, monos, head, removed, free_idx, a_vec, compelled_pts):
                     acc = K.add(acc, K.mul(val, coeffs[i]))
             rows.append(row)
             rhs.append(K.neg(acc))
-        from .divisor import _gauss_solve
-        sol = _gauss_solve(K, rows, rhs, len(pin_idx))
+        sol, _ = solve_linear(K, rows, rhs, len(pin_idx))
         if sol is None:
             return None
         for i, v in zip(pin_idx, sol):
@@ -706,7 +642,7 @@ def _b_solutions(K, rows, monos_b, head_b, also_zero, cap: int = 64):
                 acc = K.add(acc, K.mul(row[i], v))
         A.append([row[i] for i in free_cols])
         b.append(K.neg(acc))
-    sol, null_basis = _gauss_solve_with_nullspace(K, A, b, len(free_cols))
+    sol, null_basis = solve_linear(K, A, b, len(free_cols))
     if sol is None:
         return []
 
@@ -738,49 +674,6 @@ def _b_solutions(K, rows, monos_b, head_b, also_zero, cap: int = 64):
                 out.append(assemble(vec))
                 count += 1
     return out
-
-
-def _gauss_solve_with_nullspace(K, A, b, ncols):
-    """(particular solution, nullspace basis) over F_q, or (None, [])."""
-    rows = [list(r) + [bv] for r, bv in zip(A, b)]
-    piv_cols = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, len(rows)):
-            if rows[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = K.inv(rows[r][c])
-        rows[r] = [K.mul(x, inv) for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [K.sub(x, K.mul(f, y)) for x, y in zip(rows[i], rows[r])]
-        piv_cols.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    for i in range(r, len(rows)):
-        if rows[i][ncols]:
-            return None, []
-    sol = [0] * ncols
-    for i, c in enumerate(piv_cols):
-        sol[c] = rows[i][ncols]
-    piv_set = set(piv_cols)
-    null_basis = []
-    for fc in range(ncols):
-        if fc in piv_set:
-            continue
-        vec = [0] * ncols
-        vec[fc] = 1
-        for i, pc in enumerate(piv_cols):
-            vec[pc] = K.neg(rows[i][fc])
-        null_basis.append(vec)
-    return sol, null_basis
 
 
 # ---------------------------------------------------------------------------

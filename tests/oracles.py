@@ -190,9 +190,9 @@ def place_of_extension_point(curve, L: ExtFieldDesc, x0, y0):
     for _ in range(d):
         rows.append(list(pw))
         pw = L.mul(pw, x0)
-    from ellog.divisor import _gauss_solve
+    from ellog.linalg import solve_linear
     A = [[rows[i][j] for i in range(d)] for j in range(L.k)]
-    sol = _gauss_solve(K, A, list(y0), d)
+    sol, _ = solve_linear(K, A, list(y0), d)
     if sol is None:
         return Place(INERT, u.coeffs, ())
     v = Poly(K, sol) % u

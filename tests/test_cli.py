@@ -35,6 +35,13 @@ def test_search_exhausted_exit_code(tmp_path):
     assert rc in (2, 5)
 
 
+@pytest.mark.parametrize("k", ["0", "2"])
+def test_search_small_k_is_config_error(tmp_path, k):
+    out = str(tmp_path / "r")
+    assert main(["search", "--p", "5", "--k", k, "--out", out]) == 2
+    assert not os.path.exists(os.path.join(out, "config.json"))
+
+
 def test_full_pipeline_artifacts(pipeline):
     outdir = pipeline["dir"]
     for name in ("curve.txt", "basis.json", "relations.txt", "logs.txt"):
