@@ -21,11 +21,11 @@ from .algebra import FieldDesc, factor_modulus
 from .basis import (EllipticBasis, SearchExhausted, basis_from_json,
                     basis_to_json, build_basis, find_basis, mu_bound)
 from .curve import Curve, Point
-from .harvest import (build_factor_base, extend_h4, extend_h5, harvest_core,
-                      harvest_m1, pair_divisors, read_relations,
+from .harvest import (DegeneratePair, build_factor_base, extend_h4, extend_h5,
+                      harvest_core, harvest_m1, pair_divisors, read_relations,
                       reconstruct_pair, write_relations)
 from .linalg import MoreRelationsNeeded
-from .psi import verify_relation
+from .psi import SupportHitsF, verify_relation
 from .solve import (bsgs_oracle, column_class, dlog, find_generator, read_logs,
                     solve_core, verify_log_table, write_logs)
 from . import stats as stats_mod
@@ -282,12 +282,13 @@ def cmd_verify(args) -> int:
         try:
             A, B = reconstruct_pair(basis, rel.mode, rel.params)
             pr = pair_divisors(basis, A, B)
-            lhs = pr.left_total().finite_places()
-            rhs = pr.right_divisor.finite_places()
-            if not verify_relation(lhs, rhs, basis):
-                failures += 1
-        except Exception as exc:
-            print(f"relation {rel.mode}{rel.params}: {exc}", file=sys.stderr)
+            ok = verify_relation(pr.left_total().finite_places(),
+                                 pr.right_divisor.finite_places(), basis)
+            why = "psi mismatch"
+        except (DegeneratePair, SupportHitsF) as exc:
+            ok, why = False, f"{type(exc).__name__}: {exc}"
+        if not ok:
+            print(f"relation {rel.mode}{rel.params}: {why}", file=sys.stderr)
             failures += 1
     print(f"relations checked: {len(picks)}, failures: {failures}")
     log_failures = 0
@@ -302,6 +303,8 @@ def cmd_verify(args) -> int:
             want = bsgs_oracle(column_class(fb, col, basis), rcls, basis.M)
             checked += 1
             if want != logs[col]:
+                print(f"log column {col}: logs.txt has {logs[col]}, "
+                      f"psi oracle gives {want}", file=sys.stderr)
                 log_failures += 1
         print(f"logs checked: {checked}, failures: {log_failures}")
     if failures or log_failures:

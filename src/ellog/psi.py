@@ -8,13 +8,23 @@ N*D is principal, the function f with divisor N*D has F_q coefficients, and
 
 where F = (theta, tau) is the distinguished point with coordinates in the
 target field, and the N-th root is the unique one in the order-M quotient
-group.  f(F) is never built symbolically: each place is reduced to a
-rational point by Cantor-style Mumford reduction with the intermediate
-chord and vertical functions evaluated at F on the fly, and the remaining
-rational multiple is handled by Miller's double-and-add.
+group.  f(F) is never built symbolically.  For D = sum n_i ((P_i) - d_i (O)):
 
-Constants in F_q^* are dropped freely throughout: they vanish in the
-quotient group.
+* each place is reduced to a rational point by Cantor-style Mumford
+  reduction, (P_i) - d_i (O) = (T_i) - (O) + div(g_i), with the chord and
+  vertical functions evaluated at F on the fly; an inert place is the
+  divisor of u_i(x) outright, so T_i = O;
+* the points are summed into one S = sum n_i T_i: n_i T_i by Miller's
+  double-and-add on T_i (on -T_i times the vertical (x - x_T)^(n_i) when
+  n_i < 0), then one chord onto the running sum.  That gives
+  D = (S) - (O) + div(h);
+* N kills E(F_q), so one Miller loop gives f_{N,S} with divisor
+  N(S) - N(O), and psi(D) = h(F) * f_{N,S}(F)^(1/N): the N-th power of
+  h(F) and the N-th root cancel in the quotient group.
+
+Every value is carried as a numerator and a denominator, and a single
+inversion in F_{q^k} settles both fractions at the end.  Constants in
+F_q^* are dropped freely throughout: they vanish in the quotient group.
 """
 
 from __future__ import annotations
@@ -23,8 +33,8 @@ from dataclasses import dataclass
 from math import gcd, lcm
 
 from .algebra import ExtFieldDesc, Poly
-from .curve import Curve, Point, point_add, point_neg
-from .divisor import (Divisor, INERT, INFINITY, PLACE_AT_INFINITY, Place,
+from .curve import Curve, Point, point_neg
+from .divisor import (Divisor, INERT, PLACE_AT_INFINITY, Place,
                       RAMIFIED, SPLIT, elementary_divisor, place_of_point,
                       places_over)
 
@@ -110,8 +120,11 @@ class PsiValue:
 
 
 # ---------------------------------------------------------------------------
-# internals: value-tracked Mumford reduction and Miller loops
+# internals: value-tracked Mumford reduction, chords and one Miller loop
 # ---------------------------------------------------------------------------
+#
+# Values at F are kept as (numerator, denominator) pairs of F_{q^k}
+# elements, with None standing for 1 so that trivial factors cost nothing.
 
 class _Hit(Exception):
     """An intermediate function vanished at F; caller re-randomizes."""
@@ -123,98 +136,143 @@ def _checked(v, ext):
     return v
 
 
+def _mul(ext, a, b):
+    """a * b, where None stands for 1."""
+    if a is None:
+        return b
+    if b is None:
+        return a
+    return ext.mul(a, b)
+
+
+def _pow(ext, a, e: int):
+    """a^e for e >= 1, where None stands for 1."""
+    if a is None or e == 1:
+        return a
+    return ext.pow_(a, e)
+
+
+def _eval_poly(ext: ExtFieldDesc, f: Poly, theta):
+    cs = f.coeffs
+    if not cs:
+        return ext.zero
+    acc = ext.embed(cs[-1])
+    for c in reversed(cs[:-1]):
+        acc = ext.add(ext.mul(acc, theta), ext.embed(c))
+    return acc
+
+
+def _vertical(ext, theta, x):
+    """(x - x0)(F) for the vertical line through abscissa x0."""
+    return _checked(ext.sub(theta, ext.embed(x)), ext)
+
+
 def _mumford_reduce(curve: Curve, u: Poly, v: Poly, ext: ExtFieldDesc, theta, tau):
     """Reduce the semi-reduced pair (u, v) to a rational point.
 
-    Returns (T, val) with  D(u,v) - deg(u)(O) = [(T) - (O)] + Xi(g)  and
-    val = g(F) up to F_q^*; T is None for the trivial class.
+    Returns (T, num, den) with  D(u,v) - deg(u)(O) = [(T) - (O)] + Xi(g)
+    and g(F) = num / den up to F_q^*; T is None for the trivial class.
     """
     K = curve.field
     f = curve.rhs_poly()
-    val = ext.one
+    num = den = None
     while u.degree() >= 2:
         quot, rem = (v * v - f).divmod(u)
         if not rem.is_zero():
             raise AssertionError("pair (u, v) is not semi-reduced")
         w = quot.monic()
-        num = _checked(ext.sub(tau, _eval_poly(ext, v, theta)), ext)
-        den = _eval_poly(ext, w, theta)
-        val = ext.mul(val, ext.div(num, den))
+        num = _mul(ext, num, _checked(ext.sub(tau, _eval_poly(ext, v, theta)), ext))
+        den = _mul(ext, den, _eval_poly(ext, w, theta))
         u, v = w, (-v) % w if not v.is_zero() else v % w
     if u.degree() <= 0:
-        return None, val
+        return None, num, den
     x0 = K.neg(u.coeffs[0])
     y0 = v.eval_code(x0) if not v.is_zero() else 0
-    return Point(curve, K, x0, y0), val
+    return Point(curve, K, x0, y0), num, den
 
 
-def _eval_poly(ext: ExtFieldDesc, f: Poly, theta):
-    acc = ext.zero
-    for c in reversed(f.coeffs):
-        acc = ext.add(ext.mul(acc, theta), ext.embed(c))
-    return acc
-
-
-def _miller_step(curve: Curve, R: Point, S: Point, ext, theta, tau):
-    """(value of l_{R,S}(F) / v_{R+S}(F), R + S).
+def _chord(curve: Curve, R: Point, S: Point, ext, theta, tau):
+    """(l_{R,S}(F), v_{R+S}(F), R + S), so that div(l/v) = (R) + (S) - (R+S) - (O).
 
     l is the chord/tangent through R and S and v the vertical at the sum,
-    with the usual conventions l_{O,S} = v_S and v_O = 1.
+    with the usual conventions l_{O,S} = 1, l_{R,-R} = v_R and v_O = 1;
+    a factor equal to 1 is returned as None.
     """
     K = curve.field
     if R.inf:
-        return ext.one, S
+        return None, None, S
     if S.inf:
-        return ext.one, R
+        return None, None, R
     if R.x == S.x and R.y == K.neg(S.y):
-        # vertical chord, sum at infinity
-        return _checked(ext.sub(theta, ext.embed(R.x)), ext), Point.infinity(curve)
+        return _vertical(ext, theta, R.x), None, Point.infinity(curve)
     if R.x == S.x:
         num = K.add(K.mul(3 % K.p, K.mul(R.x, R.x)), curve.a)
         lam = K.div(num, K.mul(2, R.y))
     else:
         lam = K.div(K.sub(S.y, R.y), K.sub(S.x, R.x))
-    T = point_add(R, S)
-    line = ext.sub(ext.sub(tau, ext.embed(R.y)),
-                   ext.mul(ext.embed(lam), ext.sub(theta, ext.embed(R.x))))
-    vert = ext.sub(theta, ext.embed(T.x))
-    return ext.div(_checked(line, ext), _checked(vert, ext)), T
+    x3 = K.sub(K.sub(K.mul(lam, lam), R.x), S.x)
+    T = Point(curve, K, x3, K.sub(K.mul(lam, K.sub(R.x, x3)), R.y))
+    dx = ext.sub(theta, ext.embed(R.x))
+    line = ext.sub(ext.sub(tau, ext.embed(R.y)), tuple(K.mul(lam, c) for c in dx))
+    return _checked(line, ext), _vertical(ext, theta, x3), T
 
 
 def _miller(curve: Curve, T: Point, n: int, ext, theta, tau):
-    """f_{n,T}(F) for n * T = O, with divisor n(T) - n(O)."""
-    if T.inf or n == 0:
-        return ext.one
-    if n < 0:
-        raise ValueError("negative Miller exponent")
-    f = ext.one
+    """(num, den, n * T) with num/den = f(F), div(f) = n(T) - (nT) - (n-1)(O).
+
+    Miller's double-and-add over the bits of n >= 1.
+    """
+    num = den = None
     R = T
     for bit in bin(n)[3:]:
-        fac, R = _miller_step(curve, R, R, ext, theta, tau)
-        f = ext.mul(ext.mul(f, f), fac)
+        line, vert, R = _chord(curve, R, R, ext, theta, tau)
+        num = _mul(ext, _mul(ext, num, num), line)
+        den = _mul(ext, _mul(ext, den, den), vert)
         if bit == "1":
-            fac, R = _miller_step(curve, R, T, ext, theta, tau)
-            f = ext.mul(f, fac)
-    if not R.inf:
-        raise AssertionError("Miller loop did not close at O")
-    return f
+            line, vert, R = _chord(curve, R, T, ext, theta, tau)
+            num = _mul(ext, num, line)
+            den = _mul(ext, den, vert)
+    return num, den, R
 
 
-def _place_value(basis, place: Place, N: int):
-    """f(F) for the function f with divisor N * ((place) - deg(place)(O))."""
+def _psi_value(D: Divisor, basis, N: int, Ninv: int):
+    """h(F) * f_{N,S}(F)^(1/N) for D = (S) - (O) + div(h), as in the module notes."""
     curve, ext, theta, tau = basis.curve, basis.ext, basis.theta, basis.tau
     K = curve.field
-    if place.kind == INFINITY:
-        return ext.one
-    u = Poly(K, place.u)
-    if place.kind == INERT:
-        return ext.pow_(_checked(_eval_poly(ext, u, theta), ext), N)
-    v = Poly(K, place.v) if place.kind == SPLIT else Poly(K, ())
-    T, gval = _mumford_reduce(curve, u, v, ext, theta, tau)
-    acc = ext.pow_(gval, N)
-    if T is not None:
-        acc = ext.mul(acc, _miller(curve, T, N, ext, theta, tau))
-    return acc
+    hn = hd = None
+    S = Point.infinity(curve)
+    for place, n in D.finite_places():
+        u = Poly(K, place.u)
+        if place.kind == INERT:
+            T, gn, gd = None, _checked(_eval_poly(ext, u, theta), ext), None
+        else:
+            v = Poly(K, place.v) if place.kind == SPLIT else Poly(K, ())
+            T, gn, gd = _mumford_reduce(curve, u, v, ext, theta, tau)
+        m = abs(n)
+        if n < 0:
+            gn, gd = gd, gn
+            if T is not None:
+                # -((T) - (O)) = ((-T) - (O)) - div(x - x_T)
+                gd = _mul(ext, gd, _vertical(ext, theta, T.x))
+                T = point_neg(T)
+        hn = _mul(ext, hn, _pow(ext, gn, m))
+        hd = _mul(ext, hd, _pow(ext, gd, m))
+        if T is None:
+            continue
+        fn, fd, R = _miller(curve, T, m, ext, theta, tau)
+        line, vert, S = _chord(curve, S, R, ext, theta, tau)
+        hn = _mul(ext, hn, _mul(ext, fn, line))
+        hd = _mul(ext, hd, _mul(ext, fd, vert))
+    fn, fd, R = _miller(curve, S, N, ext, theta, tau)
+    if not R.inf:
+        raise AssertionError("Miller loop did not close at O")
+    # one inversion for both fractions: z = 1/(hd fd)
+    den = _mul(ext, hd, fd)
+    z = None if den is None else ext.inv(den)
+    h = _mul(ext, _mul(ext, hn, fd), z)
+    f = _mul(ext, _mul(ext, fn, hd), z)
+    val = _mul(ext, h, None if f is None else ext.pow_(f, Ninv))
+    return ext.one if val is None else val
 
 
 def psi_eval(D: Divisor, basis, _depth: int = 0,
@@ -236,17 +294,11 @@ def psi_eval(D: Divisor, basis, _depth: int = 0,
     if exponent is None:
         N, Ninv = nd.lcm, nd.inv
     else:
-        if exponent % nd.N[0]:
-            raise ValueError("exponent must be a multiple of the curve order")
+        if exponent <= 0 or exponent % nd.N[0]:
+            raise ValueError("exponent must be a positive multiple of the curve order")
         N, Ninv = exponent, pow(exponent, -1, nd.M)
     try:
-        acc = ext.one
-        for place, n in D.finite_places():
-            val = _place_value(basis, place, N)
-            acc = ext.mul(acc, ext.pow_(val, n))
-        if not any(acc):
-            raise _Hit
-        return PsiValue(ext, acc).pow(Ninv)
+        return PsiValue(ext, _psi_value(D, basis, N, Ninv))
     except _Hit:
         if _depth >= 4:
             raise SupportHitsF("psi support keeps meeting F") from None
@@ -268,17 +320,18 @@ def psi_elementary(place: Place, basis) -> PsiValue:
 
 
 def verify_relation(lhs, rhs, basis) -> bool:
-    """Check that the psi products of two elementary-divisor combinations agree.
+    """Check that two elementary-divisor combinations have the same class.
 
-    Each side is a list of (Place, int) pairs; the products are compared as
-    canonical classes.
+    Each side is a list of (Place, int) pairs.  psi is a homomorphism, so
+    the sides agree exactly when psi(DL - DR) is one: a single evaluation
+    and a single N-th root decide the relation.
     """
-    DL, DR = Divisor(), Divisor()
+    D = Divisor()
     for place, n in lhs:
-        DL = DL + elementary_divisor(place).scale(n)
+        D = D + elementary_divisor(place).scale(n)
     for place, n in rhs:
-        DR = DR + elementary_divisor(place).scale(n)
-    return psi_eval(DL, basis) == psi_eval(DR, basis)
+        D = D + elementary_divisor(place).scale(-n)
+    return psi_eval(D, basis).is_one()
 
 
 def translation_constant(basis) -> PsiValue:

@@ -4,6 +4,10 @@ Everything here deliberately avoids the library's divisor machinery: the
 order of vanishing comes from explicit power-series expansion at each
 point, points are found by brute force, and the place of a point is
 reconstructed from its Frobenius orbit.
+
+`psi_per_place` is the slow reference for `psi.psi_eval`: it takes the
+divisor's places from the library but gives each place its own Mumford
+reduction and its own Miller loop over the full exponent N.
 """
 
 from __future__ import annotations
@@ -197,3 +201,117 @@ def place_of_extension_point(curve, L: ExtFieldDesc, x0, y0):
         return Place(INERT, u.coeffs, ())
     v = Poly(K, sol) % u
     return Place(SPLIT, u.coeffs, tuple(v.coeffs))
+
+
+# ---------------------------------------------------------------------------
+# psi, one place at a time
+# ---------------------------------------------------------------------------
+
+class _PsiHit(Exception):
+    """An intermediate function vanished at F."""
+
+
+def _nonzero(v):
+    if not any(v):
+        raise _PsiHit
+    return v
+
+
+def _horner(ext, f: Poly, theta):
+    acc = ext.zero
+    for c in reversed(f.coeffs):
+        acc = ext.add(ext.mul(acc, theta), ext.embed(c))
+    return acc
+
+
+def _reduce_place(curve, u: Poly, v: Poly, ext, theta, tau):
+    """Mumford reduction of (u, v) to (T, g(F)), T None for the trivial class."""
+    from ellog.curve import Point
+    K = curve.field
+    f = curve.rhs_poly()
+    val = ext.one
+    while u.degree() >= 2:
+        quot, rem = (v * v - f).divmod(u)
+        assert rem.is_zero(), "pair (u, v) is not semi-reduced"
+        w = quot.monic()
+        num = _nonzero(ext.sub(tau, _horner(ext, v, theta)))
+        val = ext.mul(val, ext.div(num, _horner(ext, w, theta)))
+        u, v = w, (-v) % w if not v.is_zero() else v % w
+    if u.degree() <= 0:
+        return None, val
+    x0 = K.neg(u.coeffs[0])
+    y0 = v.eval_code(x0) if not v.is_zero() else 0
+    return Point(curve, K, x0, y0), val
+
+
+def _line_over_vertical(curve, R, S, ext, theta, tau):
+    """(l_{R,S}(F) / v_{R+S}(F), R + S)."""
+    from ellog.curve import Point, point_add
+    K = curve.field
+    if R.inf:
+        return ext.one, S
+    if S.inf:
+        return ext.one, R
+    if R.x == S.x and R.y == K.neg(S.y):
+        return _nonzero(ext.sub(theta, ext.embed(R.x))), Point.infinity(curve)
+    if R.x == S.x:
+        lam = K.div(K.add(K.mul(3 % K.p, K.mul(R.x, R.x)), curve.a), K.mul(2, R.y))
+    else:
+        lam = K.div(K.sub(S.y, R.y), K.sub(S.x, R.x))
+    T = point_add(R, S)
+    line = ext.sub(ext.sub(tau, ext.embed(R.y)),
+                   ext.mul(ext.embed(lam), ext.sub(theta, ext.embed(R.x))))
+    vert = ext.sub(theta, ext.embed(T.x))
+    return ext.div(_nonzero(line), _nonzero(vert)), T
+
+
+def _place_value(basis, place, N: int):
+    """f(F) for f with divisor N * ((place) - deg(place)(O)): its own Miller loop."""
+    from ellog.divisor import INERT, SPLIT
+    curve, ext, theta, tau = basis.curve, basis.ext, basis.theta, basis.tau
+    K = curve.field
+    u = Poly(K, place.u)
+    if place.kind == INERT:
+        return ext.pow_(_nonzero(_horner(ext, u, theta)), N)
+    v = Poly(K, place.v) if place.kind == SPLIT else Poly(K, ())
+    T, gval = _reduce_place(curve, u, v, ext, theta, tau)
+    acc = ext.pow_(gval, N)
+    if T is None:
+        return acc
+    f, R = ext.one, T
+    for bit in bin(N)[3:]:
+        fac, R = _line_over_vertical(curve, R, R, ext, theta, tau)
+        f = ext.mul(ext.mul(f, f), fac)
+        if bit == "1":
+            fac, R = _line_over_vertical(curve, R, T, ext, theta, tau)
+            f = ext.mul(f, fac)
+    assert R.inf, "Miller loop did not close at O"
+    return ext.mul(acc, f)
+
+
+def psi_per_place(D, basis, exponent: int | None = None, _depth: int = 0):
+    """psi(D) as the product over places of f_P(F)^(n_P), then one N-th root.
+
+    Each place is Mumford-reduced to a rational point T and gets its own
+    Miller loop for N((T) - (O)).  When an intermediate function meets F,
+    D is slid by the principal divisor of a vertical line, as in the library.
+    """
+    from ellog.divisor import Divisor, PLACE_AT_INFINITY, RAMIFIED, places_over
+    from ellog.psi import PsiValue
+    ext, nd = basis.ext, basis.nd
+    N = nd.lcm if exponent is None else exponent
+    try:
+        acc = ext.one
+        for place, n in D.finite_places():
+            acc = ext.mul(acc, ext.pow_(_place_value(basis, place, N), n))
+        return PsiValue(ext, acc).pow(pow(N, -1, nd.M))
+    except _PsiHit:
+        assert _depth < 4, "psi support keeps meeting F"
+        K = basis.curve.field
+        x0 = (7 * _depth + 3) % K.q
+        shift = Divisor()
+        for p in places_over(basis.curve, Poly(K, (K.neg(x0), 1))):
+            shift.add_place(p, 2 if p.kind == RAMIFIED else 1)
+        shift.add_place(PLACE_AT_INFINITY, -2)
+        line = PsiValue(ext, ext.sub(basis.theta, ext.embed(x0)))
+        return psi_per_place(D + shift, basis, exponent, _depth + 1).div(line)

@@ -1,4 +1,5 @@
 import os
+import re
 
 import pytest
 
@@ -72,6 +73,40 @@ def test_dlog_command_hex_target(pipeline, capsys):
 def test_verify_command(pipeline):
     assert main(["verify", "--sample", "25", "--log-sample", "8",
                  "--out", pipeline["dir"]]) == 0
+
+
+def test_verify_command_names_psi_mismatch(pipeline, monkeypatch, capsys):
+    import ellog.cli
+    monkeypatch.setattr(ellog.cli, "verify_relation", lambda lhs, rhs, basis: False)
+    rc = main(["verify", "--sample", "3", "--log-sample", "0",
+               "--out", pipeline["dir"]])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 4
+    assert len(err) == 3
+    assert all(re.fullmatch(r"relation \w+\(.*\): psi mismatch", line) for line in err)
+
+
+def test_verify_command_names_failing_log(pipeline, monkeypatch, capsys):
+    import ellog.cli
+    monkeypatch.setattr(ellog.cli, "bsgs_oracle", lambda *args: -1)
+    rc = main(["verify", "--sample", "0", "--log-sample", "2",
+               "--out", pipeline["dir"]])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 4
+    assert len(err) == 2
+    assert all(re.fullmatch(r"log column \d+: logs.txt has \d+, psi oracle gives -1", line)
+               for line in err)
+
+
+def test_verify_command_raises_programming_errors(pipeline, monkeypatch):
+    import ellog.cli
+
+    def broken(lhs, rhs, basis):
+        raise RuntimeError("bug")
+
+    monkeypatch.setattr(ellog.cli, "verify_relation", broken)
+    with pytest.raises(RuntimeError, match="bug"):
+        main(["verify", "--sample", "1", "--out", pipeline["dir"]])
 
 
 def test_stats_command(capsys):

@@ -1,14 +1,21 @@
+import itertools
 import random
 from math import gcd, lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ellog.algebra import Poly, poly_random_monic, poly_is_irreducible
-from ellog.curve import point_neg
-from ellog.divisor import (Divisor, PLACE_AT_INFINITY, divisor_of,
-                           elementary_divisor, place_of_point, places_over)
+from ellog.algebra import (Poly, field_make, poly_irreducibles,
+                           poly_random_monic, poly_is_irreducible)
+from ellog.basis import build_basis
+from ellog.curve import Curve, Point, point_neg
+from ellog.divisor import (Divisor, INERT, PLACE_AT_INFINITY, RAMIFIED, SPLIT,
+                           decompose, divisor_of, elementary_divisor,
+                           place_of_point, places_over)
+from ellog.harvest import DegeneratePair, pair_divisors, reconstruct_pair
 from ellog.psi import (NdNotInvertible, PsiValue, nd_build, psi_elementary,
                        psi_eval, translation_constant, verify_relation)
+from oracles import psi_per_place
 
 
 def rand_divisor(curve, rng, deg_cap=3):
@@ -205,6 +212,7 @@ def test_verify_relation_identical_and_perturbed(basis59):
     rhs = pr.right_divisor.finite_places()
     assert verify_relation(lhs, lhs, basis59)
     assert verify_relation(lhs, rhs, basis59)
+    assert verify_relation(rhs, lhs, basis59)
     bad = [(p, n + 1 if i == 0 else n) for i, (p, n) in enumerate(rhs)]
     assert not verify_relation(lhs, bad, basis59)
 
@@ -221,3 +229,99 @@ def test_psi_value_canonical_form(basis59):
         assert lead == 1
         scaled = PsiValue(ext, tuple(ext.base.mul(c, 3) for c in z))
         assert scaled == v
+
+
+# ---------------------------------------------------------------------------
+# psi_eval against the per-place oracle
+# ---------------------------------------------------------------------------
+
+def _places_by_kind(curve, max_deg):
+    kinds = {}
+    for d in range(1, max_deg + 1):
+        for u in poly_irreducibles(curve.field, d):
+            for p in places_over(curve, u):
+                kinds.setdefault(p.kind, []).append(p)
+    return kinds
+
+
+@pytest.fixture(scope="module")
+def places59(basis59):
+    kinds = _places_by_kind(basis59.curve, 3)
+    assert set(kinds) == {SPLIT, RAMIFIED, INERT}
+    return kinds
+
+
+@pytest.fixture(scope="module")
+def basis75():
+    """q = 7, k = 5 on a curve of order 10: the ramified place over x - 2
+    is the rational 2-torsion point, so its reduced point has T = -T."""
+    F7 = field_make(7, 1)
+    curve = Curve(F7, 1, 4)
+    return build_basis(curve, Point.make(curve, F7, 4, 3), seed=0)
+
+
+@pytest.fixture(scope="module")
+def places75(basis75):
+    kinds = _places_by_kind(basis75.curve, 2)
+    assert any(p.degree == 1 for p in kinds[RAMIFIED])
+    return kinds
+
+
+def _draw_divisor(data, kinds):
+    """Up to five places, each kind equally likely, multiplicities in
+    [-40, 40] without 0."""
+    D = Divisor()
+    for _ in range(data.draw(st.integers(1, 5))):
+        place = data.draw(st.sampled_from(kinds[data.draw(st.sampled_from(sorted(kinds)))]))
+        n = data.draw(st.integers(-40, 40).filter(bool))
+        D = D + elementary_divisor(place).scale(n)
+    return D
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(data=st.data())
+def test_psi_eval_matches_per_place_oracle(basis59, places59, data):
+    D = _draw_divisor(data, places59)
+    exponent = data.draw(st.sampled_from([None, 9, 27, 216]))
+    assert psi_eval(D, basis59, exponent=exponent) == \
+        psi_per_place(D, basis59, exponent=exponent)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(data=st.data())
+def test_psi_eval_matches_oracle_with_rational_two_torsion(basis75, places75, data):
+    D = _draw_divisor(data, places75)
+    exponent = data.draw(st.sampled_from([None, 10, 30]))
+    assert psi_eval(D, basis75, exponent=exponent) == \
+        psi_per_place(D, basis75, exponent=exponent)
+
+
+def test_psi_eval_matches_per_place_oracle_at_11_13(basis11):
+    kinds = _places_by_kind(basis11.curve, 3)
+    rng = random.Random(101)
+    for _ in range(4):
+        D = Divisor()
+        for kind in sorted(kinds) + [SPLIT]:
+            n = rng.choice([-1, 1]) * rng.randrange(1, 41)
+            D = D + elementary_divisor(rng.choice(kinds[kind])).scale(n)
+        assert psi_eval(D, basis11) == psi_per_place(D, basis11)
+
+
+def test_verify_relation_at_11_13(basis11):
+    checked = 0
+    for params in itertools.product(range(11), repeat=3):
+        try:
+            pr = pair_divisors(basis11, *reconstruct_pair(basis11, "core", params))
+        except DegeneratePair:
+            continue
+        if decompose(pr.right_divisor, 3) is None:
+            continue
+        lhs = pr.left_total().finite_places()
+        rhs = pr.right_divisor.finite_places()
+        assert verify_relation(lhs, rhs, basis11)
+        bad = [(p, n + 1 if i == 0 else n) for i, (p, n) in enumerate(rhs)]
+        assert not verify_relation(lhs, bad, basis11)
+        checked += 1
+        if checked == 4:
+            break
+    assert checked == 4
