@@ -25,11 +25,19 @@ DESK_Q_CAP = 1 << 20
 _TABLE_Q_CAP = 1 << 10  # precompute add/mul tables below this size
 
 
-class NotPrime(ValueError):
+class ConfigError(ValueError):
+    """A bad argument, config.json or stored artifact: the user's to fix.
+
+    The CLI reports this class, and only this class, as a configuration
+    error (exit 2); every other exception propagates.
+    """
+
+
+class NotPrime(ConfigError):
     pass
 
 
-class CharTooSmall(ValueError):
+class CharTooSmall(ConfigError):
     pass
 
 
@@ -136,7 +144,7 @@ class FieldDesc:
             raise ValueError("extension degree must be >= 1")
         q = p ** m
         if q > DESK_Q_CAP:
-            raise ValueError(f"q = {q} exceeds desk-scale cap 2^20")
+            raise ConfigError(f"q = {q} exceeds desk-scale cap 2^20")
         if len(modulus) != m + 1 or modulus[-1] != 1:
             raise ValueError("modulus must be monic of degree m")
         self.p = p

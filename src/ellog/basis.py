@@ -15,9 +15,10 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 
-from .algebra import ExtFieldDesc, FieldDesc, Poly, field_make, poly_factor
+from .algebra import (ConfigError, ExtFieldDesc, FieldDesc, Poly, field_make,
+                      poly_factor)
 from .curve import (Curve, Point, Singular, TorsionData, find_point_of_order,
                     point_add)
 from .psi import NdNotInvertible, NdTable, nd_build
@@ -51,7 +52,12 @@ def mu_bound(q: int, k: int) -> int:
 
 @dataclass
 class EllipticBasis:
-    """Everything the later phases need, frozen after construction."""
+    """Everything the later phases need, frozen after construction.
+
+    The one exception is `line_divisors`, the memo of
+    `harvest.line_divisor`: divisors of pulled-back sieve lines, keyed by
+    projective class.  It is not compared, printed or written to basis.json.
+    """
 
     curve: Curve
     td: TorsionData
@@ -64,6 +70,8 @@ class EllipticBasis:
     nu: int
     k: int
     seed: int
+    line_divisors: dict = dc_field(default_factory=dict, compare=False,
+                                   repr=False)
 
     @property
     def q(self) -> int:
@@ -99,7 +107,9 @@ def _curve_candidates(p: int, m0: int, k: int, seed: int = 0):
     when available since several sieve constructions degenerate at x1 = 0.
     """
     if k < 3:
-        raise ValueError("extension degree k must be at least 3")
+        raise ConfigError("extension degree k must be at least 3")
+    if m0 < 1:
+        raise ConfigError("base field degree m0 must be at least 1")
     rng = random.Random(seed * 0x9E3779B1 + k)
     for mu in range(1, mu_bound(p ** m0, k) + 1):
         field = field_make(p, m0 * mu, seed)
@@ -265,10 +275,21 @@ def basis_to_json(basis: EllipticBasis) -> str:
     return json.dumps(doc, indent=1, sort_keys=True)
 
 
+_BASIS_KEYS = ("p", "m", "field_modulus", "a", "b", "N", "k", "mu", "nu",
+               "seed", "P1", "torsion_x", "modulus_I", "theta", "tau", "M",
+               "nd_degree", "nd_orders", "nd_lcm")
+
+
 def basis_from_json(text: str) -> EllipticBasis:
-    doc = json.loads(text)
-    if doc.get("format") != "elliptic-basis-1":
-        raise ValueError("unrecognized basis file format")
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"basis file is not JSON: {exc}") from None
+    if not isinstance(doc, dict) or doc.get("format") != "elliptic-basis-1":
+        raise ConfigError("unrecognized basis file format")
+    missing = [key for key in _BASIS_KEYS if key not in doc]
+    if missing:
+        raise ConfigError(f"basis file lacks {', '.join(missing)}")
     field = FieldDesc(doc["p"], doc["m"], tuple(doc["field_modulus"]))
     curve = Curve(field, field.dec(doc["a"]), field.dec(doc["b"]), doc["N"])
     P1 = Point(curve, field, field.dec(doc["P1"][0]), field.dec(doc["P1"][1]))
@@ -279,10 +300,10 @@ def basis_from_json(text: str) -> EllipticBasis:
     tau = ext.dec(doc["tau"])
     nd = nd_build(curve, doc["k"], doc["nd_degree"])
     if list(nd.N) != doc["nd_orders"] or nd.lcm != doc["nd_lcm"]:
-        raise ValueError("stored order table disagrees with the curve")
+        raise ConfigError("stored order table disagrees with the curve")
     basis = EllipticBasis(curve, td, ext, theta, tau, doc["M"], nd,
                           doc["mu"], doc["nu"], doc["k"], doc["seed"])
     expected = [field.dec(t) for t in doc["torsion_x"]]
     if [basis.td.xs[j] for j in range(1, doc["k"])] != expected:
-        raise ValueError("stored torsion abscissae disagree")
+        raise ConfigError("stored torsion abscissae disagree")
     return basis

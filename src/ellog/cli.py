@@ -5,8 +5,9 @@ stages refuse to start without their inputs (exit code 3).  All randomness
 derives from the seed recorded in config.json, so rerunning a stage with
 the same inputs reproduces its artifact byte for byte.
 
-Exit codes: 0 ok, 2 bad configuration, 3 missing stage artifact,
-4 verification failure, 5 search exhausted.
+Exit codes: 0 ok, 2 bad configuration (`ConfigError`), 3 missing stage
+artifact, 4 verification failure, 5 search exhausted.  Any other exception
+is a fault of the program and propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import os
 import random
 import sys
 
-from .algebra import FieldDesc, factor_modulus
+from .algebra import ConfigError, FieldDesc, factor_modulus
 from .basis import (EllipticBasis, SearchExhausted, basis_from_json,
                     basis_to_json, build_basis, find_basis, mu_bound)
 from .curve import Curve, Point
@@ -45,12 +46,25 @@ def _config_path(outdir):
     return os.path.join(outdir, "config.json")
 
 
+_CONFIG_KEYS = ("seed", "height_base", "height_extended", "d0",
+                "small_prime_bound")
+
+
 def _load_config(outdir) -> dict:
     path = _config_path(outdir)
     if not os.path.exists(path):
         raise StageMissing("config.json not found; run `search` first")
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            cfg = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"config.json is not JSON: {exc}") from None
+    if not isinstance(cfg, dict):
+        raise ConfigError("config.json is not a JSON object")
+    missing = [key for key in _CONFIG_KEYS if key not in cfg]
+    if missing:
+        raise ConfigError(f"config.json lacks {', '.join(missing)}")
+    return cfg
 
 
 def _save_config(outdir, cfg: dict):
@@ -76,7 +90,10 @@ def _load_basis(outdir) -> EllipticBasis:
 def _workers(args_workers) -> int:
     env = os.environ.get("ELLOG_WORKERS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ConfigError(f"ELLOG_WORKERS={env!r} is not an integer") from None
     return max(1, args_workers)
 
 
@@ -117,10 +134,13 @@ def cmd_basis(args) -> int:
     path = _artifact(args.out, "curve.txt", "search")
     with open(path) as fh:
         desc = fh.read().strip()
-    field_part, a_enc, b_enc, n_s, k_s, p1x, p1y = desc.split("|")
-    bits = field_part.split(",")
-    p, m = int(bits[0]), int(bits[1])
-    modulus = tuple(int(x) for x in bits[2:])
+    try:
+        field_part, a_enc, b_enc, n_s, k_s, p1x, p1y = desc.split("|")
+        bits = field_part.split(",")
+        p, m = int(bits[0]), int(bits[1])
+        modulus = tuple(int(x) for x in bits[2:])
+    except (ValueError, IndexError):
+        raise ConfigError(f"malformed curve.txt: {desc!r}") from None
     field = FieldDesc(p, m, modulus)
     curve = Curve(field, field.dec(a_enc), field.dec(b_enc), int(n_s))
     P1 = Point.make(curve, field, field.dec(p1x), field.dec(p1y))
@@ -227,15 +247,18 @@ def cmd_extend(args) -> int:
 
 def _parse_target(basis, text: str):
     ext = basis.ext
-    if text.startswith("0x") or text.startswith("0X"):
-        val = int(text, 16)
-        codes = []
-        K = basis.curve.field
-        for _ in range(basis.k):
-            codes.append(val % K.q)
-            val //= K.q
-        return tuple(codes)
-    return ext.dec(text)
+    try:
+        if text.startswith("0x") or text.startswith("0X"):
+            val = int(text, 16)
+            codes = []
+            K = basis.curve.field
+            for _ in range(basis.k):
+                codes.append(val % K.q)
+                val //= K.q
+            return tuple(codes)
+        return ext.dec(text)
+    except ValueError as exc:
+        raise ConfigError(f"bad --target {text!r}: {exc}") from None
 
 
 def cmd_dlog(args) -> int:
@@ -409,7 +432,7 @@ def main(argv=None) -> int:
     except SearchExhausted as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_SEARCH
-    except (ValueError, KeyError) as exc:
+    except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

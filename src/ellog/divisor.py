@@ -568,19 +568,6 @@ def _place_of_algebra_point(curve: Curve, alg: PlaceAlgebra, S: Point, deg: int)
     raise AssertionError(f"translated place degree mismatch: {e} vs {deg}")
 
 
-def orbit_canonical(place: Place, td: TorsionData) -> tuple[Place, int]:
-    """Canonical orbit representative and the shift from it back to place.
-
-    rep is the lexicographically smallest encoding among the finite
-    translates; shift s satisfies place = translate_place(rep, s).  The
-    orbit of a torsion place walks through O; the gap slot is skipped as a
-    candidate but still counts as one step.
-    """
-    orbit = orbit_places(place, td)
-    _, rep_i = min((p.sort_key(), i) for i, p in enumerate(orbit) if p is not None)
-    return orbit[rep_i], (-rep_i) % len(orbit)
-
-
 def orbit_places(place: Place, td: TorsionData) -> list[Place | None]:
     """The translation cycle through the place (None marks the O slot)."""
     out: list[Place | None] = []

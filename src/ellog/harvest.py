@@ -22,7 +22,7 @@ from __future__ import annotations
 import multiprocessing
 from dataclasses import dataclass, field as dc_field
 
-from .algebra import Poly, poly_irreducibles
+from .algebra import ConfigError, Poly, poly_irreducibles
 from .curve import TriPoly, bracket, phi_star, point_neg
 from .divisor import (Divisor, Place, decompose, divisor_of, orbit_places,
                       place_of_point, places_over)
@@ -322,8 +322,6 @@ def height5_pair(basis, a_u: int, a_1: int, b_v: int, b_1: int):
 class PairResult:
     left_divisors: list[Divisor]
     right_divisor: Divisor
-    left_ok: bool            # every left factor decomposes at the core bound
-    right_places: list[tuple[Place, int]]
 
     def left_total(self) -> Divisor:
         tot = Divisor()
@@ -332,31 +330,51 @@ class PairResult:
         return tot
 
 
+def line_divisor(basis, F: TriPoly, what: str) -> Divisor:
+    """Divisor of phi_star(F), memoized on the basis by the projective class of F.
+
+    phi_star is linear and a divisor ignores a factor in F_q^*, so F and c F
+    share one entry, keyed by F scaled to make the coefficient of its largest
+    monomial 1.  Raises DegeneratePair("<what> pulls back to zero") for a
+    zero F or a zero pull-back.  Returns a copy: the memo cannot be changed
+    through the result.
+    """
+    if F.is_zero():
+        raise DegeneratePair(f"{what} pulls back to zero")
+    K = F.field
+    inv = K.inv(F.terms[max(F.terms)])
+    key = tuple(sorted((m, K.mul(inv, c)) for m, c in F.terms.items()))
+    memo = basis.line_divisors
+    if key not in memo:
+        f = phi_star(F, basis.td)
+        memo[key] = None if f.is_zero() else divisor_of(f, basis.curve)
+    D = memo[key]
+    if D is None:
+        raise DegeneratePair(f"{what} pulls back to zero")
+    return D.copy()
+
+
 def pair_divisors(basis, A: TriPoly, B: TriPoly) -> PairResult:
-    """Divisors of every left factor A - alpha' B (alpha' in P^1) and of the bracket."""
+    """Divisors of every left factor A - alpha' B (alpha' in P^1) and of the bracket.
+
+    Each left factor is a line of the pencil that A and B span, and every
+    line lies in q + 1 pencils, so the left divisors come from the memo of
+    `line_divisor`.  Every sieve family lies in span{1, U, V, UV}, so the
+    memo holds at most q^3 + q^2 + q + 1 entries.  The bracket is shared only
+    by pairs of one plane and is computed afresh.
+    """
     if A == B:
         raise DegeneratePair("A = B")
-    K = basis.curve.field
-    td = basis.td
-    curve = basis.curve
-    lefts = []
-    for aprime in range(K.q):
-        f = phi_star(A - B.scale(aprime), td)
-        if f.is_zero():
-            raise DegeneratePair("left factor pulls back to zero")
-        lefts.append(divisor_of(f, curve))
-    fB = phi_star(B, td)
-    if fB.is_zero():
-        raise DegeneratePair("B pulls back to zero")
-    lefts.append(divisor_of(fB, curve))
+    lefts = [line_divisor(basis, A - B.scale(aprime), "left factor")
+             for aprime in range(basis.q)]
+    lefts.append(line_divisor(basis, B, "B"))
     br = bracket(A, B)
     if br.is_zero():
         raise DegeneratePair("bracket vanishes identically")
-    fR = phi_star(br, td)
+    fR = phi_star(br, basis.td)
     if fR.is_zero():
         raise DegeneratePair("bracket pulls back to zero")
-    R = divisor_of(fR, curve)
-    return PairResult(lefts, R, True, R.finite_places())
+    return PairResult(lefts, divisor_of(fR, basis.curve))
 
 
 def relation_from_pair(basis, fb: FactorBase, A: TriPoly, B: TriPoly,
@@ -496,8 +514,11 @@ def harvest_m1(basis, fb: FactorBase, budget: int | None = None):
     A relation depends only on the plane spanned by (A, B), so the core
     generators yield at most q^2 + q + 1 distinct rows; tiny instances can
     need more rank than that.  Here both sides must decompose at the core
-    bound outright (no compelled points), which is rare per pencil but the
-    pencil count is q^4-ish.  Returns deduplicated relations.
+    bound outright (no compelled points), which is rare per pencil, over
+    q^4 + q^3 + q^2 pencils.  Their left factors are the q^3 + q^2 + q + 1
+    lines of span{1, U, V, UV}, each factored once through the memo of
+    `pair_divisors`, so the bracket is most of the cost of a pencil.
+    Returns deduplicated relations.
     """
     K = basis.curve.field
     q = K.q
@@ -810,7 +831,7 @@ def read_relations(path: str, fb: FactorBase) -> list[Relation]:
             line = line.strip()
             if not line or line.startswith("#"):
                 if line.startswith("# factor-base") and fb.fingerprint() not in line:
-                    raise ValueError("relations file belongs to a different basis")
+                    raise ConfigError("relations file belongs to a different basis")
                 continue
             out.append(Relation.from_line(line, fb))
     return out

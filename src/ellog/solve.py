@@ -14,7 +14,7 @@ import math
 import random
 from dataclasses import dataclass, field as dc_field
 
-from .algebra import Poly, factor_modulus, poly_factor
+from .algebra import ConfigError, Poly, factor_modulus, poly_factor
 from .curve import CurveFunction, TriPoly, phi
 from .divisor import Divisor, Place, PlaceAlgebra, divisor_of
 from .harvest import C_COLUMN, FactorBase, Relation
@@ -85,40 +85,6 @@ def _pow_elem(g, e, mul, one):
         b = mul(b, b)
         e >>= 1
     return r
-
-
-def pollard_rho_dlog(h: PsiValue, g: PsiValue, ell: int, seed: int = 0):
-    """Pollard rho in the order-ell subgroup (g of order ell, h in <g>)."""
-    one = PsiValue(g.ext, g.ext.one)
-    rng = random.Random(seed)
-    for _ in range(64):
-        a0, b0 = rng.randrange(ell), rng.randrange(ell)
-
-        def step(state):
-            x, a, b = state
-            sel = hash(x.rep) % 3
-            if sel == 0:
-                return x.mul(g), (a + 1) % ell, b
-            if sel == 1:
-                return x.mul(h), a, (b + 1) % ell
-            return x.mul(x), (a * 2) % ell, (b * 2) % ell
-
-        x = g.pow(a0).mul(h.pow(b0))
-        slow = (x, a0, b0)
-        fast = step(slow)
-        for _ in range(8 * ell + 64):
-            if slow[0] == fast[0]:
-                break
-            slow = step(slow)
-            fast = step(step(fast))
-        else:
-            continue
-        a1, b1, a2, b2 = slow[1], slow[2], fast[1], fast[2]
-        db = (b1 - b2) % ell
-        if db == 0:
-            continue
-        return (a2 - a1) * pow(db, -1, ell) % ell
-    raise DescentFailed("rho failed to find a collision")
 
 
 def find_generator(ext, seed: int = 0):
@@ -836,5 +802,5 @@ def read_logs(path: str, basis, fb: FactorBase) -> tuple[LogTable, dict[int, int
             else:
                 per_prime[section][col] = int(val)
     if ref_col is None:
-        raise ValueError("log file missing the reference column")
+        raise ConfigError("log file missing the reference column")
     return LogTable(ref_col, per_prime, dict(mod_m), M), mod_m

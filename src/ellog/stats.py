@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import FieldDesc, field_make
+from .algebra import ConfigError, FieldDesc, field_make
 
 _TABLE_CAP = 2048
 
@@ -38,7 +38,7 @@ class TableField:
 
     def __init__(self, field: FieldDesc):
         if field.q > _TABLE_CAP:
-            raise ValueError("table field capped at q <= 2048")
+            raise ConfigError("table field capped at q <= 2048")
         q = field.q
         self.field = field
         self.q = q
@@ -127,9 +127,9 @@ def smooth_fraction(q: int, degree: int, bound: int = 3, samples: int = 100_000,
                     seed: int = 0, field: FieldDesc | None = None) -> float:
     """Fraction of random monic degree-d polynomials splitting at the bound."""
     if bound not in _DIV_SETS:
-        raise ValueError("supported bounds: 3, 4, 5")
+        raise ConfigError("supported bounds: 3, 4, 5")
     if degree > 8:
-        raise ValueError("sample degree capped at 8 (multiplicity analysis)")
+        raise ConfigError("sample degree capped at 8 (multiplicity analysis)")
     field = field or _field_for(q, seed)
     tf = TableField(field)
     F = _random_monic(field, degree, samples, seed + 101)
@@ -160,23 +160,9 @@ def _field_for(q: int, seed: int) -> FieldDesc:
                 t //= p
                 m += 1
             if t != 1:
-                raise ValueError(f"{q} is not a prime power")
+                raise ConfigError(f"{q} is not a prime power")
             break
     return field_make(p, m, seed)
-
-
-def smooth_fraction_slow(field: FieldDesc, degree: int, bound: int,
-                         samples: int, seed: int) -> float:
-    """Reference implementation through full factorization (cross-check)."""
-    import random as _random
-    from .algebra import poly_factor, poly_random_monic
-    rng = _random.Random(seed)
-    hits = 0
-    for _ in range(samples):
-        f = poly_random_monic(field, degree, rng)
-        if all(g.degree() <= bound for g, _ in poly_factor(f)):
-            hits += 1
-    return hits / samples
 
 
 def rate_report(q: int, samples: int = 100_000, seed: int = 0) -> list[dict]:

@@ -8,6 +8,11 @@ reconstructed from its Frobenius orbit.
 `psi_per_place` is the slow reference for `psi.psi_eval`: it takes the
 divisor's places from the library but gives each place its own Mumford
 reduction and its own Miller loop over the full exponent N.
+
+`pair_divisors_fresh` is the memo-free reference for
+`harvest.pair_divisors`.  `pollard_rho_dlog`, `smooth_fraction_slow` and
+`orbit_canonical` are slow or alternative forms of library routines, kept
+only to check them.
 """
 
 from __future__ import annotations
@@ -315,3 +320,94 @@ def psi_per_place(D, basis, exponent: int | None = None, _depth: int = 0):
         shift.add_place(PLACE_AT_INFINITY, -2)
         line = PsiValue(ext, ext.sub(basis.theta, ext.embed(x0)))
         return psi_per_place(D + shift, basis, exponent, _depth + 1).div(line)
+
+
+def pair_divisors_fresh(basis, A, B):
+    """`harvest.pair_divisors` with no memo: every left factor pulled back
+    and factored afresh, as the library did before `line_divisor`."""
+    from ellog.curve import bracket, phi_star
+    from ellog.divisor import divisor_of
+    from ellog.harvest import DegeneratePair, PairResult
+    if A == B:
+        raise DegeneratePair("A = B")
+    K = basis.curve.field
+    td = basis.td
+    curve = basis.curve
+    lefts = []
+    for aprime in range(K.q):
+        f = phi_star(A - B.scale(aprime), td)
+        if f.is_zero():
+            raise DegeneratePair("left factor pulls back to zero")
+        lefts.append(divisor_of(f, curve))
+    fB = phi_star(B, td)
+    if fB.is_zero():
+        raise DegeneratePair("B pulls back to zero")
+    lefts.append(divisor_of(fB, curve))
+    br = bracket(A, B)
+    if br.is_zero():
+        raise DegeneratePair("bracket vanishes identically")
+    fR = phi_star(br, td)
+    if fR.is_zero():
+        raise DegeneratePair("bracket pulls back to zero")
+    return PairResult(lefts, divisor_of(fR, curve))
+
+
+def pollard_rho_dlog(h, g, ell: int, seed: int = 0):
+    """Pollard rho in the order-ell subgroup (g of order ell, h in <g>)."""
+    from ellog.solve import DescentFailed
+    rng = random.Random(seed)
+    for _ in range(64):
+        a0, b0 = rng.randrange(ell), rng.randrange(ell)
+
+        def step(state):
+            x, a, b = state
+            sel = hash(x.rep) % 3
+            if sel == 0:
+                return x.mul(g), (a + 1) % ell, b
+            if sel == 1:
+                return x.mul(h), a, (b + 1) % ell
+            return x.mul(x), (a * 2) % ell, (b * 2) % ell
+
+        x = g.pow(a0).mul(h.pow(b0))
+        slow = (x, a0, b0)
+        fast = step(slow)
+        for _ in range(8 * ell + 64):
+            if slow[0] == fast[0]:
+                break
+            slow = step(slow)
+            fast = step(step(fast))
+        else:
+            continue
+        a1, b1, a2, b2 = slow[1], slow[2], fast[1], fast[2]
+        db = (b1 - b2) % ell
+        if db == 0:
+            continue
+        return (a2 - a1) * pow(db, -1, ell) % ell
+    raise DescentFailed("rho failed to find a collision")
+
+
+def smooth_fraction_slow(field: FieldDesc, degree: int, bound: int,
+                         samples: int, seed: int) -> float:
+    """Reference for `stats.smooth_fraction` through full factorization."""
+    from ellog.algebra import poly_factor
+    rng = random.Random(seed)
+    hits = 0
+    for _ in range(samples):
+        f = poly_random_monic(field, degree, rng)
+        if all(g.degree() <= bound for g, _ in poly_factor(f)):
+            hits += 1
+    return hits / samples
+
+
+def orbit_canonical(place, td):
+    """Canonical orbit representative and the shift from it back to place.
+
+    rep is the lexicographically smallest encoding among the finite
+    translates; shift s satisfies place = translate_place(rep, s).  The
+    orbit of a torsion place walks through O; the gap slot is skipped as a
+    candidate but still counts as one step.
+    """
+    from ellog.divisor import orbit_places
+    orbit = orbit_places(place, td)
+    _, rep_i = min((p.sort_key(), i) for i, p in enumerate(orbit) if p is not None)
+    return orbit[rep_i], (-rep_i) % len(orbit)

@@ -124,3 +124,94 @@ def test_relations_file_belongs_to_basis(pipeline, tmp_path):
     fb = build_factor_base(other, 3)
     with pytest.raises(ValueError):
         read_relations(os.path.join(pipeline["dir"], "relations.txt"), fb)
+
+
+@pytest.mark.parametrize("p", ["4", "9", "3", "2"])
+def test_search_bad_characteristic_is_config_error(tmp_path, p, capsys):
+    out = str(tmp_path / "r")
+    assert main(["search", "--p", p, "--k", "9", "--out", out]) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
+def test_search_q_cap_is_config_error(tmp_path):
+    # 1048583 is the least prime above the 2^20 cap
+    out = str(tmp_path / "r")
+    assert main(["search", "--p", "1048583", "--k", "3", "--out", out]) == 2
+
+
+def test_malformed_basis_file_is_config_error(tmp_path, capsys):
+    out = str(tmp_path / "r")
+    assert main(["search", "--p", "5", "--k", "9", "--out", out]) == 0
+    path = os.path.join(out, "basis.json")
+    for text in ("not json", "[1, 2]", '{"format": "elliptic-basis-1"}'):
+        with open(path, "w") as fh:
+            fh.write(text)
+        assert main(["harvest", "--out", out]) == 2
+    assert "basis file lacks" in capsys.readouterr().err
+
+
+def test_malformed_curve_file_is_config_error(tmp_path):
+    out = str(tmp_path / "r")
+    assert main(["search", "--p", "5", "--k", "9", "--out", out]) == 0
+    for text in ("", "5|1|2", "x,1,0,1|1|2|3|9|1|2"):
+        with open(os.path.join(out, "curve.txt"), "w") as fh:
+            fh.write(text + "\n")
+        assert main(["basis", "--out", out]) == 2
+
+
+def test_malformed_config_is_config_error(tmp_path):
+    out = str(tmp_path / "r")
+    assert main(["search", "--p", "5", "--k", "9", "--out", out]) == 0
+    assert main(["basis", "--out", out]) == 0
+    for text in ("{", "[0]", '{"seed": 0}'):
+        with open(os.path.join(out, "config.json"), "w") as fh:
+            fh.write(text)
+        assert main(["harvest", "--out", out]) == 2
+
+
+def test_key_error_inside_a_stage_propagates(pipeline, monkeypatch):
+    # a faulty lookup is a program fault, not a configuration error
+    import ellog.cli
+
+    def broken(basis, A, B):
+        raise KeyError("no such line")
+
+    monkeypatch.setattr(ellog.cli, "pair_divisors", broken)
+    with pytest.raises(KeyError, match="no such line"):
+        main(["verify", "--sample", "1", "--log-sample", "0",
+              "--out", pipeline["dir"]])
+
+
+def test_value_error_inside_a_stage_propagates(pipeline, monkeypatch):
+    import ellog.cli
+
+    def broken(*args, **kwargs):
+        raise ValueError("bug")
+
+    monkeypatch.setattr(ellog.cli, "solve_core", broken)
+    with pytest.raises(ValueError, match="bug"):
+        main(["solve", "--out", pipeline["dir"]])
+
+
+def test_bad_target_is_config_error(pipeline):
+    assert main(["dlog", "--target", "0xzz", "--out", pipeline["dir"]]) == 2
+
+
+def test_bad_worker_count_is_config_error(tmp_path, monkeypatch):
+    out = str(tmp_path / "r")
+    assert main(["search", "--p", "5", "--k", "9", "--out", out]) == 0
+    assert main(["basis", "--out", out]) == 0
+    monkeypatch.setenv("ELLOG_WORKERS", "two")
+    assert main(["harvest", "--out", out]) == 2
+    assert not os.path.exists(os.path.join(out, "relations.txt"))
+
+
+def test_search_bad_m0_is_config_error(tmp_path):
+    out = str(tmp_path / "r")
+    assert main(["search", "--p", "5", "--m0", "0", "--k", "9", "--out", out]) == 2
+
+
+@pytest.mark.parametrize("args", [["--degree", "9"], ["--degree", "4", "--bound", "2"],
+                                  ["--degree", "4", "--q", "12"]])
+def test_stats_bad_arguments_are_config_errors(args):
+    assert main(["stats", "--samples", "10"] + args) == 2

@@ -9,8 +9,10 @@ from ellog.curve import (Curve, CurveFunction, Point, Singular, TorsionData,
 from ellog.divisor import (Divisor, HitsInfinity, INERT, PLACE_AT_INFINITY,
                            Place, QuotientRing, RAMIFIED, SPLIT, decompose,
                            divisor_of, elementary_divisor, height,
-                           orbit_canonical, place_of_point, places_over,
+                           place_of_point, places_over,
                            split_ordinate, translate_place)
+
+from oracles import orbit_canonical
 
 
 @pytest.fixture(scope="module")

@@ -10,9 +10,11 @@ from ellog.psi import PsiValue, psi_elementary
 from ellog.solve import (LogContext, NotInSubgroup, bilinear_descend,
                          bsgs_oracle, classical_split, column_class,
                          descent_free_counts, dlog, factor_modulus,
-                         find_generator, log_r_of_generator, pollard_rho_dlog,
+                         find_generator, log_r_of_generator,
                          poly_to_divisor, solve_core, solve_mod,
                          verify_log_table)
+
+from oracles import pollard_rho_dlog
 
 
 @pytest.fixture(scope="module")

@@ -3,7 +3,9 @@ import pytest
 
 from ellog.algebra import Poly, field_make, poly_factor
 from ellog.stats import (TableField, _random_monic, _smooth_mask,
-                         rate_report, smooth_fraction, smooth_fraction_slow)
+                         rate_report, smooth_fraction)
+
+from oracles import smooth_fraction_slow
 
 
 @pytest.fixture(scope="module")
