@@ -22,8 +22,8 @@ from .algebra import ConfigError, FieldDesc, factor_modulus
 from .basis import (EllipticBasis, SearchExhausted, basis_from_json,
                     basis_to_json, build_basis, find_basis, mu_bound)
 from .curve import Curve, Point
-from .harvest import (DegeneratePair, build_factor_base, extend_h4, extend_h5,
-                      harvest_core, harvest_m1, pair_divisors, read_relations,
+from .harvest import (DegeneratePair, build_factor_base, extend, harvest_core,
+                      harvest_m1, pair_divisors, read_relations,
                       reconstruct_pair, write_relations)
 from .linalg import MoreRelationsNeeded
 from .psi import SupportHitsF, verify_relation
@@ -105,8 +105,7 @@ def cmd_search(args) -> int:
     cfg = {
         "p": args.p, "m0": args.m0, "k": args.k, "seed": args.seed,
         "height_base": 3, "height_extended": 5,
-        "sieve_budget": args.budget, "relation_slack": 1.2,
-        "t_a": 2, "t_b": 2, "d0": args.d0,
+        "d0": args.d0,
         "small_prime_bound": args.small_prime_bound,
     }
     try:
@@ -158,7 +157,7 @@ def cmd_harvest(args) -> int:
     basis = _load_basis(args.out)
     fb = build_factor_base(basis, cfg["height_base"])
     workers = _workers(args.workers)
-    rels, st = harvest_core(basis, fb, cfg.get("sieve_budget"), workers)
+    rels, st = harvest_core(basis, fb, workers)
     reinforced = []
     if not args.no_reinforce:
         reinforced = harvest_m1(basis, fb)
@@ -207,24 +206,11 @@ def cmd_extend(args) -> int:
     _artifact(args.out, "logs.txt", "solve")
     fb.extend_to(cfg["height_extended"])
     table, logs = read_logs(os.path.join(args.out, "logs.txt"), basis, fb)
-    pp = factor_modulus(basis.M)
     all_rels = read_relations(rel_path, fb)
+    report = extend(basis, fb, logs, factor_modulus(basis.M))
+    # a rerun reads its own earlier rows back: keep the first of each key
     seen = {(r.mode, r.params) for r in all_rels}
-    first4 = None
-    # iterate to a fixed point: later passes resolve pairs an earlier pass
-    # had to skip for missing logs
-    for _ in range(4):
-        known_before = len(logs)
-        rep4 = extend_h4(basis, fb, logs, pp)
-        rep5 = extend_h5(basis, fb, logs)
-        first4 = first4 or rep4
-        for rel in rep4.relations + rep5.relations:
-            key = (rel.mode, rel.params)
-            if key not in seen:
-                seen.add(key)
-                all_rels.append(rel)
-        if len(logs) == known_before:
-            break
+    all_rels += [r for r in report.relations if (r.mode, r.params) not in seen]
     all_rels.sort(key=lambda r: (r.mode, r.params))
     write_relations(rel_path, fb, all_rels)
     write_logs(os.path.join(args.out, "logs.txt"), basis, fb, table,
@@ -237,9 +223,10 @@ def cmd_extend(args) -> int:
 
     c4, t4 = _cov(4)
     c5, t5 = _cov(5)
-    print(f"height-4 groups: {first4.groups_total} total, {first4.groups_solved} "
-          f"solved, {first4.groups_underdetermined} underdetermined, "
-          f"free logs {first4.free_logs}")
+    print(f"resolution passes: {report.passes}")
+    print(f"height-4 groups: {report.groups_total} total, {report.groups_solved} "
+          f"solved, {report.groups_total - report.groups_solved} underdetermined, "
+          f"free logs {report.free_logs}")
     print(f"height-4 coverage: {c4}/{t4} representatives")
     print(f"height-5 coverage: {c5}/{t5} representatives")
     return EXIT_OK
@@ -372,7 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m0", type=int, default=1)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=None)
     p.add_argument("--d0", type=int, default=4)
     p.add_argument("--small-prime-bound", type=int, default=10)
     add_out(p)

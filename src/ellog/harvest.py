@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import multiprocessing
 from dataclasses import dataclass, field as dc_field
+from math import gcd
 
 from .algebra import ConfigError, Poly, poly_irreducibles
 from .curve import TriPoly, bracket, phi_star, point_neg
@@ -385,7 +386,6 @@ def relation_from_pair(basis, fb: FactorBase, A: TriPoly, B: TriPoly,
     if decompose(pr.right_divisor, right_bound) is None:
         return None, pr
     total = pr.left_total() - pr.right_divisor
-    M = basis.M
     row = fb.row_of_divisor(total)
     if not row:
         return None, pr
@@ -464,9 +464,8 @@ def _core_chunk(args):
     return rels, stats
 
 
-def harvest_core(basis, fb: FactorBase, budget: int | None = None,
-                 workers: int = 1):
-    """Sieve the full (alpha, beta, gamma) cube (or a budgeted prefix).
+def harvest_core(basis, fb: FactorBase, workers: int = 1):
+    """Sieve the full (alpha, beta, gamma) cube.
 
     Returns (relations, stats); relations are deduplicated by row and
     sorted by provenance, so the output is independent of worker count.
@@ -495,8 +494,6 @@ def harvest_core(basis, fb: FactorBase, budget: int | None = None,
                 stats.right_residual_max = max(stats.right_residual_max, st.right_residual_max)
             else:
                 setattr(stats, name, getattr(stats, name) + getattr(st, name))
-    if budget is not None:
-        rels = rels[:budget]
     seen, out = set(), []
     for rel in sorted(rels, key=lambda r: r.params):
         k = rel.key()
@@ -508,7 +505,7 @@ def harvest_core(basis, fb: FactorBase, budget: int | None = None,
     return out, stats
 
 
-def harvest_m1(basis, fb: FactorBase, budget: int | None = None):
+def harvest_m1(basis, fb: FactorBase):
     """Reinforcement rows from pencils over the full monomial set {1, U, V, UV}.
 
     A relation depends only on the plane spanned by (A, B), so the core
@@ -557,8 +554,6 @@ def harvest_m1(basis, fb: FactorBase, budget: int | None = None):
                         continue
                     seen.add(rel.key())
                     out.append(rel)
-                    if budget is not None and len(out) >= budget:
-                        return out
     return out
 
 
@@ -598,86 +593,58 @@ def reconstruct_pair(basis, mode: str, params: tuple):
 
 @dataclass
 class ExtendReport:
+    """What `extend` learned, counted over all its resolution passes."""
+
     groups_total: int = 0
     groups_solved: int = 0
-    groups_underdetermined: int = 0
-    group_attempts: int = 0
-    group_smooth: int = 0
     free_logs: int = 0
-    solved_reps: dict[int, int] = dc_field(default_factory=dict)
+    passes: int = 0
     relations: list[Relation] = dc_field(default_factory=list)
-    h5_attempts: int = 0
-    h5_hits: int = 0
-    h5_two_h5_discarded: int = 0
-    h5_left_height_violations: int = 0
-    h5_skipped_unknown: int = 0
 
 
-def _group_sieve(basis, fb: FactorBase, sb: SieveBasis, logs: dict[int, int],
-                 prime_powers: list[tuple[int, int]], report: ExtendReport):
-    """Run one height-4 group: collect rows, solve members, mine free logs."""
+def _group_rows(basis, fb: FactorBase, sb: SieveBasis):
+    """Sieve one height-4 group once: (smooth rows, near-miss rows).
+
+    A near-miss pair has a bracket with exactly one degree-4 place, of
+    multiplicity one, and nothing above degree 4; its row, of mode
+    "<mode>_free", yields a log once it has a single unknown.
+    """
     K = basis.curve.field
-    M = basis.M
-    c_col = fb.c_col()
-    rows = []
-    failures = []
-    report.groups_total += 1
+    rows, near = [], []
     for alpha in range(K.q):
         for beta in range(K.q):
             A = sb.g1 + sb.g2.scale(alpha)
             B = sb.g1 + sb.g3.scale(beta)
-            report.group_attempts += 1
+            params = sb.params + (alpha, beta)
             try:
-                rel, pr = relation_from_pair(
-                    basis, fb, A, B, sb.mode, sb.params + (alpha, beta))
+                rel, pr = relation_from_pair(basis, fb, A, B, sb.mode, params)
             except DegeneratePair:
                 continue
             if rel is not None:
-                report.group_smooth += 1
                 rows.append(rel)
-            else:
-                deg4_right = [(p, n) for p, n in pr.right_divisor.coeffs.items()
-                              if n > 0 and p.degree == 4]
-                if len(deg4_right) == 1 and deg4_right[0][1] == 1 and all(
-                        p.degree <= 4 for p, n in pr.right_divisor.coeffs.items() if n > 0):
-                    failures.append((A, B, pr, sb.params + (alpha, beta)))
-    solved_now = _solve_rows_for_new_cols(basis, fb, rows, logs, prime_powers)
-    if solved_now:
-        report.groups_solved += 1
-    else:
-        report.groups_underdetermined += 1
-    report.solved_reps.update(solved_now)
-    logs.update(solved_now)
-    report.relations.extend(rows)
-    # failures with a single unknown height-4 divisor yield free logs
-    for A, B, pr, params in failures:
-        total = pr.left_total() - pr.right_divisor
-        row = fb.row_of_divisor(total)
-        unknown = [c for c in row if c not in logs]
-        if len(unknown) != 1:
-            continue
-        col = unknown[0]
-        rest = sum(row[c] * logs[c] for c in row if c != col) % M
-        val = _divide_mod((-rest) % M, row[col], M)
-        if val is None:
-            continue
-        logs[col] = val
-        report.solved_reps[col] = val
-        report.free_logs += 1
-        report.relations.append(Relation(sb.mode + "_free", params, row))
-    return report
+                continue
+            right = [(p, n) for p, n in pr.right_divisor.coeffs.items() if n > 0]
+            deg4 = [n for p, n in right if p.degree == 4]
+            if deg4 == [1] and all(p.degree <= 4 for p, _ in right):
+                total = pr.left_total() - pr.right_divisor
+                near.append(Relation(sb.mode + "_free", params,
+                                     fb.row_of_divisor(total)))
+    return rows, near
 
 
-def _divide_mod(a: int, b: int, M: int) -> int | None:
-    """a / b mod M when the quotient is unique, else None."""
-    from math import gcd
-    g = gcd(b, M)
-    if g == 1:
-        return a * pow(b, -1, M) % M
-    return None
+def _single_unknown(row: dict[int, int], logs: dict[int, int],
+                    M: int) -> tuple[int, int] | None:
+    """(column, log) when the homogeneous row lacks exactly one log and
+    its coefficient there is a unit mod M, else None."""
+    unknown = [c for c in row if c not in logs]
+    if len(unknown) != 1 or gcd(row[unknown[0]], M) != 1:
+        return None
+    col = unknown[0]
+    rest = sum(row[c] * logs[c] for c in row if c != col)
+    return col, -rest * pow(row[col], -1, M) % M
 
 
-def _solve_rows_for_new_cols(basis, fb: FactorBase, rows: list[Relation],
+def _solve_rows_for_new_cols(basis, rows: list[Relation],
                              logs: dict[int, int],
                              prime_powers: list[tuple[int, int]]) -> dict[int, int]:
     """Solve the rows for columns outside `logs`, per prime power, then CRT.
@@ -727,16 +694,13 @@ def _solve_rows_for_new_cols(basis, fb: FactorBase, rows: list[Relation],
     return out
 
 
-def extend_h4(basis, fb: FactorBase, logs: dict[int, int],
-              prime_powers: list[tuple[int, int]]) -> ExtendReport:
-    """Learn height-4 representative logs from the special and paired groups.
+def extend_h4(basis, fb: FactorBase) -> list[tuple[list[Relation], list[Relation]]]:
+    """Sieve the special group and every paired group once.
 
-    `logs` maps solved columns (height <= 3 reps and c) to values mod M and
-    is updated in place; the report lists everything newly solved.
+    Returns (smooth rows, near-miss rows) per group, in resolution order.
     """
     fb.extend_to(4)
-    report = ExtendReport()
-    _group_sieve(basis, fb, special_group_basis(basis), logs, prime_powers, report)
+    groups = [_group_rows(basis, fb, special_group_basis(basis))]
     K = basis.curve.field
     c1, c2, c3, _ = k1k2_coefficients(basis)
     if c2 and c3:
@@ -748,21 +712,20 @@ def extend_h4(basis, fb: FactorBase, logs: dict[int, int],
                 sb = k1k2_group_basis(basis, k1)
             except GroupDegenerate:
                 continue
-            _group_sieve(basis, fb, sb, logs, prime_powers, report)
-    return report
+            groups.append(_group_rows(basis, fb, sb))
+    return groups
 
 
-def extend_h5(basis, fb: FactorBase, logs: dict[int, int]) -> ExtendReport:
-    """Height-5 logs with no linear algebra: single-unknown sieve outputs.
+def extend_h5(basis, fb: FactorBase) -> list[tuple[int, Relation]]:
+    """Sieve the free height-5 pairs once: (target column, row) per usable pair.
 
-    A pair contributes when the bracket divisor carries exactly one
-    height-5 place (multiplicity one) and everything else, on both sides,
-    is already solved.
+    A pair is usable when its bracket divisor carries exactly one place of
+    degree 5, of multiplicity one, and nothing above degree 5; the row
+    yields the log of that place's column once it is the row's only unknown.
     """
     fb.extend_to(5)
     K = basis.curve.field
-    M = basis.M
-    report = ExtendReport()
+    out = []
     for a_u in range(K.q):
         for a_1 in range(K.q):
             for b_v in range(K.q):
@@ -770,43 +733,62 @@ def extend_h5(basis, fb: FactorBase, logs: dict[int, int]) -> ExtendReport:
                     A, B = height5_pair(basis, a_u, a_1, b_v, b_1)
                     if A == B:
                         continue
-                    report.h5_attempts += 1
                     try:
                         pr = pair_divisors(basis, A, B)
                     except DegeneratePair:
                         continue
-                    for D in pr.left_divisors:
-                        if D.positive_part().height > 4:
-                            report.h5_left_height_violations += 1
-                    h5_places = [(p, n) for p, n in pr.right_divisor.coeffs.items()
-                                 if n > 0 and p.degree == 5]
-                    if not h5_places:
+                    right = [(p, n) for p, n in pr.right_divisor.coeffs.items()
+                             if n > 0]
+                    h5 = [(p, n) for p, n in right if p.degree == 5]
+                    if (len(h5) != 1 or h5[0][1] != 1
+                            or any(p.degree > 5 for p, _ in right)):
                         continue
-                    if len(h5_places) > 1 or h5_places[0][1] != 1:
-                        report.h5_two_h5_discarded += 1
-                        continue
-                    if any(p.degree > 5 for p, n in pr.right_divisor.coeffs.items() if n > 0):
-                        continue
-                    target = h5_places[0][0]
-                    col, s, d = fb.place_map[target]
-                    if col in logs:
-                        continue  # orbit already covered
+                    col = fb.place_map[h5[0][0]][0]
                     total = pr.left_total() - pr.right_divisor
-                    row = fb.row_of_divisor(total)
-                    unknown = [c for c in row if c not in logs]
-                    if unknown != [col]:
-                        report.h5_skipped_unknown += 1
-                        continue
-                    rest = sum(row[c] * logs[c] for c in row if c != col) % M
-                    val = _divide_mod((-rest) % M, row[col], M)
-                    if val is None:
-                        report.h5_skipped_unknown += 1
-                        continue
-                    logs[col] = val
-                    report.solved_reps[col] = val
-                    report.h5_hits += 1
-                    report.relations.append(
-                        Relation("height5", (a_u, a_1, b_v, b_1), row))
+                    out.append((col, Relation("height5", (a_u, a_1, b_v, b_1),
+                                              fb.row_of_divisor(total))))
+    return out
+
+
+def extend(basis, fb: FactorBase, logs: dict[int, int],
+           prime_powers: list[tuple[int, int]]) -> ExtendReport:
+    """Learn height-4 and height-5 logs: sieve once, then resolve.
+
+    `logs` maps solved columns (height <= 3 reps and c) to values mod M and
+    is updated in place.  Each resolution pass goes group by group (the
+    group's rows through the linear solve, then its near-miss rows), then
+    over the height-5 rows, which may only give their target's log.  Passes
+    repeat until one adds no log.  The report holds every group row and
+    each near-miss and height-5 row that gave a log.
+    """
+    M = basis.M
+    groups = extend_h4(basis, fb)
+    h5_rows = extend_h5(basis, fb)
+    report = ExtendReport(groups_total=len(groups),
+                          relations=[rel for rows, _ in groups for rel in rows])
+    solved_groups = set()
+    while True:
+        report.passes += 1
+        known = len(logs)
+        for i, (rows, near) in enumerate(groups):
+            solved = _solve_rows_for_new_cols(basis, rows, logs, prime_powers)
+            if solved:
+                solved_groups.add(i)
+                logs.update(solved)
+            for rel in near:
+                got = _single_unknown(rel.cols, logs, M)
+                if got is not None:
+                    logs[got[0]] = got[1]
+                    report.free_logs += 1
+                    report.relations.append(rel)
+        for col, rel in h5_rows:
+            got = _single_unknown(rel.cols, logs, M)
+            if got is not None and got[0] == col:
+                logs[col] = got[1]
+                report.relations.append(rel)
+        if len(logs) == known:
+            break
+    report.groups_solved = len(solved_groups)
     return report
 
 

@@ -17,7 +17,8 @@ from dataclasses import dataclass, field as dc_field
 from .algebra import ConfigError, Poly, factor_modulus, poly_factor
 from .curve import CurveFunction, TriPoly, phi
 from .divisor import Divisor, Place, PlaceAlgebra, divisor_of
-from .harvest import C_COLUMN, FactorBase, Relation
+from .harvest import (C_COLUMN, DegeneratePair, FactorBase, Relation, _sigma,
+                      pair_divisors)
 from .linalg import (InconsistentSystem, MoreRelationsNeeded, crt, kernel_mod_prime,
                      kernel_mod_prime_power, solve_linear)
 from .psi import PsiValue, psi_elementary, translation_constant
@@ -230,14 +231,8 @@ class LogContext:
     extra: dict[Place, int] = dc_field(default_factory=dict)
 
     def log_of_place(self, place: Place) -> int | None:
-        M = self.fb.basis.M
         if place in self.fb.place_map:
-            acc = 0
-            for col, coef in self.fb.place_log_terms(place, 1):
-                if col not in self.cols:
-                    return None
-                acc = (acc + coef * self.cols[col]) % M
-            return acc
+            return self.fb.log_of_place(place, self.cols)
         return self.extra.get(place)
 
     def log_of_divisor(self, D: Divisor) -> int | None:
@@ -292,23 +287,35 @@ def classical_split(z, basis, ctx: LogContext, g, log_r_g: int,
     n_full = ext.order_total - 1
     for _ in range(budget):
         shift = rng.randrange(n_full)
-        w = ext.mul(z, ext.pow_(g, shift))
-        W = ext.to_poly(w)
-        if W.degree() < 1:
-            continue
-        direct = _resolve_factors(basis, ctx, W, d0, descender)
-        if direct is not None:
-            return SplitResult(shift, direct[1], [], (direct[0] - shift * log_r_g) % M)
-        for num, den in _euclid_splits(W, ext.I, (basis.k - 1) // 2 + 1):
-            rnum = _resolve_factors(basis, ctx, num, d0, descender)
-            if rnum is None:
-                continue
-            rden = _resolve_factors(basis, ctx, den, d0, descender)
-            if rden is None:
-                continue
-            log_val = (rnum[0] - rden[0] - shift * log_r_g) % M
-            return SplitResult(shift, rnum[1], rden[1], log_val)
+        got = _split_and_resolve(basis, ctx, ext.mul(z, ext.pow_(g, shift)),
+                                 d0, descender)
+        if got is not None:
+            log_w, num, den = got
+            return SplitResult(shift, num, den, (log_w - shift * log_r_g) % M)
     raise BudgetExhausted("classical split budget exhausted")
+
+
+def _split_and_resolve(basis, ctx: LogContext, w, d0: int, descender):
+    """(log_r of class w, numerator factors, denominator factors) or None.
+
+    Tries the lift W of w first, then each half-degree quotient num/den of
+    W mod I, in the order the extended Euclidean algorithm yields them.
+    """
+    W = basis.ext.to_poly(w)
+    if W.degree() < 1:
+        return None
+    direct = _resolve_factors(basis, ctx, W, d0, descender)
+    if direct is not None:
+        return direct[0], direct[1], []
+    for num, den in _euclid_splits(W, basis.ext.I, (basis.k - 1) // 2 + 1):
+        rnum = _resolve_factors(basis, ctx, num, d0, descender)
+        if rnum is None:
+            continue
+        rden = _resolve_factors(basis, ctx, den, d0, descender)
+        if rden is None:
+            continue
+        return (rnum[0] - rden[0]) % basis.M, rnum[1], rden[1]
+    return None
 
 
 def _resolve_factors(basis, ctx: LogContext, W: Poly, d0: int, descender):
@@ -444,7 +451,6 @@ def bilinear_descend(basis, ctx: LogContext, target: Place,
             B = TriPoly(K, {(m[0], m[1], 0): c for m, c in zip(monos_b, coeffs_b) if c})
             if A.is_zero() or B.is_zero() or A == B:
                 continue
-            from .harvest import pair_divisors, DegeneratePair
             try:
                 pr = pair_divisors(basis, A, B)
             except DegeneratePair:
@@ -509,10 +515,8 @@ def _store_place_log(ctx: LogContext, place: Place, val: int):
         col, s, d = fb.place_map[place]
         if col == C_COLUMN or col in ctx.cols:
             return
-        qs = pow(q, s, M)
-        sig = ((q ** s - 1) // (q - 1)) % M
-        rhs = (val - d * sig * ctx.cols[0]) % M
-        ctx.cols[col] = rhs * pow(qs, -1, M) % M
+        rhs = (val - d * _sigma(q, s, M) * ctx.cols[0]) % M
+        ctx.cols[col] = rhs * pow(pow(q, s, M), -1, M) % M
     else:
         ctx.extra[place] = val
 
@@ -684,21 +688,9 @@ def log_r_of_generator(basis, ctx: LogContext, g,
         rr = rng.randrange(M)
         if math.gcd(1 + rr, M) != 1:
             continue
-        w = ext.pow_(g, 1 + rr)
-        W = ext.to_poly(w)
-        if W.degree() < 1:
-            continue
-        got = _resolve_factors(basis, ctx, W, d0, descender)
+        got = _split_and_resolve(basis, ctx, ext.pow_(g, 1 + rr), d0, descender)
         if got is not None:
             return got[0] * pow(1 + rr, -1, M) % M
-        for num, den in _euclid_splits(W, ext.I, (basis.k - 1) // 2 + 1):
-            rn = _resolve_factors(basis, ctx, num, d0, descender)
-            if rn is None:
-                continue
-            rd = _resolve_factors(basis, ctx, den, d0, descender)
-            if rd is None:
-                continue
-            return (rn[0] - rd[0]) * pow(1 + rr, -1, M) % M
     raise BudgetExhausted("could not anchor the generator log")
 
 

@@ -13,10 +13,15 @@ reduction and its own Miller loop over the full exponent N.
 `harvest.pair_divisors`.  `pollard_rho_dlog`, `smooth_fraction_slow` and
 `orbit_canonical` are slow or alternative forms of library routines, kept
 only to check them.
+
+`extend_per_pass` is the former form of `harvest.extend`: every pass
+sieves each height-4 group and every height-5 pair afresh, at most four
+passes.
 """
 
 from __future__ import annotations
 
+import math
 import random
 
 from ellog.algebra import ExtFieldDesc, FieldDesc, Poly, poly_is_irreducible, poly_random_monic
@@ -411,3 +416,125 @@ def orbit_canonical(place, td):
     orbit = orbit_places(place, td)
     _, rep_i = min((p.sort_key(), i) for i, p in enumerate(orbit) if p is not None)
     return orbit[rep_i], (-rep_i) % len(orbit)
+
+
+def _group_pass(basis, fb, sb, logs, prime_powers, relations):
+    """One height-4 group: sieve, solve its rows, then mine free logs."""
+    from ellog.harvest import (DegeneratePair, Relation,
+                               _solve_rows_for_new_cols, relation_from_pair)
+    K = basis.curve.field
+    M = basis.M
+    rows = []
+    failures = []
+    for alpha in range(K.q):
+        for beta in range(K.q):
+            A = sb.g1 + sb.g2.scale(alpha)
+            B = sb.g1 + sb.g3.scale(beta)
+            try:
+                rel, pr = relation_from_pair(
+                    basis, fb, A, B, sb.mode, sb.params + (alpha, beta))
+            except DegeneratePair:
+                continue
+            if rel is not None:
+                rows.append(rel)
+            else:
+                deg4_right = [(p, n) for p, n in pr.right_divisor.coeffs.items()
+                              if n > 0 and p.degree == 4]
+                if len(deg4_right) == 1 and deg4_right[0][1] == 1 and all(
+                        p.degree <= 4 for p, n in pr.right_divisor.coeffs.items() if n > 0):
+                    failures.append((pr, sb.params + (alpha, beta)))
+    logs.update(_solve_rows_for_new_cols(basis, rows, logs, prime_powers))
+    relations.extend(rows)
+    for pr, params in failures:
+        row = fb.row_of_divisor(pr.left_total() - pr.right_divisor)
+        unknown = [c for c in row if c not in logs]
+        if len(unknown) != 1:
+            continue
+        col = unknown[0]
+        rest = sum(row[c] * logs[c] for c in row if c != col) % M
+        if math.gcd(row[col], M) != 1:
+            continue
+        logs[col] = -rest * pow(row[col], -1, M) % M
+        relations.append(Relation(sb.mode + "_free", params, row))
+
+
+def _h4_pass(basis, fb, logs, prime_powers, relations):
+    from ellog.harvest import (GroupDegenerate, k1k2_coefficients,
+                               k1k2_group_basis, special_group_basis)
+    fb.extend_to(4)
+    _group_pass(basis, fb, special_group_basis(basis), logs, prime_powers,
+                relations)
+    K = basis.curve.field
+    c1, c2, c3, _ = k1k2_coefficients(basis)
+    if c2 and c3:
+        excluded = K.neg(K.div(c2, c3))
+        for k1 in range(K.q):
+            if k1 == 0 or k1 == excluded:
+                continue
+            try:
+                sb = k1k2_group_basis(basis, k1)
+            except GroupDegenerate:
+                continue
+            _group_pass(basis, fb, sb, logs, prime_powers, relations)
+
+
+def _h5_pass(basis, fb, logs, relations):
+    from ellog.harvest import (DegeneratePair, Relation, height5_pair,
+                               pair_divisors)
+    fb.extend_to(5)
+    K = basis.curve.field
+    M = basis.M
+    for a_u in range(K.q):
+        for a_1 in range(K.q):
+            for b_v in range(K.q):
+                for b_1 in range(K.q):
+                    A, B = height5_pair(basis, a_u, a_1, b_v, b_1)
+                    if A == B:
+                        continue
+                    try:
+                        pr = pair_divisors(basis, A, B)
+                    except DegeneratePair:
+                        continue
+                    h5_places = [(p, n) for p, n in pr.right_divisor.coeffs.items()
+                                 if n > 0 and p.degree == 5]
+                    if not h5_places:
+                        continue
+                    if len(h5_places) > 1 or h5_places[0][1] != 1:
+                        continue
+                    if any(p.degree > 5 for p, n in pr.right_divisor.coeffs.items() if n > 0):
+                        continue
+                    col, s, d = fb.place_map[h5_places[0][0]]
+                    if col in logs:
+                        continue
+                    row = fb.row_of_divisor(pr.left_total() - pr.right_divisor)
+                    unknown = [c for c in row if c not in logs]
+                    if unknown != [col]:
+                        continue
+                    rest = sum(row[c] * logs[c] for c in row if c != col) % M
+                    if math.gcd(row[col], M) != 1:
+                        continue
+                    logs[col] = -rest * pow(row[col], -1, M) % M
+                    relations.append(Relation("height5", (a_u, a_1, b_v, b_1), row))
+
+
+def extend_per_pass(basis, fb, logs, prime_powers, max_passes: int = 4):
+    """Height-4 and height-5 extension, every pass sieving afresh.
+
+    Updates `logs` in place.  Returns (relations, passes): the relations
+    deduplicated by (mode, params), first seen kept, and the number of
+    passes run, the last of which added no log unless the cap stopped it.
+    """
+    relations, passes = [], 0
+    for _ in range(max_passes):
+        passes += 1
+        known = len(logs)
+        _h4_pass(basis, fb, logs, prime_powers, relations)
+        _h5_pass(basis, fb, logs, relations)
+        if len(logs) == known:
+            break
+    seen, out = set(), []
+    for rel in relations:
+        if (rel.mode, rel.params) not in seen:
+            seen.add((rel.mode, rel.params))
+            out.append(rel)
+    return out, passes

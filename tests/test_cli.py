@@ -1,5 +1,7 @@
+import hashlib
 import os
 import re
+import shutil
 
 import pytest
 
@@ -47,6 +49,34 @@ def test_full_pipeline_artifacts(pipeline):
     outdir = pipeline["dir"]
     for name in ("curve.txt", "basis.json", "relations.txt", "logs.txt"):
         assert os.path.exists(os.path.join(outdir, name))
+
+
+# sha256 of the (5, 9, seed 0) artifacts after `extend`: fixed-seed runs
+# must reproduce them byte for byte
+PINNED_SHA256 = {
+    "relations.txt": "59a0a38c85ba80920a205f14ab91da283cce95a48e3dab31e45a98bb497c1f3e",
+    "logs.txt": "5301189b2c44b4563459f2fa42a4a1e534005fc949832070238b131eb095298a",
+}
+
+
+def _sha256(path):
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def test_pipeline_artifacts_are_pinned(pipeline):
+    for name, want in PINNED_SHA256.items():
+        assert _sha256(os.path.join(pipeline["dir"], name)) == want, name
+
+
+def test_extend_rerun_keeps_artifacts(pipeline, tmp_path, capsys):
+    # a rerun reads its own rows back from relations.txt and adds nothing
+    out = str(tmp_path / "run")
+    shutil.copytree(pipeline["dir"], out)
+    assert main(["extend", "--out", out]) == 0
+    assert "resolution passes: 1" in capsys.readouterr().out
+    for name, want in PINNED_SHA256.items():
+        assert _sha256(os.path.join(out, name)) == want, name
 
 
 def test_dlog_command_planted(pipeline, capsys):

@@ -14,7 +14,7 @@ from ellog.solve import (LogContext, NotInSubgroup, bilinear_descend,
                          poly_to_divisor, solve_core, solve_mod,
                          verify_log_table)
 
-from oracles import pollard_rho_dlog
+from oracles import extend_per_pass, pollard_rho_dlog
 
 
 @pytest.fixture(scope="module")
@@ -224,14 +224,12 @@ def test_bilinear_descend_known_target_returns(basis59, fb59, solved):
 
 def test_bilinear_descend_degree_six(basis59, fb59, solved):
     from ellog.solve import factor_modulus
-    from ellog.harvest import extend_h4, extend_h5
     _, table = solved
     logs = dict(table.mod_m)
     fbx = build_factor_base(basis59, 3)
     fbx.extend_to(5)
     pp = factor_modulus(basis59.M)
-    extend_h4(basis59, fbx, logs, pp)
-    extend_h5(basis59, fbx, logs)
+    extend_per_pass(basis59, fbx, logs, pp, max_passes=1)
     ctx = LogContext(fbx, logs)
     K = basis59.curve.field
     target = next(p for u in poly_irreducibles(K, 3)
