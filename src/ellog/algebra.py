@@ -1,10 +1,13 @@
 """Finite field towers and univariate polynomial arithmetic.
 
 Two levels are supported: a base field F_q = F_p[w]/(modulus) with q = p^m,
-and one extension F_q[X]/(I) on top of it.  Base field elements are stored as
-integer codes in [0, q): the code is the base-p expansion of the coefficient
-vector, low degree first.  This keeps polynomial inner loops allocation-free;
-the `FieldElem` wrapper exists for call sites that prefer operators.
+and `ExtFieldDesc`, the residue field F_q[X]/(f) for any monic irreducible f
+over it.  That one class is both the target field F_{q^k} = F_q[X]/(I) and
+the residue field F_q[x]/(u) at a place of degree deg u.  Base field
+elements are stored as integer codes in [0, q): the code is the base-p
+expansion of the coefficient vector, low degree first.  This keeps
+polynomial inner loops allocation-free; the `FieldElem` wrapper exists for
+call sites that prefer operators.
 
 The canonical text encoding of an element is its comma-separated base-p digit
 vector, low degree first (e.g. "3,0,1"), and is used verbatim by every
@@ -293,6 +296,9 @@ class FieldDesc:
     def embed(self, base_code: int) -> int:
         return base_code
 
+    def eq(self, a: int, b: int) -> bool:
+        return a == b
+
     @property
     def zero(self) -> int:
         return 0
@@ -312,9 +318,6 @@ class FieldDesc:
     def sqrt(self, a: int) -> int:
         """A square root of a, or raise ValueError if a is a non-residue."""
         return _tonelli_shanks(self, a, self.q)
-
-    def elem(self, code: int) -> "FieldElem":
-        return FieldElem(self, code)
 
     def __repr__(self):
         return f"GF({self.p}^{self.m})" if self.m > 1 else f"GF({self.p})"
@@ -534,9 +537,12 @@ class Poly:
         return acc
 
     def eval_in(self, dom, x):
-        """Horner evaluation in any domain exposing embed/add/mul."""
-        acc = dom.zero
-        for c in reversed(self.coeffs):
+        """Horner evaluation in any domain exposing zero/embed/add/mul."""
+        cs = self.coeffs
+        if not cs:
+            return dom.zero
+        acc = dom.embed(cs[-1])
+        for c in reversed(cs[:-1]):
             acc = dom.add(dom.mul(acc, x), dom.embed(c))
         return acc
 
@@ -777,16 +783,17 @@ def poly_irreducibles(K: FieldDesc, degree: int) -> list[Poly]:
 class ExtFieldDesc:
     """F_q[X]/(I) for monic irreducible I of degree k over the base.
 
-    Elements are tuples of base codes of length k (low degree first).
+    The target field of a basis and the residue field F_q[x]/(u) at a place
+    are both of this class.  Elements are tuples of base codes of length k
+    (low degree first).  The constructor checks only that I is monic;
+    `ext_make` also checks that it is irreducible.
     """
 
     __slots__ = ("base", "I", "k", "order_total", "_frob_pows")
 
-    def __init__(self, base: FieldDesc, I: Poly, _trusted: bool = False):
+    def __init__(self, base: FieldDesc, I: Poly):
         if not I.is_monic():
             raise Reducible("extension modulus must be monic")
-        if not _trusted and not poly_is_irreducible(I):
-            raise Reducible("extension modulus is reducible")
         self.base = base
         self.I = I
         self.k = I.degree()
@@ -892,7 +899,6 @@ class ExtFieldDesc:
             for _ in range(2, self.k):
                 pows.append(self.mul(pows[-1], pows[1]))
             self._frob_pows = pows
-        out = self.zero
         cur = a
         for _ in range(times):
             acc = self.zero
@@ -900,8 +906,7 @@ class ExtFieldDesc:
                 if c:
                     acc = self.add(acc, tuple(self.base.mul(c, y) for y in self._frob_pows[i]))
             cur = acc
-        out = cur
-        return out
+        return cur
 
     def frobenius_pow(self, a, times: int = 1):
         """Same map computed by plain exponentiation (independent path)."""
@@ -935,36 +940,24 @@ class ExtFieldDesc:
         return f"GF({self.base.q}^{self.k})"
 
     def __reduce__(self):
-        return (_rebuild_ext, (self.base, self.I.coeffs))
-
-
-def _rebuild_ext(base, icoeffs):
-    return ExtFieldDesc(base, Poly(base, icoeffs), _trusted=True)
+        return (ExtFieldDesc, (self.base, self.I))
 
 
 def ext_make(base: FieldDesc, I: Poly) -> ExtFieldDesc:
     """Wrap F_q[X]/(I); irreducibility is rechecked and Reducible raised if bad."""
+    if not poly_is_irreducible(I):
+        raise Reducible("extension modulus is reducible")
     return ExtFieldDesc(base, I)
-
-
-def frobenius(x, times: int = 1):
-    """x^(q^times) for a FieldElem (identity) or (ext, element) pair."""
-    if isinstance(x, FieldElem):
-        return x
-    if isinstance(x, tuple) and len(x) == 2 and isinstance(x[0], ExtFieldDesc):
-        ext, a = x
-        return (ext, ext.frobenius(a, times))
-    raise TypeError("frobenius expects a FieldElem or (ExtFieldDesc, element)")
 
 
 def _tonelli_shanks(dom, a, order: int):
     """Square root in a cyclic multiplicative group of the given odd-char field."""
-    if dom.eq(a, dom.zero) if hasattr(dom, "eq") else a == 0:
+    eq = dom.eq
+    if eq(a, dom.zero):
         return a
     one = dom.one
     n1 = order - 1
     legendre = dom.pow_(a, n1 // 2)
-    eq = dom.eq if hasattr(dom, "eq") else (lambda u, v: u == v)
     if not eq(legendre, one):
         raise ValueError("element is not a square")
     s, m = n1, 0
@@ -976,7 +969,7 @@ def _tonelli_shanks(dom, a, order: int):
     rng = random.Random(0xE11)
     while True:
         z = dom.rand(rng)
-        if eq(z, dom.zero) if hasattr(dom, "eq") else z == 0:
+        if eq(z, dom.zero):
             continue
         if not eq(dom.pow_(z, n1 // 2), one):
             break

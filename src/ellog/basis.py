@@ -193,7 +193,7 @@ def build_basis(curve: Curve, P1: Point, seed: int = 0,
             "retry with k doubled or another curve")
     last_err: Exception | None = None
     for I in candidates:
-        ext = ExtFieldDesc(K, I, _trusted=True)
+        ext = ExtFieldDesc(K, I)
         theta = ext.gen()
         f_theta = curve.rhs_in(ext, theta)
         try:
@@ -295,7 +295,7 @@ def basis_from_json(text: str) -> EllipticBasis:
     P1 = Point(curve, field, field.dec(doc["P1"][0]), field.dec(doc["P1"][1]))
     td = TorsionData(curve, P1, doc["k"])
     I = Poly(field, [field.dec(t) for t in doc["modulus_I"]])
-    ext = ExtFieldDesc(field, I, _trusted=True)
+    ext = ExtFieldDesc(field, I)
     theta = ext.dec(doc["theta"])
     tau = ext.dec(doc["tau"])
     nd = nd_build(curve, doc["k"], doc["nd_degree"])

@@ -201,10 +201,9 @@ def cmd_solve(args) -> int:
 def cmd_extend(args) -> int:
     cfg = _load_config(args.out)
     basis = _load_basis(args.out)
-    fb = build_factor_base(basis, cfg["height_base"])
     rel_path = _artifact(args.out, "relations.txt", "harvest")
     _artifact(args.out, "logs.txt", "solve")
-    fb.extend_to(cfg["height_extended"])
+    fb = build_factor_base(basis, cfg["height_extended"])
     table, logs = read_logs(os.path.join(args.out, "logs.txt"), basis, fb)
     all_rels = read_relations(rel_path, fb)
     report = extend(basis, fb, logs, factor_modulus(basis.M))
@@ -251,9 +250,8 @@ def _parse_target(basis, text: str):
 def cmd_dlog(args) -> int:
     cfg = _load_config(args.out)
     basis = _load_basis(args.out)
-    fb = build_factor_base(basis, cfg["height_base"])
-    fb.extend_to(cfg["height_extended"])
     _artifact(args.out, "logs.txt", "solve")
+    fb = build_factor_base(basis, cfg["height_extended"])
     table, logs = read_logs(os.path.join(args.out, "logs.txt"), basis, fb)
     ext = basis.ext
     g = find_generator(ext, cfg["seed"])
@@ -279,8 +277,7 @@ def cmd_dlog(args) -> int:
 def cmd_verify(args) -> int:
     cfg = _load_config(args.out)
     basis = _load_basis(args.out)
-    fb = build_factor_base(basis, cfg["height_base"])
-    fb.extend_to(cfg["height_extended"])
+    fb = build_factor_base(basis, cfg["height_extended"])
     rels = read_relations(_artifact(args.out, "relations.txt", "harvest"), fb)
     sievelike = [r for r in rels if r.mode in
                  ("core", "m1", "special_group", "k1k2", "height5")]

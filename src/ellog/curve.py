@@ -142,7 +142,7 @@ class Point:
         if self.inf:
             return True
         dom = self.dom
-        return _dom_eq(dom, dom.mul(self.y, self.y), self.curve.rhs_in(dom, self.x))
+        return dom.eq(dom.mul(self.y, self.y), self.curve.rhs_in(dom, self.x))
 
     def __eq__(self, other):
         if not isinstance(other, Point):
@@ -151,7 +151,7 @@ class Point:
             return False
         if self.inf or other.inf:
             return self.inf and other.inf
-        return _dom_eq(self.dom, self.x, other.x) and _dom_eq(self.dom, self.y, other.y)
+        return self.dom.eq(self.x, other.x) and self.dom.eq(self.y, other.y)
 
     def __hash__(self):
         if self.inf:
@@ -166,12 +166,6 @@ class Point:
 
 def _freeze(v):
     return tuple(v) if isinstance(v, (list, tuple)) else v
-
-
-def _dom_eq(dom, a, b) -> bool:
-    if hasattr(dom, "eq"):
-        return dom.eq(a, b)
-    return a == b
 
 
 def point_neg(P: Point) -> Point:
@@ -189,8 +183,8 @@ def point_add(P: Point, Q: Point) -> Point:
     if Q.inf:
         return P
     dom = P.dom
-    if _dom_eq(dom, P.x, Q.x):
-        if _dom_eq(dom, P.y, dom.neg(Q.y)):
+    if dom.eq(P.x, Q.x):
+        if dom.eq(P.y, dom.neg(Q.y)):
             return Point.infinity(P.curve, dom)
         # tangent
         num = dom.add(dom.mul(dom.embed(3 % P.curve.field.p), dom.mul(P.x, P.x)),
@@ -520,7 +514,7 @@ def phi(Q: Point, td: TorsionData):
         raise MapsToInfinity("O maps to infinity on the model")
     dom = Q.dom
     P1 = _lift_point(td.P1, dom, Q.curve)
-    if _dom_eq(dom, Q.x, P1.x):
+    if dom.eq(Q.x, P1.x):
         raise MapsToInfinity("Q in {P1, -P1} maps to infinity on the model")
     left = point_add(Q, point_neg(P1))
     right = point_add(Q, P1)

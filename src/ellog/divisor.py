@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import total_ordering
 
-from .algebra import FieldDesc, Poly, poly_ext_gcd, poly_factor
+from .algebra import ExtFieldDesc, FieldDesc, Poly, poly_ext_gcd, poly_factor
 from .curve import Curve, CurveFunction, Point, TorsionData, ZeroFunction, point_add, point_neg
 from .linalg import solve_linear
 
@@ -106,8 +106,8 @@ def split_ordinate(curve: Curve, u: Poly) -> Poly | None:
         if not K.is_square(fx):
             return None
         return Poly(K, (K.sqrt(fx),))
-    R = QuotientRing(K, u)
-    fx = R.reduce(curve.rhs_poly())
+    R = ExtFieldDesc(K, u)
+    fx = R.from_poly(curve.rhs_poly())
     if not any(fx):
         return Poly(K, ())
     if not R.is_square(fx):
@@ -310,89 +310,14 @@ def decompose(D: Divisor, bound: int):
 # residue arithmetic at a place, translations, orbits
 # ---------------------------------------------------------------------------
 
-class QuotientRing:
-    """F_q[x]/(u) with elements as coefficient tuples of length deg u."""
-
-    __slots__ = ("K", "u", "d")
-
-    def __init__(self, K: FieldDesc, u: Poly):
-        self.K = K
-        self.u = u
-        self.d = u.degree()
-
-    def reduce(self, f: Poly):
-        r = f % self.u
-        return tuple(list(r.coeffs) + [0] * (self.d - len(r.coeffs)))
-
-    @property
-    def zero(self):
-        return (0,) * self.d
-
-    @property
-    def one(self):
-        return tuple([1] + [0] * (self.d - 1))
-
-    def embed(self, c: int):
-        return tuple([c] + [0] * (self.d - 1))
-
-    def add(self, a, b):
-        K = self.K
-        return tuple(K.add(x, y) for x, y in zip(a, b))
-
-    def sub(self, a, b):
-        K = self.K
-        return tuple(K.sub(x, y) for x, y in zip(a, b))
-
-    def neg(self, a):
-        K = self.K
-        return tuple(K.neg(x) for x in a)
-
-    def mul(self, a, b):
-        return self.reduce(Poly(self.K, a) * Poly(self.K, b))
-
-    def inv(self, a):
-        from .algebra import poly_ext_gcd
-        g, s, _ = poly_ext_gcd(Poly(self.K, a), self.u)
-        if g.degree() != 0:
-            raise ZeroDivisionError("non-invertible residue")
-        return self.reduce(s.scale(self.K.inv(g.coeffs[0])))
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
-    def pow_(self, a, e: int):
-        r = self.one
-        while e:
-            if e & 1:
-                r = self.mul(r, a)
-            a = self.mul(a, a)
-            e >>= 1
-        return r
-
-    def eq(self, a, b):
-        return tuple(a) == tuple(b)
-
-    def rand(self, rng):
-        return tuple(rng.randrange(self.K.q) for _ in range(self.d))
-
-    def is_square(self, a) -> bool:
-        if not any(a):
-            return True
-        order = self.K.q ** self.d
-        return self.eq(self.pow_(a, (order - 1) // 2), self.one)
-
-    def sqrt(self, a):
-        from .algebra import _tonelli_shanks
-        return _tonelli_shanks(self, a, self.K.q ** self.d)
-
-
 class PlaceAlgebra:
     """Residue field of a place, as an F_q-algebra holding the point (x, y).
 
-    For split and ramified places this is F_q[x]/(u) with y = v(x); for inert
-    places it is the quadratic extension F_q[x,y]/(u, y^2 - rhs), dimension
-    2 deg u.  Elements are tuples (a, b) of QuotientRing elements meaning
-    a + b y; split/ramified elements keep b = 0.
+    `ring` is the residue field F_q[x]/(u) of the abscissa, an
+    `ExtFieldDesc`.  For split and ramified places the algebra is that ring
+    with y = v(x); for inert places it is the quadratic extension
+    F_q[x,y]/(u, y^2 - rhs), dimension 2 deg u.  Elements are tuples (a, b)
+    of ring elements meaning a + b y; split/ramified elements keep b = 0.
     """
 
     __slots__ = ("ring", "place", "curve", "yv", "fx", "dim")
@@ -400,16 +325,16 @@ class PlaceAlgebra:
     def __init__(self, curve: Curve, place: Place):
         K = curve.field
         u = Poly(K, place.u)
-        self.ring = QuotientRing(K, u)
+        self.ring = ExtFieldDesc(K, u)
         self.place = place
         self.curve = curve
-        self.fx = self.ring.reduce(curve.rhs_poly())
+        self.fx = self.ring.from_poly(curve.rhs_poly())
         if place.kind == INERT:
             self.yv = None
-            self.dim = 2 * self.ring.d
+            self.dim = 2 * self.ring.k
         else:
-            self.yv = self.ring.reduce(Poly(K, place.v))
-            self.dim = self.ring.d
+            self.yv = self.ring.from_poly(Poly(K, place.v))
+            self.dim = self.ring.k
 
     @property
     def zero(self):
@@ -424,12 +349,8 @@ class PlaceAlgebra:
         return (self.ring.embed(c), self.ring.zero)
 
     def x_elem(self):
-        d = self.ring.d
-        if d == 1:
-            xred = self.ring.reduce(Poly(self.ring.K, (0, 1)))
-        else:
-            xred = tuple([0, 1] + [0] * (d - 2))
-        return (xred, self.ring.zero)
+        R = self.ring
+        return (R.from_poly(Poly(R.base, (0, 1))), R.zero)
 
     def y_elem(self):
         if self.yv is not None:
@@ -478,7 +399,7 @@ class PlaceAlgebra:
 
 def _min_poly(alg: PlaceAlgebra, elem) -> Poly:
     """Minimal polynomial of an algebra element over F_q (the algebra is a field)."""
-    K = alg.ring.K
+    K = alg.ring.base
     dim = alg.dim
     rows = []
     cur = alg.one

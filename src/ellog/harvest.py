@@ -117,9 +117,6 @@ class FactorBase:
         """Unknown count: the c column plus one per representative."""
         return len(self.reps) + 1
 
-    def c_col(self) -> int:
-        return 0
-
     def rep_of_col(self, col: int) -> Place:
         return self.reps[col - 1]
 
@@ -180,13 +177,13 @@ class Relation:
     def key(self):
         return tuple(sorted(self.cols.items()))
 
-    def to_line(self, fb: FactorBase) -> str:
+    def to_line(self) -> str:
         body = ",".join(f"{c}:{v}" for c, v in sorted(self.cols.items()) if c != 0)
         params = ";".join(str(x) for x in self.params)
         return f"{self.mode}|{params}|{body}|c:{self.cols.get(0, 0)}"
 
     @staticmethod
-    def from_line(line: str, fb: FactorBase) -> "Relation":
+    def from_line(line: str) -> "Relation":
         mode, params, body, cpart = line.rstrip("\n").split("|")
         cols: dict[int, int] = {}
         if body:
@@ -803,7 +800,7 @@ def write_relations(path: str, fb: FactorBase, relations: list[Relation],
         if not append:
             fh.write(f"# factor-base {fb.fingerprint()}\n")
         for rel in relations:
-            fh.write(rel.to_line(fb) + "\n")
+            fh.write(rel.to_line() + "\n")
 
 
 def read_relations(path: str, fb: FactorBase) -> list[Relation]:
@@ -815,5 +812,5 @@ def read_relations(path: str, fb: FactorBase) -> list[Relation]:
                 if line.startswith("# factor-base") and fb.fingerprint() not in line:
                     raise ConfigError("relations file belongs to a different basis")
                 continue
-            out.append(Relation.from_line(line, fb))
+            out.append(Relation.from_line(line))
     return out

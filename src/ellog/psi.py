@@ -152,16 +152,6 @@ def _pow(ext, a, e: int):
     return ext.pow_(a, e)
 
 
-def _eval_poly(ext: ExtFieldDesc, f: Poly, theta):
-    cs = f.coeffs
-    if not cs:
-        return ext.zero
-    acc = ext.embed(cs[-1])
-    for c in reversed(cs[:-1]):
-        acc = ext.add(ext.mul(acc, theta), ext.embed(c))
-    return acc
-
-
 def _vertical(ext, theta, x):
     """(x - x0)(F) for the vertical line through abscissa x0."""
     return _checked(ext.sub(theta, ext.embed(x)), ext)
@@ -181,8 +171,8 @@ def _mumford_reduce(curve: Curve, u: Poly, v: Poly, ext: ExtFieldDesc, theta, ta
         if not rem.is_zero():
             raise AssertionError("pair (u, v) is not semi-reduced")
         w = quot.monic()
-        num = _mul(ext, num, _checked(ext.sub(tau, _eval_poly(ext, v, theta)), ext))
-        den = _mul(ext, den, _eval_poly(ext, w, theta))
+        num = _mul(ext, num, _checked(ext.sub(tau, v.eval_in(ext, theta)), ext))
+        den = _mul(ext, den, w.eval_in(ext, theta))
         u, v = w, (-v) % w if not v.is_zero() else v % w
     if u.degree() <= 0:
         return None, num, den
@@ -244,7 +234,7 @@ def _psi_value(D: Divisor, basis, N: int, Ninv: int):
     for place, n in D.finite_places():
         u = Poly(K, place.u)
         if place.kind == INERT:
-            T, gn, gd = None, _checked(_eval_poly(ext, u, theta), ext), None
+            T, gn, gd = None, _checked(u.eval_in(ext, theta), ext), None
         else:
             v = Poly(K, place.v) if place.kind == SPLIT else Poly(K, ())
             T, gn, gd = _mumford_reduce(curve, u, v, ext, theta, tau)

@@ -17,6 +17,10 @@ only to check them.
 `extend_per_pass` is the former form of `harvest.extend`: every pass
 sieves each height-4 group and every height-5 pair afresh, at most four
 passes.
+
+`QuotientRing` is the reference residue ring F_q[x]/(u): each product is
+formed as a `Poly` and then reduced by `% u`, where `ExtFieldDesc.mul`
+runs its own inline schoolbook loop.
 """
 
 from __future__ import annotations
@@ -24,7 +28,8 @@ from __future__ import annotations
 import math
 import random
 
-from ellog.algebra import ExtFieldDesc, FieldDesc, Poly, poly_is_irreducible, poly_random_monic
+from ellog.algebra import (ExtFieldDesc, FieldDesc, Poly, _tonelli_shanks, poly_ext_gcd,
+                           poly_is_irreducible, poly_random_monic)
 
 
 def extension_of(K: FieldDesc, e: int, seed: int = 0) -> ExtFieldDesc:
@@ -35,6 +40,62 @@ def extension_of(K: FieldDesc, e: int, seed: int = 0) -> ExtFieldDesc:
         I = poly_random_monic(K, e, rng)
         if poly_is_irreducible(I):
             return ExtFieldDesc(K, I)
+
+
+class QuotientRing:
+    """F_q[x]/(u) with elements as coefficient tuples of length deg u."""
+
+    __slots__ = ("K", "u", "d")
+
+    def __init__(self, K: FieldDesc, u: Poly):
+        self.K = K
+        self.u = u
+        self.d = u.degree()
+
+    def reduce(self, f: Poly):
+        r = f % self.u
+        return tuple(list(r.coeffs) + [0] * (self.d - len(r.coeffs)))
+
+    @property
+    def zero(self):
+        return (0,) * self.d
+
+    @property
+    def one(self):
+        return tuple([1] + [0] * (self.d - 1))
+
+    def mul(self, a, b):
+        return self.reduce(Poly(self.K, a) * Poly(self.K, b))
+
+    def inv(self, a):
+        g, s, _ = poly_ext_gcd(Poly(self.K, a), self.u)
+        if g.degree() != 0:
+            raise ZeroDivisionError("non-invertible residue")
+        return self.reduce(s.scale(self.K.inv(g.coeffs[0])))
+
+    def pow_(self, a, e: int):
+        r = self.one
+        while e:
+            if e & 1:
+                r = self.mul(r, a)
+            a = self.mul(a, a)
+            e >>= 1
+        return r
+
+    def eq(self, a, b):
+        return tuple(a) == tuple(b)
+
+    def rand(self, rng):
+        return tuple(rng.randrange(self.K.q) for _ in range(self.d))
+
+    def is_square(self, a) -> bool:
+        if not any(a):
+            return True
+        order = self.K.q ** self.d
+        return self.eq(self.pow_(a, (order - 1) // 2), self.one)
+
+    def sqrt(self, a):
+        return _tonelli_shanks(self, a, self.K.q ** self.d)
 
 
 def curve_points_over(curve, L: ExtFieldDesc):

@@ -1,11 +1,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ellog.algebra import (CharTooSmall, FieldDesc, FieldElem, NotPrime,
-                           Poly, Reducible, ZeroPolynomial, ext_make,
+from ellog.algebra import (CharTooSmall, ExtFieldDesc, FieldDesc, FieldElem,
+                           NotPrime, Poly, Reducible, ZeroPolynomial, ext_make,
                            field_make, poly_factor, poly_is_irreducible,
                            poly_random_monic)
+
+from oracles import QuotientRing
 
 
 def test_field_make_prime_field_is_trivial():
@@ -160,3 +163,40 @@ def test_zero_power_convention():
     assert K.pow_(0, 0) == 1
     assert K.pow_(0, 3) == 0
     assert K.pow_(2, 0) == 1
+
+
+_RESIDUE_BASES = {(p, m): field_make(p, m, 0) for p, m in ((5, 1), (11, 1), (11, 2))}
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(pm=st.sampled_from(sorted(_RESIDUE_BASES)), d=st.integers(1, 5),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_residue_ring_matches_reference(pm, d, seed):
+    """ExtFieldDesc(K, u) computes what the Poly-then-reduce ring computes."""
+    K = _RESIDUE_BASES[pm]
+    rng = random.Random(seed)
+    u = poly_random_monic(K, d, rng)
+    while not poly_is_irreducible(u):
+        u = poly_random_monic(K, d, rng)
+    R, ref = ExtFieldDesc(K, u), QuotientRing(K, u)
+    a, b = R.rand(rng), R.rand(rng)
+    assert R.mul(a, b) == ref.mul(a, b)
+    e = rng.randrange(2 * R.order_total)
+    assert R.pow_(a, e) == ref.pow_(a, e)
+    if any(a):
+        assert R.inv(a) == ref.inv(a)
+    for x in (a, R.mul(b, b)):
+        assert R.is_square(x) == ref.is_square(x)
+        if R.is_square(x):
+            # the very root, not one up to sign
+            assert R.sqrt(x) == ref.sqrt(x)
+
+
+def test_eval_in_starts_at_leading_coefficient():
+    K = field_make(11, 2, 0)
+    x = K.code((3, 5))
+    for coeffs in ((), (7,), (1, 2, 3), (0, 0, 4, 9)):
+        f = Poly(K, coeffs)
+        assert f.eval_in(K, x) == f.eval_code(x)
+    ext = ExtFieldDesc(K, Poly(K, (K.code((1, 1)), 0, 1)))
+    assert Poly(K, ()).eval_in(ext, ext.gen()) == ext.zero

@@ -7,12 +7,12 @@ from ellog.algebra import Poly, field_make, poly_factor, poly_irreducibles
 from ellog.curve import (Curve, CurveFunction, Point, Singular, TorsionData,
                          TriPoly, ZeroFunction, phi_star, point_neg)
 from ellog.divisor import (Divisor, HitsInfinity, INERT, PLACE_AT_INFINITY,
-                           Place, QuotientRing, RAMIFIED, SPLIT, decompose,
+                           Place, RAMIFIED, SPLIT, decompose,
                            divisor_of, elementary_divisor, height,
                            place_of_point, places_over,
                            split_ordinate, translate_place)
 
-from oracles import orbit_canonical
+from oracles import QuotientRing, orbit_canonical
 
 
 @pytest.fixture(scope="module")

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from collections import Counter
 
@@ -27,6 +28,17 @@ def test_factor_base_counts(basis59):
     assert by_degree[3] == (nd.N[2] - nd.N[0]) // 3
     # partition: torsion places plus the orbit cycles cover everything
     assert sum(fb59.cycle_len.values()) + (basis59.k - 1) == len(fb59.place_map)
+
+
+def test_factor_base_numbering_pinned(basis59):
+    """dlog and verify rebuild the factor base and read stored columns by it."""
+    K = basis59.curve.field
+    fb = build_factor_base(basis59, 5)
+    text = "\n".join(f"{p.encode(K)} {col} {shift} {deg}"
+                     for p, (col, shift, deg) in sorted(fb.place_map.items()))
+    assert len(fb.place_map) == 824
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "3a9cd1cec01d883978dd44783bf723b6e06c633c10e36d522a374cebde7e18ea")
 
 
 def test_factor_base_expansion_recovers_places(basis59, fb59):
