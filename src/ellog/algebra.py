@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import math
 import random
+import sys
+from array import array
 from dataclasses import dataclass
 
 
@@ -787,9 +789,20 @@ class ExtFieldDesc:
     are both of this class.  Elements are tuples of base codes of length k
     (low degree first).  The constructor checks only that I is monic;
     `ext_make` also checks that it is irreducible.
+
+    Over a prime base F_p, `mul` is a Kronecker substitution: each operand
+    is packed into one int, k slots of w bits, low degree in the low slot,
+    and the two ints are multiplied once.  The low k slots of the product
+    are kept; each of the k - 1 high slots is reduced mod p and folded back
+    in as that multiple of the packed row X^(k+i) mod I, which `__init__`
+    precomputes.  A product slot holds at most k(p-1)^2 and the fold adds
+    at most (k-1)(p-1)^2, so w is the smallest array item width with
+    2^w > 2k(p-1)^2 + p and no slot ever carries into the next.  Over an
+    F_{p^m} base (m > 1), and on a big-endian host, `mul` keeps the
+    schoolbook loop on the base field's tables.
     """
 
-    __slots__ = ("base", "I", "k", "order_total", "_frob_pows")
+    __slots__ = ("base", "I", "k", "order_total", "_frob_pows", "_kron")
 
     def __init__(self, base: FieldDesc, I: Poly):
         if not I.is_monic():
@@ -799,6 +812,21 @@ class ExtFieldDesc:
         self.k = I.degree()
         self.order_total = base.q ** self.k
         self._frob_pows = None
+        self._kron = None
+        if base.m == 1 and sys.byteorder == "little":
+            p, k, coeffs = base.p, self.k, I.coeffs
+            code = next(c for c in "BHIQ"
+                        if 2 * k * (p - 1) ** 2 + p < 1 << 8 * array(c).itemsize)
+            width = array(code).itemsize
+            rows = []
+            r = [-c % p for c in coeffs[:k]]  # X^k mod I
+            for _ in range(k - 1):
+                rows.append(int.from_bytes(array(code, r).tobytes(), "little"))
+                top = r[-1]
+                r = [(lo - top * c) % p for lo, c in zip([0] + r[:-1], coeffs)]
+            shift = 8 * width * k
+            self._kron = (p, code, shift, (1 << shift) - 1, width * (k - 1),
+                          width * k, tuple(rows))
 
     # -- element helpers ----------------------------------------------
 
@@ -827,17 +855,34 @@ class ExtFieldDesc:
 
     def add(self, a, b):
         K = self.base
+        if K.m == 1:
+            p = K.p
+            return tuple([(x + y) % p for x, y in zip(a, b)])
         return tuple(K.add(x, y) for x, y in zip(a, b))
 
     def sub(self, a, b):
         K = self.base
+        if K.m == 1:
+            p = K.p
+            return tuple([(x - y) % p for x, y in zip(a, b)])
         return tuple(K.sub(x, y) for x, y in zip(a, b))
 
     def neg(self, a):
         K = self.base
+        if K.m == 1:
+            p = K.p
+            return tuple([-x % p for x in a])
         return tuple(K.neg(x) for x in a)
 
     def mul(self, a, b):
+        if self._kron is not None:
+            p, code, shift, mask, high_bytes, low_bytes, rows = self._kron
+            c = (int.from_bytes(array(code, a).tobytes(), "little")
+                 * int.from_bytes(array(code, b).tobytes(), "little"))
+            low = c & mask
+            for h, row in zip(array(code, (c >> shift).to_bytes(high_bytes, "little")), rows):
+                low += h % p * row
+            return tuple([x % p for x in array(code, low.to_bytes(low_bytes, "little"))])
         K = self.base
         k = self.k
         prod = [0] * (2 * k - 1)

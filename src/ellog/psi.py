@@ -312,15 +312,17 @@ def psi_elementary(place: Place, basis) -> PsiValue:
 def verify_relation(lhs, rhs, basis) -> bool:
     """Check that two elementary-divisor combinations have the same class.
 
-    Each side is a list of (Place, int) pairs.  psi is a homomorphism, so
+    Each side is a list of (Place, int) pairs; a place may repeat or sit on
+    both sides, and its coefficients add up.  psi is a homomorphism, so
     the sides agree exactly when psi(DL - DR) is one: a single evaluation
     and a single N-th root decide the relation.
     """
-    D = Divisor()
-    for place, n in lhs:
-        D = D + elementary_divisor(place).scale(n)
-    for place, n in rhs:
-        D = D + elementary_divisor(place).scale(-n)
+    D, degree = Divisor(), 0
+    for side, sign in ((lhs, 1), (rhs, -1)):
+        for place, n in side:
+            D.add_place(place, sign * n)
+            degree += sign * n * place.degree
+    D.add_place(PLACE_AT_INFINITY, -degree)
     return psi_eval(D, basis).is_one()
 
 

@@ -18,9 +18,10 @@ only to check them.
 sieves each height-4 group and every height-5 pair afresh, at most four
 passes.
 
-`QuotientRing` is the reference residue ring F_q[x]/(u): each product is
-formed as a `Poly` and then reduced by `% u`, where `ExtFieldDesc.mul`
-runs its own inline schoolbook loop.
+`QuotientRing` is the reference residue ring F_q[x]/(u): each sum and
+product is formed as a `Poly` and then reduced by `% u`, where
+`ExtFieldDesc.mul` packs a prime-field product into one int (or runs a
+schoolbook loop over F_{p^m}).
 """
 
 from __future__ import annotations
@@ -63,6 +64,15 @@ class QuotientRing:
     @property
     def one(self):
         return tuple([1] + [0] * (self.d - 1))
+
+    def add(self, a, b):
+        return self.reduce(Poly(self.K, a) + Poly(self.K, b))
+
+    def sub(self, a, b):
+        return self.reduce(Poly(self.K, a) - Poly(self.K, b))
+
+    def neg(self, a):
+        return self.reduce(-Poly(self.K, a))
 
     def mul(self, a, b):
         return self.reduce(Poly(self.K, a) * Poly(self.K, b))

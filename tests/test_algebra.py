@@ -1,7 +1,8 @@
+import pickle
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ellog.algebra import (CharTooSmall, ExtFieldDesc, FieldDesc, FieldElem,
                            NotPrime, Poly, Reducible, ZeroPolynomial, ext_make,
@@ -137,6 +138,19 @@ def test_ext_make_rechecks_basis_modulus(basis59):
     assert E.k == basis59.k
 
 
+@pytest.mark.parametrize("name", ["basis59", "basis11"])
+def test_ext_field_pickle_rebuilds_packed_rows(request, name):
+    # worker processes get (base, I) and rebuild the packed rows themselves
+    E = request.getfixturevalue(name).ext
+    assert E.__reduce__() == (ExtFieldDesc, (E.base, E.I))
+    E2 = pickle.loads(pickle.dumps(E))
+    assert E2 == E
+    rng = random.Random(7)
+    top = (E.base.q - 1,) * E.k
+    for a, b in [(E.rand(rng), E.rand(rng)) for _ in range(20)] + [(top, top)]:
+        assert E2.mul(a, b) == E.mul(a, b)
+
+
 def test_canonical_encoding_roundtrip():
     for p, m in ((5, 1), (11, 2)):
         K = field_make(p, m, 0)
@@ -165,22 +179,37 @@ def test_zero_power_convention():
     assert K.pow_(2, 0) == 1
 
 
-_RESIDUE_BASES = {(p, m): field_make(p, m, 0) for p, m in ((5, 1), (11, 1), (11, 2))}
+# Degrees 9 and 13 are the target fields of the two pinned instances; F_1048573
+# (2^20 - 3, just under DESK_Q_CAP) needs the widest packed slots.
+_RESIDUE_CASES = [(p, m, d) for p, m, top in ((5, 1, 13), (11, 1, 13), (11, 2, 5),
+                                               (1048573, 1, 4))
+                  for d in range(1, top + 1)]
+_RESIDUE_BASES = {(p, m): field_make(p, m, 0) for p, m, _ in _RESIDUE_CASES}
 
 
-@settings(derandomize=True, max_examples=60, deadline=None)
-@given(pm=st.sampled_from(sorted(_RESIDUE_BASES)), d=st.integers(1, 5),
-       seed=st.integers(0, 2 ** 32 - 1))
-def test_residue_ring_matches_reference(pm, d, seed):
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(case=st.sampled_from(_RESIDUE_CASES), seed=st.integers(0, 2 ** 32 - 1))
+@example(case=(5, 1, 9), seed=0)
+@example(case=(11, 1, 13), seed=0)
+@example(case=(1048573, 1, 4), seed=0)
+@example(case=(11, 2, 3), seed=0)
+def test_residue_ring_matches_reference(case, seed):
     """ExtFieldDesc(K, u) computes what the Poly-then-reduce ring computes."""
-    K = _RESIDUE_BASES[pm]
+    p, m, d = case
+    K = _RESIDUE_BASES[p, m]
     rng = random.Random(seed)
     u = poly_random_monic(K, d, rng)
     while not poly_is_irreducible(u):
         u = poly_random_monic(K, d, rng)
     R, ref = ExtFieldDesc(K, u), QuotientRing(K, u)
     a, b = R.rand(rng), R.rand(rng)
-    assert R.mul(a, b) == ref.mul(a, b)
+    # every coefficient q - 1: the largest sums the packed slots must hold
+    top = (K.q - 1,) * d
+    for x, y in ((a, b), (top, top), (top, a), (b, top)):
+        assert R.mul(x, y) == ref.mul(x, y)
+        assert R.add(x, y) == ref.add(x, y)
+        assert R.sub(x, y) == ref.sub(x, y)
+        assert R.neg(x) == ref.neg(x)
     e = rng.randrange(2 * R.order_total)
     assert R.pow_(a, e) == ref.pow_(a, e)
     if any(a):

@@ -325,3 +325,30 @@ def test_verify_relation_at_11_13(basis11):
         if checked == 4:
             break
     assert checked == 4
+
+
+@pytest.mark.parametrize("name", ["basis59", "basis11"])
+def test_verify_relation_repeated_and_cancelling_places(request, name):
+    """A place split across repeats on one side, or put on both sides with
+    the same coefficient, changes neither verdict: the true relation still
+    holds and the perturbed one still fails."""
+    basis = request.getfixturevalue(name)
+    for params in itertools.product(range(basis.curve.field.q), repeat=3):
+        try:
+            pr = pair_divisors(basis, *reconstruct_pair(basis, "core", params))
+        except DegeneratePair:
+            continue
+        break
+    lhs = pr.left_total().finite_places()
+    rhs = pr.right_divisor.finite_places()
+    bad = [(p, n + 1 if i == 0 else n) for i, (p, n) in enumerate(rhs)]
+    support = {p for p, _ in lhs + rhs}
+    extra = next(p for u in poly_irreducibles(basis.curve.field, 2)
+                 for p in places_over(basis.curve, u) if p not in support)
+    (p0, n0), rest = lhs[0], lhs[1:]
+    split = [(p0, n0 - 2), (p0, 2)] + rest
+    for right, verdict in ((rhs, True), (bad, False)):
+        assert verify_relation(lhs, right, basis) == verdict
+        assert verify_relation(split, right, basis) == verdict
+        assert verify_relation(lhs + [(extra, 3)], right + [(extra, 3)], basis) == verdict
+        assert verify_relation(lhs + [(p0, 1), (p0, -1)], right, basis) == verdict
