@@ -54,9 +54,12 @@ def mu_bound(q: int, k: int) -> int:
 class EllipticBasis:
     """Everything the later phases need, frozen after construction.
 
-    The one exception is `line_divisors`, the memo of
-    `harvest.line_divisor`: divisors of pulled-back sieve lines, keyed by
-    projective class.  It is not compared, printed or written to basis.json.
+    The one exception is `pullback_divisors`, the memo of
+    `harvest.pullback_divisor`: divisors of pulled-back sieve lines and
+    brackets, keyed by projective class.  The sieve families lie in
+    span{1, U, V, UV}, so it holds at most q^3 + q^2 + q + 1 lines plus one
+    bracket for each of the (q^2 + 1)(q^2 + q + 1) planes of that span.
+    It is not compared, printed or written to basis.json.
     """
 
     curve: Curve
@@ -70,8 +73,8 @@ class EllipticBasis:
     nu: int
     k: int
     seed: int
-    line_divisors: dict = dc_field(default_factory=dict, compare=False,
-                                   repr=False)
+    pullback_divisors: dict = dc_field(default_factory=dict, compare=False,
+                                       repr=False)
 
     @property
     def q(self) -> int:

@@ -29,7 +29,6 @@ from .linalg import MoreRelationsNeeded
 from .psi import SupportHitsF, verify_relation
 from .solve import (bsgs_oracle, column_class, dlog, find_generator, read_logs,
                     solve_core, verify_log_table, write_logs)
-from . import stats as stats_mod
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -320,6 +319,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_stats(args) -> int:
+    from . import stats as stats_mod  # numpy loads only for this command
     if args.degree is None:
         rows = stats_mod.rate_report(args.q, args.samples, args.seed)
         for row in rows:

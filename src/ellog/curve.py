@@ -281,9 +281,14 @@ class TorsionData:
 
     xs[j], ys[j] are the coordinates of P_j = j * P1 for j in 1..k-1; index 0
     is unused (the multiple 0 * P1 is the point at infinity).
+
+    `pullbacks` is the table behind `phi_star`: for a monomial U^i V^j W^l
+    and a power e >= 2 (i + l), the numerator pair (n0, n1) of its pull-back
+    over (X - x1)^e, as coefficient tuples.  Entries are added on first use
+    and never change; pickling leaves the table behind.
     """
 
-    __slots__ = ("curve", "k", "P1", "xs", "ys", "_points")
+    __slots__ = ("curve", "k", "P1", "xs", "ys", "_points", "pullbacks")
 
     def __init__(self, curve: Curve, P1: Point, k: int):
         if k < 3:
@@ -305,6 +310,7 @@ class TorsionData:
         self._points = pts
         self.xs = [None] + [Q.x for Q in pts[1:]]
         self.ys = [None] + [Q.y for Q in pts[1:]]
+        self.pullbacks: dict = {}
 
     def point(self, j: int) -> Point:
         j %= self.k
@@ -597,7 +603,33 @@ def phi_star(f: TriPoly, td: TorsionData) -> CurveFunction:
 
     U and W map to (x1 X^2 + (a + x1^2) X + a x1 + 2b +- 2 y1 Y)/(X - x1)^2,
     V maps to X; the result is put over the smallest power of (X - x1).
+    phi_star is linear, so the numerators are c times the image of each
+    monomial over the common power e, read from `td.pullbacks`.
     """
+    curve = td.curve
+    K = curve.field
+    x1 = td.xs[1]
+    if f.is_zero():
+        return CurveFunction.make(curve, x1, Poly(K, ()), Poly(K, ()), 0)
+    e_common = max(2 * (i + l) for (i, j, l) in f.terms)
+    table = td.pullbacks
+    add, mul = K.add, K.mul
+    tot0: list[int] = []
+    tot1: list[int] = []
+    for mono, c in f.terms.items():
+        img = table.get((mono, e_common))
+        if img is None:
+            img = table[(mono, e_common)] = _monomial_pullback(td, mono, e_common)
+        for tot, n in zip((tot0, tot1), img):
+            if len(tot) < len(n):
+                tot.extend([0] * (len(n) - len(tot)))
+            for d, x in enumerate(n):
+                tot[d] = add(tot[d], mul(c, x))
+    return CurveFunction.make(curve, x1, Poly(K, tot0), Poly(K, tot1), e_common)
+
+
+def _monomial_pullback(td: TorsionData, mono: tuple, e: int) -> tuple:
+    """Numerators (n0, n1) of phi_star(U^i V^j W^l) over (X - x1)^e."""
     curve = td.curve
     K = curve.field
     x1 = td.xs[1]
@@ -614,22 +646,13 @@ def phi_star(f: TriPoly, td: TorsionData) -> CurveFunction:
         n1 = p[0] * q[1] + p[1] * q[0]
         return (n0, n1)
 
-    if f.is_zero():
-        return CurveFunction.make(curve, x1, Poly(K, ()), Poly(K, ()), 0)
-    e_common = max(2 * (i + l) for (i, j, l) in f.terms)
-    tot0, tot1 = Poly(K, ()), Poly(K, ())
+    i, j, l = mono
+    term = (Poly(K, (1,)), Poly(K, ()))
+    for _ in range(i):
+        term = pair_mul(term, NU)
+    for _ in range(l):
+        term = pair_mul(term, NW)
     lin = Poly(K, (K.neg(x1), 1))
-    for (i, j, l), c in f.terms.items():
-        term = (Poly(K, (c,)), Poly(K, ()))
-        for _ in range(i):
-            term = pair_mul(term, NU)
-        for _ in range(l):
-            term = pair_mul(term, NW)
-        for _ in range(j):
-            term = (term[0].shift(1), term[1].shift(1))
-        pad = e_common - 2 * (i + l)
-        for _ in range(pad):
-            term = (term[0] * lin, term[1] * lin)
-        tot0 = tot0 + term[0]
-        tot1 = tot1 + term[1]
-    return CurveFunction.make(curve, x1, tot0, tot1, e_common)
+    for _ in range(e - 2 * (i + l)):
+        term = (term[0] * lin, term[1] * lin)
+    return (term[0].shift(j).coeffs, term[1].shift(j).coeffs)

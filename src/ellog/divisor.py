@@ -128,6 +128,11 @@ def places_over(curve: Curve, u: Poly) -> list[Place]:
     return [Place(SPLIT, u.coeffs, tuple(v.coeffs)), Place(SPLIT, u.coeffs, vneg)]
 
 
+def _place_key(item):
+    """The place's sort key, so that a sort computes it once per item."""
+    return item[0].sort_key()
+
+
 class Divisor:
     """Sparse integer combination of places with cached degree and height."""
 
@@ -182,10 +187,11 @@ class Divisor:
         return Divisor({p: n for p, n in self.coeffs.items() if n > 0})
 
     def finite_places(self):
-        return [(p, n) for p, n in sorted(self.coeffs.items()) if p.kind != INFINITY]
+        return [(p, n) for p, n in sorted(self.coeffs.items(), key=_place_key)
+                if p.kind != INFINITY]
 
     def encode(self, K: FieldDesc) -> str:
-        terms = [f"{p.encode(K)}^{n}" for p, n in sorted(self.coeffs.items())]
+        terms = [f"{p.encode(K)}^{n}" for p, n in sorted(self.coeffs.items(), key=_place_key)]
         return ";".join(terms)
 
     @staticmethod

@@ -324,25 +324,27 @@ class PairResult:
     def left_total(self) -> Divisor:
         tot = Divisor()
         for d in self.left_divisors:
-            tot = tot + d
+            for p, n in d.coeffs.items():
+                tot.add_place(p, n)
         return tot
 
 
-def line_divisor(basis, F: TriPoly, what: str) -> Divisor:
+def pullback_divisor(basis, F: TriPoly, what: str) -> Divisor:
     """Divisor of phi_star(F), memoized on the basis by the projective class of F.
 
     phi_star is linear and a divisor ignores a factor in F_q^*, so F and c F
     share one entry, keyed by F scaled to make the coefficient of its largest
-    monomial 1.  Raises DegeneratePair("<what> pulls back to zero") for a
-    zero F or a zero pull-back.  Returns a copy: the memo cannot be changed
-    through the result.
+    monomial 1.  The memo holds sieve lines and brackets alike.  Raises
+    DegeneratePair("<what> pulls back to zero") for a zero F or a zero
+    pull-back.  Returns a copy: the memo cannot be changed through the
+    result.
     """
     if F.is_zero():
         raise DegeneratePair(f"{what} pulls back to zero")
     K = F.field
     inv = K.inv(F.terms[max(F.terms)])
     key = tuple(sorted((m, K.mul(inv, c)) for m, c in F.terms.items()))
-    memo = basis.line_divisors
+    memo = basis.pullback_divisors
     if key not in memo:
         f = phi_star(F, basis.td)
         memo[key] = None if f.is_zero() else divisor_of(f, basis.curve)
@@ -356,23 +358,22 @@ def pair_divisors(basis, A: TriPoly, B: TriPoly) -> PairResult:
     """Divisors of every left factor A - alpha' B (alpha' in P^1) and of the bracket.
 
     Each left factor is a line of the pencil that A and B span, and every
-    line lies in q + 1 pencils, so the left divisors come from the memo of
-    `line_divisor`.  Every sieve family lies in span{1, U, V, UV}, so the
-    memo holds at most q^3 + q^2 + q + 1 entries.  The bracket is shared only
-    by pairs of one plane and is computed afresh.
+    line lies in q + 1 pencils.  The bracket is bilinear and alternating, so
+    every pair that spans the plane of A and B has the same bracket up to a
+    factor in F_q^*.  Both sides therefore come from the memo of
+    `pullback_divisor`: one pull-back and factorization per line and one per
+    plane.  Every sieve family lies in span{1, U, V, UV}, so the memo holds
+    at most q^3 + q^2 + q + 1 lines and (q^2 + 1)(q^2 + q + 1) brackets.
     """
     if A == B:
         raise DegeneratePair("A = B")
-    lefts = [line_divisor(basis, A - B.scale(aprime), "left factor")
+    lefts = [pullback_divisor(basis, A - B.scale(aprime), "left factor")
              for aprime in range(basis.q)]
-    lefts.append(line_divisor(basis, B, "B"))
+    lefts.append(pullback_divisor(basis, B, "B"))
     br = bracket(A, B)
     if br.is_zero():
         raise DegeneratePair("bracket vanishes identically")
-    fR = phi_star(br, basis.td)
-    if fR.is_zero():
-        raise DegeneratePair("bracket pulls back to zero")
-    return PairResult(lefts, divisor_of(fR, basis.curve))
+    return PairResult(lefts, pullback_divisor(basis, br, "bracket"))
 
 
 def relation_from_pair(basis, fb: FactorBase, A: TriPoly, B: TriPoly,
@@ -511,7 +512,8 @@ def harvest_m1(basis, fb: FactorBase):
     bound outright (no compelled points), which is rare per pencil, over
     q^4 + q^3 + q^2 pencils.  Their left factors are the q^3 + q^2 + q + 1
     lines of span{1, U, V, UV}, each factored once through the memo of
-    `pair_divisors`, so the bracket is most of the cost of a pencil.
+    `pair_divisors`.  Each pencil is a plane of its own, so its bracket is
+    new to the memo and is most of the cost of the pencil.
     Returns deduplicated relations.
     """
     K = basis.curve.field

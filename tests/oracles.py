@@ -10,7 +10,8 @@ divisor's places from the library but gives each place its own Mumford
 reduction and its own Miller loop over the full exponent N.
 
 `pair_divisors_fresh` is the memo-free reference for
-`harvest.pair_divisors`.  `pollard_rho_dlog`, `smooth_fraction_slow` and
+`harvest.pair_divisors`, and `phi_star_fresh` the table-free reference for
+`curve.phi_star`.  `pollard_rho_dlog`, `smooth_fraction_slow` and
 `orbit_canonical` are slow or alternative forms of library routines, kept
 only to check them.
 
@@ -400,7 +401,7 @@ def psi_per_place(D, basis, exponent: int | None = None, _depth: int = 0):
 
 def pair_divisors_fresh(basis, A, B):
     """`harvest.pair_divisors` with no memo: every left factor pulled back
-    and factored afresh, as the library did before `line_divisor`."""
+    and factored afresh, as the library did before its pull-back memo."""
     from ellog.curve import bracket, phi_star
     from ellog.divisor import divisor_of
     from ellog.harvest import DegeneratePair, PairResult
@@ -426,6 +427,45 @@ def pair_divisors_fresh(basis, A, B):
     if fR.is_zero():
         raise DegeneratePair("bracket pulls back to zero")
     return PairResult(lefts, divisor_of(fR, curve))
+
+
+def phi_star_fresh(f, td):
+    """`curve.phi_star` with no table: every term's image built from `Poly`
+    products and padded to the common power of (X - x1), as the library did
+    before `TorsionData.pullbacks`."""
+    from ellog.curve import CurveFunction
+    curve = td.curve
+    K = curve.field
+    x1 = td.xs[1]
+    y1 = td.ys[1]
+    a, b = curve.a, curve.b
+    quad = Poly(K, (K.add(K.mul(a, x1), K.mul(2, b)), K.add(a, K.mul(x1, x1)), x1))
+    two_y1 = K.mul(2, y1)
+    NU = (quad, Poly(K, (two_y1,)))
+    NW = (quad, Poly(K, (K.neg(two_y1),)))
+    fpoly = curve.rhs_poly()
+
+    def pair_mul(p, q):
+        return (p[0] * q[0] + (p[1] * q[1]) * fpoly, p[0] * q[1] + p[1] * q[0])
+
+    if f.is_zero():
+        return CurveFunction.make(curve, x1, Poly(K, ()), Poly(K, ()), 0)
+    e_common = max(2 * (i + l) for (i, j, l) in f.terms)
+    tot0, tot1 = Poly(K, ()), Poly(K, ())
+    lin = Poly(K, (K.neg(x1), 1))
+    for (i, j, l), c in f.terms.items():
+        term = (Poly(K, (c,)), Poly(K, ()))
+        for _ in range(i):
+            term = pair_mul(term, NU)
+        for _ in range(l):
+            term = pair_mul(term, NW)
+        for _ in range(j):
+            term = (term[0].shift(1), term[1].shift(1))
+        for _ in range(e_common - 2 * (i + l)):
+            term = (term[0] * lin, term[1] * lin)
+        tot0 = tot0 + term[0]
+        tot1 = tot1 + term[1]
+    return CurveFunction.make(curve, x1, tot0, tot1, e_common)
 
 
 def pollard_rho_dlog(h, g, ell: int, seed: int = 0):

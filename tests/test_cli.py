@@ -2,6 +2,8 @@ import hashlib
 import os
 import re
 import shutil
+import subprocess
+import sys
 
 import pytest
 
@@ -137,6 +139,15 @@ def test_verify_command_raises_programming_errors(pipeline, monkeypatch):
     monkeypatch.setattr(ellog.cli, "verify_relation", broken)
     with pytest.raises(RuntimeError, match="bug"):
         main(["verify", "--sample", "1", "--out", pipeline["dir"]])
+
+
+def test_cli_import_leaves_numpy_out():
+    # numpy is needed only by `ellog stats`, which imports it when run
+    import ellog
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ellog.__file__)))
+    code = "import sys, ellog.cli; assert 'numpy' not in sys.modules"
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 def test_stats_command(capsys):

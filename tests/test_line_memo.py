@@ -1,4 +1,5 @@
-"""The line memo of `harvest.pair_divisors` against memo-free pull-backs."""
+"""The pull-back memo of `harvest.pair_divisors` and the monomial table of
+`curve.phi_star`, against memo-free and table-free pull-backs."""
 
 import random
 from dataclasses import replace
@@ -6,19 +7,20 @@ from dataclasses import replace
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from ellog.algebra import field_make
 from ellog.basis import basis_to_json
-from ellog.curve import TriPoly, phi_star
+from ellog.curve import Curve, Point, TorsionData, TriPoly, bracket, phi_star
 from ellog.divisor import divisor_of
 from ellog.harvest import (DegeneratePair, GroupDegenerate, height5_pair,
-                           k1k2_group_basis, line_divisor, pair_divisors,
+                           k1k2_group_basis, pullback_divisor, pair_divisors,
                            reconstruct_pair)
 
-from oracles import pair_divisors_fresh
+from oracles import pair_divisors_fresh, phi_star_fresh
 
 
 def _fresh_basis(basis):
     """The same basis with an empty memo of its own."""
-    return replace(basis, line_divisors={})
+    return replace(basis, pullback_divisors={})
 
 
 def _m1_params(q):
@@ -109,7 +111,7 @@ def test_warm_memo_matches_fresh_pull_backs(basis59, mode):
     # warm the memo in one shuffled order, check in another
     for ps in rng.sample(params, len(params)):
         outcome(pair_divisors, ps)
-    assert basis.line_divisors
+    assert basis.pullback_divisors
     for ps in rng.sample(params, len(params)):
         assert outcome(pair_divisors, ps) == outcome(pair_divisors_fresh, ps)
 
@@ -121,6 +123,7 @@ def test_returned_divisors_do_not_alias_the_memo(basis59):
     place = next(iter(first.left_divisors[0].coeffs))
     first.left_divisors[0].add_place(place, 7)
     first.left_divisors[-1].coeffs.clear()
+    first.right_divisor.add_place(place, 5)
     again = pair_divisors(basis, A, B)
     want = pair_divisors_fresh(basis, A, B)
     assert again.left_divisors == want.left_divisors
@@ -130,27 +133,108 @@ def test_returned_divisors_do_not_alias_the_memo(basis59):
 def test_line_divisor_degenerate_messages(basis59):
     K = basis59.curve.field
     with pytest.raises(DegeneratePair, match="^left factor pulls back to zero$"):
-        line_divisor(basis59, TriPoly(K), "left factor")
+        pullback_divisor(basis59, TriPoly(K), "left factor")
     with pytest.raises(DegeneratePair, match="^B pulls back to zero$"):
-        line_divisor(basis59, TriPoly(K), "B")
+        pullback_divisor(basis59, TriPoly(K), "B")
+
+
+def _projective_class(F: TriPoly):
+    # F scaled to make its least monomial's coefficient 1
+    K = F.field
+    return F.scale(K.inv(F.terms[min(F.terms)])).canonical()
 
 
 def test_memo_bounded_by_core_lines(basis11):
-    # the core pairs span one plane of lines: at most q^2 + q + 1 classes
+    # the core pairs span one plane of lines: at most q^2 + q + 1 line
+    # classes, and at most one bracket class per pencil of them
     basis = _fresh_basis(basis11)
     q = basis.q
+    lines, brackets = set(), set()
     for ps in _mode_params(basis, "core"):
+        A, B = reconstruct_pair(basis, "core", ps)
         try:
-            pair_divisors(basis, *reconstruct_pair(basis, "core", ps))
+            pair_divisors(basis, A, B)
         except DegeneratePair:
-            pass
-    assert 0 < len(basis.line_divisors) <= q * q + q + 1
+            continue
+        lines.update(_projective_class(A - B.scale(a)) for a in range(q))
+        lines.add(_projective_class(B))
+        brackets.add(_projective_class(bracket(A, B)))
+    assert (len(lines), len(brackets)) == (133, 122)
+    assert len(lines) <= q * q + q + 1
+    assert len(basis.pullback_divisors) == len(lines) + len(brackets)
 
 
 def test_memo_stays_out_of_basis_file_and_equality(basis59):
     basis = _fresh_basis(basis59)
     before = basis_to_json(basis)
     pair_divisors(basis, *reconstruct_pair(basis, "core", (1, 2, 3)))
-    assert basis.line_divisors
+    assert basis.pullback_divisors
     assert basis_to_json(basis) == before
     assert basis == basis59
+
+
+def _random_invertible(q, entries):
+    a, b, c, d = (x % q for x in entries)
+    assume((a * d - b * c) % q)
+    return a, b, c, d
+
+
+@pytest.mark.parametrize("name", ["basis59", "basis11"])
+def test_bracket_memo_invariant_under_change_of_basis(request, name):
+    # every pair spanning the plane of A and B has the same left total and
+    # right divisor as (A, B)
+    basis = _fresh_basis(request.getfixturevalue(name))
+    q = basis.q
+
+    def outcome(fn, A, B):
+        try:
+            pr = fn(basis, A, B)
+        except DegeneratePair:
+            return "degenerate"
+        return pr.left_total(), pr.right_divisor
+
+    @settings(derandomize=True, max_examples=40 if q > 5 else 80,
+              deadline=None)
+    @given(triple=st.tuples(*[st.integers(0, q - 1)] * 3),
+           entries=st.tuples(*[st.integers(0, 10 ** 6)] * 4))
+    def check(triple, entries):
+        a, b, c, d = _random_invertible(q, entries)
+        A, B = reconstruct_pair(basis, "core", triple)
+        A2 = A.scale(a) + B.scale(b)
+        B2 = A.scale(c) + B.scale(d)
+        assert outcome(pair_divisors, A2, B2) == outcome(pair_divisors_fresh, A, B)
+
+    check()
+
+
+@pytest.fixture(scope="module")
+def td121():
+    """A 5-torsion point whose coordinates and curve lie outside F_11."""
+    K = field_make(11, 2)
+    curve = Curve(K, 12, 23)
+    return TorsionData(curve, Point.make(curve, K, 44, 37), 5)
+
+
+@pytest.mark.parametrize("name", ["basis59", "basis11", "td121"])
+def test_phi_star_table_matches_fresh(request, name):
+    fix = request.getfixturevalue(name)
+    td = fix if name == "td121" else fix.td
+    K = td.curve.field
+    monos = [(i, j, l) for i in range(3) for j in range(3) for l in range(3)]
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(st.lists(st.dictionaries(st.sampled_from(monos),
+                                    st.integers(0, K.q - 1), max_size=6),
+                    min_size=1, max_size=5))
+    def check(term_lists):
+        fs = [TriPoly(K, terms) for terms in term_lists]
+        cold = TorsionData(td.curve, td.P1, td.k)
+        for f in fs:
+            assert phi_star(f, cold) == phi_star_fresh(f, td)
+        warm = TorsionData(td.curve, td.P1, td.k)
+        for f in reversed(fs):
+            phi_star(f, warm)
+        for f in fs:
+            assert phi_star(f, warm) == phi_star_fresh(f, td)
+
+    check()
