@@ -54,12 +54,15 @@ def mu_bound(q: int, k: int) -> int:
 class EllipticBasis:
     """Everything the later phases need, frozen after construction.
 
-    The one exception is `pullback_divisors`, the memo of
-    `harvest.pullback_divisor`: divisors of pulled-back sieve lines and
+    The exceptions are two memos.  `pullback_divisors`, the memo of
+    `harvest.pullback_divisor`, holds divisors of pulled-back sieve lines and
     brackets, keyed by projective class.  The sieve families lie in
     span{1, U, V, UV}, so it holds at most q^3 + q^2 + q + 1 lines plus one
     bracket for each of the (q^2 + 1)(q^2 + q + 1) planes of that span.
-    It is not compared, printed or written to basis.json.
+    `place_terms`, the memo of `psi._psi_power`, holds each term
+    n((P) - deg(P)(O)) of an evaluated divisor reduced to a point and a
+    function value at F, keyed by (place, n).
+    Neither memo is compared, printed or written to basis.json.
     """
 
     curve: Curve
@@ -75,6 +78,8 @@ class EllipticBasis:
     seed: int
     pullback_divisors: dict = dc_field(default_factory=dict, compare=False,
                                        repr=False)
+    place_terms: dict = dc_field(default_factory=dict, compare=False,
+                                 repr=False)
 
     @property
     def q(self) -> int:

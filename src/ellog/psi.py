@@ -1,30 +1,38 @@
 """Evaluation of degree-0 divisors in F_{q^k} / F_q^*.
 
-For a degree-0 divisor D supported on places of E over F_q, pick an exponent
-N that is a multiple of #E(F_q) and coprime to M = (q^k - 1)/(q - 1).  Then
-N*D is principal, the function f with divisor N*D has F_q coefficients, and
+Let N = #E(F_q) and M = (q^k - 1)/(q - 1), with gcd(N, M) = 1.  Every place
+over F_q reduces to a point of E(F_q), which N kills, so for a degree-0
+divisor D the divisor N*D is principal, the function f with divisor N*D
+has F_q coefficients, and
 
     psi(D) = class of f(F)^(1/N),
 
 where F = (theta, tau) is the distinguished point with coordinates in the
 target field, and the N-th root is the unique one in the order-M quotient
-group.  f(F) is never built symbolically.  For D = sum n_i ((P_i) - d_i (O)):
+group.  f(F) is never built symbolically.  For D = sum n_i ((P_i) - d_i (O)),
+`_psi_power` returns psi(D)^N = f(F) as a numerator and a denominator:
 
-* each place is reduced to a rational point by Cantor-style Mumford
-  reduction, (P_i) - d_i (O) = (T_i) - (O) + div(g_i), with the chord and
-  vertical functions evaluated at F on the fly; an inert place is the
-  divisor of u_i(x) outright, so T_i = O;
-* the points are summed into one S = sum n_i T_i: n_i T_i by Miller's
-  double-and-add on T_i (on -T_i times the vertical (x - x_T)^(n_i) when
-  n_i < 0), then one chord onto the running sum.  That gives
+* each term n_i ((P_i) - d_i (O)) is reduced once per basis to
+  (R_i) - (O) + div(c_i), and R_i with c_i(F) is kept in
+  `EllipticBasis.place_terms` under (P_i, n_i).  Cantor-style Mumford
+  reduction gives (P_i) - d_i (O) = (T_i) - (O) + div(g_i), with the chord
+  and vertical functions evaluated at F on the fly (an inert place is the
+  divisor of u_i(x) outright, so T_i = O); for n_i < 0 the point is -T_i
+  and the vertical (x - x_T)^(n_i) joins g_i; Miller's double-and-add on
+  the point gives R_i = n_i T_i;
+* one chord per term onto the running sum S = sum R_i gives
   D = (S) - (O) + div(h);
-* N kills E(F_q), so one Miller loop gives f_{N,S} with divisor
-  N(S) - N(O), and psi(D) = h(F) * f_{N,S}(F)^(1/N): the N-th power of
-  h(F) and the N-th root cancel in the quotient group.
+* one Miller loop gives f_{N,S} with divisor N(S) - N(O), and
+  psi(D)^N = h(F)^N * f_{N,S}(F).
 
-Every value is carried as a numerator and a denominator, and a single
-inversion in F_{q^k} settles both fractions at the end.  Constants in
-F_q^* are dropped freely throughout: they vanish in the quotient group.
+N is coprime to M, so psi(D) is one exactly when psi(D)^N is:
+`verify_relation` compares the numerator and the denominator up to F_q^*,
+with no inversion and no root.  `psi_eval` pays one inversion and one N-th
+root per divisor.  Constants in F_q^* are dropped freely throughout: they
+vanish in the quotient group.
+
+`NdTable.lcm` and `inv_ok` take no part in an evaluation: they decide which
+curves `basis.build_basis` accepts, and psi refuses a table that fails them.
 """
 
 from __future__ import annotations
@@ -49,7 +57,12 @@ class SupportHitsF(RuntimeError):
 
 @dataclass(frozen=True)
 class NdTable:
-    """Curve orders over F_{q^i}, i <= D, and the evaluation exponent data."""
+    """Curve orders over F_{q^i}, i <= D, and the basis acceptance test.
+
+    psi evaluates with N[0] = #E(F_q).  `lcm` and `inv_ok` (the lcm of the
+    orders is invertible mod M) only decide whether `build_basis` accepts
+    the curve.
+    """
 
     D: int
     N: tuple[int, ...]       # N[i-1] = #E(F_{q^i})
@@ -225,84 +238,99 @@ def _miller(curve: Curve, T: Point, n: int, ext, theta, tau):
     return num, den, R
 
 
-def _psi_value(D: Divisor, basis, N: int, Ninv: int):
-    """h(F) * f_{N,S}(F)^(1/N) for D = (S) - (O) + div(h), as in the module notes."""
-    curve, ext, theta, tau = basis.curve, basis.ext, basis.theta, basis.tau
+def _term(curve: Curve, place: Place, n: int, ext, theta, tau):
+    """(R, num, den) with n((P) - deg(P)(O)) = (R) - (O) + div(c), c(F) = num/den.
+
+    R is None for the trivial class.
+    """
     K = curve.field
+    u = Poly(K, place.u)
+    if place.kind == INERT:
+        T, gn, gd = None, _checked(u.eval_in(ext, theta), ext), None
+    else:
+        v = Poly(K, place.v) if place.kind == SPLIT else Poly(K, ())
+        T, gn, gd = _mumford_reduce(curve, u, v, ext, theta, tau)
+    m = abs(n)
+    if n < 0:
+        gn, gd = gd, gn
+        if T is not None:
+            # -((T) - (O)) = ((-T) - (O)) - div(x - x_T)
+            gd = _mul(ext, gd, _vertical(ext, theta, T.x))
+            T = point_neg(T)
+    gn, gd = _pow(ext, gn, m), _pow(ext, gd, m)
+    if T is None:
+        return None, gn, gd
+    fn, fd, R = _miller(curve, T, m, ext, theta, tau)
+    return R, _mul(ext, gn, fn), _mul(ext, gd, fd)
+
+
+def _psi_power(D: Divisor, basis, N: int, _depth: int = 0):
+    """(num, den) with num/den = psi(D)^N up to F_q^*, as in the module notes.
+
+    N must be a multiple of #E(F_q), and None stands for 1 in either slot.
+    If an intermediate function hits F, D is re-randomized by a principal
+    vertical and that line's N-th power divided back out.
+    """
+    curve, ext, theta, tau = basis.curve, basis.ext, basis.theta, basis.tau
+    terms = basis.place_terms
     hn = hd = None
     S = Point.infinity(curve)
-    for place, n in D.finite_places():
-        u = Poly(K, place.u)
-        if place.kind == INERT:
-            T, gn, gd = None, _checked(u.eval_in(ext, theta), ext), None
-        else:
-            v = Poly(K, place.v) if place.kind == SPLIT else Poly(K, ())
-            T, gn, gd = _mumford_reduce(curve, u, v, ext, theta, tau)
-        m = abs(n)
-        if n < 0:
-            gn, gd = gd, gn
-            if T is not None:
-                # -((T) - (O)) = ((-T) - (O)) - div(x - x_T)
-                gd = _mul(ext, gd, _vertical(ext, theta, T.x))
-                T = point_neg(T)
-        hn = _mul(ext, hn, _pow(ext, gn, m))
-        hd = _mul(ext, hd, _pow(ext, gd, m))
-        if T is None:
-            continue
-        fn, fd, R = _miller(curve, T, m, ext, theta, tau)
-        line, vert, S = _chord(curve, S, R, ext, theta, tau)
-        hn = _mul(ext, hn, _mul(ext, fn, line))
-        hd = _mul(ext, hd, _mul(ext, fd, vert))
-    fn, fd, R = _miller(curve, S, N, ext, theta, tau)
-    if not R.inf:
-        raise AssertionError("Miller loop did not close at O")
-    # one inversion for both fractions: z = 1/(hd fd)
-    den = _mul(ext, hd, fd)
-    z = None if den is None else ext.inv(den)
-    h = _mul(ext, _mul(ext, hn, fd), z)
-    f = _mul(ext, _mul(ext, fn, hd), z)
-    val = _mul(ext, h, None if f is None else ext.pow_(f, Ninv))
-    return ext.one if val is None else val
-
-
-def psi_eval(D: Divisor, basis, _depth: int = 0,
-             exponent: int | None = None) -> PsiValue:
-    """The canonical class of the degree-0 divisor D.
-
-    Support anywhere over F_q is accepted: the exponent only needs to kill
-    E(F_q), which every entry of the order table does (an explicit override
-    must satisfy the same two conditions).  If an intermediate function
-    hits F the divisor is re-randomized by a principal vertical and the
-    extra factor divided back out.
-    """
-    if D.degree != 0:
-        raise ValueError("psi is defined on degree-0 divisors only")
-    nd = basis.nd
-    if not nd.inv_ok:
-        raise NdNotInvertible("order-table lcm shares a factor with M")
-    ext = basis.ext
-    if exponent is None:
-        N, Ninv = nd.lcm, nd.inv
-    else:
-        if exponent <= 0 or exponent % nd.N[0]:
-            raise ValueError("exponent must be a positive multiple of the curve order")
-        N, Ninv = exponent, pow(exponent, -1, nd.M)
     try:
-        return PsiValue(ext, _psi_value(D, basis, N, Ninv))
+        for key in D.finite_places():
+            term = terms.get(key)
+            if term is None:
+                term = terms[key] = _term(curve, *key, ext, theta, tau)
+            R, cn, cd = term
+            if R is not None:
+                line, vert, S = _chord(curve, S, R, ext, theta, tau)
+                cn, cd = _mul(ext, cn, line), _mul(ext, cd, vert)
+            hn, hd = _mul(ext, hn, cn), _mul(ext, hd, cd)
+        fn, fd, R = _miller(curve, S, N, ext, theta, tau)
     except _Hit:
         if _depth >= 4:
             raise SupportHitsF("psi support keeps meeting F") from None
-        # slide D by the principal divisor of a vertical line and retry
-        K = basis.curve.field
+        K = curve.field
         x0 = (7 * _depth + 3) % K.q
-        pls = places_over(basis.curve, Poly(K, (K.neg(x0), 1)))
         shift = Divisor()
-        for p in pls:
+        for p in places_over(curve, Poly(K, (K.neg(x0), 1))):
             shift.add_place(p, 2 if p.kind == RAMIFIED else 1)
         shift.add_place(PLACE_AT_INFINITY, -2)
-        shifted = psi_eval(D + shift, basis, _depth + 1, exponent)
-        line_class = PsiValue(ext, ext.sub(basis.theta, ext.embed(x0)))
-        return shifted.div(line_class)
+        num, den = _psi_power(D + shift, basis, N, _depth + 1)
+        line = ext.sub(theta, ext.embed(x0))
+        return num, _mul(ext, den, ext.pow_(line, N))
+    if not R.inf:
+        raise AssertionError("Miller loop did not close at O")
+    return _mul(ext, _pow(ext, hn, N), fn), _mul(ext, _pow(ext, hd, N), fd)
+
+
+def _exponent(basis, exponent: int | None) -> int:
+    """#E(F_q), or the override after checking it can stand in its place."""
+    nd = basis.nd
+    if not nd.inv_ok:
+        raise NdNotInvertible("order-table lcm shares a factor with M")
+    if exponent is None:
+        return nd.N[0]
+    if exponent <= 0 or exponent % nd.N[0]:
+        raise ValueError("exponent must be a positive multiple of the curve order")
+    if gcd(exponent, nd.M) != 1:
+        raise NdNotInvertible(f"exponent {exponent} shares a factor with M = {nd.M}")
+    return exponent
+
+
+def psi_eval(D: Divisor, basis, exponent: int | None = None) -> PsiValue:
+    """The canonical class of the degree-0 divisor D.
+
+    Support anywhere over F_q is accepted.  An explicit exponent must be a
+    positive multiple of #E(F_q) coprime to M; every choice gives the same
+    class.
+    """
+    if D.degree != 0:
+        raise ValueError("psi is defined on degree-0 divisors only")
+    N = _exponent(basis, exponent)
+    ext = basis.ext
+    num, den = _psi_power(D, basis, N)
+    val = ext.div(num or ext.one, den or ext.one)
+    return PsiValue(ext, val).pow(pow(N, -1, basis.nd.M))
 
 
 def psi_elementary(place: Place, basis) -> PsiValue:
@@ -314,8 +342,9 @@ def verify_relation(lhs, rhs, basis) -> bool:
 
     Each side is a list of (Place, int) pairs; a place may repeat or sit on
     both sides, and its coefficients add up.  psi is a homomorphism, so
-    the sides agree exactly when psi(DL - DR) is one: a single evaluation
-    and a single N-th root decide the relation.
+    the sides agree exactly when psi(DL - DR) is one, that is when
+    psi(DL - DR)^N is, since N is coprime to M: one evaluation, with no
+    inversion and no root, decides the relation.
     """
     D, degree = Divisor(), 0
     for side, sign in ((lhs, 1), (rhs, -1)):
@@ -323,7 +352,9 @@ def verify_relation(lhs, rhs, basis) -> bool:
             D.add_place(place, sign * n)
             degree += sign * n * place.degree
     D.add_place(PLACE_AT_INFINITY, -degree)
-    return psi_eval(D, basis).is_one()
+    num, den = _psi_power(D, basis, _exponent(basis, None))
+    ext = basis.ext
+    return PsiValue(ext, num or ext.one) == PsiValue(ext, den or ext.one)
 
 
 def translation_constant(basis) -> PsiValue:

@@ -5,9 +5,11 @@ order of vanishing comes from explicit power-series expansion at each
 point, points are found by brute force, and the place of a point is
 reconstructed from its Frobenius orbit.
 
-`psi_per_place` is the slow reference for `psi.psi_eval`: it takes the
-divisor's places from the library but gives each place its own Mumford
-reduction and its own Miller loop over the full exponent N.
+`psi_per_place` is the slow reference for `psi.psi_eval` and for the
+verdict of `psi.verify_relation`: it takes the divisor's places from the
+library but gives each place its own Mumford reduction and its own Miller
+loop over the full exponent N, by default the order-table lcm rather than
+the library's #E(F_q).
 
 `pair_divisors_fresh` is the memo-free reference for
 `harvest.pair_divisors`, and `phi_star_fresh` the table-free reference for

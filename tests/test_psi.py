@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import replace
 from math import gcd, lcm
 
 import pytest
@@ -9,7 +10,7 @@ from ellog.algebra import (Poly, field_make, poly_irreducibles,
                            poly_random_monic, poly_is_irreducible)
 from ellog.basis import build_basis
 from ellog.curve import Curve, Point, point_neg
-from ellog.divisor import (Divisor, INERT, PLACE_AT_INFINITY, RAMIFIED, SPLIT,
+from ellog.divisor import (Divisor, INERT, PLACE_AT_INFINITY, Place, RAMIFIED, SPLIT,
                            decompose, divisor_of, elementary_divisor,
                            place_of_point, places_over)
 from ellog.harvest import DegeneratePair, pair_divisors, reconstruct_pair
@@ -352,3 +353,114 @@ def test_verify_relation_repeated_and_cancelling_places(request, name):
         assert verify_relation(split, right, basis) == verdict
         assert verify_relation(lhs + [(extra, 3)], right + [(extra, 3)], basis) == verdict
         assert verify_relation(lhs + [(p0, 1), (p0, -1)], right, basis) == verdict
+
+
+def test_psi_eval_rejects_exponent_sharing_a_factor_with_m(basis59):
+    """171 = 9 * 19 kills E(F_5), but 19 divides M = 19 * 31 * 829."""
+    assert basis59.nd.M == 488281 and gcd(171, basis59.nd.M) == 19
+    with pytest.raises(NdNotInvertible, match="171.*488281"):
+        psi_eval(Divisor(), basis59, exponent=171)
+
+
+# ---------------------------------------------------------------------------
+# verify_relation and the term memo against the per-place oracle
+# ---------------------------------------------------------------------------
+
+def _relation_divisor(lhs, rhs):
+    D = Divisor()
+    for side, sign in ((lhs, 1), (rhs, -1)):
+        for place, n in side:
+            D.add_place(place, sign * n)
+    D.add_place(PLACE_AT_INFINITY, -D.degree)
+    return D
+
+
+def _conjugate(curve, place):
+    return Place(SPLIT, place.u, tuple((-Poly(curve.field, place.v)).coeffs))
+
+
+@pytest.mark.parametrize("name, limit", [("basis59", None), ("basis11", 4)])
+def test_verify_relation_verdict_matches_oracle(request, name, limit):
+    """On smooth core pairs, the relation, the relation with one
+    multiplicity raised by one, and the relation with one split place
+    replaced by its conjugate get the verdict of the lcm-exponent oracle."""
+    basis = request.getfixturevalue(name)
+    fresh = replace(basis, place_terms={})
+    checked = 0
+    for params in itertools.product(range(basis.curve.field.q), repeat=3):
+        try:
+            pr = pair_divisors(basis, *reconstruct_pair(basis, "core", params))
+        except DegeneratePair:
+            continue
+        if decompose(pr.right_divisor, 3) is None:
+            continue
+        lhs = pr.left_total().finite_places()
+        rhs = pr.right_divisor.finite_places()
+        bumped = [(p, n + 1 if i == 0 else n) for i, (p, n) in enumerate(lhs)]
+        i = next(i for i, (p, _) in enumerate(lhs) if p.kind == SPLIT)
+        swapped = lhs[:i] + [(_conjugate(basis.curve, lhs[i][0]), lhs[i][1])] + lhs[i + 1:]
+        verdicts = []
+        for left in (lhs, bumped, swapped):
+            want = psi_per_place(_relation_divisor(left, rhs), basis).is_one()
+            assert verify_relation(left, rhs, fresh) == want
+            verdicts.append(want)
+        assert verdicts == [True, False, False]
+        checked += 1
+        if checked == limit:
+            break
+    assert checked == (limit or 72)
+
+
+def _small_pool_divisors(kinds, rng, count):
+    """Divisors on a pool of at most six places, two of each kind, so that
+    places and multiplicities repeat across them."""
+    pool = [p for kind in sorted(kinds)
+            for p in rng.sample(kinds[kind], min(2, len(kinds[kind])))]
+    divisors = []
+    for _ in range(count):
+        D = Divisor()
+        for p in rng.sample(pool, 3):
+            D = D + elementary_divisor(p).scale(rng.choice([-3, -2, -1, 1, 2, 3]))
+        divisors.append(D)
+    return divisors
+
+
+def test_place_terms_memo_is_order_free(basis59, places59):
+    divisors = _small_pool_divisors(places59, random.Random(121), 40)
+    cold = replace(basis59, place_terms={})
+    want = [psi_eval(D, cold) for D in divisors]
+    assert want == [psi_per_place(D, basis59) for D in divisors]
+    assert set(cold.place_terms) == {key for D in divisors for key in D.finite_places()}
+    warm = replace(basis59, place_terms={})
+    for D in reversed(divisors):
+        psi_eval(D, warm)
+    assert [psi_eval(D, warm) for D in divisors] == want
+
+
+def test_hit_in_a_term_slides_the_divisor(basis59, places59, monkeypatch):
+    """When a term meets F the divisor is slid by a vertical and the line's
+    N-th power divided back out."""
+    import ellog.psi as psi
+    real = psi._term
+    failed = []
+
+    def flaky(curve, place, n, *rest):
+        if not failed:
+            failed.append((place, n))
+            raise psi._Hit
+        return real(curve, place, n, *rest)
+
+    monkeypatch.setattr(psi, "_term", flaky)
+    for D in _small_pool_divisors(places59, random.Random(131), 5):
+        failed.clear()
+        fresh = replace(basis59, place_terms={})
+        assert psi_eval(D, fresh) == psi_per_place(D, basis59)
+        assert failed
+    pr = pair_divisors(basis59, *reconstruct_pair(basis59, "core", (2, 1, 3)))
+    lhs = pr.left_total().finite_places()
+    rhs = pr.right_divisor.finite_places()
+    bumped = [(p, n + 1 if i == 0 else n) for i, (p, n) in enumerate(rhs)]
+    for right, verdict in ((rhs, True), (bumped, False)):
+        failed.clear()
+        assert verify_relation(lhs, right, replace(basis59, place_terms={})) == verdict
+        assert failed
