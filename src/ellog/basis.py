@@ -8,6 +8,10 @@ substituting (X, X^q) into the third summation polynomial evaluated at x1;
 its degree-k irreducible factors are exactly the candidate field moduli.
 The ordinate tau is the square root of the curve cubic at theta whose sign
 makes the q-power map act as translation by P1.
+
+The evaluation map psi takes an N-th root in the order-M quotient group,
+where N = #E(F_q) and M = (q^k - 1)/(q - 1), so a curve is accepted only
+when gcd(N, M) = 1.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ from .algebra import (ConfigError, ExtFieldDesc, FieldDesc, Poly, field_make,
                       poly_factor)
 from .curve import (Curve, Point, Singular, TorsionData, find_point_of_order,
                     point_add)
-from .psi import NdNotInvertible, NdTable, nd_build
 
 
 class SearchExhausted(RuntimeError):
@@ -40,7 +43,8 @@ class OrientationFailed(RuntimeError):
     pass
 
 
-CORE_HEIGHT_BOUND = 3
+class NdNotInvertible(ValueError):
+    """#E(F_q) shares a factor with M, so psi has no N-th root."""
 
 
 def mu_bound(q: int, k: int) -> int:
@@ -71,7 +75,6 @@ class EllipticBasis:
     theta: tuple
     tau: tuple
     M: int
-    nd: NdTable
     mu: int
     nu: int
     k: int
@@ -179,11 +182,12 @@ def theta_min_poly_candidates(curve: Curve, td: TorsionData) -> list[Poly]:
 
 
 def build_basis(curve: Curve, P1: Point, seed: int = 0,
-                nd_degree: int = CORE_HEIGHT_BOUND, mu: int = 1) -> EllipticBasis:
+                mu: int = 1) -> EllipticBasis:
     """Assemble the representation from a curve and an exact order-k point.
 
-    Tries the degree-k factors of S_3(X, X^q, x1) in coefficient order; for
-    each, both square roots of the cubic at theta are tested against the
+    Refuses the curve at once when gcd(#E(F_q), M) > 1.  Otherwise tries
+    the degree-k factors of S_3(X, X^q, x1) in coefficient order; for each,
+    both square roots of the cubic at theta are tested against the
     orientation constraint pi(F) = F + P1.
     """
     from .curve import point_order
@@ -194,6 +198,9 @@ def build_basis(curve: Curve, P1: Point, seed: int = 0,
     K = curve.field
     q = K.q
     M = (q ** k - 1) // (q - 1)
+    if math.gcd(curve.N, M) != 1:
+        raise NdNotInvertible(
+            f"curve order {curve.N} shares a factor with M = {M}")
     candidates = theta_min_poly_candidates(curve, td)
     if not candidates:
         raise NoDegreeKFactor(
@@ -220,22 +227,17 @@ def build_basis(curve: Curve, P1: Point, seed: int = 0,
         if oriented is None:
             last_err = OrientationFailed("neither root satisfies pi(F) = F + P1")
             continue
-        nd = nd_build(curve, k, nd_degree)
-        if not nd.inv_ok:
-            raise NdNotInvertible(
-                "order-table lcm is not invertible modulo M for this curve")
-        return EllipticBasis(curve, td, ext, theta, oriented, M, nd,
+        return EllipticBasis(curve, td, ext, theta, oriented, M,
                              mu, curve.N // k, k, seed)
     raise last_err or NoDegreeKFactor("no usable factor")
 
 
-def find_basis(p: int, m0: int, k: int, seed: int = 0,
-               nd_degree: int = CORE_HEIGHT_BOUND) -> EllipticBasis:
+def find_basis(p: int, m0: int, k: int, seed: int = 0) -> EllipticBasis:
     """Search driver: build a basis on each searched curve in turn, skipping
-    curves that fail the modulus or invertibility steps."""
+    curves that fail the invertibility or modulus steps."""
     for mu, curve, P1 in _curve_candidates(p, m0, k, seed):
         try:
-            return build_basis(curve, P1, seed, nd_degree, mu)
+            return build_basis(curve, P1, seed, mu)
         except (NoDegreeKFactor, NotSquare, OrientationFailed, NdNotInvertible):
             continue
     raise SearchExhausted(f"no viable basis for p={p}, m0={m0}, k={k}")
@@ -275,20 +277,16 @@ def basis_to_json(basis: EllipticBasis) -> str:
         "theta": ext.enc(basis.theta),
         "tau": ext.enc(basis.tau),
         "M": basis.M,
-        "nd_degree": basis.nd.D,
-        "nd_orders": list(basis.nd.N),
-        "nd_lcm": basis.nd.lcm,
-        "nd_inv_ok": basis.nd.inv_ok,
     }
     return json.dumps(doc, indent=1, sort_keys=True)
 
 
 _BASIS_KEYS = ("p", "m", "field_modulus", "a", "b", "N", "k", "mu", "nu",
-               "seed", "P1", "torsion_x", "modulus_I", "theta", "tau", "M",
-               "nd_degree", "nd_orders", "nd_lcm")
+               "seed", "P1", "torsion_x", "modulus_I", "theta", "tau", "M")
 
 
 def basis_from_json(text: str) -> EllipticBasis:
+    """Load a basis.json; M and N, which psi relies on, are checked."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -299,19 +297,22 @@ def basis_from_json(text: str) -> EllipticBasis:
     if missing:
         raise ConfigError(f"basis file lacks {', '.join(missing)}")
     field = FieldDesc(doc["p"], doc["m"], tuple(doc["field_modulus"]))
-    curve = Curve(field, field.dec(doc["a"]), field.dec(doc["b"]), doc["N"])
+    q, k, M, N = field.q, doc["k"], doc["M"], doc["N"]
+    if M != (q ** k - 1) // (q - 1):
+        raise ConfigError(f"stored M = {M} is not (q^k - 1)/(q - 1) for "
+                          f"q = {q}, k = {k}")
+    if math.gcd(N, M) != 1:
+        raise ConfigError(f"stored curve order {N} shares a factor with M = {M}")
+    curve = Curve(field, field.dec(doc["a"]), field.dec(doc["b"]), N)
     P1 = Point(curve, field, field.dec(doc["P1"][0]), field.dec(doc["P1"][1]))
-    td = TorsionData(curve, P1, doc["k"])
+    td = TorsionData(curve, P1, k)
     I = Poly(field, [field.dec(t) for t in doc["modulus_I"]])
     ext = ExtFieldDesc(field, I)
     theta = ext.dec(doc["theta"])
     tau = ext.dec(doc["tau"])
-    nd = nd_build(curve, doc["k"], doc["nd_degree"])
-    if list(nd.N) != doc["nd_orders"] or nd.lcm != doc["nd_lcm"]:
-        raise ConfigError("stored order table disagrees with the curve")
-    basis = EllipticBasis(curve, td, ext, theta, tau, doc["M"], nd,
-                          doc["mu"], doc["nu"], doc["k"], doc["seed"])
+    basis = EllipticBasis(curve, td, ext, theta, tau, M,
+                          doc["mu"], doc["nu"], k, doc["seed"])
     expected = [field.dec(t) for t in doc["torsion_x"]]
-    if [basis.td.xs[j] for j in range(1, doc["k"])] != expected:
+    if [basis.td.xs[j] for j in range(1, k)] != expected:
         raise ConfigError("stored torsion abscissae disagree")
     return basis

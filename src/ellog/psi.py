@@ -31,14 +31,12 @@ with no inversion and no root.  `psi_eval` pays one inversion and one N-th
 root per divisor.  Constants in F_q^* are dropped freely throughout: they
 vanish in the quotient group.
 
-`NdTable.lcm` and `inv_ok` take no part in an evaluation: they decide which
-curves `basis.build_basis` accepts, and psi refuses a table that fails them.
+`basis.build_basis` refuses a curve with gcd(N, M) > 1, and
+`basis.basis_from_json` a stored basis with that gcd or a wrong M, so every
+basis psi sees has the N-th root.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from math import gcd, lcm
 
 from .algebra import ExtFieldDesc, Poly
 from .curve import Curve, Point, point_neg
@@ -47,44 +45,8 @@ from .divisor import (Divisor, INERT, PLACE_AT_INFINITY, Place,
                       places_over)
 
 
-class NdNotInvertible(ValueError):
-    pass
-
-
 class SupportHitsF(RuntimeError):
     pass
-
-
-@dataclass(frozen=True)
-class NdTable:
-    """Curve orders over F_{q^i}, i <= D, and the basis acceptance test.
-
-    psi evaluates with N[0] = #E(F_q).  `lcm` and `inv_ok` (the lcm of the
-    orders is invertible mod M) only decide whether `build_basis` accepts
-    the curve.
-    """
-
-    D: int
-    N: tuple[int, ...]       # N[i-1] = #E(F_{q^i})
-    lcm: int
-    M: int
-    inv_ok: bool
-    inv: int | None
-
-    def order_over(self, i: int) -> int:
-        return self.N[i - 1]
-
-
-def nd_build(curve: Curve, k: int, D: int) -> NdTable:
-    """Orders from the trace recurrence, their lcm, and its invertibility mod M."""
-    if D < 1:
-        raise ValueError("D must be >= 1")
-    q = curve.field.q
-    M = (q ** k - 1) // (q - 1)
-    orders = tuple(curve.order_over(i) for i in range(1, D + 1))
-    l = lcm(*orders) if len(orders) > 1 else orders[0]
-    ok = gcd(l, M) == 1
-    return NdTable(D, orders, l, M, ok, pow(l, -1, M) if ok else None)
 
 
 class PsiValue:
@@ -264,15 +226,15 @@ def _term(curve: Curve, place: Place, n: int, ext, theta, tau):
     return R, _mul(ext, gn, fn), _mul(ext, gd, fd)
 
 
-def _psi_power(D: Divisor, basis, N: int, _depth: int = 0):
+def _psi_power(D: Divisor, basis, _depth: int = 0):
     """(num, den) with num/den = psi(D)^N up to F_q^*, as in the module notes.
 
-    N must be a multiple of #E(F_q), and None stands for 1 in either slot.
+    N = #E(F_q), and None stands for 1 in either slot.
     If an intermediate function hits F, D is re-randomized by a principal
     vertical and that line's N-th power divided back out.
     """
     curve, ext, theta, tau = basis.curve, basis.ext, basis.theta, basis.tau
-    terms = basis.place_terms
+    N, terms = curve.N, basis.place_terms
     hn = hd = None
     S = Point.infinity(curve)
     try:
@@ -295,7 +257,7 @@ def _psi_power(D: Divisor, basis, N: int, _depth: int = 0):
         for p in places_over(curve, Poly(K, (K.neg(x0), 1))):
             shift.add_place(p, 2 if p.kind == RAMIFIED else 1)
         shift.add_place(PLACE_AT_INFINITY, -2)
-        num, den = _psi_power(D + shift, basis, N, _depth + 1)
+        num, den = _psi_power(D + shift, basis, _depth + 1)
         line = ext.sub(theta, ext.embed(x0))
         return num, _mul(ext, den, ext.pow_(line, N))
     if not R.inf:
@@ -303,34 +265,17 @@ def _psi_power(D: Divisor, basis, N: int, _depth: int = 0):
     return _mul(ext, _pow(ext, hn, N), fn), _mul(ext, _pow(ext, hd, N), fd)
 
 
-def _exponent(basis, exponent: int | None) -> int:
-    """#E(F_q), or the override after checking it can stand in its place."""
-    nd = basis.nd
-    if not nd.inv_ok:
-        raise NdNotInvertible("order-table lcm shares a factor with M")
-    if exponent is None:
-        return nd.N[0]
-    if exponent <= 0 or exponent % nd.N[0]:
-        raise ValueError("exponent must be a positive multiple of the curve order")
-    if gcd(exponent, nd.M) != 1:
-        raise NdNotInvertible(f"exponent {exponent} shares a factor with M = {nd.M}")
-    return exponent
-
-
-def psi_eval(D: Divisor, basis, exponent: int | None = None) -> PsiValue:
+def psi_eval(D: Divisor, basis) -> PsiValue:
     """The canonical class of the degree-0 divisor D.
 
-    Support anywhere over F_q is accepted.  An explicit exponent must be a
-    positive multiple of #E(F_q) coprime to M; every choice gives the same
-    class.
+    Support anywhere over F_q is accepted.
     """
     if D.degree != 0:
         raise ValueError("psi is defined on degree-0 divisors only")
-    N = _exponent(basis, exponent)
     ext = basis.ext
-    num, den = _psi_power(D, basis, N)
+    num, den = _psi_power(D, basis)
     val = ext.div(num or ext.one, den or ext.one)
-    return PsiValue(ext, val).pow(pow(N, -1, basis.nd.M))
+    return PsiValue(ext, val).pow(pow(basis.curve.N, -1, basis.M))
 
 
 def psi_elementary(place: Place, basis) -> PsiValue:
@@ -352,7 +297,7 @@ def verify_relation(lhs, rhs, basis) -> bool:
             D.add_place(place, sign * n)
             degree += sign * n * place.degree
     D.add_place(PLACE_AT_INFINITY, -degree)
-    num, den = _psi_power(D, basis, _exponent(basis, None))
+    num, den = _psi_power(D, basis)
     ext = basis.ext
     return PsiValue(ext, num or ext.one) == PsiValue(ext, den or ext.one)
 

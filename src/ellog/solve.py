@@ -389,7 +389,8 @@ def bilinear_descend(basis, ctx: LogContext, target: Place,
                      seed: int = 0, depth: int = 0, max_depth: int = 4,
                      stats: dict | None = None,
                      _active: frozenset = frozenset()):
-    """Express log(target) through lower-degree places and record it in ctx.
+    """Express log(target) through lower-degree places; record it in ctx
+    and return it.
 
     A ranges over its free coefficients; for each A the vanishing of the
     bracket at a conjugate point of the target imposes deg(target)
@@ -403,7 +404,7 @@ def bilinear_descend(basis, ctx: LogContext, target: Place,
     deg = target.degree
     known = ctx.log_of_place(target)
     if known is not None:
-        return known, None
+        return known
     if depth > max_depth:
         raise DescentFailed("descent recursion too deep")
     if target in _active:
@@ -497,11 +498,7 @@ def bilinear_descend(basis, ctx: LogContext, target: Place,
             # rest - n_target * log(target) = 0
             val = rest * pow(n_target, -1, M) % M
             _store_place_log(ctx, target, val)
-            # the row covers the indexed columns; the target (and any other
-            # unindexed place) contributes through its stored place log
-            rel = Relation("descent", (deg, t_a, t_b, compelled, n_target),
-                           _descent_row(ctx.fb, total))
-            return val, rel
+            return val
     raise NoSolutionInBudget(
         f"no usable (A, B) for the degree-{deg} target with t_a={t_a}, t_b={t_b}")
 
@@ -519,16 +516,6 @@ def _store_place_log(ctx: LogContext, place: Place, val: int):
         ctx.cols[col] = rhs * pow(pow(q, s, M), -1, M) % M
     else:
         ctx.extra[place] = val
-
-
-def _descent_row(fb: FactorBase, total: Divisor) -> dict[int, int]:
-    row: dict[int, int] = {}
-    M = fb.basis.M
-    for place, n in total.finite_places():
-        if place in fb.place_map:
-            for col, coef in fb.place_log_terms(place, n):
-                row[col] = (row.get(col, 0) + coef) % M
-    return {c: v for c, v in row.items() if v}
 
 
 def _coef_stream(q: int, nfree: int, rng: random.Random, budget: int):
@@ -655,7 +642,6 @@ class DlogResult:
     x_mod_m: int
     x_full: int | None
     verified: bool
-    attempts: int
 
 
 def _make_descender(basis, ctx: LogContext, params):
@@ -725,7 +711,7 @@ def dlog(z, g, basis, fb: FactorBase, logs: dict[int, int],
         x_full = (x + M * y) % (ext.order_total - 1)
         if not ext.eq(ext.pow_(g, x_full), z):
             verified = False
-    return DlogResult(x, x_full, verified, split.shift)
+    return DlogResult(x, x_full, verified)
 
 
 # ---------------------------------------------------------------------------

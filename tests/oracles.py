@@ -8,8 +8,8 @@ reconstructed from its Frobenius orbit.
 `psi_per_place` is the slow reference for `psi.psi_eval` and for the
 verdict of `psi.verify_relation`: it takes the divisor's places from the
 library but gives each place its own Mumford reduction and its own Miller
-loop over the full exponent N, by default the order-table lcm rather than
-the library's #E(F_q).
+loop over the full exponent N, by default the lcm of #E(F_{q^i}) for
+i <= 3 rather than the library's #E(F_q).
 
 `pair_divisors_fresh` is the memo-free reference for
 `harvest.pair_divisors`, and `phi_star_fresh` the table-free reference for
@@ -382,13 +382,14 @@ def psi_per_place(D, basis, exponent: int | None = None, _depth: int = 0):
     """
     from ellog.divisor import Divisor, PLACE_AT_INFINITY, RAMIFIED, places_over
     from ellog.psi import PsiValue
-    ext, nd = basis.ext, basis.nd
-    N = nd.lcm if exponent is None else exponent
+    ext, curve = basis.ext, basis.curve
+    N = (math.lcm(*(curve.order_over(i) for i in (1, 2, 3)))
+         if exponent is None else exponent)
     try:
         acc = ext.one
         for place, n in D.finite_places():
             acc = ext.mul(acc, ext.pow_(_place_value(basis, place, N), n))
-        return PsiValue(ext, acc).pow(pow(N, -1, nd.M))
+        return PsiValue(ext, acc).pow(pow(N, -1, basis.M))
     except _PsiHit:
         assert _depth < 4, "psi support keeps meeting F"
         K = basis.curve.field

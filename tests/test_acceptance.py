@@ -120,7 +120,6 @@ def test_criterion_4_translation_identity_as_stated(pipeline):
     basis = pipeline["basis"]
     K = basis.curve.field
     w = translation_constant(basis)
-    nd = basis.nd
     rng = random.Random(44)
     checked = mismatches = 0
     while checked < 50:
@@ -136,7 +135,8 @@ def test_criterion_4_translation_identity_as_stated(pipeline):
             pt = translate_place(p, 1, basis.td)
         except HitsInfinity:
             continue
-        n_d = math.lcm(*[nd.order_over(i) for i in range(1, d + 1) if d % i == 0])
+        n_d = math.lcm(*[basis.curve.order_over(i) for i in range(1, d + 1)
+                         if d % i == 0])
         lhs = psi_elementary(pt, basis)
         rhs = psi_elementary(p, basis).frob(1).mul(w.pow(d * n_d))
         if lhs != rhs:

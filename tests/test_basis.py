@@ -2,10 +2,10 @@ import json
 
 import pytest
 
-from ellog.algebra import field_make
-from ellog.basis import (basis_from_json, basis_to_json, build_basis,
-                         find_basis, mu_bound, phi_of_F, search_curve,
-                         theta_min_poly_candidates)
+from ellog.algebra import ConfigError, field_make
+from ellog.basis import (NdNotInvertible, basis_from_json, basis_to_json,
+                         build_basis, find_basis, mu_bound, phi_of_F,
+                         search_curve, theta_min_poly_candidates)
 from ellog.curve import (Curve, Point, TorsionData, find_point_of_order,
                          point_add, point_order, scalar_mul, semaev3)
 
@@ -15,8 +15,6 @@ GOLDEN_59 = {
     "modulus_I": ["4", "0", "3", "4", "2", "2", "1", "2", "3", "1"],
     "tau": "4;3;1;0;0;1;2;1;0",
     "M": 488281,
-    "nd_orders": [9, 27, 108],
-    "nd_inv_ok": True,
 }
 
 
@@ -56,6 +54,42 @@ def test_json_roundtrip(basis59):
     assert b2.tau == basis59.tau
     assert b2.curve == basis59.curve
     assert basis_to_json(b2) == text
+
+
+def test_json_ignores_the_old_order_table(basis59):
+    doc = json.loads(basis_to_json(basis59))
+    assert not any(key.startswith("nd_") for key in doc)
+    doc.update(nd_degree=3, nd_orders=[9, 27, 108], nd_lcm=108, nd_inv_ok=True)
+    assert basis_to_json(basis_from_json(json.dumps(doc))) == basis_to_json(basis59)
+
+
+@pytest.mark.parametrize("key, value, match", [
+    ("M", 488281 + 1, "stored M"),
+    ("N", 19, "shares a factor with M"),
+])
+def test_json_rejects_an_m_psi_cannot_use(basis59, key, value, match):
+    doc = json.loads(basis_to_json(basis59))
+    doc[key] = value
+    with pytest.raises(ConfigError, match=match):
+        basis_from_json(json.dumps(doc))
+
+
+def test_build_rejects_curve_order_sharing_a_factor_with_m():
+    # y^2 = x^3 + 1 over F_7: N = 12, and (0, 1) has order 3, so
+    # M = (7^3 - 1)/6 = 57 = 3 * 19 shares the factor 3 with N
+    F7 = field_make(7, 1)
+    curve = Curve(F7, 0, 1)
+    P1 = Point.make(curve, F7, 0, 1)
+    assert curve.N == 12 and point_order(P1, curve.N) == 3
+    with pytest.raises(NdNotInvertible, match="12.*57"):
+        build_basis(curve, P1)
+
+
+def test_first_basis_at_11_13():
+    basis = find_basis(11, 1, 13, seed=0)
+    curve = basis.curve
+    assert (curve.a, curve.b, curve.N) == (5, 10, 13)
+    assert (basis.td.P1.x, basis.td.P1.y) == (9, 5)
 
 
 def test_defining_equation(basis59):

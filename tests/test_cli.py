@@ -120,14 +120,47 @@ def test_verify_command_names_psi_mismatch(pipeline, monkeypatch, capsys):
 
 def test_verify_command_names_failing_log(pipeline, monkeypatch, capsys):
     import ellog.cli
-    monkeypatch.setattr(ellog.cli, "bsgs_oracle", lambda *args: -1)
+    read_logs = ellog.cli.read_logs
+
+    def off_by_one(*args):
+        table, logs = read_logs(*args)
+        return table, {col: val + 1 for col, val in logs.items()}
+
+    monkeypatch.setattr(ellog.cli, "read_logs", off_by_one)
     rc = main(["verify", "--sample", "0", "--log-sample", "2",
                "--out", pipeline["dir"]])
     err = capsys.readouterr().err.splitlines()
     assert rc == 4
     assert len(err) == 2
-    assert all(re.fullmatch(r"log column \d+: logs.txt has \d+, psi oracle gives -1", line)
+    assert all(re.fullmatch(r"log column \d+: logs.txt has \d+, which is not "
+                            r"the column's psi class to the reference", line)
                for line in err)
+
+
+def test_verify_command_names_corrupted_log_column(pipeline, tmp_path, capsys):
+    """One wrong value in a copy of logs.txt fails verify and names its column."""
+    out = str(tmp_path / "run")
+    shutil.copytree(pipeline["dir"], out)
+    path = os.path.join(out, "logs.txt")
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    K = pipeline["basis"].curve.field
+    col_of = {rep.encode(K): i + 1 for i, rep in enumerate(pipeline["fb"].reps)}
+    start = next(i for i, line in enumerate(lines) if line.startswith("[mod M"))
+    i = next(i for i in range(start + 1, len(lines))
+             if col_of.get(lines[i].split(" = ")[0], 0) not in (0, pipeline["table"].ref_col))
+    name, val = lines[i].split(" = ")
+    bad = (int(val) + 1) % pipeline["basis"].M
+    lines[i] = f"{name} = {bad}"
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    rc = main(["verify", "--sample", "0", "--log-sample", "100000", "--out", out])
+    captured = capsys.readouterr()
+    assert rc == 4
+    assert captured.err.splitlines() == [
+        f"log column {col_of[name]}: logs.txt has {bad}, which is not the "
+        "column's psi class to the reference"]
+    assert captured.out.splitlines()[-1].endswith("failures: 1")
 
 
 def test_verify_command_raises_programming_errors(pipeline, monkeypatch):
@@ -236,15 +269,6 @@ def test_value_error_inside_a_stage_propagates(pipeline, monkeypatch):
 
 def test_bad_target_is_config_error(pipeline):
     assert main(["dlog", "--target", "0xzz", "--out", pipeline["dir"]]) == 2
-
-
-def test_bad_worker_count_is_config_error(tmp_path, monkeypatch):
-    out = str(tmp_path / "r")
-    assert main(["search", "--p", "5", "--k", "9", "--out", out]) == 0
-    assert main(["basis", "--out", out]) == 0
-    monkeypatch.setenv("ELLOG_WORKERS", "two")
-    assert main(["harvest", "--out", out]) == 2
-    assert not os.path.exists(os.path.join(out, "relations.txt"))
 
 
 def test_search_bad_m0_is_config_error(tmp_path):

@@ -21,11 +21,11 @@ def harvested(basis59, fb59):
 def test_factor_base_counts(basis59):
     # builds its own factor base, so a construction fault fails here by name
     fb59 = build_factor_base(basis59, 3)
-    nd = basis59.nd
+    N1, N2, N3 = (basis59.curve.order_over(i) for i in (1, 2, 3))
     by_degree = Counter(p.degree for p in fb59.place_map)
-    assert by_degree[1] == nd.N[0] - 1
-    assert by_degree[2] == (nd.N[1] - nd.N[0]) // 2
-    assert by_degree[3] == (nd.N[2] - nd.N[0]) // 3
+    assert by_degree[1] == N1 - 1
+    assert by_degree[2] == (N2 - N1) // 2
+    assert by_degree[3] == (N3 - N1) // 3
     # partition: torsion places plus the orbit cycles cover everything
     assert sum(fb59.cycle_len.values()) + (basis59.k - 1) == len(fb59.place_map)
 

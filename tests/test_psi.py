@@ -14,8 +14,8 @@ from ellog.divisor import (Divisor, INERT, PLACE_AT_INFINITY, Place, RAMIFIED, S
                            decompose, divisor_of, elementary_divisor,
                            place_of_point, places_over)
 from ellog.harvest import DegeneratePair, pair_divisors, reconstruct_pair
-from ellog.psi import (NdNotInvertible, PsiValue, nd_build, psi_elementary,
-                       psi_eval, translation_constant, verify_relation)
+from ellog.psi import (PsiValue, psi_elementary, psi_eval, translation_constant,
+                       verify_relation)
 from oracles import psi_per_place
 
 
@@ -35,35 +35,6 @@ def rand_divisor(curve, rng, deg_cap=3):
         sign = 1 if rng.random() < 0.7 else -1
         D = D + elementary_divisor(p).scale(sign * rng.randrange(1, 3))
     return D
-
-
-def test_nd_build_basic(basis59):
-    nd = basis59.nd
-    assert nd.N[0] == basis59.curve.N == 9
-    assert nd.N == (9, 27, 108)
-    assert nd.lcm == 108 and nd.inv_ok
-    assert nd.inv * nd.lcm % nd.M == 1
-
-
-def test_nd_t2_recurrence_matches_direct_count(basis59):
-    from ellog.algebra import field_make
-    from test_curve import brute_count
-    F25 = field_make(5, 2, 0)
-    assert basis59.nd.order_over(2) == brute_count(F25, 1, 1)
-
-
-def test_nd_invertibility_fails_at_degree_five(basis59):
-    nd5 = nd_build(basis59.curve, basis59.k, 5)
-    assert not nd5.inv_ok
-    assert gcd(nd5.lcm, nd5.M) == 31
-    assert nd5.inv is None
-
-
-def test_psi_eval_requires_invertible_table(basis59):
-    import dataclasses
-    broken = dataclasses.replace(basis59, nd=nd_build(basis59.curve, basis59.k, 5))
-    with pytest.raises(NdNotInvertible):
-        psi_eval(Divisor(), broken)
 
 
 def test_psi_of_zero_divisor(basis59):
@@ -105,11 +76,11 @@ def test_psi_multiplicative(basis59):
 def test_psi_independent_of_exponent_choice(basis59):
     # two different principal multiples give the same class
     rng = random.Random(41)
-    alt = 2 * basis59.nd.lcm
+    alt = 2 * lcm(*(basis59.curve.order_over(i) for i in (1, 2, 3)))
     assert gcd(alt, basis59.M) == 1
     for _ in range(20):
         D = rand_divisor(basis59.curve, rng)
-        assert psi_eval(D, basis59) == psi_eval(D, basis59, exponent=alt)
+        assert psi_eval(D, basis59) == psi_per_place(D, basis59, exponent=alt)
 
 
 def test_psi_well_defined_across_chains(basis59):
@@ -165,8 +136,8 @@ def test_translation_identity_unnormalized_variant(basis59):
     disguise."""
     from ellog.divisor import translate_place, HitsInfinity
     w = translation_constant(basis59)
-    nd = basis59.nd
-    K = basis59.curve.field
+    curve = basis59.curve
+    K = curve.field
     rng = random.Random(71)
     checked = 0
     while checked < 10:
@@ -182,7 +153,7 @@ def test_translation_identity_unnormalized_variant(basis59):
             pt = translate_place(p, 1, basis59.td)
         except HitsInfinity:
             continue
-        n_d = lcm(*[nd.order_over(i) for i in range(1, d + 1) if d % i == 0])
+        n_d = lcm(*[curve.order_over(i) for i in range(1, d + 1) if d % i == 0])
         lhs = psi_elementary(pt, basis59).pow(n_d)
         rhs = psi_elementary(p, basis59).frob(1).pow(n_d).mul(w.pow(d * n_d))
         assert lhs == rhs
@@ -284,8 +255,7 @@ def _draw_divisor(data, kinds):
 def test_psi_eval_matches_per_place_oracle(basis59, places59, data):
     D = _draw_divisor(data, places59)
     exponent = data.draw(st.sampled_from([None, 9, 27, 216]))
-    assert psi_eval(D, basis59, exponent=exponent) == \
-        psi_per_place(D, basis59, exponent=exponent)
+    assert psi_eval(D, basis59) == psi_per_place(D, basis59, exponent=exponent)
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -293,8 +263,7 @@ def test_psi_eval_matches_per_place_oracle(basis59, places59, data):
 def test_psi_eval_matches_oracle_with_rational_two_torsion(basis75, places75, data):
     D = _draw_divisor(data, places75)
     exponent = data.draw(st.sampled_from([None, 10, 30]))
-    assert psi_eval(D, basis75, exponent=exponent) == \
-        psi_per_place(D, basis75, exponent=exponent)
+    assert psi_eval(D, basis75) == psi_per_place(D, basis75, exponent=exponent)
 
 
 def test_psi_eval_matches_per_place_oracle_at_11_13(basis11):
@@ -353,13 +322,6 @@ def test_verify_relation_repeated_and_cancelling_places(request, name):
         assert verify_relation(split, right, basis) == verdict
         assert verify_relation(lhs + [(extra, 3)], right + [(extra, 3)], basis) == verdict
         assert verify_relation(lhs + [(p0, 1), (p0, -1)], right, basis) == verdict
-
-
-def test_psi_eval_rejects_exponent_sharing_a_factor_with_m(basis59):
-    """171 = 9 * 19 kills E(F_5), but 19 divides M = 19 * 31 * 829."""
-    assert basis59.nd.M == 488281 and gcd(171, basis59.nd.M) == 19
-    with pytest.raises(NdNotInvertible, match="171.*488281"):
-        psi_eval(Divisor(), basis59, exponent=171)
 
 
 # ---------------------------------------------------------------------------
