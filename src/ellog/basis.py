@@ -58,15 +58,17 @@ def mu_bound(q: int, k: int) -> int:
 class EllipticBasis:
     """Everything the later phases need, frozen after construction.
 
-    The exceptions are two memos.  `pullback_divisors`, the memo of
+    The exceptions are three memos.  `pullback_divisors`, the memo of
     `harvest.pullback_divisor`, holds divisors of pulled-back sieve lines and
     brackets, keyed by projective class.  The sieve families lie in
     span{1, U, V, UV}, so it holds at most q^3 + q^2 + q + 1 lines plus one
     bracket for each of the (q^2 + 1)(q^2 + q + 1) planes of that span.
-    `place_terms`, the memo of `psi._psi_power`, holds each term
-    n((P) - deg(P)(O)) of an evaluated divisor reduced to a point and a
-    function value at F, keyed by (place, n).
-    Neither memo is compared, printed or written to basis.json.
+    `place_terms`, the memo of `psi._psi_class`, holds the class under psi
+    of each term n((P) - deg(P)(O)) of an evaluated divisor, keyed by
+    (place, n).  `point_classes`, the memo of `psi._point_class`, holds
+    psi((R) - (O)) for the points R of E(F_q) that reduced terms reach,
+    keyed by (x, y): at most N - 1 entries, filled on first use.
+    No memo is compared, printed or written to basis.json.
     """
 
     curve: Curve
@@ -83,6 +85,8 @@ class EllipticBasis:
                                        repr=False)
     place_terms: dict = dc_field(default_factory=dict, compare=False,
                                  repr=False)
+    point_classes: dict = dc_field(default_factory=dict, compare=False,
+                                   repr=False)
 
     @property
     def q(self) -> int:

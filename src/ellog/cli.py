@@ -45,7 +45,7 @@ def _config_path(outdir):
     return os.path.join(outdir, "config.json")
 
 
-_CONFIG_KEYS = ("seed", "height_base", "height_extended", "d0",
+_CONFIG_KEYS = ("seed", "m0", "height_base", "height_extended", "d0",
                 "small_prime_bound")
 
 
@@ -132,7 +132,7 @@ def cmd_basis(args) -> int:
     field = FieldDesc(p, m, modulus)
     curve = Curve(field, field.dec(a_enc), field.dec(b_enc), int(n_s))
     P1 = Point.make(curve, field, field.dec(p1x), field.dec(p1y))
-    basis = build_basis(curve, P1, cfg["seed"])
+    basis = build_basis(curve, P1, cfg["seed"], field.m // cfg["m0"])
     text = basis_to_json(basis)
     with open(os.path.join(args.out, "basis.json"), "w") as fh:
         fh.write(text + "\n")

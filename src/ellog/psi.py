@@ -9,27 +9,32 @@ has F_q coefficients, and
 
 where F = (theta, tau) is the distinguished point with coordinates in the
 target field, and the N-th root is the unique one in the order-M quotient
-group.  f(F) is never built symbolically.  For D = sum n_i ((P_i) - d_i (O)),
-`_psi_power` returns psi(D)^N = f(F) as a numerator and a denominator:
+group.  psi is a homomorphism, so `_psi_class` returns psi(D) for
+D = sum n_i ((P_i) - d_i (O)) as the product of the classes of its terms,
+built from two memos on the basis:
 
-* each term n_i ((P_i) - d_i (O)) is reduced once per basis to
-  (R_i) - (O) + div(c_i), and R_i with c_i(F) is kept in
-  `EllipticBasis.place_terms` under (P_i, n_i).  Cantor-style Mumford
-  reduction gives (P_i) - d_i (O) = (T_i) - (O) + div(g_i), with the chord
-  and vertical functions evaluated at F on the fly (an inert place is the
-  divisor of u_i(x) outright, so T_i = O); for n_i < 0 the point is -T_i
-  and the vertical (x - x_T)^(n_i) joins g_i; Miller's double-and-add on
-  the point gives R_i = n_i T_i;
-* one chord per term onto the running sum S = sum R_i gives
-  D = (S) - (O) + div(h);
-* one Miller loop gives f_{N,S} with divisor N(S) - N(O), and
-  psi(D)^N = h(F)^N * f_{N,S}(F).
+* `_point_class(R)` is pi(R) = psi((R) - (O)) for R in E(F_q): one Miller
+  loop gives f_{N,R} with divisor N(R) - N(O), and pi(R) = f_{N,R}(F)^(1/N).
+  The vertical at R then gives pi(-R) = (theta - x_R) / pi(R).  At most
+  N - 1 classes are kept, in `EllipticBasis.point_classes`, and these
+  roots, at most one per pair {R, -R}, are the only ones psi takes;
+* `_term(P, n)` is psi(n((P) - d(O))): Cantor-style Mumford reduction gives
+  (P) - d(O) = (T) - (O) + div(g), with the chord and vertical functions
+  evaluated at F on the fly (an inert place is the divisor of u(x)
+  outright, so T = O), and the term's class is (g(F) pi(T))^n.  It is
+  kept as a numerator and a denominator in `EllipticBasis.place_terms`
+  under (P, n).
 
-N is coprime to M, so psi(D) is one exactly when psi(D)^N is:
+So a check on warm memos is products in F_{q^k} and nothing else.  The
+value cannot differ from the definition: psi(div g) = g(F), psi((R) - (O))
+is the root of f_{N,R}(F) because N R = O, and psi is multiplicative.
+If a function meets F, D is slid by the principal divisor of a vertical,
+whose class, the line itself, is divided back out.
+
 `verify_relation` compares the numerator and the denominator up to F_q^*,
-with no inversion and no root.  `psi_eval` pays one inversion and one N-th
-root per divisor.  Constants in F_q^* are dropped freely throughout: they
-vanish in the quotient group.
+with no inversion and no root; `psi_eval` pays one inversion per divisor.
+Constants in F_q^* are dropped freely throughout: they vanish in the
+quotient group.
 
 `basis.build_basis` refuses a curve with gcd(N, M) > 1, and
 `basis.basis_from_json` a stored basis with that gcd or a wrong M, so every
@@ -95,7 +100,7 @@ class PsiValue:
 
 
 # ---------------------------------------------------------------------------
-# internals: value-tracked Mumford reduction, chords and one Miller loop
+# internals: value-tracked Mumford reduction, Miller loops and term classes
 # ---------------------------------------------------------------------------
 #
 # Values at F are kept as (numerator, denominator) pairs of F_{q^k}
@@ -200,54 +205,60 @@ def _miller(curve: Curve, T: Point, n: int, ext, theta, tau):
     return num, den, R
 
 
-def _term(curve: Curve, place: Place, n: int, ext, theta, tau):
-    """(R, num, den) with n((P) - deg(P)(O)) = (R) - (O) + div(c), c(F) = num/den.
+def _point_class(R: Point, basis):
+    """pi(R) = psi((R) - (O)) up to F_q^*, for R in E(F_q), as one element.
 
-    R is None for the trivial class.
+    One Miller loop for N and one N-th root give pi(R); since
+    div(x - x_R) = (R) + (-R) - 2(O), pi(-R) = (theta - x_R) / pi(R) follows
+    with one inversion.  Both are memoised on the basis.
     """
+    memo = basis.point_classes
+    key = (R.x, R.y)
+    cls = memo.get(key)
+    if cls is None:
+        ext, N = basis.ext, basis.curve.N
+        fn, fd, S = _miller(basis.curve, R, N, ext, basis.theta, basis.tau)
+        if not S.inf:
+            raise AssertionError("Miller loop did not close at O")
+        f = ext.div(fn, fd) if fd is not None else fn
+        cls = memo[key] = ext.pow_(f, pow(N, -1, basis.M))
+        if R.y:
+            vert = _vertical(ext, basis.theta, R.x)
+            memo[(R.x, basis.curve.field.neg(R.y))] = ext.div(vert, cls)
+    return cls
+
+
+def _term(curve: Curve, place: Place, n: int, basis):
+    """(num, den) with num/den = psi(n((P) - deg(P)(O))) up to F_q^*."""
+    ext, theta = basis.ext, basis.theta
     K = curve.field
     u = Poly(K, place.u)
     if place.kind == INERT:
-        T, gn, gd = None, _checked(u.eval_in(ext, theta), ext), None
+        num, den = _checked(u.eval_in(ext, theta), ext), None
     else:
         v = Poly(K, place.v) if place.kind == SPLIT else Poly(K, ())
-        T, gn, gd = _mumford_reduce(curve, u, v, ext, theta, tau)
-    m = abs(n)
-    if n < 0:
-        gn, gd = gd, gn
+        T, num, den = _mumford_reduce(curve, u, v, ext, theta, basis.tau)
         if T is not None:
-            # -((T) - (O)) = ((-T) - (O)) - div(x - x_T)
-            gd = _mul(ext, gd, _vertical(ext, theta, T.x))
-            T = point_neg(T)
-    gn, gd = _pow(ext, gn, m), _pow(ext, gd, m)
-    if T is None:
-        return None, gn, gd
-    fn, fd, R = _miller(curve, T, m, ext, theta, tau)
-    return R, _mul(ext, gn, fn), _mul(ext, gd, fd)
+            num = _mul(ext, num, _point_class(T, basis))
+    m = abs(n)
+    num, den = _pow(ext, num, m), _pow(ext, den, m)
+    return (num, den) if n > 0 else (den, num)
 
 
-def _psi_power(D: Divisor, basis, _depth: int = 0):
-    """(num, den) with num/den = psi(D)^N up to F_q^*, as in the module notes.
+def _psi_class(D: Divisor, basis, _depth: int = 0):
+    """(num, den) with num/den = psi(D) up to F_q^*, as in the module notes.
 
-    N = #E(F_q), and None stands for 1 in either slot.
-    If an intermediate function hits F, D is re-randomized by a principal
-    vertical and that line's N-th power divided back out.
+    None stands for 1 in either slot.  If a function hits F, D is
+    re-randomized by a principal vertical and that line divided back out.
     """
-    curve, ext, theta, tau = basis.curve, basis.ext, basis.theta, basis.tau
-    N, terms = curve.N, basis.place_terms
-    hn = hd = None
-    S = Point.infinity(curve)
+    curve, ext, terms = basis.curve, basis.ext, basis.place_terms
+    num = den = None
     try:
         for key in D.finite_places():
             term = terms.get(key)
             if term is None:
-                term = terms[key] = _term(curve, *key, ext, theta, tau)
-            R, cn, cd = term
-            if R is not None:
-                line, vert, S = _chord(curve, S, R, ext, theta, tau)
-                cn, cd = _mul(ext, cn, line), _mul(ext, cd, vert)
-            hn, hd = _mul(ext, hn, cn), _mul(ext, hd, cd)
-        fn, fd, R = _miller(curve, S, N, ext, theta, tau)
+                term = terms[key] = _term(curve, *key, basis)
+            num, den = _mul(ext, num, term[0]), _mul(ext, den, term[1])
     except _Hit:
         if _depth >= 4:
             raise SupportHitsF("psi support keeps meeting F") from None
@@ -257,12 +268,9 @@ def _psi_power(D: Divisor, basis, _depth: int = 0):
         for p in places_over(curve, Poly(K, (K.neg(x0), 1))):
             shift.add_place(p, 2 if p.kind == RAMIFIED else 1)
         shift.add_place(PLACE_AT_INFINITY, -2)
-        num, den = _psi_power(D + shift, basis, _depth + 1)
-        line = ext.sub(theta, ext.embed(x0))
-        return num, _mul(ext, den, ext.pow_(line, N))
-    if not R.inf:
-        raise AssertionError("Miller loop did not close at O")
-    return _mul(ext, _pow(ext, hn, N), fn), _mul(ext, _pow(ext, hd, N), fd)
+        num, den = _psi_class(D + shift, basis, _depth + 1)
+        return num, _mul(ext, den, ext.sub(basis.theta, ext.embed(x0)))
+    return num, den
 
 
 def psi_eval(D: Divisor, basis) -> PsiValue:
@@ -273,9 +281,9 @@ def psi_eval(D: Divisor, basis) -> PsiValue:
     if D.degree != 0:
         raise ValueError("psi is defined on degree-0 divisors only")
     ext = basis.ext
-    num, den = _psi_power(D, basis)
-    val = ext.div(num or ext.one, den or ext.one)
-    return PsiValue(ext, val).pow(pow(basis.curve.N, -1, basis.M))
+    num, den = _psi_class(D, basis)
+    num = num or ext.one
+    return PsiValue(ext, ext.div(num, den) if den is not None else num)
 
 
 def psi_elementary(place: Place, basis) -> PsiValue:
@@ -287,9 +295,8 @@ def verify_relation(lhs, rhs, basis) -> bool:
 
     Each side is a list of (Place, int) pairs; a place may repeat or sit on
     both sides, and its coefficients add up.  psi is a homomorphism, so
-    the sides agree exactly when psi(DL - DR) is one, that is when
-    psi(DL - DR)^N is, since N is coprime to M: one evaluation, with no
-    inversion and no root, decides the relation.
+    the sides agree exactly when psi(DL - DR) is one: one evaluation, with
+    no inversion and no root, decides the relation.
     """
     D, degree = Divisor(), 0
     for side, sign in ((lhs, 1), (rhs, -1)):
@@ -297,7 +304,7 @@ def verify_relation(lhs, rhs, basis) -> bool:
             D.add_place(place, sign * n)
             degree += sign * n * place.degree
     D.add_place(PLACE_AT_INFINITY, -degree)
-    num, den = _psi_power(D, basis)
+    num, den = _psi_class(D, basis)
     ext = basis.ext
     return PsiValue(ext, num or ext.one) == PsiValue(ext, den or ext.one)
 

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import os
 import re
 import shutil
@@ -31,6 +32,19 @@ def test_search_and_basis_artifacts(tmp_path):
     assert main(["basis", "--out", out]) == 0
     with open(os.path.join(out, "basis.json")) as fh:
         assert fh.read() == first
+
+
+def test_basis_records_mu_of_a_curve_over_an_extension(tmp_path, capsys):
+    """At (5, 11) the seed-0 curve lives over F_25, so mu is 2, and
+    basis.json must say so, not the default 1."""
+    out = str(tmp_path / "r")
+    assert main(["search", "--p", "5", "--k", "11", "--seed", "0",
+                 "--out", out]) == 0
+    assert "mu = 2" in capsys.readouterr().out
+    assert main(["basis", "--out", out]) == 0
+    with open(os.path.join(out, "basis.json")) as fh:
+        doc = json.load(fh)
+    assert (doc["m"], doc["mu"]) == (2, 2)
 
 
 def test_search_exhausted_exit_code(tmp_path):

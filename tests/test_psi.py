@@ -6,10 +6,10 @@ from math import gcd, lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ellog.algebra import (Poly, field_make, poly_irreducibles,
+from ellog.algebra import (ExtFieldDesc, Poly, field_make, poly_irreducibles,
                            poly_random_monic, poly_is_irreducible)
 from ellog.basis import build_basis
-from ellog.curve import Curve, Point, point_neg
+from ellog.curve import Curve, Point, curve_points, point_neg
 from ellog.divisor import (Divisor, INERT, PLACE_AT_INFINITY, Place, RAMIFIED, SPLIT,
                            decompose, divisor_of, elementary_divisor,
                            place_of_point, places_over)
@@ -347,7 +347,7 @@ def test_verify_relation_verdict_matches_oracle(request, name, limit):
     multiplicity raised by one, and the relation with one split place
     replaced by its conjugate get the verdict of the lcm-exponent oracle."""
     basis = request.getfixturevalue(name)
-    fresh = replace(basis, place_terms={})
+    fresh = replace(basis, place_terms={}, point_classes={})
     checked = 0
     for params in itertools.product(range(basis.curve.field.q), repeat=3):
         try:
@@ -389,19 +389,19 @@ def _small_pool_divisors(kinds, rng, count):
 
 def test_place_terms_memo_is_order_free(basis59, places59):
     divisors = _small_pool_divisors(places59, random.Random(121), 40)
-    cold = replace(basis59, place_terms={})
+    cold = replace(basis59, place_terms={}, point_classes={})
     want = [psi_eval(D, cold) for D in divisors]
     assert want == [psi_per_place(D, basis59) for D in divisors]
     assert set(cold.place_terms) == {key for D in divisors for key in D.finite_places()}
-    warm = replace(basis59, place_terms={})
+    warm = replace(basis59, place_terms={}, point_classes={})
     for D in reversed(divisors):
         psi_eval(D, warm)
     assert [psi_eval(D, warm) for D in divisors] == want
 
 
 def test_hit_in_a_term_slides_the_divisor(basis59, places59, monkeypatch):
-    """When a term meets F the divisor is slid by a vertical and the line's
-    N-th power divided back out."""
+    """When a term meets F the divisor is slid by a vertical and the line
+    divided back out."""
     import ellog.psi as psi
     real = psi._term
     failed = []
@@ -426,3 +426,124 @@ def test_hit_in_a_term_slides_the_divisor(basis59, places59, monkeypatch):
         failed.clear()
         assert verify_relation(lhs, right, replace(basis59, place_terms={})) == verdict
         assert failed
+
+
+# ---------------------------------------------------------------------------
+# the point-class memo
+# ---------------------------------------------------------------------------
+
+def _core_relation(basis, params):
+    pr = pair_divisors(basis, *reconstruct_pair(basis, "core", params))
+    return pr.left_total().finite_places(), pr.right_divisor.finite_places()
+
+
+@pytest.mark.parametrize("name", ["basis59", "basis75", "basis11"])
+def test_point_classes_match_oracle_on_every_point(request, name):
+    """psi((R) - (O)) for every affine R in E(F_q), on a cold basis, is the
+    oracle's class; the memo ends with one entry per point, never more,
+    and a Miller loop runs once per pair {R, -R} (basis75 has a rational
+    2-torsion point, where R = -R)."""
+    import ellog.psi as psi
+    basis = request.getfixturevalue(name)
+    cold = replace(basis, place_terms={}, point_classes={})
+    points = curve_points(basis.curve)[1:]
+    assert len(points) == basis.curve.N - 1
+    loops = []
+    real = psi._miller
+
+    def counted(*args):
+        loops.append(args[1])
+        return real(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(psi, "_miller", counted)
+        for R in points:
+            place = place_of_point(basis.curve, R)
+            assert psi_elementary(place, cold) == psi_per_place(elementary_divisor(place), basis)
+            assert len(cold.point_classes) <= basis.curve.N - 1
+    assert set(cold.point_classes) == {(R.x, R.y) for R in points}
+    assert len(loops) == len({R.x for R in points})
+
+
+def test_term_power_is_power_of_term(basis59, places59):
+    """The memoised term (P, n) for n in +-1..+-3 is psi((P) - deg P (O))
+    to the power n, as the oracle has it."""
+    cold = replace(basis59, place_terms={}, point_classes={})
+    for kind in sorted(places59):
+        for place in places59[kind][:3]:
+            base = psi_per_place(elementary_divisor(place), basis59)
+            for n in (1, -1, 2, -2, 3, -3):
+                D = elementary_divisor(place).scale(n)
+                assert psi_eval(D, cold) == base.pow(n) == psi_per_place(D, basis59)
+                assert (place, n) in cold.place_terms
+
+
+def test_hit_in_a_point_class_slides_the_divisor(basis59, places59, monkeypatch):
+    """A Miller loop for a point class that meets F slides the divisor by a
+    vertical, as a term does, and leaves no wrong class in either memo."""
+    import ellog.psi as psi
+    real = psi._miller
+    failed = []
+
+    def flaky(*args):
+        if not failed:
+            failed.append(args[1])
+            raise psi._Hit
+        return real(*args)
+
+    monkeypatch.setattr(psi, "_miller", flaky)
+    # (P1) - (O) reduces to the point P1 itself, so every D needs a class
+    p1 = elementary_divisor(place_of_point(basis59.curve, basis59.td.P1))
+    for D in _small_pool_divisors(places59, random.Random(141), 5):
+        D = D + p1
+        failed.clear()
+        fresh = replace(basis59, place_terms={}, point_classes={})
+        want = psi_per_place(D, basis59)
+        assert psi_eval(D, fresh) == want
+        assert failed
+        assert psi_eval(D, fresh) == want
+    lhs, rhs = _core_relation(basis59, (2, 1, 3))
+    bumped = [(p, n + 1 if i == 0 else n) for i, (p, n) in enumerate(rhs)]
+    for right, verdict in ((rhs, True), (bumped, False)):
+        failed.clear()
+        fresh = replace(basis59, place_terms={}, point_classes={})
+        assert verify_relation(lhs, right, fresh) == verdict
+        assert failed
+
+
+def test_warm_check_is_products_only(basis11, monkeypatch):
+    """Once the memos hold a relation's terms, checking it again runs no
+    Miller loop, no chord, no Mumford reduction, no power and no inversion
+    in F_{q^k}: only products."""
+    import ellog.psi as psi
+    cases = []
+    for params in itertools.product(range(11), repeat=3):
+        try:
+            lhs, rhs = _core_relation(basis11, params)
+        except DegeneratePair:
+            continue
+        bad = [(p, n + 1 if i == 0 else n) for i, (p, n) in enumerate(rhs)]
+        cases += [(lhs, rhs, True), (lhs, bad, False)]
+        if len(cases) == 6:
+            break
+    warm = replace(basis11, place_terms={}, point_classes={})
+    for lhs, rhs, verdict in cases:
+        assert verify_relation(lhs, rhs, warm) == verdict
+    calls = []
+
+    def count(owner, name):
+        real = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    for name in ("_miller", "_chord", "_mumford_reduce", "_term"):
+        count(psi, name)
+    for name in ("pow_", "inv", "mul"):
+        count(ExtFieldDesc, name)
+    for lhs, rhs, verdict in cases:
+        assert verify_relation(lhs, rhs, warm) == verdict
+    assert calls and set(calls) == {"mul"}
