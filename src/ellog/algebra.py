@@ -5,9 +5,10 @@ and `ExtFieldDesc`, the residue field F_q[X]/(f) for any monic irreducible f
 over it.  That one class is both the target field F_{q^k} = F_q[X]/(I) and
 the residue field F_q[x]/(u) at a place of degree deg u.  Base field
 elements are stored as integer codes in [0, q): the code is the base-p
-expansion of the coefficient vector, low degree first.  This keeps
-polynomial inner loops allocation-free; the `FieldElem` wrapper exists for
-call sites that prefer operators.
+expansion of the coefficient vector, low degree first; the `FieldElem`
+wrapper exists for call sites that prefer operators.  A `Poly` over F_q
+is a tuple of codes, and its arithmetic, gcds, modular powers and the
+factorization all run in one kernel on plain coefficient lists.
 
 The canonical text encoding of an element is its comma-separated base-p digit
 vector, low degree first (e.g. "3,0,1"), and is used verbatim by every
@@ -390,8 +391,7 @@ class FieldElem:
 # ---------------------------------------------------------------------------
 
 def _is_irreducible_mod_p(coeffs: tuple[int, ...], p: int) -> bool:
-    f = Poly(_prime_field(p), coeffs)
-    return poly_is_irreducible(f)
+    return _is_irreducible(_prime_field(p), coeffs)
 
 
 _PRIME_FIELD_CACHE: dict[int, FieldDesc] = {}
@@ -408,11 +408,210 @@ def _prime_field(p: int) -> FieldDesc:
 DEG_ZERO = -1  # degree sentinel for the zero polynomial
 
 
+# ---------------------------------------------------------------------------
+# the coefficient-list kernel of F_q[X]
+# ---------------------------------------------------------------------------
+#
+# A polynomial is a list (or tuple) of base codes, low degree first, with no
+# trailing zero; the zero polynomial is empty.  The primitives never change
+# their arguments, though one may come back as the result.  Over a prime
+# base a code is its own residue, so products and remainders accumulate as
+# ints and take one `% p` per output coefficient.  Over F_{p^m} they bind
+# the base field's add/sub/mul (lookups in its tables below _TABLE_Q_CAP)
+# to locals, as `ExtFieldDesc.mul` does.  `Poly`, `poly_ext_gcd`, Rabin's
+# test and the factorization run their loops on these lists and build a
+# `Poly` only for what they return.
+
+def _strip(cs: list) -> list:
+    while cs and not cs[-1]:
+        cs.pop()
+    return cs
+
+
+def _add(K: FieldDesc, a, b) -> list:
+    if len(a) < len(b):
+        a, b = b, a
+    if K.m == 1:
+        p = K.p
+        out = [(x + y) % p for x, y in zip(a, b)]
+    else:
+        add = K.add
+        out = [add(x, y) for x, y in zip(a, b)]
+    out += a[len(b):]
+    return _strip(out)
+
+
+def _sub(K: FieldDesc, a, b) -> list:
+    n = len(b)
+    if K.m == 1:
+        p = K.p
+        out = [(x - y) % p for x, y in zip(a, b)]
+        out += a[n:]
+        out += [-y % p for y in b[len(a):]]
+    else:
+        sub, neg = K.sub, K.neg
+        out = [sub(x, y) for x, y in zip(a, b)]
+        out += a[n:]
+        out += [neg(y) for y in b[len(a):]]
+    return _strip(out)
+
+
+def _mul(K: FieldDesc, a, b, m=None) -> list:
+    """a*b, or a*b mod m when a nonzero m is given."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    if K.m == 1:
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    out[j] += x * y
+        if m is not None:
+            return _reduce(K, out, m)
+        p = K.p
+        return [c % p for c in out]
+    add, mul = K.add, K.mul
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                if y:
+                    out[j] = add(out[j], mul(x, y))
+    return out if m is None else _reduce(K, out, m)
+
+
+def _scale(K: FieldDesc, a, c: int) -> list:
+    if not c:
+        return []
+    if K.m == 1:
+        p = K.p
+        return [x * c % p for x in a]
+    mul = K.mul
+    return [mul(x, c) for x in a]
+
+
+def _monic(K: FieldDesc, a):
+    if not a or a[-1] == 1:
+        return a
+    return _scale(K, a, K.inv(a[-1]))
+
+
+def _reduce(K: FieldDesc, r: list, b, quot: list | None = None) -> list:
+    """r mod a nonzero b, worked in place on r, which the caller owns.
+
+    Over a prime base r may hold unreduced ints; each step reduces only the
+    coefficient it clears.  The quotient's coefficients go into quot.
+    """
+    db = len(b) - 1
+    if db < 0:
+        raise ZeroDivisionError("polynomial division by zero")
+    low = b[:db]
+    inv = 1 if b[-1] == 1 else K.inv(b[-1])
+    if K.m == 1:
+        p = K.p
+        for i in range(len(r) - 1, db - 1, -1):
+            c = r[i] * inv % p
+            if c:
+                if quot is not None:
+                    quot[i - db] = c
+                for j, y in enumerate(low, i - db):
+                    r[j] -= c * y
+        return _strip([x % p for x in r[:db]])
+    sub, mul = K.sub, K.mul
+    for i in range(len(r) - 1, db - 1, -1):
+        c = r[i]
+        if c:
+            c = mul(c, inv)
+            if quot is not None:
+                quot[i - db] = c
+            for j, y in enumerate(low, i - db):
+                if y:
+                    r[j] = sub(r[j], mul(c, y))
+    return _strip(r[:db])
+
+
+def _divmod(K: FieldDesc, a, b) -> tuple[list, list]:
+    """(quotient, remainder) of a by a nonzero b."""
+    quot = [0] * max(len(a) - len(b) + 1, 0)
+    return quot, _reduce(K, list(a), b, quot)
+
+
+def _rem(K: FieldDesc, a, b) -> list:
+    return _reduce(K, list(a), b)
+
+
+def _quo(K: FieldDesc, a, b) -> list:
+    return _divmod(K, a, b)[0]
+
+
+def _derivative(K: FieldDesc, a) -> list:
+    p = K.p
+    if K.m == 1:
+        return _strip([c * i % p for i, c in enumerate(a[1:], 1)])
+    mul = K.mul
+    return _strip([mul(c, i % p) for i, c in enumerate(a[1:], 1)])
+
+
+def _gcd(K: FieldDesc, a, b):
+    """The monic gcd (zero only when both are zero)."""
+    while b:
+        a, b = b, _rem(K, a, b)
+    return _monic(K, a)
+
+
+def _powmod(K: FieldDesc, a, e: int, m) -> list:
+    """a^e mod m, square and multiply; a^0 is [1], unreduced."""
+    base = _rem(K, a, m)
+    r = None
+    while e:
+        if e & 1:
+            r = base if r is None else _mul(K, r, base, m)
+        e >>= 1
+        if e:
+            base = _mul(K, base, base, m)
+    return [1] if r is None else r
+
+
+def _euclid(K: FieldDesc, a, b):
+    """Yield (r, s, t) with s*a + t*b = r for each remainder after a and b."""
+    r0, r1 = a, b
+    s0, s1 = [1], []
+    t0, t1 = [], [1]
+    while r1:
+        q, r = _divmod(K, r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, _sub(K, s0, _mul(K, q, s1))
+        t0, t1 = t1, _sub(K, t0, _mul(K, q, t1))
+        yield r0, s0, t0
+
+
+def _ext_gcd(K: FieldDesc, a, b):
+    """(g, s, t) with s*a + t*b = g, g monic (or zero)."""
+    r, s, t = a, [1], []
+    for r, s, t in _euclid(K, a, b):
+        pass
+    if not r:
+        return r, s, t
+    ic = K.inv(r[-1])
+    return _scale(K, r, ic), _scale(K, s, ic), _scale(K, t, ic)
+
+
+def _poly(K: FieldDesc, cs) -> "Poly":
+    """A Poly around kernel output, which is already stripped."""
+    f = object.__new__(Poly)
+    f.field = K
+    f.coeffs = tuple(cs)
+    return f
+
+
 class Poly:
     """Univariate polynomial over a FieldDesc, coefficients low degree first.
 
     Immutable; no trailing zero coefficients are stored, and the zero
-    polynomial has empty coefficients with degree() == DEG_ZERO.
+    polynomial has empty coefficients with degree() == DEG_ZERO.  The
+    arithmetic methods hand the coefficient tuples to the list kernel above
+    (ints with one `% p` per coefficient over a prime base, the base
+    field's table-backed ops over F_{p^m}) and wrap its result.  A scalar
+    multiple is `scale(code)`; `*` takes only another Poly.
     """
 
     __slots__ = ("field", "coeffs")
@@ -444,50 +643,21 @@ class Poly:
         return hash((self.field, self.coeffs))
 
     def __add__(self, other):
-        K = self.field
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = K.add(out[i], c)
-        return Poly(K, out)
+        return _poly(self.field, _add(self.field, self.coeffs, other.coeffs))
 
     def __sub__(self, other):
-        K = self.field
-        n = max(len(self.coeffs), len(other.coeffs))
-        out = []
-        for i in range(n):
-            x = self.coeffs[i] if i < len(self.coeffs) else 0
-            y = other.coeffs[i] if i < len(other.coeffs) else 0
-            out.append(K.sub(x, y))
-        return Poly(K, out)
+        return _poly(self.field, _sub(self.field, self.coeffs, other.coeffs))
 
     def __neg__(self):
-        K = self.field
-        return Poly(K, [K.neg(c) for c in self.coeffs])
+        return _poly(self.field, _sub(self.field, (), self.coeffs))
 
     def __mul__(self, other):
-        K = self.field
-        if isinstance(other, int):
-            return Poly(K, [K.mul(c, other % K.q if other >= 0 else K.neg((-other) % K.q)) for c in self.coeffs])
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return Poly(K, ())
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                row = out
-                for j, y in enumerate(b):
-                    if y:
-                        row[i + j] = K.add(row[i + j], K.mul(x, y))
-        return Poly(K, out)
+        if not isinstance(other, Poly):
+            return NotImplemented
+        return _poly(self.field, _mul(self.field, self.coeffs, other.coeffs))
 
     def scale(self, c: int) -> "Poly":
-        K = self.field
-        if c == 0:
-            return Poly(K, ())
-        return Poly(K, [K.mul(x, c) for x in self.coeffs])
+        return _poly(self.field, _scale(self.field, self.coeffs, c))
 
     def shift(self, n: int) -> "Poly":
         """Multiply by X^n."""
@@ -496,40 +666,21 @@ class Poly:
         return Poly(self.field, (0,) * n + self.coeffs)
 
     def monic(self) -> "Poly":
-        if self.is_zero() or self.coeffs[-1] == 1:
-            return self
-        return self.scale(self.field.inv(self.coeffs[-1]))
+        return _poly(self.field, _monic(self.field, self.coeffs))
 
     def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
         K = self.field
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        db, lb = other.degree(), other.lead()
-        inv_lb = K.inv(lb)
-        if len(rem) <= db:
-            return Poly(K, ()), self
-        quot = [0] * (len(rem) - db)
-        for i in range(len(rem) - 1, db - 1, -1):
-            c = rem[i]
-            if c:
-                f = K.mul(c, inv_lb)
-                quot[i - db] = f
-                for j in range(db + 1):
-                    rem[i - db + j] = K.sub(rem[i - db + j], K.mul(f, other.coeffs[j]))
-        return Poly(K, quot), Poly(K, rem)
+        q, r = _divmod(K, self.coeffs, other.coeffs)
+        return _poly(K, q), _poly(K, r)
 
     def __mod__(self, other):
-        return self.divmod(other)[1]
+        return _poly(self.field, _rem(self.field, self.coeffs, other.coeffs))
 
     def __floordiv__(self, other):
-        return self.divmod(other)[0]
+        return _poly(self.field, _quo(self.field, self.coeffs, other.coeffs))
 
     def gcd(self, other: "Poly") -> "Poly":
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        return a.monic() if not a.is_zero() else a
+        return _poly(self.field, _gcd(self.field, self.coeffs, other.coeffs))
 
     def eval_code(self, x: int) -> int:
         K = self.field
@@ -549,21 +700,10 @@ class Poly:
         return acc
 
     def derivative(self) -> "Poly":
-        K = self.field
-        out = []
-        for i, c in enumerate(self.coeffs[1:], start=1):
-            out.append(K.mul(c, i % K.p))
-        return Poly(K, out)
+        return _poly(self.field, _derivative(self.field, self.coeffs))
 
     def powmod(self, e: int, mod: "Poly") -> "Poly":
-        r = Poly(self.field, (1,))
-        base = self % mod
-        while e:
-            if e & 1:
-                r = (r * base) % mod
-            base = (base * base) % mod
-            e >>= 1
-        return r
+        return _poly(self.field, _powmod(self.field, self.coeffs, e, mod.coeffs))
 
     def encode(self) -> str:
         K = self.field
@@ -584,30 +724,24 @@ class Poly:
 def poly_ext_gcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
     """(g, s, t) with s*a + t*b = g, g monic (or zero)."""
     K = a.field
-    r0, r1 = a, b
-    s0, s1 = Poly(K, (1,)), Poly(K, ())
-    t0, t1 = Poly(K, ()), Poly(K, (1,))
-    while not r1.is_zero():
-        q, r = r0.divmod(r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    if r0.is_zero():
-        return r0, s0, t0
-    lc = r0.lead()
-    ic = K.inv(lc)
-    return r0.scale(ic), s0.scale(ic), t0.scale(ic)
+    return tuple(_poly(K, c) for c in _ext_gcd(K, a.coeffs, b.coeffs))
 
 
-def poly_is_irreducible(f: Poly) -> bool:
+def poly_euclid(a: Poly, b: Poly):
+    """Yield (r, s, t) with s*a + t*b = r for each remainder after a and b."""
+    K = a.field
+    for r, s, t in _euclid(K, a.coeffs, b.coeffs):
+        yield _poly(K, r), _poly(K, s), _poly(K, t)
+
+
+def _is_irreducible(K: FieldDesc, f) -> bool:
     """Rabin's test: X^(q^n) = X mod f and gcd conditions at maximal subfields."""
-    n = f.degree()
+    n = len(f) - 1
     if n <= 0:
         return False
     if n == 1:
         return True
-    K = f.field
-    x = Poly(K, (0, 1))
+    x = [0, 1]
     # distinct prime divisors of n
     primes, t = [], n
     d = 2
@@ -620,10 +754,14 @@ def poly_is_irreducible(f: Poly) -> bool:
     if t > 1:
         primes.append(t)
     for ell in primes:
-        h = x.powmod(K.q ** (n // ell), f) - x
-        if f.gcd(h).degree() != 0:
+        h = _sub(K, _powmod(K, x, K.q ** (n // ell), f), x)
+        if len(_gcd(K, f, h)) != 1:
             return False
-    return x.powmod(K.q ** n, f) == x
+    return _powmod(K, x, K.q ** n, f) == x
+
+
+def poly_is_irreducible(f: Poly) -> bool:
+    return _is_irreducible(f.field, f.coeffs)
 
 
 def field_make(p: int, m: int, seed: int = 0) -> FieldDesc:
@@ -648,7 +786,7 @@ def field_make(p: int, m: int, seed: int = 0) -> FieldDesc:
 
 
 # ---------------------------------------------------------------------------
-# factorization (squarefree / distinct-degree / equal-degree)
+# factorization (squarefree / distinct-degree / equal-degree), on lists
 # ---------------------------------------------------------------------------
 
 def _pth_root_code(K: FieldDesc, c: int) -> int:
@@ -656,81 +794,79 @@ def _pth_root_code(K: FieldDesc, c: int) -> int:
     return K.pow_(c, K.p ** (K.m - 1))
 
 
-def _squarefree_parts(f: Poly) -> list[tuple[Poly, int]]:
+def _squarefree_parts(K: FieldDesc, f) -> list[tuple[list, int]]:
     """[(g_i, e_i)] with f = lc * prod g_i^e_i, g_i squarefree monic, pairwise coprime."""
-    K = f.field
-    f = f.monic()
-    out: list[tuple[Poly, int]] = []
+    f = _monic(K, f)
+    out: list[tuple[list, int]] = []
 
-    def rec(g: Poly, mult: int):
-        if g.degree() <= 0:
+    def rec(g, mult: int):
+        if len(g) <= 1:
             return
-        gp = g.derivative()
-        if gp.is_zero():
-            # g = h(X^p); take p-th root of coefficients
-            root = Poly(K, [_pth_root_code(K, c) for c in g.coeffs[:: K.p]])
+        gp = _derivative(K, g)
+        if not gp:
+            # g = h(X^p); take p-th root of coefficients (the identity over F_p)
+            root = g[:: K.p]
+            if K.m > 1:
+                root = [_pth_root_code(K, c) for c in root]
             rec(root, mult * K.p)
             return
-        c = g.gcd(gp)
-        w = (g // c).monic()
+        c = _gcd(K, g, gp)
+        w = _monic(K, _quo(K, g, c))
         i = 1
-        while w.degree() > 0:
-            y = w.gcd(c)
-            part = (w // y).monic()
-            if part.degree() > 0:
+        while len(w) > 1:
+            y = _gcd(K, w, c)
+            part = _monic(K, _quo(K, w, y))
+            if len(part) > 1:
                 out.append((part, mult * i))
             w = y
-            c = (c // y).monic()
+            c = _monic(K, _quo(K, c, y))
             i += 1
-        if c.degree() > 0:
+        if len(c) > 1:
             rec(c, mult)
 
     rec(f, 1)
     return out
 
 
-def _distinct_degree(f: Poly) -> list[tuple[Poly, int]]:
+def _distinct_degree(K: FieldDesc, f) -> list[tuple[list, int]]:
     """Split a squarefree monic f into [(product of irreducibles of degree d, d)]."""
-    K = f.field
     out = []
-    x = Poly(K, (0, 1))
+    x = [0, 1]
     h = x
     rest = f
     d = 0
-    while rest.degree() > 0:
+    while len(rest) > 1:
         d += 1
-        if 2 * d > rest.degree():
-            out.append((rest, rest.degree()))
+        if 2 * d > len(rest) - 1:
+            out.append((rest, len(rest) - 1))
             break
-        h = h.powmod(K.q, rest)
-        g = rest.gcd(h - x)
-        if g.degree() > 0:
+        h = _powmod(K, h, K.q, rest)
+        g = _gcd(K, rest, _sub(K, h, x))
+        if len(g) > 1:
             out.append((g, d))
-            rest = (rest // g).monic()
-            h = h % rest
+            rest = _monic(K, _quo(K, rest, g))
+            h = _rem(K, h, rest)
     return out
 
 
-def _equal_degree(f: Poly, d: int, rng: random.Random) -> list[Poly]:
+def _equal_degree(K: FieldDesc, f, d: int, rng: random.Random) -> list:
     """Cantor-Zassenhaus split of a product of degree-d irreducibles (odd q)."""
-    K = f.field
-    n = f.degree()
+    n = len(f) - 1
     if n == d:
         return [f]
     exp = (K.q ** d - 1) // 2
     while True:
-        r = Poly(K, [rng.randrange(K.q) for _ in range(n)])
-        if r.degree() < 1:
+        r = _strip([rng.randrange(K.q) for _ in range(n)])
+        if len(r) < 2:
             continue
-        g = f.gcd(r)
-        if 0 < g.degree() < n:
+        g = _gcd(K, f, r)
+        if 0 < len(g) - 1 < n:
             break
-        h = r.powmod(exp, f) - Poly(K, (1,))
-        g = f.gcd(h)
-        if 0 < g.degree() < n:
+        g = _gcd(K, f, _sub(K, _powmod(K, r, exp, f), [1]))
+        if 0 < len(g) - 1 < n:
             break
-    left = _equal_degree(g.monic(), d, rng)
-    right = _equal_degree((f // g).monic(), d, rng)
+    left = _equal_degree(K, g, d, rng)
+    right = _equal_degree(K, _monic(K, _quo(K, f, g)), d, rng)
     return left + right
 
 
@@ -744,18 +880,19 @@ def poly_factor(f: Poly) -> list[tuple[Poly, int]]:
         raise ZeroPolynomial("cannot factor the zero polynomial")
     if f.degree() == 0:
         return []
+    K = f.field
     seed = 0
     for c in f.coeffs:
         seed = (seed * 1_000_003 + c + 1) & 0x7FFFFFFF
-    rng = random.Random(seed ^ (f.field.q << 8))
-    factors: dict[Poly, int] = {}
-    for part, mult in _squarefree_parts(f):
-        for prod, d in _distinct_degree(part):
-            for irr in _equal_degree(prod, d, rng):
-                key = irr.monic()
+    rng = random.Random(seed ^ (K.q << 8))
+    factors: dict[tuple, int] = {}
+    for part, mult in _squarefree_parts(K, f.coeffs):
+        for prod, d in _distinct_degree(K, part):
+            for irr in _equal_degree(K, prod, d, rng):
+                key = tuple(irr)
                 factors[key] = factors.get(key, 0) + mult
-    items = sorted(factors.items(), key=lambda kv: (kv[0].degree(), kv[0].coeffs))
-    return items
+    return [(_poly(K, g), mult)
+            for g, mult in sorted(factors.items(), key=lambda kv: (len(kv[0]), kv[0]))]
 
 
 def poly_random_monic(K: FieldDesc, degree: int, rng: random.Random) -> Poly:
@@ -772,9 +909,8 @@ def poly_irreducibles(K: FieldDesc, degree: int) -> list[Poly]:
             coeffs.append(c % K.q)
             c //= K.q
         coeffs.append(1)
-        f = Poly(K, coeffs)
-        if poly_is_irreducible(f):
-            out.append(f)
+        if _is_irreducible(K, coeffs):
+            out.append(_poly(K, coeffs))
     return out
 
 

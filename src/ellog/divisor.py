@@ -230,9 +230,10 @@ def divisor_of(fun: CurveFunction, curve: Curve) -> Divisor:
 
     The affine zero structure comes from the content g = gcd(n0, n1) plus
     the norm of the primitive part p0 + p1 y.  A norm factor u off the
-    ramified locus is the split place (u, v) with v = -p0 p1^-1 mod u: p1 is
-    a unit mod u because gcd(p0, p1) = 1, and p0 + p1 y vanishes only where
-    y = v.  The conjugate place (u, -v) is not a zero.
+    ramified locus is the split place (u, v) with v = -p0 p1^-1 mod u, and
+    p0 + p1 y vanishes only where y = v; the conjugate place (u, -v) is not
+    a zero.  Since gcd(p0, p1) = 1, p1 is a unit modulo the whole norm, so
+    V = -p0 p1^-1 is formed once mod the norm and each v is read as V mod u.
     """
     if fun.is_zero():
         raise ZeroFunction("divisor of the zero function")
@@ -263,6 +264,10 @@ def divisor_of(fun: CurveFunction, curve: Curve) -> Divisor:
     if norm.is_zero():
         raise ZeroFunction("function vanishes on the curve")
     if norm.degree() > 0:
+        unit, p1_inv, _ = poly_ext_gcd(p1, norm)
+        if unit.degree() != 0:
+            raise AssertionError("norm factor divides the y-coefficient of a primitive part")
+        V = (-(p0 * p1_inv)) % norm
         for u, mult in poly_factor(norm):
             fres = f % u
             if fres.is_zero():
@@ -270,10 +275,7 @@ def divisor_of(fun: CurveFunction, curve: Curve) -> Divisor:
                     raise AssertionError("ramified factor of a primitive part with multiplicity > 1")
                 D.add_place(Place(RAMIFIED, u.coeffs, ()), 1)
                 continue
-            unit, p1_inv, _ = poly_ext_gcd(p1 % u, u)
-            if unit.degree() != 0:
-                raise AssertionError("norm factor divides the y-coefficient of a primitive part")
-            v = (-((p0 % u) * p1_inv)) % u
+            v = V % u
             if not ((v * v - fres) % u).is_zero():
                 raise AssertionError("ordinate of a norm factor is off the curve")
             D.add_place(Place(SPLIT, u.coeffs, v.coeffs), mult)

@@ -14,7 +14,7 @@ import math
 import random
 from dataclasses import dataclass, field as dc_field
 
-from .algebra import ConfigError, Poly, factor_modulus, poly_factor
+from .algebra import ConfigError, Poly, factor_modulus, poly_euclid, poly_factor
 from .curve import CurveFunction, TriPoly, phi
 from .divisor import Divisor, Place, PlaceAlgebra, divisor_of
 from .harvest import (C_COLUMN, DegeneratePair, FactorBase, Relation, _sigma,
@@ -337,17 +337,8 @@ def _resolve_factors(basis, ctx: LogContext, W: Poly, d0: int, descender):
 
 def _euclid_splits(W: Poly, I: Poly, half: int):
     """(num, den) pairs with W = num/den mod I and deg num <= half-ish."""
-    K = W.field
-    r0, r1 = I, W % I
-    t0, t1 = Poly(K, ()), Poly(K, (1,))
-    out = []
-    while not r1.is_zero():
-        q, r = r0.divmod(r1)
-        r0, r1 = r1, r
-        t0, t1 = t1, t0 - q * t1
-        if not r0.is_zero() and r0.degree() <= half and not t0.is_zero():
-            out.append((r0, t0))
-    return out
+    return [(r, t) for r, _, t in poly_euclid(I, W % I)
+            if not r.is_zero() and r.degree() <= half and not t.is_zero()]
 
 
 # ---------------------------------------------------------------------------

@@ -25,10 +25,17 @@ passes.
 product is formed as a `Poly` and then reduced by `% u`, where
 `ExtFieldDesc.mul` packs a prime-field product into one int (or runs a
 schoolbook loop over F_{p^m}).
+
+`poly_factor_brute` is the reference for `algebra.poly_factor`: trial
+division by every monic polynomial in order of degree and then of
+coefficients, with its own division loop on the field's `add`/`mul`, so
+it shares nothing with the coefficient-list kernel under `Poly` or with
+Cantor-Zassenhaus.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 
@@ -44,6 +51,56 @@ def extension_of(K: FieldDesc, e: int, seed: int = 0) -> ExtFieldDesc:
         I = poly_random_monic(K, e, rng)
         if poly_is_irreducible(I):
             return ExtFieldDesc(K, I)
+
+
+def _exact_quotient(K: FieldDesc, a: list, g: tuple):
+    """a / g for a monic g, or None when g does not divide a."""
+    d = len(g) - 1
+    if len(a) <= d:
+        return None
+    a = list(a)
+    quot = [0] * (len(a) - d)
+    for i in range(len(a) - 1, d - 1, -1):
+        c = a[i]
+        quot[i - d] = c
+        if c:
+            for j in range(d + 1):
+                a[i - d + j] = K.sub(a[i - d + j], K.mul(c, g[j]))
+    return None if any(a[:d]) else quot
+
+
+def poly_factor_brute(f: Poly) -> list[tuple[Poly, int]]:
+    """Monic irreducible factors of f with multiplicities, by trial division.
+
+    The candidates of each degree d run through the monic polynomials in
+    the order of their coefficient tuples, low degree first, which is the
+    order `poly_factor` sorts by.  The first candidate that divides the rest
+    is irreducible, since every factor of smaller degree is already gone.
+    Once deg(rest) < 2d the rest is irreducible too, and its degree is the
+    largest.  The cost grows as q^(deg f / 2), so keep the large factors of
+    the input few.
+    """
+    K = f.field
+    if f.is_zero():
+        raise ValueError("cannot factor the zero polynomial")
+    lead_inv = K.inv(f.coeffs[-1])
+    rest = [K.mul(c, lead_inv) for c in f.coeffs]
+    out = []
+    d = 1
+    while 2 * d <= len(rest) - 1:
+        for low in itertools.product(range(K.q), repeat=d):
+            g = low + (1,)
+            n = 0
+            while (quot := _exact_quotient(K, rest, g)) is not None:
+                rest, n = quot, n + 1
+            if n:
+                out.append((Poly(K, g), n))
+            if 2 * d > len(rest) - 1:
+                break
+        d += 1
+    if len(rest) > 1:
+        out.append((Poly(K, rest), 1))
+    return out
 
 
 class QuotientRing:

@@ -1,0 +1,140 @@
+"""The coefficient-list kernel under `Poly`, on both base representations.
+
+Over a prime base the kernel works on ints with one `% p` per coefficient;
+over F_{p^m} it goes through the base field's operations (table lookups
+for F_25, plain arithmetic for F_{37^2}, above the table cap).  The
+factorization is checked exactly against trial division
+(`oracles.poly_factor_brute`).
+"""
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from ellog.algebra import Poly, field_make, poly_ext_gcd, poly_factor
+
+from oracles import poly_factor_brute
+
+_FIELDS = {pm: field_make(*pm, 0) for pm in ((5, 1), (11, 1), (5, 2), (11, 2), (37, 2))}
+_KERNEL_FIELDS = [(11, 1), (5, 2), (37, 2)]
+
+
+@st.composite
+def _polys(draw, count: int, max_degree: int = 8):
+    K = _FIELDS[draw(st.sampled_from(_KERNEL_FIELDS))]
+    code = st.integers(0, K.q - 1)
+    return K, [Poly(K, draw(st.lists(code, max_size=max_degree + 1)))
+               for _ in range(count)]
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_polys(2))
+def test_divmod_is_euclidean_division(case):
+    K, (a, b) = case
+    if b.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            a.divmod(b)
+        return
+    q, r = a.divmod(b)
+    assert q * b + r == a
+    assert r.degree() < b.degree()
+    assert (a // b, a % b) == (q, r)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_polys(2))
+def test_ext_gcd_is_a_bezout_identity(case):
+    K, (a, b) = case
+    g, s, t = poly_ext_gcd(a, b)
+    assert s * a + t * b == g
+    if a.is_zero() and b.is_zero():
+        assert g.is_zero()
+        return
+    assert g.is_monic()
+    assert (a % g).is_zero() and (b % g).is_zero()
+    assert a.gcd(b) == g == b.gcd(a)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_polys(2), st.integers(0, 40))
+def test_powmod_is_repeated_multiply_and_reduce(case, e):
+    K, (a, m) = case
+    if m.is_zero():
+        return
+    r = Poly(K, (1,))
+    for _ in range(e):
+        r = (r * a) % m
+    if e == 0:
+        r = Poly(K, (1,))   # powmod keeps the convention a^0 = 1 unreduced
+    assert a.powmod(e, m) == r
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_polys(2))
+def test_derivative_satisfies_leibniz(case):
+    K, (a, b) = case
+    assert (a * b).derivative() == a.derivative() * b + a * b.derivative()
+    assert (a + b).derivative() == a.derivative() + b.derivative()
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_polys(3))
+def test_ring_identities(case):
+    K, (a, b, c) = case
+    assert a - b == -(b - a)
+    assert (a + b) - b == a
+    assert a * (b + c) == a * b + a * c
+    if not a.is_zero():
+        assert a.monic().is_monic() and a.monic() == a.scale(K.inv(a.lead()))
+
+
+def test_poly_times_int_is_refused_over_f25():
+    # an int is not a field code: 7 is 2 in F_25, but code 7 is 2 + w
+    K = _FIELDS[5, 2]
+    f = Poly(K, (1, 1))
+    with pytest.raises(TypeError):
+        f * 7
+    with pytest.raises(TypeError):
+        f * -6
+    assert f.scale(7 % K.p).coeffs == (2, 2)
+    assert f.scale(-6 % K.p).coeffs == (4, 4)
+
+
+# The largest factor degree each field's inputs are built from: the oracle
+# tries every monic polynomial up to that degree, q^d of them.
+_FACTOR_TOP = {(5, 1): 4, (11, 1): 4, (5, 2): 3, (11, 2): 2}
+
+
+@st.composite
+def _factor_inputs(draw):
+    """c * prod g_i^e_i of degree <= 8, times X^p + a when drawn.
+
+    The g_i are random monic polynomials of degree <= the field's top, so
+    repeated and shared factors are common.  X^p + a = (X + a^(1/p))^p has
+    zero derivative and takes `_squarefree_parts` into its p-th-root branch;
+    over F_11 and F_121 it raises the degree to 11 and more.
+    """
+    pm = draw(st.sampled_from(sorted(_FACTOR_TOP)))
+    K, top = _FIELDS[pm], _FACTOR_TOP[pm]
+    code = st.integers(0, K.q - 1)
+    f = Poly(K, (draw(st.integers(1, K.q - 1)),))
+    budget = 8
+    if draw(st.booleans()):
+        f = f * Poly(K, (draw(code),) + (0,) * (K.p - 1) + (1,))
+        budget -= min(K.p, 8)
+    while budget > 0 and draw(st.booleans()):
+        d = draw(st.integers(1, min(top, budget)))
+        e = draw(st.integers(1, budget // d))
+        g = Poly(K, draw(st.lists(code, min_size=d, max_size=d)) + [1])
+        for _ in range(e):
+            f = f * g
+        budget -= d * e
+    return f
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(_factor_inputs())
+@example(Poly(_FIELDS[5, 1], (1, 0, 0, 0, 0, 1)))             # X^5 + 1 = (X + 1)^5
+@example(Poly(_FIELDS[5, 1], (2, 0, 0, 0, 0, 2)) * Poly(_FIELDS[5, 1], (1, 1, 1)))
+@example(Poly(_FIELDS[11, 2], (3,) + (0,) * 10 + (1,)))        # X^11 + 3 over F_121
+def test_poly_factor_matches_trial_division(f):
+    assert poly_factor(f) == poly_factor_brute(f)
