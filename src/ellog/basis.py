@@ -59,10 +59,12 @@ class EllipticBasis:
     """Everything the later phases need, frozen after construction.
 
     The exceptions are three memos.  `pullback_divisors`, the memo of
-    `harvest.pullback_divisor`, holds divisors of pulled-back sieve lines and
-    brackets, keyed by projective class.  The sieve families lie in
-    span{1, U, V, UV}, so it holds at most q^3 + q^2 + q + 1 lines plus one
-    bracket for each of the (q^2 + 1)(q^2 + q + 1) planes of that span.
+    `harvest.pullback_divisor`, holds divisors of pulled-back sieve lines,
+    keyed by coefficient vector up to scale, and of brackets, keyed by the
+    Plucker vector of their plane up to scale.  For the sieve families,
+    which lie in span{1, U, V, UV}, that is at most q^3 + q^2 + q + 1 lines
+    plus one bracket for each of the (q^2 + 1)(q^2 + q + 1) planes of that
+    span; descent pairs over larger monomial sets add their own entries.
     `place_terms`, the memo of `psi._psi_class`, holds the class under psi
     of each term n((P) - deg(P)(O)) of an evaluated divisor, keyed by
     (place, n).  `point_classes`, the memo of `psi._point_class`, holds

@@ -36,9 +36,13 @@ class MapsToInfinity(ValueError):
 
 
 class Curve:
-    """y^2 = x^3 + a x + b over a FieldDesc, with its point count cached."""
+    """y^2 = x^3 + a x + b over a FieldDesc, with its point count cached.
 
-    __slots__ = ("field", "a", "b", "N", "t")
+    `x_places` is the memo of `divisor.places_at`: the places over each
+    abscissa x0 of F_q met so far.  It is not compared or pickled.
+    """
+
+    __slots__ = ("field", "a", "b", "N", "t", "x_places")
 
     def __init__(self, field: FieldDesc, a: int, b: int, N: int | None = None):
         K = field
@@ -52,6 +56,7 @@ class Curve:
         self.t = field.q + 1 - self.N
         if self.t * self.t > 4 * field.q:
             raise ValueError("point count violates the Hasse bound")
+        self.x_places = {}
 
     def rhs(self, x: int) -> int:
         K = self.field
@@ -470,6 +475,20 @@ class TriPoly:
 def bracket(A: TriPoly, B: TriPoly) -> TriPoly:
     """A(V,W) B(U,V) - A(U,V) B(V,W): the right side of every relation."""
     return A.shift_uv_to_vw() * B - A * B.shift_uv_to_vw()
+
+
+def plucker_bracket(field: FieldDesc, coords) -> TriPoly:
+    """The bracket of A and B from the Plucker coordinates of A ^ B.
+
+    `coords` holds ((m, n), p_mn) with p_mn = a_m b_n - a_n b_m for
+    monomials m < n in U and V.  The bracket is bilinear and alternating,
+    so bracket(A, B) = sum p_mn bracket(m, n), where
+    bracket(U^a V^b, U^c V^d) = U^c V^(a+d) W^b - U^a V^(b+c) W^d.
+    """
+    neg = field.neg
+    return TriPoly(field, [term for ((a, b, _), (c, d, _)), p in coords
+                           for term in (((c, a + d, b), p),
+                                        ((a, b + c, d), neg(p)))])
 
 
 def semaev3_tri(curve: Curve, x_list: tuple[str | int, ...]) -> TriPoly:

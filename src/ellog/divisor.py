@@ -128,6 +128,20 @@ def places_over(curve: Curve, u: Poly) -> list[Place]:
     return [Place(SPLIT, u.coeffs, tuple(v.coeffs)), Place(SPLIT, u.coeffs, vneg)]
 
 
+def places_at(curve: Curve, x0: int) -> tuple[Place, ...]:
+    """The places over x = x0, memoized on the curve by x0.
+
+    Every pulled-back function has its pole over the same abscissa, so
+    this takes one square root per x0 instead of one per function.
+    """
+    places = curve.x_places.get(x0)
+    if places is None:
+        K = curve.field
+        places = curve.x_places[x0] = tuple(
+            places_over(curve, Poly(K, (K.neg(x0), 1))))
+    return places
+
+
 def _place_key(item):
     """The place's sort key, so that a sort computes it once per item."""
     return item[0].sort_key()
@@ -142,7 +156,9 @@ class Divisor:
         self.coeffs = {p: n for p, n in (coeffs or {}).items() if n}
 
     def copy(self) -> "Divisor":
-        return Divisor(dict(self.coeffs))
+        D = Divisor.__new__(Divisor)
+        D.coeffs = dict(self.coeffs)
+        return D
 
     def add_place(self, place: Place, n: int):
         c = self.coeffs.get(place, 0) + n
@@ -282,9 +298,7 @@ def divisor_of(fun: CurveFunction, curve: Curve) -> Divisor:
 
     # poles of the denominator (x - x1)^e
     if fun.e:
-        x1 = fun.x1
-        u1 = Poly(K, (K.neg(x1), 1))
-        for place in places_over(curve, u1):
+        for place in places_at(curve, fun.x1):
             D.add_place(place, -fun.e if place.kind != RAMIFIED else -2 * fun.e)
 
     # balance at infinity

@@ -21,10 +21,11 @@ from __future__ import annotations
 
 import multiprocessing
 from dataclasses import dataclass, field as dc_field
+from itertools import combinations
 from math import gcd
 
 from .algebra import ConfigError, Poly, poly_irreducibles
-from .curve import TriPoly, bracket, phi_star, point_neg
+from .curve import TriPoly, bracket, phi_star, plucker_bracket, point_neg
 from .divisor import (Divisor, Place, decompose, divisor_of, orbit_places,
                       place_of_point, places_over)
 from .linalg import crt, determined_mod_prime, solve_affine_mod
@@ -329,26 +330,48 @@ class PairResult:
         return tot
 
 
-def pullback_divisor(basis, F: TriPoly, what: str) -> Divisor:
-    """Divisor of phi_star(F), memoized on the basis by the projective class of F.
+def _class_key(labels, coords, K) -> tuple:
+    """The projective class of a coordinate vector, as a memo key.
 
-    phi_star is linear and a divisor ignores a factor in F_q^*, so F and c F
-    share one entry, keyed by F scaled to make the coefficient of its largest
-    monomial 1.  The memo holds sieve lines and brackets alike.  Raises
-    DegeneratePair("<what> pulls back to zero") for a zero F or a zero
-    pull-back.  Returns a copy: the memo cannot be changed through the
-    result.
+    (label, c) for each nonzero coordinate, in the order of `labels`,
+    scaled so that the coefficient of the last label is 1; () for zero.
     """
-    if F.is_zero():
+    for top in reversed(coords):
+        if top:
+            break
+    else:
+        return ()
+    if top != 1:
+        inv, mul = K.inv(top), K.mul
+        coords = [mul(c, inv) for c in coords]
+    return tuple([(l, c) for l, c in zip(labels, coords) if c])
+
+
+_UNSEEN = object()
+
+
+def pullback_divisor(basis, key: tuple, what: str, build=TriPoly) -> Divisor:
+    """Divisor of phi_star(build(K, key)), memoized on the basis under key.
+
+    `key` is a class from `_class_key`.  A line is keyed by its coefficient
+    vector over its monomials and is built as the polynomial itself; a
+    plane is keyed by its Plucker vector, with `build` = `plucker_bracket`.
+    phi_star is linear and a divisor ignores a factor in F_q^*, so one
+    entry serves the whole class.  Raises DegeneratePair("<what> pulls back
+    to zero") for the zero class or a zero pull-back, and "<what> vanishes
+    identically" when build gives zero.  Returns a copy: the memo cannot
+    be changed through the result.
+    """
+    if not key:
         raise DegeneratePair(f"{what} pulls back to zero")
-    K = F.field
-    inv = K.inv(F.terms[max(F.terms)])
-    key = tuple(sorted((m, K.mul(inv, c)) for m, c in F.terms.items()))
     memo = basis.pullback_divisors
-    if key not in memo:
+    D = memo.get(key, _UNSEEN)
+    if D is _UNSEEN:
+        F = build(basis.curve.field, key)
+        if F.is_zero():
+            raise DegeneratePair(f"{what} vanishes identically")
         f = phi_star(F, basis.td)
-        memo[key] = None if f.is_zero() else divisor_of(f, basis.curve)
-    D = memo[key]
+        D = memo[key] = None if f.is_zero() else divisor_of(f, basis.curve)
     if D is None:
         raise DegeneratePair(f"{what} pulls back to zero")
     return D.copy()
@@ -357,23 +380,36 @@ def pullback_divisor(basis, F: TriPoly, what: str) -> Divisor:
 def pair_divisors(basis, A: TriPoly, B: TriPoly) -> PairResult:
     """Divisors of every left factor A - alpha' B (alpha' in P^1) and of the bracket.
 
-    Each left factor is a line of the pencil that A and B span, and every
-    line lies in q + 1 pencils.  The bracket is bilinear and alternating, so
-    every pair that spans the plane of A and B has the same bracket up to a
-    factor in F_q^*.  Both sides therefore come from the memo of
-    `pullback_divisor`: one pull-back and factorization per line and one per
-    plane.  Every sieve family lies in span{1, U, V, UV}, so the memo holds
-    at most q^3 + q^2 + q + 1 lines and (q^2 + 1)(q^2 + q + 1) brackets.
+    A and B are read as vectors a, b over the sorted union of their
+    monomials, which must lie in U and V (ValueError otherwise).  Each left
+    factor is a line of the plane that A and B span, keyed by a - alpha' b
+    up to scale; every line lies in q + 1 pencils.  The bracket is bilinear
+    and alternating, so it depends only on A ^ B, and the plane is keyed by
+    its Plucker vector p_mn = a_m b_n - a_n b_m.  A pair whose lines and
+    plane are in the memo of `pullback_divisor` is therefore lookups only:
+    one pull-back and factorization per line and one per plane in all.
+    The sieve families lie in span{1, U, V, UV}, where the memo holds at
+    most q^3 + q^2 + q + 1 lines and (q^2 + 1)(q^2 + q + 1) planes; the
+    descent's pairs over larger monomial sets share the same memo.
     """
     if A == B:
         raise DegeneratePair("A = B")
-    lefts = [pullback_divisor(basis, A - B.scale(aprime), "left factor")
-             for aprime in range(basis.q)]
-    lefts.append(pullback_divisor(basis, B, "B"))
-    br = bracket(A, B)
-    if br.is_zero():
-        raise DegeneratePair("bracket vanishes identically")
-    return PairResult(lefts, pullback_divisor(basis, br, "bracket"))
+    K = basis.curve.field
+    monos = sorted(A.terms.keys() | B.terms.keys())
+    if any(m[2] for m in monos):
+        raise ValueError("a sieve pair lies in U and V only")
+    a = [A.terms.get(m, 0) for m in monos]
+    b = [B.terms.get(m, 0) for m in monos]
+    ij = list(combinations(range(len(monos)), 2))
+    sub, mul = K.sub, K.mul
+    lines = [[sub(x, mul(t, y)) for x, y in zip(a, b)] for t in range(K.q)]
+    plucker = [sub(mul(a[i], b[j]), mul(a[j], b[i])) for i, j in ij]
+    lefts = [pullback_divisor(basis, _class_key(monos, c, K), "left factor")
+             for c in lines]
+    lefts.append(pullback_divisor(basis, _class_key(monos, b, K), "B"))
+    plane = _class_key([(monos[i], monos[j]) for i, j in ij], plucker, K)
+    return PairResult(lefts, pullback_divisor(basis, plane, "bracket",
+                                              plucker_bracket))
 
 
 def relation_from_pair(basis, fb: FactorBase, A: TriPoly, B: TriPoly,

@@ -45,9 +45,8 @@ from __future__ import annotations
 
 from .algebra import ExtFieldDesc, Poly
 from .curve import Curve, Point, point_neg
-from .divisor import (Divisor, INERT, PLACE_AT_INFINITY, Place,
-                      RAMIFIED, SPLIT, elementary_divisor, place_of_point,
-                      places_over)
+from .divisor import (Divisor, INERT, INFINITY, Place, RAMIFIED, SPLIT,
+                      elementary_divisor, place_of_point, places_at)
 
 
 class SupportHitsF(RuntimeError):
@@ -245,30 +244,32 @@ def _term(curve: Curve, place: Place, n: int, basis):
     return (num, den) if n > 0 else (den, num)
 
 
-def _psi_class(D: Divisor, basis, _depth: int = 0):
+def _psi_class(coeffs: dict, basis, _depth: int = 0):
     """(num, den) with num/den = psi(D) up to F_q^*, as in the module notes.
 
-    None stands for 1 in either slot.  If a function hits F, D is
-    re-randomized by a principal vertical and that line divided back out.
+    `coeffs` maps the places of D to their coefficients, in any order;
+    the place at infinity and zero coefficients are skipped, since each
+    term carries its own multiple of (O).  None stands for 1 in either
+    slot.  If a function hits F, D is re-randomized by a principal
+    vertical and that line divided back out.
     """
     curve, ext, terms = basis.curve, basis.ext, basis.place_terms
     num = den = None
     try:
-        for key in D.finite_places():
+        for key in coeffs.items():
             term = terms.get(key)
             if term is None:
+                if not key[1] or key[0].kind == INFINITY:
+                    continue
                 term = terms[key] = _term(curve, *key, basis)
             num, den = _mul(ext, num, term[0]), _mul(ext, den, term[1])
     except _Hit:
         if _depth >= 4:
             raise SupportHitsF("psi support keeps meeting F") from None
-        K = curve.field
-        x0 = (7 * _depth + 3) % K.q
-        shift = Divisor()
-        for p in places_over(curve, Poly(K, (K.neg(x0), 1))):
-            shift.add_place(p, 2 if p.kind == RAMIFIED else 1)
-        shift.add_place(PLACE_AT_INFINITY, -2)
-        num, den = _psi_class(D + shift, basis, _depth + 1)
+        x0 = (7 * _depth + 3) % curve.field.q
+        shift = Divisor({p: 2 if p.kind == RAMIFIED else 1
+                         for p in places_at(curve, x0)})
+        num, den = _psi_class((Divisor(coeffs) + shift).coeffs, basis, _depth + 1)
         return num, _mul(ext, den, ext.sub(basis.theta, ext.embed(x0)))
     return num, den
 
@@ -281,7 +282,7 @@ def psi_eval(D: Divisor, basis) -> PsiValue:
     if D.degree != 0:
         raise ValueError("psi is defined on degree-0 divisors only")
     ext = basis.ext
-    num, den = _psi_class(D, basis)
+    num, den = _psi_class(D.coeffs, basis)
     num = num or ext.one
     return PsiValue(ext, ext.div(num, den) if den is not None else num)
 
@@ -296,15 +297,15 @@ def verify_relation(lhs, rhs, basis) -> bool:
     Each side is a list of (Place, int) pairs; a place may repeat or sit on
     both sides, and its coefficients add up.  psi is a homomorphism, so
     the sides agree exactly when psi(DL - DR) is one: one evaluation, with
-    no inversion and no root, decides the relation.
+    no inversion and no root, decides the relation.  The sides are summed
+    into a plain dict of finite coefficients; (O) is implied by each term.
     """
-    D, degree = Divisor(), 0
-    for side, sign in ((lhs, 1), (rhs, -1)):
-        for place, n in side:
-            D.add_place(place, sign * n)
-            degree += sign * n * place.degree
-    D.add_place(PLACE_AT_INFINITY, -degree)
-    num, den = _psi_class(D, basis)
+    coeffs: dict[Place, int] = {}
+    for place, n in lhs:
+        coeffs[place] = coeffs.get(place, 0) + n
+    for place, n in rhs:
+        coeffs[place] = coeffs.get(place, 0) - n
+    num, den = _psi_class(coeffs, basis)
     ext = basis.ext
     return PsiValue(ext, num or ext.one) == PsiValue(ext, den or ext.one)
 

@@ -9,11 +9,16 @@ from hypothesis import assume, given, settings, strategies as st
 
 from ellog.algebra import field_make
 from ellog.basis import basis_to_json
-from ellog.curve import Curve, Point, TorsionData, TriPoly, bracket, phi_star
+import ellog.curve
+import ellog.divisor
+import ellog.harvest
+from ellog.curve import (Curve, Point, TorsionData, TriPoly, bracket, phi_star,
+                         plucker_bracket)
 from ellog.divisor import divisor_of
 from ellog.harvest import (DegeneratePair, GroupDegenerate, height5_pair,
                            k1k2_group_basis, pullback_divisor, pair_divisors,
                            reconstruct_pair)
+from ellog.solve import _mono_list
 
 from oracles import pair_divisors_fresh, phi_star_fresh
 
@@ -131,11 +136,10 @@ def test_returned_divisors_do_not_alias_the_memo(basis59):
 
 
 def test_line_divisor_degenerate_messages(basis59):
-    K = basis59.curve.field
     with pytest.raises(DegeneratePair, match="^left factor pulls back to zero$"):
-        pullback_divisor(basis59, TriPoly(K), "left factor")
+        pullback_divisor(basis59, (), "left factor")
     with pytest.raises(DegeneratePair, match="^B pulls back to zero$"):
-        pullback_divisor(basis59, TriPoly(K), "B")
+        pullback_divisor(basis59, (), "B")
 
 
 def _projective_class(F: TriPoly):
@@ -205,6 +209,110 @@ def test_bracket_memo_invariant_under_change_of_basis(request, name):
         assert outcome(pair_divisors, A2, B2) == outcome(pair_divisors_fresh, A, B)
 
     check()
+
+
+# ---------------------------------------------------------------------------
+# the Plucker bracket and pairs outside span{1, U, V, UV}
+# ---------------------------------------------------------------------------
+
+_M2 = [(i, j, 0) for i, j in _mono_list(2)]
+
+
+def _m2_pair(K, a, b, c):
+    """A, B over M_2 from two coefficient lists; c != 0 makes B = c A."""
+    A = TriPoly(K, dict(zip(_M2, a)))
+    B = A.scale(c) if c else TriPoly(K, dict(zip(_M2, b)))
+    return A, B
+
+
+def _plucker(A, B):
+    """((m, n), a_m b_n - a_n b_m) for the monomials m < n of A and B."""
+    K = A.field
+    monos = sorted(A.terms.keys() | B.terms.keys())
+    a = [A.terms.get(m, 0) for m in monos]
+    b = [B.terms.get(m, 0) for m in monos]
+    return [((monos[i], monos[j]),
+             K.sub(K.mul(a[i], b[j]), K.mul(a[j], b[i])))
+            for i in range(len(monos)) for j in range(i + 1, len(monos))]
+
+
+@pytest.mark.parametrize("name", ["basis59", "basis11"])
+def test_plucker_bracket_and_general_path(request, name):
+    # pairs over M_2, dependent ones included, through one warming memo
+    basis = _fresh_basis(request.getfixturevalue(name))
+    K = basis.curve.field
+    q = basis.q
+    coefs = st.lists(st.integers(0, q - 1), min_size=len(_M2),
+                     max_size=len(_M2))
+
+    def outcome(fn, A, B):
+        try:
+            pr = fn(basis, A, B)
+        except DegeneratePair as exc:
+            return str(exc)
+        return pr.left_divisors, pr.right_divisor
+
+    @settings(derandomize=True, max_examples=25 if q > 5 else 50,
+              deadline=None)
+    @given(a=coefs, b=coefs, c=st.sampled_from([0] * 3 + list(range(q))))
+    def check(a, b, c):
+        A, B = _m2_pair(K, a, b, c)
+        assert plucker_bracket(K, _plucker(A, B)) == bracket(A, B)
+        assert outcome(pair_divisors, A, B) == outcome(pair_divisors_fresh, A, B)
+        W = TriPoly.var(K, "W")
+        for A2, B2 in ((A + W, B), (A, B + W)):
+            with pytest.raises(ValueError):
+                pair_divisors(basis, A2, B2)
+
+    check()
+
+
+@pytest.mark.parametrize("name", ["basis59", "basis11"])
+def test_warm_pair_is_lookups_only(request, monkeypatch, name):
+    """Once the memo holds a pair's lines and plane, any other basis of the
+    same plane is served from it: no pull-back, no factorization, no square
+    root and no TriPoly product or difference."""
+    basis = _fresh_basis(request.getfixturevalue(name))
+    q = basis.q
+    rng = random.Random(name)
+    cases = []
+    for params in rng.sample(_mode_params(basis, "core"), 40):
+        A, B = reconstruct_pair(basis, "core", params)
+        try:
+            pr = pair_divisors(basis, A, B)
+        except DegeneratePair:
+            continue
+        for _ in range(3):
+            a, b, c, d = (rng.randrange(q) for _ in range(4))
+            A2, B2 = A.scale(a) + B.scale(b), A.scale(c) + B.scale(d)
+            if (a * d - b * c) % q and A2 != B2:
+                cases.append((A2, B2, pr.left_total(), pr.right_divisor))
+    assert len(cases) > 20
+    calls = []
+
+    def count(owner, name):
+        real = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    for owner in (ellog.curve, ellog.harvest):
+        for fn in ("phi_star", "bracket", "plucker_bracket"):
+            count(owner, fn)
+    for owner in (ellog.divisor, ellog.harvest):
+        count(owner, "divisor_of")
+    count(ellog.divisor, "places_over")
+    count(TriPoly, "__mul__")
+    count(TriPoly, "__sub__")
+    entries = len(basis.pullback_divisors)
+    for A2, B2, left, right in cases:
+        pr = pair_divisors(basis, A2, B2)
+        assert (pr.left_total(), pr.right_divisor) == (left, right)
+    assert calls == []
+    assert len(basis.pullback_divisors) == entries
 
 
 @pytest.fixture(scope="module")

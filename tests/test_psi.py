@@ -511,6 +511,30 @@ def test_hit_in_a_point_class_slides_the_divisor(basis59, places59, monkeypatch)
         assert failed
 
 
+def test_verify_relation_ignores_order(basis59):
+    """Shuffling either side changes neither the verdict nor the terms
+    that the check stores."""
+    rng = random.Random(59)
+    cases = []
+    for params in itertools.product(range(5), repeat=3):
+        try:
+            lhs, rhs = _core_relation(basis59, params)
+        except DegeneratePair:
+            continue
+        bad = [(p, n + 1 if i == 0 else n) for i, (p, n) in enumerate(rhs)]
+        cases += [(lhs, rhs, True), (lhs, bad, False)]
+        if len(cases) == 8:
+            break
+    for lhs, rhs, verdict in cases:
+        keys = None
+        for _ in range(4):
+            lhs2, rhs2 = rng.sample(lhs, len(lhs)), rng.sample(rhs, len(rhs))
+            fresh = replace(basis59, place_terms={})
+            assert verify_relation(lhs2, rhs2, fresh) == verdict
+            assert keys is None or set(fresh.place_terms) == keys
+            keys = set(fresh.place_terms)
+
+
 def test_warm_check_is_products_only(basis11, monkeypatch):
     """Once the memos hold a relation's terms, checking it again runs no
     Miller loop, no chord, no Mumford reduction, no power and no inversion
