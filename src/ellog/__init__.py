@@ -1,7 +1,7 @@
 """Desk-scale discrete logarithms in small-characteristic fields, built on an
 elliptic representation of the target extension field."""
 
-from .algebra import (FieldDesc, FieldElem, Poly, ext_make, factor_modulus, field_make,
+from .algebra import (FieldDesc, Poly, ext_make, factor_modulus, field_make,
                       poly_factor)
 from .basis import EllipticBasis, build_basis, find_basis, search_curve
 from .curve import Curve, Point, TorsionData, semaev3
@@ -13,7 +13,7 @@ from .solve import bsgs_oracle, dlog, solve_core
 __version__ = "0.1.0"
 
 __all__ = [
-    "Curve", "Divisor", "EllipticBasis", "FieldDesc", "FieldElem", "Place",
+    "Curve", "Divisor", "EllipticBasis", "FieldDesc", "Place",
     "Point", "Poly", "TorsionData", "bsgs_oracle", "build_basis",
     "build_factor_base", "divisor_of", "dlog", "ext_make", "factor_modulus",
     "field_make", "find_basis", "harvest_core", "height", "poly_factor",

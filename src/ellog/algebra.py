@@ -5,8 +5,7 @@ and `ExtFieldDesc`, the residue field F_q[X]/(f) for any monic irreducible f
 over it.  That one class is both the target field F_{q^k} = F_q[X]/(I) and
 the residue field F_q[x]/(u) at a place of degree deg u.  Base field
 elements are stored as integer codes in [0, q): the code is the base-p
-expansion of the coefficient vector, low degree first; the `FieldElem`
-wrapper exists for call sites that prefer operators.  A `Poly` over F_q
+expansion of the coefficient vector, low degree first.  A `Poly` over F_q
 is a tuple of codes, and its arithmetic, gcds, modular powers and the
 factorization all run in one kernel on plain coefficient lists.
 
@@ -24,7 +23,6 @@ import math
 import random
 import sys
 from array import array
-from dataclasses import dataclass
 
 
 DESK_Q_CAP = 1 << 20
@@ -335,55 +333,6 @@ class FieldDesc:
     # pickling support for the harvest worker pool
     def __reduce__(self):
         return (FieldDesc, (self.p, self.m, self.modulus))
-
-
-@dataclass(frozen=True)
-class FieldElem:
-    """Operator-friendly wrapper around a field code."""
-
-    field: FieldDesc
-    code: int
-
-    def _lift(self, other) -> int:
-        if isinstance(other, FieldElem):
-            if other.field != self.field:
-                raise ValueError("field mismatch")
-            return other.code
-        return other % self.field.p
-
-    def __add__(self, other):
-        return FieldElem(self.field, self.field.add(self.code, self._lift(other)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return FieldElem(self.field, self.field.sub(self.code, self._lift(other)))
-
-    def __rsub__(self, other):
-        return FieldElem(self.field, self.field.sub(self._lift(other), self.code))
-
-    def __mul__(self, other):
-        return FieldElem(self.field, self.field.mul(self.code, self._lift(other)))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return FieldElem(self.field, self.field.div(self.code, self._lift(other)))
-
-    def __neg__(self):
-        return FieldElem(self.field, self.field.neg(self.code))
-
-    def __pow__(self, e: int):
-        return FieldElem(self.field, self.field.pow_(self.code, e))
-
-    def __bool__(self):
-        return self.code != 0
-
-    def encode(self) -> str:
-        return self.field.enc(self.code)
-
-    def __repr__(self):
-        return f"<{self.field.enc(self.code)}>"
 
 
 # ---------------------------------------------------------------------------

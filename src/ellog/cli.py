@@ -266,19 +266,22 @@ def cmd_verify(args) -> int:
     basis = _load_basis(args.out)
     fb = build_factor_base(basis, cfg["height_extended"])
     rels = read_relations(_artifact(args.out, "relations.txt", "harvest"), fb)
-    sievelike = [r for r in rels if r.mode in
-                 ("core", "m1", "special_group", "k1k2", "height5")]
     rng = random.Random(cfg["seed"] * 17 + args.sample)
-    picks = sievelike if len(sievelike) <= args.sample else rng.sample(
-        sievelike, args.sample)
+    picks = rels if len(rels) <= args.sample else rng.sample(rels, args.sample)
     failures = 0
     for rel in picks:
         try:
-            A, B = reconstruct_pair(basis, rel.mode, rel.params)
-            pr = pair_divisors(basis, A, B)
-            ok = verify_relation(pr.left_total().finite_places(),
-                                 pr.right_divisor.finite_places(), basis)
-            why = "psi mismatch"
+            pr = pair_divisors(basis, *reconstruct_pair(basis, rel.mode, rel.params))
+            left = pr.left_total()
+            total = left - pr.right_divisor
+            # a place outside the factor base has no column: no row matches
+            if (any(p not in fb.place_map for p, _ in total.finite_places())
+                    or fb.row_of_divisor(total) != rel.cols):
+                ok, why = False, "stored row differs from its pair's row"
+            else:
+                ok = verify_relation(left.finite_places(),
+                                     pr.right_divisor.finite_places(), basis)
+                why = "psi mismatch"
         except (DegeneratePair, SupportHitsF) as exc:
             ok, why = False, f"{type(exc).__name__}: {exc}"
         if not ok:

@@ -9,19 +9,22 @@ steps, with sigma_s = 1 + q + ... + q^(s-1).  Places over the torsion
 points of <P1> need no unknown at all: their whole orbit walks through O
 and the walk pins every log to a multiple of c.
 
-Core relations come from sieving pairs A = g1 + alpha g3 and
-B = g1 + beta g2 + gamma g3 over the generators g1 = U - x2, g2 = V - x3,
-g3 = g1 g2, equating the image of prod (A - alpha' B) with the image of
-the bracket A(V,W)B(U,V) - A(U,V)B(V,W).  The extension stages reuse the
-same plumbing with the generator triples of the height-4 groups and the
-free height-5 sieve.
+A relation equates the image of prod (A - alpha' B) with the image of the
+bracket A(V,W)B(U,V) - A(U,V)B(V,W) for a sieve pair (A, B) in
+span{1, U, V, UV}.  The pairs come in families (core, m1, special_group,
+k1k2, height5), each named by a mode and a few params; `FAMILIES` gives
+every family's (A, B) as coefficient vectors, and `reconstruct_pair`, the
+one place that turns a name into a pair, serves the sieves and the audit
+of stored relations alike.  The core sieve uses the generators
+g1 = U - x2, g2 = V - x3, g3 = g1 g2; the extension stages sieve the
+height-4 groups and the free height-5 pairs.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 from dataclasses import dataclass, field as dc_field
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd
 
 from .algebra import ConfigError, Poly, poly_irreducibles
@@ -185,13 +188,18 @@ class Relation:
 
     @staticmethod
     def from_line(line: str) -> "Relation":
-        mode, params, body, cpart = line.rstrip("\n").split("|")
+        fields = line.rstrip("\n").split("|")
+        if len(fields) != 4:
+            raise ValueError(f"{len(fields)} '|'-separated fields, not 4")
+        mode, params, body, cpart = fields
         cols: dict[int, int] = {}
         if body:
             for item in body.split(","):
                 c, v = item.split(":")
                 cols[int(c)] = int(v)
-        cv = int(cpart.split(":")[1])
+        if not cpart.startswith("c:"):
+            raise ValueError(f"last field {cpart!r} is not c:<value>")
+        cv = int(cpart[2:])
         if cv:
             cols[0] = cv
         ptuple = tuple(int(x) for x in params.split(";")) if params else ()
@@ -203,41 +211,8 @@ def build_factor_base(basis, bound: int = 3) -> FactorBase:
 
 
 # ---------------------------------------------------------------------------
-# sieve bases
+# sieve families
 # ---------------------------------------------------------------------------
-
-@dataclass
-class SieveBasis:
-    """Generator triple with the compelled places removed from each side."""
-
-    mode: str
-    g1: TriPoly
-    g2: TriPoly
-    g3: TriPoly
-    compelled_left: list[Place] = dc_field(default_factory=list)
-    compelled_right: list[Place] = dc_field(default_factory=list)
-    params: tuple = ()
-
-
-def core_sieve_basis(basis) -> SieveBasis:
-    K = basis.curve.field
-    td = basis.td
-    U = TriPoly.var(K, "U")
-    V = TriPoly.var(K, "V")
-    g1 = U - TriPoly.const(K, td.xs[2])
-    g2 = V - TriPoly.const(K, td.xs[3])
-    g3 = g1 * g2
-    p3 = place_of_point(basis.curve, td.point(3))
-    p2 = place_of_point(basis.curve, td.point(2))
-    return SieveBasis("core", g1, g2, g3, [p3], [p3, p2])
-
-
-def special_group_basis(basis) -> SieveBasis:
-    K = basis.curve.field
-    U = TriPoly.var(K, "U")
-    V = TriPoly.var(K, "V")
-    return SieveBasis("special_group", U * V, U + V, TriPoly.const(K, 1))
-
 
 def k1k2_coefficients(basis):
     """Leading data of the three building brackets over the common denominator.
@@ -278,8 +253,8 @@ def k1k2_coefficients(basis):
     return cs[0], cs[1], cs[2], wmax_all
 
 
-def k1k2_group_basis(basis, k1: int) -> SieveBasis:
-    """Height-4 group with generators UV + k1 U, UV + k2 V, 1.
+def k1k2_group_basis(basis, k1: int) -> int:
+    """The k2 of the height-4 group with generators UV + k1 U, UV + k2 V, 1.
 
     k2 is forced by annihilating the top weighted monomial of <g1, g2>;
     the excluded k1 (and any k1 giving k2 = 0) raise GroupDegenerate.
@@ -295,22 +270,86 @@ def k1k2_group_basis(basis, k1: int) -> SieveBasis:
     k2 = K.neg(K.div(K.mul(k1, c1), denom))
     if k1 == 0 or k2 == 0:
         raise GroupDegenerate("degenerate generator pair")
-    U = TriPoly.var(K, "U")
-    V = TriPoly.var(K, "V")
-    UV = U * V
-    g1 = UV + U.scale(k1)
-    g2 = UV + V.scale(k2)
-    return SieveBasis("k1k2", g1, g2, TriPoly.const(K, 1), params=(k1, k2))
+    return k2
 
 
-def height5_pair(basis, a_u: int, a_1: int, b_v: int, b_1: int):
+# Each family maps its params to the coefficient vectors of (A, B) over
+# the monomials 1, U, V, UV, in that order.
+
+def _core(basis, K, alpha, beta, gamma):
+    """g1 = U - x2, g2 = V - x3, g3 = g1 g2: A = g1 + alpha g3 and
+    B = g1 + beta g2 + gamma g3."""
+    x2, x3 = basis.td.xs[2], basis.td.xs[3]
+    sub, mul = K.sub, K.mul
+    x23 = mul(x2, x3)
+    return ((sub(mul(alpha, x23), x2), sub(1, mul(alpha, x3)),
+             K.neg(mul(alpha, x2)), alpha),
+            (sub(mul(gamma, x23), K.add(x2, mul(beta, x3))),
+             sub(1, mul(gamma, x3)), sub(beta, mul(gamma, x2)), gamma))
+
+
+def _m1(basis, K, u, v, w, a, b, c):
+    """A = UV + a U + b V + c, B = u U + v V + w."""
+    return (c, a, b, 1), (w, u, v, 0)
+
+
+def _special_group(basis, K, alpha, beta):
+    """A = UV + alpha (U + V), B = UV + beta."""
+    return (0, alpha, alpha, 1), (beta, 0, 0, 1)
+
+
+def _k1k2(basis, K, k1, k2, alpha, beta):
+    """A = (1 + alpha) UV + k1 U + alpha k2 V, B = UV + k1 U + beta, with
+    k2 the value `k1k2_group_basis` derives from k1."""
+    try:
+        want = k1k2_group_basis(basis, k1)
+    except GroupDegenerate as exc:
+        raise ConfigError(f"k1k2 group k1 = {k1}: {exc}") from None
+    if k2 != want:
+        raise ConfigError(f"k1k2 group k1 = {k1} has k2 = {want}, not {k2}")
+    return (0, k1, K.mul(alpha, k2), K.add(1, alpha)), (beta, k1, 0, 1)
+
+
+def _height5(basis, K, a_u, a_1, b_v, b_1):
+    """A = UV + a_u U + a_1, B = UV + b_v V + b_1."""
+    return (a_1, a_u, 0, 1), (b_1, 0, b_v, 1)
+
+
+# name -> (parameter count, vectors) for every sieve family
+FAMILIES = {"core": (3, _core), "m1": (6, _m1),
+            "special_group": (2, _special_group), "k1k2": (4, _k1k2),
+            "height5": (4, _height5)}
+# every mode a stored relation may carry -> the family naming its pair;
+# a "<family>_free" row is a near miss of that family's group sieve
+_MODE_FAMILY = {**{m: m for m in FAMILIES},
+                "special_group_free": "special_group", "k1k2_free": "k1k2"}
+_SPAN = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0))  # 1, U, V, UV
+
+
+def _check_name(mode: str, params: tuple, q: int):
+    """Raise ConfigError unless (mode, params) can name a sieve pair over F_q."""
+    family = _MODE_FAMILY.get(mode)
+    if family is None:
+        raise ConfigError(f"unknown relation mode {mode!r}")
+    count = FAMILIES[family][0]
+    if len(params) != count:
+        raise ConfigError(f"mode {mode} takes {count} params, not {len(params)}")
+    if not all(0 <= x < q for x in params):
+        raise ConfigError(f"params {params} of mode {mode} are not codes of F_{q}")
+
+
+def reconstruct_pair(basis, mode: str, params: tuple):
+    """The sieve pair (A, B) that a relation's (mode, params) names.
+
+    The only place a pair is built from its name: every sieve calls it, so
+    `ellog verify` rebuilds exactly the pair that was sieved.  A "_free"
+    mode names the pair of its family.  Raises ConfigError for a name no
+    sieve can produce.
+    """
     K = basis.curve.field
-    U = TriPoly.var(K, "U")
-    V = TriPoly.var(K, "V")
-    UV = U * V
-    A = UV + U.scale(a_u) + TriPoly.const(K, a_1)
-    B = UV + V.scale(b_v) + TriPoly.const(K, b_1)
-    return A, B
+    _check_name(mode, params, K.q)
+    a, b = FAMILIES[_MODE_FAMILY[mode]][1](basis, K, *params)
+    return TriPoly(K, zip(_SPAN, a)), TriPoly(K, zip(_SPAN, b))
 
 
 # ---------------------------------------------------------------------------
@@ -449,25 +488,26 @@ class HarvestStats:
         return self.smooth / trials if trials else 0.0
 
 
-def _check_core_pair_stats(sb: SieveBasis, pr: PairResult, stats: HarvestStats,
+def _check_core_pair_stats(compelled, pr: PairResult, stats: HarvestStats,
                            left_slack: int, right_slack: int):
+    compelled_left, compelled_right = compelled
     for D in pr.left_divisors:
         stats.left_factors += 1
-        ok_comp = all(D.coeffs.get(p, 0) >= 1 for p in sb.compelled_left)
+        ok_comp = all(D.coeffs.get(p, 0) >= 1 for p in compelled_left)
         if ok_comp:
             stats.left_with_compelled += 1
         resid = D.positive_part()
-        for p in sb.compelled_left:
+        for p in compelled_left:
             resid.add_place(p, -1)
         if resid.height <= left_slack:
             stats.left_height_ok += 1
         if all(p.degree <= 3 for p, n in D.coeffs.items() if n > 0):
             stats.left_decomposable += 1
     R = pr.right_divisor
-    if all(R.coeffs.get(p, 0) >= 1 for p in sb.compelled_right):
+    if all(R.coeffs.get(p, 0) >= 1 for p in compelled_right):
         stats.right_with_compelled += 1
     resid = R.positive_part()
-    for p in sb.compelled_right:
+    for p in compelled_right:
         resid.add_place(p, -1)
     if resid.height <= right_slack:
         stats.right_height_ok += 1
@@ -475,39 +515,38 @@ def _check_core_pair_stats(sb: SieveBasis, pr: PairResult, stats: HarvestStats,
 
 
 def _core_chunk(args):
-    basis, fb, alphas = args
-    sb = core_sieve_basis(basis)
-    K = basis.curve.field
+    basis, fb, alphas, compelled = args
+    q = basis.q
     rels, stats = [], HarvestStats()
-    for alpha in alphas:
-        A = sb.g1 + sb.g3.scale(alpha)
-        for beta in range(K.q):
-            for gamma in range(K.q):
-                B = sb.g1 + sb.g2.scale(beta) + sb.g3.scale(gamma)
-                stats.attempts += 1
-                try:
-                    rel, pr = relation_from_pair(basis, fb, A, B, "core",
-                                                 (alpha, beta, gamma))
-                except DegeneratePair:
-                    stats.degenerate += 1
-                    continue
-                _check_core_pair_stats(sb, pr, stats, 3, 6)
-                if rel is not None:
-                    stats.smooth += 1
-                    rels.append(rel)
+    for params in product(alphas, range(q), range(q)):
+        A, B = reconstruct_pair(basis, "core", params)
+        stats.attempts += 1
+        try:
+            rel, pr = relation_from_pair(basis, fb, A, B, "core", params)
+        except DegeneratePair:
+            stats.degenerate += 1
+            continue
+        _check_core_pair_stats(compelled, pr, stats, 3, 6)
+        if rel is not None:
+            stats.smooth += 1
+            rels.append(rel)
     return rels, stats
 
 
 def harvest_core(basis, fb: FactorBase, workers: int = 1):
     """Sieve the full (alpha, beta, gamma) cube.
 
+    Every left factor should carry the compelled place over P3 and every
+    bracket those over P3 and P2; `stats` counts how often they do.
     Returns (relations, stats); relations are deduplicated by row and
     sorted by provenance, so the output is independent of worker count.
     """
-    K = basis.curve.field
-    alphas = list(range(K.q))
+    curve, td = basis.curve, basis.td
+    p3 = place_of_point(curve, td.point(3))
+    compelled = ([p3], [p3, place_of_point(curve, td.point(2))])
+    alphas = list(range(basis.q))
     if workers > 1:
-        chunks = [(basis, fb, [a]) for a in alphas]
+        chunks = [(basis, fb, [a], compelled) for a in alphas]
         try:
             pool = multiprocessing.get_context("fork").Pool(workers)
         except (OSError, ValueError, ImportError):
@@ -518,7 +557,7 @@ def harvest_core(basis, fb: FactorBase, workers: int = 1):
             with pool:
                 parts = pool.map(_core_chunk, chunks)
     else:
-        parts = [_core_chunk((basis, fb, alphas))]
+        parts = [_core_chunk((basis, fb, alphas, compelled))]
     stats = HarvestStats()
     rels: list[Relation] = []
     for rl, st in parts:
@@ -552,17 +591,11 @@ def harvest_m1(basis, fb: FactorBase):
     new to the memo and is most of the cost of the pencil.
     Returns deduplicated relations.
     """
-    K = basis.curve.field
-    q = K.q
-    U = TriPoly.var(K, "U")
-    V = TriPoly.var(K, "V")
-    UV = U * V
-    one = TriPoly.const(K, 1)
+    q = basis.q
     out, seen = [], set()
     b_reps = ([(1, b, c) for b in range(q) for c in range(q)]
               + [(0, 1, c) for c in range(q)] + [(0, 0, 1)])
     for u, v, w in b_reps:
-        B = U.scale(u) + V.scale(v) + one.scale(w)
         for a in range(q):
             if u == 1 and a != 0:
                 continue
@@ -572,9 +605,10 @@ def harvest_m1(basis, fb: FactorBase):
                 for c in range(q):
                     if u == 0 and v == 0 and c != 0:
                         continue
-                    A = UV + U.scale(a) + V.scale(b) + one.scale(c)
+                    params = (u, v, w, a, b, c)
                     try:
-                        pr = pair_divisors(basis, A, B)
+                        pr = pair_divisors(basis,
+                                           *reconstruct_pair(basis, "m1", params))
                     except DegeneratePair:
                         continue
                     if any(decompose(D, 3) is None for D in pr.left_divisors):
@@ -584,42 +618,12 @@ def harvest_m1(basis, fb: FactorBase):
                     row = fb.row_of_divisor(pr.left_total() - pr.right_divisor)
                     if not row:
                         continue
-                    rel = Relation("m1", (u, v, w, a, b, c), row)
+                    rel = Relation("m1", params, row)
                     if rel.key() in seen:
                         continue
                     seen.add(rel.key())
                     out.append(rel)
     return out
-
-
-def reconstruct_pair(basis, mode: str, params: tuple):
-    """Rebuild the sieve pair (A, B) of a stored relation for auditing."""
-    K = basis.curve.field
-    if mode == "core":
-        sb = core_sieve_basis(basis)
-        alpha, beta, gamma = params
-        return (sb.g1 + sb.g3.scale(alpha),
-                sb.g1 + sb.g2.scale(beta) + sb.g3.scale(gamma))
-    if mode == "special_group":
-        sb = special_group_basis(basis)
-        alpha, beta = params
-        return sb.g1 + sb.g2.scale(alpha), sb.g1 + sb.g3.scale(beta)
-    if mode == "k1k2":
-        k1, k2, alpha, beta = params
-        sb = k1k2_group_basis(basis, k1)
-        assert sb.params[1] == k2
-        return sb.g1 + sb.g2.scale(alpha), sb.g1 + sb.g3.scale(beta)
-    if mode == "height5":
-        return height5_pair(basis, *params)
-    if mode == "m1":
-        U = TriPoly.var(K, "U")
-        V = TriPoly.var(K, "V")
-        one = TriPoly.const(K, 1)
-        u, v, w, a, b, c = params
-        A = U * V + U.scale(a) + V.scale(b) + one.scale(c)
-        B = U.scale(u) + V.scale(v) + one.scale(w)
-        return A, B
-    raise ValueError(f"unknown relation mode {mode}")
 
 
 # ---------------------------------------------------------------------------
@@ -637,33 +641,32 @@ class ExtendReport:
     relations: list[Relation] = dc_field(default_factory=list)
 
 
-def _group_rows(basis, fb: FactorBase, sb: SieveBasis):
+def _group_rows(basis, fb: FactorBase, mode: str, head: tuple = ()):
     """Sieve one height-4 group once: (smooth rows, near-miss rows).
 
-    A near-miss pair has a bracket with exactly one degree-4 place, of
+    The group's pairs are `mode` with params head + (alpha, beta).  A
+    near-miss pair has a bracket with exactly one degree-4 place, of
     multiplicity one, and nothing above degree 4; its row, of mode
     "<mode>_free", yields a log once it has a single unknown.
     """
-    K = basis.curve.field
+    q = basis.q
     rows, near = [], []
-    for alpha in range(K.q):
-        for beta in range(K.q):
-            A = sb.g1 + sb.g2.scale(alpha)
-            B = sb.g1 + sb.g3.scale(beta)
-            params = sb.params + (alpha, beta)
-            try:
-                rel, pr = relation_from_pair(basis, fb, A, B, sb.mode, params)
-            except DegeneratePair:
-                continue
-            if rel is not None:
-                rows.append(rel)
-                continue
-            right = [(p, n) for p, n in pr.right_divisor.coeffs.items() if n > 0]
-            deg4 = [n for p, n in right if p.degree == 4]
-            if deg4 == [1] and all(p.degree <= 4 for p, _ in right):
-                total = pr.left_total() - pr.right_divisor
-                near.append(Relation(sb.mode + "_free", params,
-                                     fb.row_of_divisor(total)))
+    for alpha, beta in product(range(q), repeat=2):
+        params = head + (alpha, beta)
+        A, B = reconstruct_pair(basis, mode, params)
+        try:
+            rel, pr = relation_from_pair(basis, fb, A, B, mode, params)
+        except DegeneratePair:
+            continue
+        if rel is not None:
+            rows.append(rel)
+            continue
+        right = [(p, n) for p, n in pr.right_divisor.coeffs.items() if n > 0]
+        deg4 = [n for p, n in right if p.degree == 4]
+        if deg4 == [1] and all(p.degree <= 4 for p, _ in right):
+            total = pr.left_total() - pr.right_divisor
+            near.append(Relation(mode + "_free", params,
+                                 fb.row_of_divisor(total)))
     return rows, near
 
 
@@ -735,19 +738,13 @@ def extend_h4(basis, fb: FactorBase) -> list[tuple[list[Relation], list[Relation
     Returns (smooth rows, near-miss rows) per group, in resolution order.
     """
     fb.extend_to(4)
-    groups = [_group_rows(basis, fb, special_group_basis(basis))]
-    K = basis.curve.field
-    c1, c2, c3, _ = k1k2_coefficients(basis)
-    if c2 and c3:
-        excluded = K.neg(K.div(c2, c3))
-        for k1 in range(K.q):
-            if k1 == 0 or k1 == excluded:
-                continue
-            try:
-                sb = k1k2_group_basis(basis, k1)
-            except GroupDegenerate:
-                continue
-            groups.append(_group_rows(basis, fb, sb))
+    groups = [_group_rows(basis, fb, "special_group")]
+    for k1 in range(basis.q):
+        try:
+            k2 = k1k2_group_basis(basis, k1)
+        except GroupDegenerate:
+            continue
+        groups.append(_group_rows(basis, fb, "k1k2", (k1, k2)))
     return groups
 
 
@@ -759,29 +756,20 @@ def extend_h5(basis, fb: FactorBase) -> list[tuple[int, Relation]]:
     yields the log of that place's column once it is the row's only unknown.
     """
     fb.extend_to(5)
-    K = basis.curve.field
     out = []
-    for a_u in range(K.q):
-        for a_1 in range(K.q):
-            for b_v in range(K.q):
-                for b_1 in range(K.q):
-                    A, B = height5_pair(basis, a_u, a_1, b_v, b_1)
-                    if A == B:
-                        continue
-                    try:
-                        pr = pair_divisors(basis, A, B)
-                    except DegeneratePair:
-                        continue
-                    right = [(p, n) for p, n in pr.right_divisor.coeffs.items()
-                             if n > 0]
-                    h5 = [(p, n) for p, n in right if p.degree == 5]
-                    if (len(h5) != 1 or h5[0][1] != 1
-                            or any(p.degree > 5 for p, _ in right)):
-                        continue
-                    col = fb.place_map[h5[0][0]][0]
-                    total = pr.left_total() - pr.right_divisor
-                    out.append((col, Relation("height5", (a_u, a_1, b_v, b_1),
-                                              fb.row_of_divisor(total))))
+    for params in product(range(basis.q), repeat=4):
+        try:
+            pr = pair_divisors(basis, *reconstruct_pair(basis, "height5", params))
+        except DegeneratePair:
+            continue
+        right = [(p, n) for p, n in pr.right_divisor.coeffs.items() if n > 0]
+        h5 = [(p, n) for p, n in right if p.degree == 5]
+        if (len(h5) != 1 or h5[0][1] != 1
+                or any(p.degree > 5 for p, _ in right)):
+            continue
+        col = fb.place_map[h5[0][0]][0]
+        total = pr.left_total() - pr.right_divisor
+        out.append((col, Relation("height5", params, fb.row_of_divisor(total))))
     return out
 
 
@@ -842,13 +830,23 @@ def write_relations(path: str, fb: FactorBase, relations: list[Relation],
 
 
 def read_relations(path: str, fb: FactorBase) -> list[Relation]:
+    """The relations of a file written by `write_relations`.
+
+    Each line must have four fields and a (mode, params) that names a
+    sieve pair; a malformed line raises ConfigError naming its number.
+    """
     out = []
     with open(path) as fh:
-        for line in fh:
+        for n, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 if line.startswith("# factor-base") and fb.fingerprint() not in line:
                     raise ConfigError("relations file belongs to a different basis")
                 continue
-            out.append(Relation.from_line(line))
+            try:
+                rel = Relation.from_line(line)
+                _check_name(rel.mode, rel.params, fb.basis.q)
+            except ValueError as exc:  # ConfigError included
+                raise ConfigError(f"{path} line {n}: {exc}") from None
+            out.append(rel)
     return out

@@ -635,9 +635,7 @@ class DlogResult:
     verified: bool
 
 
-def _make_descender(basis, ctx: LogContext, params):
-    t_a, t_b = params.get("t_a", 2), params.get("t_b", 2)
-
+def _make_descender(basis, ctx: LogContext, seed: int):
     def descender(place: Place) -> bool:
         if ctx.log_of_place(place) is not None:
             return True
@@ -646,8 +644,7 @@ def _make_descender(basis, ctx: LogContext, params):
             return False
         compelled = 3 if deg <= 6 else 2
         try:
-            bilinear_descend(basis, ctx, place, t_a, t_b, compelled,
-                             seed=params.get("seed", 0))
+            bilinear_descend(basis, ctx, place, compelled=compelled, seed=seed)
             return ctx.log_of_place(place) is not None
         except (NoSolutionInBudget, DescentFailed):
             return False
@@ -672,10 +669,9 @@ def log_r_of_generator(basis, ctx: LogContext, g,
 
 
 def dlog(z, g, basis, fb: FactorBase, logs: dict[int, int],
-         d0: int = 4, seed: int = 0, budget: int = 400,
-         with_full: bool = True, allow_descent: bool = True,
+         d0: int = 4, seed: int = 0, allow_descent: bool = True,
          ctx: LogContext | None = None) -> DlogResult:
-    """log_g(z) mod M, plus the full exponent when requested.
+    """log_g(z) mod M, plus the full exponent once the mod-M part verifies.
 
     The mod-M part is the ratio of two reference-based logs, so it never
     depends on the normalization; it is always checked by verifying that
@@ -686,17 +682,18 @@ def dlog(z, g, basis, fb: FactorBase, logs: dict[int, int],
     M = basis.M
     if ctx is None:
         ctx = LogContext(fb, logs)
-    descender = _make_descender(basis, ctx, {"seed": seed}) if allow_descent else None
+    descender = _make_descender(basis, ctx, seed) if allow_descent else None
     lg = log_r_of_generator(basis, ctx, g, d0, seed, descender)
     if math.gcd(lg, M) != 1:
         raise DescentFailed("generator log is not invertible mod M; is g primitive?")
-    split = classical_split(z, basis, ctx, g, lg, d0, budget, seed, descender)
+    split = classical_split(z, basis, ctx, g, lg, d0, seed=seed,
+                            descender=descender)
     x = split.log_r * pow(lg, -1, M) % M
     # soundness gate: z * g^(-x) must be a base-field element
     resid = ext.mul(z, ext.pow_(g, (-x) % (ext.order_total - 1)))
     verified = ext.is_base(resid)
     x_full = None
-    if verified and with_full:
+    if verified:
         eta = ext.pow_(g, M)
         y = bsgs_oracle((ext, resid), (ext, eta), basis.curve.field.q - 1)
         x_full = (x + M * y) % (ext.order_total - 1)

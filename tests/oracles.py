@@ -17,6 +17,10 @@ i <= 3 rather than the library's #E(F_q).
 `orbit_canonical` are slow or alternative forms of library routines, kept
 only to check them.
 
+`sieve_pair_oracle` builds each sieve family's pair from its generator
+triple, the reference for `harvest.reconstruct_pair`, and
+`family_params` lists every parameter set a family's sieve visits.
+
 `extend_per_pass` is the former form of `harvest.extend`: every pass
 sieves each height-4 group and every height-5 pair afresh, at most four
 passes.
@@ -589,21 +593,21 @@ def orbit_canonical(place, td):
     return orbit[rep_i], (-rep_i) % len(orbit)
 
 
-def _group_pass(basis, fb, sb, logs, prime_powers, relations):
+def _group_pass(basis, fb, mode, head, logs, prime_powers, relations):
     """One height-4 group: sieve, solve its rows, then mine free logs."""
     from ellog.harvest import (DegeneratePair, Relation,
-                               _solve_rows_for_new_cols, relation_from_pair)
+                               _solve_rows_for_new_cols, reconstruct_pair,
+                               relation_from_pair)
     K = basis.curve.field
     M = basis.M
     rows = []
     failures = []
     for alpha in range(K.q):
         for beta in range(K.q):
-            A = sb.g1 + sb.g2.scale(alpha)
-            B = sb.g1 + sb.g3.scale(beta)
+            params = head + (alpha, beta)
+            A, B = reconstruct_pair(basis, mode, params)
             try:
-                rel, pr = relation_from_pair(
-                    basis, fb, A, B, sb.mode, sb.params + (alpha, beta))
+                rel, pr = relation_from_pair(basis, fb, A, B, mode, params)
             except DegeneratePair:
                 continue
             if rel is not None:
@@ -613,7 +617,7 @@ def _group_pass(basis, fb, sb, logs, prime_powers, relations):
                               if n > 0 and p.degree == 4]
                 if len(deg4_right) == 1 and deg4_right[0][1] == 1 and all(
                         p.degree <= 4 for p, n in pr.right_divisor.coeffs.items() if n > 0):
-                    failures.append((pr, sb.params + (alpha, beta)))
+                    failures.append((pr, params))
     logs.update(_solve_rows_for_new_cols(basis, rows, logs, prime_powers))
     relations.extend(rows)
     for pr, params in failures:
@@ -626,15 +630,14 @@ def _group_pass(basis, fb, sb, logs, prime_powers, relations):
         if math.gcd(row[col], M) != 1:
             continue
         logs[col] = -rest * pow(row[col], -1, M) % M
-        relations.append(Relation(sb.mode + "_free", params, row))
+        relations.append(Relation(mode + "_free", params, row))
 
 
 def _h4_pass(basis, fb, logs, prime_powers, relations):
     from ellog.harvest import (GroupDegenerate, k1k2_coefficients,
-                               k1k2_group_basis, special_group_basis)
+                               k1k2_group_basis)
     fb.extend_to(4)
-    _group_pass(basis, fb, special_group_basis(basis), logs, prime_powers,
-                relations)
+    _group_pass(basis, fb, "special_group", (), logs, prime_powers, relations)
     K = basis.curve.field
     c1, c2, c3, _ = k1k2_coefficients(basis)
     if c2 and c3:
@@ -643,15 +646,16 @@ def _h4_pass(basis, fb, logs, prime_powers, relations):
             if k1 == 0 or k1 == excluded:
                 continue
             try:
-                sb = k1k2_group_basis(basis, k1)
+                k2 = k1k2_group_basis(basis, k1)
             except GroupDegenerate:
                 continue
-            _group_pass(basis, fb, sb, logs, prime_powers, relations)
+            _group_pass(basis, fb, "k1k2", (k1, k2), logs, prime_powers,
+                        relations)
 
 
 def _h5_pass(basis, fb, logs, relations):
-    from ellog.harvest import (DegeneratePair, Relation, height5_pair,
-                               pair_divisors)
+    from ellog.harvest import (DegeneratePair, Relation, pair_divisors,
+                               reconstruct_pair)
     fb.extend_to(5)
     K = basis.curve.field
     M = basis.M
@@ -659,7 +663,8 @@ def _h5_pass(basis, fb, logs, relations):
         for a_1 in range(K.q):
             for b_v in range(K.q):
                 for b_1 in range(K.q):
-                    A, B = height5_pair(basis, a_u, a_1, b_v, b_1)
+                    A, B = reconstruct_pair(basis, "height5",
+                                            (a_u, a_1, b_v, b_1))
                     if A == B:
                         continue
                     try:
@@ -709,3 +714,67 @@ def extend_per_pass(basis, fb, logs, prime_powers, max_passes: int = 4):
             seen.add((rel.mode, rel.params))
             out.append(rel)
     return out, passes
+
+
+def sieve_pair_oracle(basis, mode, params):
+    """The pair (A, B) of a sieve family, from its generator triple.
+
+    The reference for `harvest.reconstruct_pair`: each family is a triple
+    (g1, g2, g3) of `TriPoly`s built by arithmetic on U and V, as the
+    sieves once built them, and a pair is a combination of the triple.
+    k2 is taken as given.
+    """
+    from ellog.curve import TriPoly
+    K = basis.curve.field
+    U, V = TriPoly.var(K, "U"), TriPoly.var(K, "V")
+    one = TriPoly.const(K, 1)
+    UV = U * V
+    if mode == "core":
+        alpha, beta, gamma = params
+        g1 = U - one.scale(basis.td.xs[2])
+        g2 = V - one.scale(basis.td.xs[3])
+        g3 = g1 * g2
+        return g1 + g3.scale(alpha), g1 + g2.scale(beta) + g3.scale(gamma)
+    if mode == "m1":
+        u, v, w, a, b, c = params
+        return (UV + U.scale(a) + V.scale(b) + one.scale(c),
+                U.scale(u) + V.scale(v) + one.scale(w))
+    if mode == "height5":
+        a_u, a_1, b_v, b_1 = params
+        return UV + U.scale(a_u) + one.scale(a_1), UV + V.scale(b_v) + one.scale(b_1)
+    if mode == "special_group":
+        (g1, g2, g3), (alpha, beta) = (UV, U + V, one), params
+    else:
+        assert mode == "k1k2"
+        k1, k2, alpha, beta = params
+        g1, g2, g3 = UV + U.scale(k1), UV + V.scale(k2), one
+    return g1 + g2.scale(alpha), g1 + g3.scale(beta)
+
+
+def m1_params(q):
+    """The (u, v, w, a, b, c) of every pencil `harvest_m1` visits."""
+    b_reps = ([(1, b, c) for b in range(q) for c in range(q)]
+              + [(0, 1, c) for c in range(q)] + [(0, 0, 1)])
+    return [(u, v, w, a, b, c) for u, v, w in b_reps
+            for a in range(q) for b in range(q) for c in range(q)
+            if not ((u == 1 and a) or (u == 0 and v == 1 and b)
+                    or (u == 0 and v == 0 and c))]
+
+
+def family_params(basis, mode):
+    """Every parameter set the sieve of `mode` visits on `basis`."""
+    from ellog.harvest import GroupDegenerate, k1k2_group_basis
+    q = basis.q
+    if mode == "m1":
+        return m1_params(q)
+    if mode == "k1k2":
+        out = []
+        for k1 in range(q):
+            try:
+                k2 = k1k2_group_basis(basis, k1)
+            except GroupDegenerate:
+                continue
+            out.extend((k1, k2, a, b) for a in range(q) for b in range(q))
+        return out
+    width = {"core": 3, "special_group": 2, "height5": 4}[mode]
+    return list(itertools.product(range(q), repeat=width))

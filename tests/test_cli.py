@@ -177,6 +177,82 @@ def test_verify_command_names_corrupted_log_column(pipeline, tmp_path, capsys):
     assert captured.out.splitlines()[-1].endswith("failures: 1")
 
 
+def _edit_relations(pipeline, tmp_path, edit):
+    """A copy of the pipeline run whose relations.txt lines went through edit."""
+    out = str(tmp_path / "run")
+    shutil.copytree(pipeline["dir"], out)
+    path = os.path.join(out, "relations.txt")
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    with open(path, "w") as fh:
+        fh.write("\n".join(edit(lines)) + "\n")
+    return out
+
+
+def _bump_a_coefficient(pipeline, mode, params, body):
+    col, val = body.split(",")[0].split(":")
+    rest = body.split(",")[1:]
+    return mode, params, ",".join([f"{col}:{int(val) + 1}"] + rest)
+
+
+def _name_a_pair_off_the_base(pipeline, mode, params, body):
+    """The name of a height5 pair with a place outside the factor base,
+    whose row therefore has no columns to match."""
+    from ellog.harvest import DegeneratePair, pair_divisors, reconstruct_pair
+    from oracles import family_params
+    basis, fb = pipeline["basis"], pipeline["fb"]
+    for ps in family_params(basis, "height5"):
+        try:
+            pr = pair_divisors(basis, *reconstruct_pair(basis, "height5", ps))
+        except DegeneratePair:
+            continue
+        total = pr.left_total() - pr.right_divisor
+        if any(p not in fb.place_map for p, _ in total.finite_places()):
+            return "height5", ";".join(map(str, ps)), body
+    raise AssertionError("every height5 pair stays in the factor base")
+
+
+@pytest.mark.parametrize("edit", [_bump_a_coefficient, _name_a_pair_off_the_base])
+def test_verify_command_checks_the_stored_row(pipeline, tmp_path, capsys, edit):
+    """A stored row that is not its pair's row fails verify, though psi
+    agrees on both sides of the pair; every mode is sampled."""
+    named = []
+
+    def tamper(lines):
+        i = next(i for i, line in enumerate(lines) if line.startswith("core|0;0;1|"))
+        mode, params, body, cpart = lines[i].split("|")
+        mode, params, body = edit(pipeline, mode, params, body)
+        named.append(f"{mode}({params.replace(';', ', ')})")
+        lines[i] = "|".join([mode, params, body, cpart])
+        return lines
+
+    out = _edit_relations(pipeline, tmp_path, tamper)
+    rc = main(["verify", "--sample", "1000", "--log-sample", "0", "--out", out])
+    captured = capsys.readouterr()
+    assert rc == 4
+    assert captured.err.splitlines() == [
+        f"relation {named[0]}: stored row differs from its pair's row"]
+    assert (captured.out.splitlines()[0]
+            == f"relations checked: {len(pipeline['relations'])}, failures: 1")
+
+
+@pytest.mark.parametrize("line,command", [
+    ("garbage", "verify"), ("garbage", "solve"),
+    ("core|1;2|1:3|c:0", "verify"), ("core|1;2|1:3|c:0", "solve"),
+    ("bogus|1;2;3|1:3|c:0", "verify"),
+    ("k1k2|{k1};{bad};0;0|1:3|c:0", "verify"),
+])
+def test_malformed_relation_line_is_config_error(pipeline, tmp_path, capsys,
+                                                 line, command):
+    from oracles import family_params
+    k1, k2 = family_params(pipeline["basis"], "k1k2")[0][:2]
+    line = line.format(k1=k1, bad=(k2 + 1) % pipeline["basis"].q)
+    out = _edit_relations(pipeline, tmp_path, lambda lines: lines + [line])
+    assert main([command, "--sample", "1000", "--log-sample", "0", "--out", out]
+                if command == "verify" else [command, "--out", out]) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
 def test_verify_command_raises_programming_errors(pipeline, monkeypatch):
     import ellog.cli
 

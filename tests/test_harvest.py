@@ -1,16 +1,20 @@
 import hashlib
 import random
+import re
 from collections import Counter
 
 import pytest
 
+from ellog.algebra import ConfigError
 from ellog.curve import TriPoly, bracket, phi_star
 from ellog.divisor import divisor_of, place_of_point, translate_place
-from ellog.harvest import (C_COLUMN, DegeneratePair, GroupDegenerate,
-                           build_factor_base, core_sieve_basis, harvest_core,
-                           harvest_m1, k1k2_coefficients, k1k2_group_basis,
-                           pair_divisors, read_relations, reconstruct_pair,
+from ellog.harvest import (C_COLUMN, FAMILIES, DegeneratePair, GroupDegenerate,
+                           build_factor_base, harvest_core, harvest_m1,
+                           k1k2_coefficients, k1k2_group_basis, pair_divisors,
+                           read_relations, reconstruct_pair,
                            relation_from_pair, write_relations)
+
+from oracles import family_params, sieve_pair_oracle
 
 
 @pytest.fixture(scope="module")
@@ -65,10 +69,8 @@ def test_torsion_sigma_multipliers(basis59, fb59):
 
 
 def test_degenerate_pair_rejected(basis59, fb59):
-    sb = core_sieve_basis(basis59)
     alpha = 2
-    A = sb.g1 + sb.g3.scale(alpha)
-    B = sb.g1 + sb.g2.scale(0) + sb.g3.scale(alpha)
+    A, B = reconstruct_pair(basis59, "core", (alpha, 0, alpha))
     with pytest.raises(DegeneratePair):
         relation_from_pair(basis59, fb59, A, B, "core", (alpha, 0, alpha))
 
@@ -94,10 +96,7 @@ def test_relations_dedupe_to_pencils(basis59, harvested):
 
 def test_scaled_pair_same_row(basis59, fb59, harvested):
     rels, _ = harvested
-    sb = core_sieve_basis(basis59)
-    alpha, beta, gamma = rels[0].params
-    A = sb.g1 + sb.g3.scale(alpha)
-    B = sb.g1 + sb.g2.scale(beta) + sb.g3.scale(gamma)
+    A, B = reconstruct_pair(basis59, "core", rels[0].params)
     r1, _ = relation_from_pair(basis59, fb59, A, B, "core", (0,))
     r2, _ = relation_from_pair(basis59, fb59, A.scale(3), B, "core", (1,))
     assert r1 is not None and r2 is not None
@@ -156,8 +155,7 @@ def test_k1k2_coefficients_and_exclusion(basis59):
         k1k2_group_basis(basis59, 0)
     # any admissible k1 annihilates the top bracket coefficient
     k1 = next(x for x in range(1, K.q) if x != excluded)
-    sb = k1k2_group_basis(basis59, k1)
-    k2 = sb.params[1]
+    k2 = k1k2_group_basis(basis59, k1)
     lhs = K.add(K.add(K.mul(k1, c1), K.mul(k2, c2)), K.mul(K.mul(k1, k2), c3))
     assert lhs == 0
 
@@ -167,12 +165,11 @@ def test_k1k2_groups_lower_right_height(basis59, fb59):
     c1, c2, c3, _ = k1k2_coefficients(basis59)
     excluded = K.neg(K.div(c2, c3))
     k1 = next(x for x in range(1, K.q) if x != excluded)
-    sb = k1k2_group_basis(basis59, k1)
+    k2 = k1k2_group_basis(basis59, k1)
     rng = random.Random(3)
     for _ in range(12):
         alpha, beta = rng.randrange(K.q), rng.randrange(K.q)
-        A = sb.g1 + sb.g2.scale(alpha)
-        B = sb.g1 + sb.g3.scale(beta)
+        A, B = reconstruct_pair(basis59, "k1k2", (k1, k2, alpha, beta))
         if A == B:
             continue
         pr = pair_divisors(basis59, A, B)
@@ -199,10 +196,67 @@ def test_relation_roundtrip_file(tmp_path, basis59, fb59, harvested):
     assert [(r.mode, r.params) for r in back] == [(r.mode, r.params) for r in rels]
 
 
-def test_reconstruct_pair_roundtrip(basis59, harvested):
-    rels, _ = harvested
-    for rel in rels[:5]:
-        A, B = reconstruct_pair(basis59, rel.mode, rel.params)
-        again, _ = relation_from_pair(basis59, build_factor_base(basis59, 3),
-                                      A, B, rel.mode, rel.params)
-        assert again is not None and again.cols == rel.cols
+def test_reconstruct_pair_roundtrip(pipeline):
+    """Every stored row of the (5, 9) run is the row of the pair its
+    (mode, params) names, a "_free" mode under its family."""
+    basis, fb = pipeline["basis"], pipeline["fb"]
+    modes = set()
+    for rel in pipeline["relations"]:
+        pr = pair_divisors(basis, *reconstruct_pair(basis, rel.mode, rel.params))
+        assert fb.row_of_divisor(pr.left_total() - pr.right_divisor) == rel.cols
+        modes.add(rel.mode)
+    assert modes == {"core", "m1", "special_group", "k1k2", "k1k2_free",
+                     "height5"}
+
+
+@pytest.mark.parametrize("mode", sorted(FAMILIES))
+def test_reconstruct_pair_matches_generator_triples(basis59, basis11, mode):
+    """The family table gives the pair of the generator-triple oracle for
+    every parameter set at q = 5 and a seeded sample at q = 11."""
+    full = family_params(basis59, mode)
+    if mode == "k1k2":  # 25 pairs in each admissible group
+        assert full and len(full) % 25 == 0
+    else:
+        assert len(full) == {"core": 125, "m1": 775, "special_group": 25,
+                             "height5": 625}[mode]
+    sample = family_params(basis11, mode)
+    sample = random.Random(mode).sample(sample, min(60, len(sample)))
+    for basis, plan in ((basis59, full), (basis11, sample)):
+        for params in plan:
+            assert (reconstruct_pair(basis, mode, params)
+                    == sieve_pair_oracle(basis, mode, params)), params
+
+
+@pytest.mark.parametrize("mode,params,why", [
+    ("bogus", (1, 2, 3), "unknown relation mode"),
+    ("core", (1, 2), "takes 3 params"),
+    ("k1k2_free", (1, 2, 3, 4, 0), "takes 4 params"),
+    ("core", (1, 2, 5), "not codes of F_5"),
+])
+def test_reconstruct_pair_rejects_bad_names(basis59, mode, params, why):
+    with pytest.raises(ConfigError, match=why):
+        reconstruct_pair(basis59, mode, params)
+
+
+def test_reconstruct_pair_rejects_a_wrong_k2(basis59):
+    k1, k2 = family_params(basis59, "k1k2")[0][:2]
+    bad = (k2 + 1) % basis59.q
+    with pytest.raises(ConfigError, match=f"has k2 = {k2}, not {bad}"):
+        reconstruct_pair(basis59, "k1k2", (k1, bad, 0, 0))
+    # k1 = 0 gives k2 = 0, a degenerate group
+    with pytest.raises(ConfigError, match="k1 = 0: degenerate"):
+        reconstruct_pair(basis59, "k1k2_free", (0, 1, 0, 0))
+
+
+@pytest.mark.parametrize("line,why", [
+    ("garbage", "line 2: 1 '|'-separated fields, not 4"),
+    ("core|1;2|1:3|c:0", "line 2: mode core takes 3 params, not 2"),
+    ("bogus|1;2;3|1:3|c:0", "line 2: unknown relation mode 'bogus'"),
+    ("core|1;x;3|1:3|c:0", "line 2: invalid literal"),
+    ("core|1;2;3|1:3|0", "line 2: last field '0' is not c:<value>"),
+])
+def test_read_relations_rejects_malformed_lines(tmp_path, fb59, line, why):
+    path = tmp_path / "relations.txt"
+    path.write_text(f"# factor-base {fb59.fingerprint()}\n{line}\n")
+    with pytest.raises(ConfigError, match=re.escape(why)):
+        read_relations(str(path), fb59)

@@ -15,12 +15,12 @@ import ellog.harvest
 from ellog.curve import (Curve, Point, TorsionData, TriPoly, bracket, phi_star,
                          plucker_bracket)
 from ellog.divisor import divisor_of
-from ellog.harvest import (DegeneratePair, GroupDegenerate, height5_pair,
-                           k1k2_group_basis, pullback_divisor, pair_divisors,
+from ellog.harvest import (DegeneratePair, pullback_divisor, pair_divisors,
                            reconstruct_pair)
 from ellog.solve import _mono_list
 
-from oracles import pair_divisors_fresh, phi_star_fresh
+from oracles import (family_params, m1_params, pair_divisors_fresh,
+                     phi_star_fresh)
 
 
 def _fresh_basis(basis):
@@ -28,47 +28,15 @@ def _fresh_basis(basis):
     return replace(basis, pullback_divisors={})
 
 
-def _m1_params(q):
-    """The (u, v, w, a, b, c) of every pencil `harvest_m1` visits."""
-    b_reps = ([(1, b, c) for b in range(q) for c in range(q)]
-              + [(0, 1, c) for c in range(q)] + [(0, 0, 1)])
-    return [(u, v, w, a, b, c) for u, v, w in b_reps
-            for a in range(q) for b in range(q) for c in range(q)
-            if not ((u == 1 and a) or (u == 0 and v == 1 and b)
-                    or (u == 0 and v == 0 and c))]
-
-
-def _mode_params(basis, mode):
-    q = basis.q
-    if mode == "core":
-        return [(a, b, c) for a in range(q) for b in range(q) for c in range(q)]
-    if mode == "m1":
-        return _m1_params(q)
-    if mode == "special_group":
-        return [(a, b) for a in range(q) for b in range(q)]
-    if mode == "k1k2":
-        out = []
-        for k1 in range(q):
-            try:
-                k2 = k1k2_group_basis(basis, k1).params[1]
-            except GroupDegenerate:
-                continue
-            out.extend((k1, k2, a, b) for a in range(q) for b in range(q))
-        return out
-    assert mode == "height5"
-    return [(a, b, c, d) for a in range(q) for b in range(q)
-            for c in range(q) for d in range(q)]
-
-
 def _family_member(basis, family, params, aprime):
     """Left factor A - aprime B of a sieve pair (aprime = q gives B)."""
     if family == "core":
         A, B = reconstruct_pair(basis, "core", params[:3])
     elif family == "m1":
-        pool = _m1_params(basis.q)
+        pool = m1_params(basis.q)
         A, B = reconstruct_pair(basis, "m1", pool[params[0] % len(pool)])
     else:
-        A, B = height5_pair(basis, *params)
+        A, B = reconstruct_pair(basis, "height5", params)
     return B if aprime == basis.q else A - B.scale(aprime)
 
 
@@ -102,7 +70,7 @@ def test_divisor_ignores_scalar(request, name):
 def test_warm_memo_matches_fresh_pull_backs(basis59, mode):
     basis = _fresh_basis(basis59)
     rng = random.Random(mode)
-    params = _mode_params(basis, mode)
+    params = family_params(basis, mode)
     if len(params) > 200:
         params = rng.sample(params, 200)
 
@@ -154,7 +122,7 @@ def test_memo_bounded_by_core_lines(basis11):
     basis = _fresh_basis(basis11)
     q = basis.q
     lines, brackets = set(), set()
-    for ps in _mode_params(basis, "core"):
+    for ps in family_params(basis, "core"):
         A, B = reconstruct_pair(basis, "core", ps)
         try:
             pair_divisors(basis, A, B)
@@ -276,7 +244,7 @@ def test_warm_pair_is_lookups_only(request, monkeypatch, name):
     q = basis.q
     rng = random.Random(name)
     cases = []
-    for params in rng.sample(_mode_params(basis, "core"), 40):
+    for params in rng.sample(family_params(basis, "core"), 40):
         A, B = reconstruct_pair(basis, "core", params)
         try:
             pr = pair_divisors(basis, A, B)

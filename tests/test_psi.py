@@ -161,25 +161,18 @@ def test_translation_identity_unnormalized_variant(basis59):
 
 
 def test_diagram_commutes_for_sieve_pairs(basis59):
-    from ellog.harvest import core_sieve_basis, pair_divisors
-    sb = core_sieve_basis(basis59)
     rng = random.Random(81)
     for _ in range(30):
         alpha, beta, gamma = (rng.randrange(5) for _ in range(3))
         if beta == 0 and gamma == alpha:
             continue
-        A = sb.g1 + sb.g3.scale(alpha)
-        B = sb.g1 + sb.g2.scale(beta) + sb.g3.scale(gamma)
+        A, B = reconstruct_pair(basis59, "core", (alpha, beta, gamma))
         pr = pair_divisors(basis59, A, B)
         assert psi_eval(pr.left_total(), basis59) == psi_eval(pr.right_divisor, basis59)
 
 
 def test_verify_relation_identical_and_perturbed(basis59):
-    from ellog.harvest import core_sieve_basis, pair_divisors
-    sb = core_sieve_basis(basis59)
-    A = sb.g1 + sb.g3.scale(2)
-    B = sb.g1 + sb.g2.scale(1) + sb.g3.scale(3)
-    pr = pair_divisors(basis59, A, B)
+    pr = pair_divisors(basis59, *reconstruct_pair(basis59, "core", (2, 1, 3)))
     lhs = pr.left_total().finite_places()
     rhs = pr.right_divisor.finite_places()
     assert verify_relation(lhs, lhs, basis59)
