@@ -145,15 +145,22 @@ def cmd_harvest(args) -> int:
     basis = _load_basis(args.out)
     fb = build_factor_base(basis, cfg["height_base"])
     rels, st = harvest_core(basis, fb, max(1, args.workers))
-    reinforced = []
-    if not args.no_reinforce:
+    # m1 only adds rank: run it when `solve` would fail on the core rows
+    try:
+        solve_core(basis, fb, rels, cfg["small_prime_bound"], cfg["seed"])
+    except MoreRelationsNeeded as exc:
         reinforced = harvest_m1(basis, fb)
+        m1_note = f"run, since the core rows fall short ({exc})"
+    else:
+        reinforced = []
+        m1_note = "not needed, the core rows solve"
     write_relations(os.path.join(args.out, "relations.txt"), fb,
                     rels + reinforced)
     rate = st.success_rate()
     print(f"sieve pairs: {st.attempts} (degenerate {st.degenerate})")
     print(f"bracket smooth: {st.smooth}  -> unique rows {st.emitted} "
           f"+ {len(reinforced)} reinforcement rows")
+    print(f"m1 reinforcement: {m1_note}")
     print(f"success rate {rate:.3f} (large-q reference 0.383)")
     print(f"left factors: {st.left_factors}, compelled present "
           f"{st.left_with_compelled}, height ok {st.left_height_ok}, "
@@ -262,6 +269,9 @@ def cmd_dlog(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    for flag, n in (("--sample", args.sample), ("--log-sample", args.log_sample)):
+        if n < 0:
+            raise ConfigError(f"{flag} must be >= 0, not {n}")
     cfg = _load_config(args.out)
     basis = _load_basis(args.out)
     fb = build_factor_base(basis, cfg["height_extended"])
@@ -274,9 +284,8 @@ def cmd_verify(args) -> int:
             pr = pair_divisors(basis, *reconstruct_pair(basis, rel.mode, rel.params))
             left = pr.left_total()
             total = left - pr.right_divisor
-            # a place outside the factor base has no column: no row matches
-            if (any(p not in fb.place_map for p, _ in total.finite_places())
-                    or fb.row_of_divisor(total) != rel.cols):
+            # a place outside the factor base gives None, which matches no row
+            if fb.row_of_divisor(total) != rel.cols:
                 ok, why = False, "stored row differs from its pair's row"
             else:
                 ok = verify_relation(left.finite_places(),
@@ -358,7 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("harvest", help="collect core relations")
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--no-reinforce", action="store_true")
     add_out(p)
     p.set_defaults(func=cmd_harvest)
 

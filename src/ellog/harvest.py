@@ -134,10 +134,13 @@ class FactorBase:
             return [(0, mult * (qs + d * sig) % M)]
         return [(col, mult * qs % M), (0, mult * d * sig % M)]
 
-    def row_of_divisor(self, D: Divisor) -> dict[int, int]:
+    def row_of_divisor(self, D: Divisor) -> dict[int, int] | None:
+        """The row of D over the columns, or None when a place of D has none."""
         M = self.basis.M
         row: dict[int, int] = {}
         for place, n in D.finite_places():
+            if place not in self.place_map:
+                return None
             for col, coef in self.place_log_terms(place, n):
                 row[col] = (row.get(col, 0) + coef) % M
         return {c: v for c, v in row.items() if v}
@@ -452,14 +455,14 @@ def pair_divisors(basis, A: TriPoly, B: TriPoly) -> PairResult:
 
 
 def relation_from_pair(basis, fb: FactorBase, A: TriPoly, B: TriPoly,
-                       mode: str, params: tuple, right_bound: int = 3):
-    """Build the homogeneous row for the pair, or None if the bracket side
-    does not decompose at the bound."""
+                       mode: str, params: tuple):
+    """(relation, pair divisors) for the pair; the relation is None unless
+    the bracket side decomposes at height 3 and every place left over has
+    a column of `fb`, and the row is not zero."""
     pr = pair_divisors(basis, A, B)
-    if decompose(pr.right_divisor, right_bound) is None:
+    if decompose(pr.right_divisor, 3) is None:
         return None, pr
-    total = pr.left_total() - pr.right_divisor
-    row = fb.row_of_divisor(total)
+    row = fb.row_of_divisor(pr.left_total() - pr.right_divisor)
     if not row:
         return None, pr
     return Relation(mode, params, row), pr
@@ -585,11 +588,14 @@ def harvest_m1(basis, fb: FactorBase):
     generators yield at most q^2 + q + 1 distinct rows; tiny instances can
     need more rank than that.  Here both sides must decompose at the core
     bound outright (no compelled points), which is rare per pencil, over
-    q^4 + q^3 + q^2 pencils.  Their left factors are the q^3 + q^2 + q + 1
-    lines of span{1, U, V, UV}, each factored once through the memo of
-    `pair_divisors`.  Each pencil is a plane of its own, so its bracket is
-    new to the memo and is most of the cost of the pencil.
-    Returns deduplicated relations.
+    q^4 + q^3 + q^2 pencils.  `relation_from_pair` decides it with `fb` at
+    height 3: a bracket that decomposes there cannot cancel a left place
+    of higher degree, which has no column.  The left factors are the
+    q^3 + q^2 + q + 1 lines of span{1, U, V, UV}, each factored once
+    through the memo of `pair_divisors`.  Each pencil is a plane of its
+    own, so its bracket is new to the memo and is most of the cost of the
+    pencil.
+    Returns the first relation of each row, in walk order.
     """
     q = basis.q
     out, seen = [], set()
@@ -606,20 +612,12 @@ def harvest_m1(basis, fb: FactorBase):
                     if u == 0 and v == 0 and c != 0:
                         continue
                     params = (u, v, w, a, b, c)
+                    A, B = reconstruct_pair(basis, "m1", params)
                     try:
-                        pr = pair_divisors(basis,
-                                           *reconstruct_pair(basis, "m1", params))
+                        rel, _ = relation_from_pair(basis, fb, A, B, "m1", params)
                     except DegeneratePair:
                         continue
-                    if any(decompose(D, 3) is None for D in pr.left_divisors):
-                        continue
-                    if decompose(pr.right_divisor, 3) is None:
-                        continue
-                    row = fb.row_of_divisor(pr.left_total() - pr.right_divisor)
-                    if not row:
-                        continue
-                    rel = Relation("m1", params, row)
-                    if rel.key() in seen:
+                    if rel is None or rel.key() in seen:
                         continue
                     seen.add(rel.key())
                     out.append(rel)
@@ -715,13 +713,11 @@ def _solve_rows_for_new_cols(basis, rows: list[Relation],
         raise ValueError("prime powers must multiply to M")
     partial: dict[int, list[tuple[int, int]]] = {c: [] for c in unknown_cols}
     for ell, e in prime_powers:
-        sol = solve_affine_mod(amat, rhs, len(unknown_cols), M, ell, e)
-        if sol is not None:
-            got = dict(enumerate(sol))
-        elif e == 1:
+        if e == 1:
             got = determined_mod_prime(amat, rhs, len(unknown_cols), ell)
         else:
-            got = {}
+            sol = solve_affine_mod(amat, rhs, len(unknown_cols), M, ell, e)
+            got = {} if sol is None else dict(enumerate(sol))
         for c in unknown_cols:
             if col_pos[c] in got:
                 partial[c].append((got[col_pos[c]], ell ** e))
@@ -819,12 +815,9 @@ def extend(basis, fb: FactorBase, logs: dict[int, int],
 # relations file
 # ---------------------------------------------------------------------------
 
-def write_relations(path: str, fb: FactorBase, relations: list[Relation],
-                    append: bool = False):
-    mode = "a" if append else "w"
-    with open(path, mode) as fh:
-        if not append:
-            fh.write(f"# factor-base {fb.fingerprint()}\n")
+def write_relations(path: str, fb: FactorBase, relations: list[Relation]):
+    with open(path, "w") as fh:
+        fh.write(f"# factor-base {fb.fingerprint()}\n")
         for rel in relations:
             fh.write(rel.to_line() + "\n")
 

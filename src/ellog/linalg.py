@@ -178,32 +178,19 @@ def kernel_mod_prime_power(rows: list[dict[int, int]], ncols: int,
     """A kernel vector mod ell^e whose reduction mod ell spans the kernel.
 
     Returns None when the mod-ell kernel dimension is not 1 (the caller
-    decides between MoreRelationsNeeded and a degenerate instance).
+    decides between MoreRelationsNeeded and a degenerate instance).  The
+    first nonzero coordinate of the mod-ell vector stays fixed; moved to
+    the right-hand side, it leaves a system that fixes every other
+    coordinate mod ell, which `solve_affine_mod` lifts.
     """
     basis = kernel_mod_prime(rows, ncols, ell)
     if len(basis) != 1:
         return None
     vec = basis[0]
-    modk = ell
-    target = ell ** e
-    # the lift solves A w = -resid mod ell together with w[anchor] = 0
-    anchor = max(range(ncols), key=lambda c: vec[c] % ell != 0)
-    anchor_row = [0] * ncols
-    anchor_row[anchor] = 1
-    aug = _dense(rows, ncols, ell) + [anchor_row]
-    while modk < target:
-        # want A (vec + modk * w) = 0 mod modk*ell with A vec = 0 mod modk
-        resid = []
-        for row in rows:
-            acc = 0
-            for c, x in row.items():
-                acc += x * vec[c]
-            if acc % modk:
-                raise AssertionError("kernel lift invariant broken")
-            resid.append(-(acc // modk) % ell)
-        w, _ = solve_linear(Zmod(ell), aug, resid + [0], ncols)
-        if w is None:
-            raise InconsistentSystem("inconsistent lift system")
-        vec = [(v + modk * ww) % target for v, ww in zip(vec, w)]
-        modk *= ell
-    return vec
+    anchor = next(c for c in range(ncols) if vec[c])
+    a = vec[anchor]
+    rest = [{c - (c > anchor): x for c, x in row.items() if c != anchor}
+            for row in rows]
+    rhs = [-row.get(anchor, 0) * a for row in rows]
+    sol = solve_affine_mod(rest, rhs, ncols - 1, ell ** e, ell, e)
+    return sol[:anchor] + [a] + sol[anchor:]

@@ -24,6 +24,14 @@ from .linalg import (InconsistentSystem, MoreRelationsNeeded, crt, kernel_mod_pr
 from .psi import PsiValue, psi_elementary, translation_constant
 
 
+# search bounds: randomizations of a classical split, choices of A per
+# descent step, descent recursion depth, points of B per choice of A
+_SPLIT_TRIES = 400
+_DESCENT_BUDGET = 200_000
+_MAX_DEPTH = 4
+_B_POINTS = 64
+
+
 class BudgetExhausted(RuntimeError):
     pass
 
@@ -270,14 +278,14 @@ class SplitResult:
 
 
 def classical_split(z, basis, ctx: LogContext, g, log_r_g: int,
-                    d0: int = 4, budget: int = 400,
-                    seed: int = 0, descender=None) -> SplitResult:
+                    d0: int = 4, seed: int = 0, descender=None) -> SplitResult:
     """Express the class of z through factor-base logs.
 
     Randomizes z by powers of g, lifts to a polynomial in theta, and either
     factors it directly or half-splits it into a quotient of two half-degree
     polynomials via the extended Euclidean algorithm; factors of degree up
-    to d0 are accepted when their place logs resolve.
+    to d0 are accepted when their place logs resolve.  Gives up after
+    _SPLIT_TRIES randomizations.
     """
     ext = basis.ext
     M = basis.M
@@ -285,7 +293,7 @@ def classical_split(z, basis, ctx: LogContext, g, log_r_g: int,
         return SplitResult(0, [], [], 0)
     rng = random.Random(seed * 0x517CC1B7 + 11)
     n_full = ext.order_total - 1
-    for _ in range(budget):
+    for _ in range(_SPLIT_TRIES):
         shift = rng.randrange(n_full)
         got = _split_and_resolve(basis, ctx, ext.mul(z, ext.pow_(g, shift)),
                                  d0, descender)
@@ -376,9 +384,7 @@ def descent_free_counts(t_a: int, t_b: int, compelled: int = 0) -> tuple[int, in
 
 def bilinear_descend(basis, ctx: LogContext, target: Place,
                      t_a: int = 2, t_b: int = 2,
-                     compelled: int = 0, budget: int = 200_000,
-                     seed: int = 0, depth: int = 0, max_depth: int = 4,
-                     stats: dict | None = None,
+                     compelled: int = 0, seed: int = 0, depth: int = 0,
                      _active: frozenset = frozenset()):
     """Express log(target) through lower-degree places; record it in ctx
     and return it.
@@ -387,7 +393,9 @@ def bilinear_descend(basis, ctx: LogContext, target: Place,
     bracket at a conjugate point of the target imposes deg(target)
     F_q-linear conditions on B.  A surviving pair must have all other
     divisor places resolvable, recursing on stubborn ones of strictly
-    smaller degree.  Raises NoSolutionInBudget when the space is exhausted.
+    smaller degree.  At most _DESCENT_BUDGET choices of A are tried at
+    each of at most _MAX_DEPTH + 1 levels.  Raises NoSolutionInBudget when
+    the space is exhausted.
     """
     M = basis.M
     K = basis.curve.field
@@ -396,7 +404,7 @@ def bilinear_descend(basis, ctx: LogContext, target: Place,
     known = ctx.log_of_place(target)
     if known is not None:
         return known
-    if depth > max_depth:
+    if depth > _MAX_DEPTH:
         raise DescentFailed("descent recursion too deep")
     if target in _active:
         raise DescentFailed("cyclic descent dependency")
@@ -419,7 +427,7 @@ def bilinear_descend(basis, ctx: LogContext, target: Place,
 
     free_a = [i for i, m in enumerate(monos_a) if m not in (head_a, head_b)]
     rng = random.Random(seed * 7919 + deg)
-    for a_vec in _coef_stream(q, len(free_a) - len(compelled_pts), rng, budget):
+    for a_vec in _coef_stream(q, len(free_a) - len(compelled_pts), rng):
         coeffs_a = _build_coeffs(K, monos_a, head_a, head_b, free_a, a_vec,
                                  compelled_pts)
         if coeffs_a is None:
@@ -450,8 +458,6 @@ def bilinear_descend(basis, ctx: LogContext, target: Place,
             n_target = pr.right_divisor.coeffs.get(target, 0)
             if n_target <= 0 or math.gcd(n_target, M) != 1:
                 continue
-            if stats is not None:
-                stats["candidates"] = stats.get("candidates", 0) + 1
             total = pr.left_total() - pr.right_divisor
             ok = True
             for p in ctx.missing_places(total):
@@ -463,8 +469,7 @@ def bilinear_descend(basis, ctx: LogContext, target: Place,
                 sub_compelled = 3 if p.degree <= 6 else 2
                 try:
                     bilinear_descend(basis, ctx, p, t_a, t_b, sub_compelled,
-                                     budget, seed, depth + 1, max_depth, stats,
-                                     _active)
+                                     seed, depth + 1, _active)
                 except (NoSolutionInBudget, DescentFailed):
                     ok = False
                     break
@@ -509,13 +514,13 @@ def _store_place_log(ctx: LogContext, place: Place, val: int):
         ctx.extra[place] = val
 
 
-def _coef_stream(q: int, nfree: int, rng: random.Random, budget: int):
+def _coef_stream(q: int, nfree: int, rng: random.Random):
     total = q ** nfree
-    if total <= budget:
+    if total <= _DESCENT_BUDGET:
         idx = list(range(total))
         rng.shuffle(idx)
     else:
-        idx = (rng.randrange(total) for _ in range(budget))
+        idx = (rng.randrange(total) for _ in range(_DESCENT_BUDGET))
     for code in idx:
         vec = []
         c = code
@@ -569,11 +574,11 @@ def _scale(alg, v, c):
     return alg.mul(alg.embed(c), v)
 
 
-def _b_solutions(K, rows, monos_b, head_b, also_zero, cap: int = 64):
+def _b_solutions(K, rows, monos_b, head_b, also_zero):
     """Points of the affine solution space for B: head = 1, optional zero slot.
 
     The space always contains the degenerate direction proportional to A, so
-    several points are returned (particular solution plus nullspace
+    up to _B_POINTS points are returned (particular solution plus nullspace
     offsets); the caller filters the useless ones.
     """
     n = len(monos_b)
@@ -606,7 +611,7 @@ def _b_solutions(K, rows, monos_b, head_b, also_zero, cap: int = 64):
     count = 1
     for nb in null_basis:
         for lam in range(1, K.q):
-            if count >= cap:
+            if count >= _B_POINTS:
                 return out
             vec = [K.add(s, K.mul(lam, w)) for s, w in zip(sol, nb)]
             out.append(assemble(vec))
@@ -615,7 +620,7 @@ def _b_solutions(K, rows, monos_b, head_b, also_zero, cap: int = 64):
         n1, n2 = null_basis[0], null_basis[1]
         for l1 in range(1, K.q):
             for l2 in range(1, K.q):
-                if count >= cap:
+                if count >= _B_POINTS:
                     return out
                 vec = [K.add(s, K.add(K.mul(l1, w1), K.mul(l2, w2)))
                        for s, w1, w2 in zip(sol, n1, n2)]

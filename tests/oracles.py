@@ -30,6 +30,10 @@ product is formed as a `Poly` and then reduced by `% u`, where
 `ExtFieldDesc.mul` packs a prime-field product into one int (or runs a
 schoolbook loop over F_{p^m}).
 
+`kernel_lift_per_step` is the former `linalg.kernel_mod_prime_power`: it
+lifts the mod-ell kernel vector one power of ell at a time through its own
+augmented system, with an extra row holding the anchor coordinate fixed.
+
 `poly_factor_brute` is the reference for `algebra.poly_factor`: trial
 division by every monic polynomial in order of degree and then of
 coefficients, with its own division loop on the field's `add`/`mul`, so
@@ -778,3 +782,31 @@ def family_params(basis, mode):
         return out
     width = {"core": 3, "special_group": 2, "height5": 4}[mode]
     return list(itertools.product(range(q), repeat=width))
+
+
+def kernel_lift_per_step(rows, ncols, ell, e):
+    """Kernel vector mod ell^e, or None unless the mod-ell kernel is a line."""
+    from ellog.linalg import (InconsistentSystem, Zmod, _dense,
+                              kernel_mod_prime, solve_linear)
+    basis = kernel_mod_prime(rows, ncols, ell)
+    if len(basis) != 1:
+        return None
+    vec = basis[0]
+    modk, target = ell, ell ** e
+    anchor = next(c for c in range(ncols) if vec[c])
+    anchor_row = [0] * ncols
+    anchor_row[anchor] = 1
+    aug = _dense(rows, ncols, ell) + [anchor_row]
+    while modk < target:
+        # A (vec + modk w) = 0 mod modk ell, given A vec = 0 mod modk
+        resid = []
+        for row in rows:
+            acc = sum(x * vec[c] for c, x in row.items())
+            assert acc % modk == 0
+            resid.append(-(acc // modk) % ell)
+        w, _ = solve_linear(Zmod(ell), aug, resid + [0], ncols)
+        if w is None:
+            raise InconsistentSystem("inconsistent lift system")
+        vec = [(v + modk * ww) % target for v, ww in zip(vec, w)]
+        modk *= ell
+    return vec

@@ -85,6 +85,32 @@ def test_pipeline_artifacts_are_pinned(pipeline):
         assert _sha256(os.path.join(pipeline["dir"], name)) == want, name
 
 
+def test_harvest_skips_m1_when_the_core_rows_solve(tmp_path, capsys):
+    """At (11, 13) the core rows alone fix every column, so harvest writes
+    no m1 row and solve gives the logs that core + m1 rows gave."""
+    out = str(tmp_path / "r")
+    assert main(["search", "--p", "11", "--k", "13", "--seed", "0",
+                 "--out", out]) == 0
+    assert main(["basis", "--out", out]) == 0
+    capsys.readouterr()
+    assert main(["harvest", "--out", out]) == 0
+    assert "m1 reinforcement: not needed" in capsys.readouterr().out
+    with open(os.path.join(out, "relations.txt")) as fh:
+        assert not any(line.startswith("m1|") for line in fh)
+    assert main(["solve", "--out", out]) == 0
+    assert _sha256(os.path.join(out, "logs.txt")) == (
+        "fe53ffc4072eb72295458f3cd63afc10145fd51553e2a627ff7927c976f04804")
+
+
+def test_harvest_runs_m1_when_the_core_rows_fall_short(pipeline, tmp_path,
+                                                       capsys):
+    out = str(tmp_path / "run")
+    shutil.copytree(pipeline["dir"], out)
+    assert main(["harvest", "--out", out]) == 0
+    assert ("m1 reinforcement: run, since the core rows fall short "
+            "(kernel dimension 2 mod 19)") in capsys.readouterr().out
+
+
 def test_extend_rerun_keeps_artifacts(pipeline, tmp_path, capsys):
     # a rerun reads its own rows back from relations.txt and adds nothing
     out = str(tmp_path / "run")
@@ -119,6 +145,12 @@ def test_dlog_command_hex_target(pipeline, capsys):
 def test_verify_command(pipeline):
     assert main(["verify", "--sample", "25", "--log-sample", "8",
                  "--out", pipeline["dir"]]) == 0
+
+
+@pytest.mark.parametrize("flag", ["--sample", "--log-sample"])
+def test_verify_negative_sample_is_config_error(pipeline, capsys, flag):
+    assert main(["verify", flag, "-1", "--out", pipeline["dir"]]) == 2
+    assert flag in capsys.readouterr().err
 
 
 def test_verify_command_names_psi_mismatch(pipeline, monkeypatch, capsys):

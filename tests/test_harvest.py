@@ -7,7 +7,7 @@ import pytest
 
 from ellog.algebra import ConfigError
 from ellog.curve import TriPoly, bracket, phi_star
-from ellog.divisor import divisor_of, place_of_point, translate_place
+from ellog.divisor import decompose, divisor_of, place_of_point, translate_place
 from ellog.harvest import (C_COLUMN, FAMILIES, DegeneratePair, GroupDegenerate,
                            build_factor_base, harvest_core, harvest_m1,
                            k1k2_coefficients, k1k2_group_basis, pair_divisors,
@@ -115,6 +115,29 @@ def test_rows_vanish_on_reference_logs(basis59, fb59, harvested):
         assert sum(v * logs[c] for c, v in rel.cols.items()) % basis59.M == 0
     for rel in fb59.cycle_relations():
         assert sum(v * logs[c] for c, v in rel.cols.items()) % basis59.M == 0
+
+
+# an m1 pencil whose bracket decomposes at height 3 while a left factor
+# vanishes at a degree-4 place, which has no column at height 3
+_M1_OFF_BASE = (0, 0, 1, 0, 0, 0)
+
+
+def test_m1_pair_with_a_left_place_off_the_base_has_no_row(basis59, fb59):
+    A, B = reconstruct_pair(basis59, "m1", _M1_OFF_BASE)
+    rel, pr = relation_from_pair(basis59, fb59, A, B, "m1", _M1_OFF_BASE)
+    assert rel is None
+    assert decompose(pr.right_divisor, 3) is not None
+    assert any(p.degree == 4 for D in pr.left_divisors for p in D.coeffs)
+
+
+def test_row_of_divisor_off_the_base_is_none(basis59, fb59):
+    D = pair_divisors(basis59, *reconstruct_pair(basis59, "m1", _M1_OFF_BASE)
+                      ).left_total()
+    off = [p for p, _ in D.finite_places() if p not in fb59.place_map]
+    assert off and fb59.row_of_divisor(D) is None
+    for p in off:
+        del D.coeffs[p]
+    assert fb59.row_of_divisor(D) is not None
 
 
 def test_reinforcement_rows_complete_rank(basis59, fb59, harvested):

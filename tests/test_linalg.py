@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ellog.algebra import factor_modulus, field_make
-from ellog.linalg import (Zmod, crt, kernel_mod_prime, solve_affine_mod,
-                          solve_linear)
+from ellog.linalg import (Zmod, crt, kernel_mod_prime, kernel_mod_prime_power,
+                          solve_affine_mod, solve_linear)
+
+from oracles import kernel_lift_per_step
 
 FIELDS = {
     "F5": (field_make(5, 1), 5),
@@ -124,3 +126,30 @@ def test_solve_affine_mod_lifts_planted_solution(ell, e, data):
         assert sol == xs
     else:
         assert sol is None
+
+
+@pytest.mark.parametrize("ell,e", [(3, 3), (5, 2), (7, 2)])
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(data=st.data())
+def test_kernel_mod_prime_power_lifts_the_kernel(ell, e, data):
+    mod = ell ** e
+    n = data.draw(st.integers(1, 5))
+    entries = st.lists(st.integers(0, mod - 1), min_size=n, max_size=n)
+    x = data.draw(entries)
+    unit = data.draw(st.integers(0, n - 1))
+    x[unit] = data.draw(st.integers(1, ell - 1))
+    rows = []
+    for _ in range(data.draw(st.integers(max(1, n - 1), n + 1))):
+        r = data.draw(entries)
+        # the unit coordinate's entry makes the row vanish at x mod ell^e
+        r[unit] = 0
+        r[unit] = -sum(a * v for a, v in zip(r, x)) * pow(x[unit], -1, mod) % mod
+        rows.append({c: a for c, a in enumerate(r) if a})
+    vec = kernel_mod_prime_power(rows, n, ell, e)
+    assert vec == kernel_lift_per_step(rows, n, ell, e)
+    kernel = kernel_mod_prime(rows, n, ell)
+    if len(kernel) != 1:
+        assert vec is None
+        return
+    assert all(sum(a * vec[c] for c, a in r.items()) % mod == 0 for r in rows)
+    assert [v % ell for v in vec] == kernel[0]
