@@ -137,7 +137,7 @@ class FieldDesc:
     """
 
     __slots__ = ("p", "m", "q", "modulus", "_mul_table", "_add_table",
-                 "_neg_table", "_inv_table", "_frob_p_table")
+                 "_neg_table", "_inv_table")
 
     def __init__(self, p: int, m: int, modulus: tuple[int, ...]):
         if not is_probable_prime(p):
@@ -159,7 +159,6 @@ class FieldDesc:
         self._add_table = None
         self._neg_table = None
         self._inv_table = None
-        self._frob_p_table = None
         if m > 1 and not _is_irreducible_mod_p(self.modulus, p):
             raise Reducible("field modulus is reducible")
         if q <= _TABLE_Q_CAP:

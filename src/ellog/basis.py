@@ -58,7 +58,7 @@ def mu_bound(q: int, k: int) -> int:
 class EllipticBasis:
     """Everything the later phases need, frozen after construction.
 
-    The exceptions are three memos.  `pullback_divisors`, the memo of
+    The exceptions are four memos.  `pullback_divisors`, the memo of
     `harvest.pullback_divisor`, holds divisors of pulled-back sieve lines,
     keyed by coefficient vector up to scale, and of brackets, keyed by the
     Plucker vector of their plane up to scale.  For the sieve families,
@@ -70,6 +70,8 @@ class EllipticBasis:
     (place, n).  `point_classes`, the memo of `psi._point_class`, holds
     psi((R) - (O)) for the points R of E(F_q) that reduced terms reach,
     keyed by (x, y): at most N - 1 entries, filled on first use.
+    `k1k2_coeffs` holds the result of `harvest.k1k2_coefficients`, from
+    which every k1k2 group's k2 follows.
     No memo is compared, printed or written to basis.json.
     """
 
@@ -89,6 +91,7 @@ class EllipticBasis:
                                  repr=False)
     point_classes: dict = dc_field(default_factory=dict, compare=False,
                                    repr=False)
+    k1k2_coeffs: tuple | None = dc_field(default=None, compare=False, repr=False)
 
     @property
     def q(self) -> int:

@@ -45,8 +45,7 @@ def _config_path(outdir):
     return os.path.join(outdir, "config.json")
 
 
-_CONFIG_KEYS = ("seed", "m0", "height_base", "height_extended", "d0",
-                "small_prime_bound")
+_CONFIG_KEYS = ("seed", "m0", "height_base", "height_extended", "d0")
 
 
 def _load_config(outdir) -> dict:
@@ -95,7 +94,6 @@ def cmd_search(args) -> int:
         "p": args.p, "m0": args.m0, "k": args.k, "seed": args.seed,
         "height_base": 3, "height_extended": 5,
         "d0": args.d0,
-        "small_prime_bound": args.small_prime_bound,
     }
     try:
         basis = find_basis(args.p, args.m0, args.k, args.seed)
@@ -147,7 +145,7 @@ def cmd_harvest(args) -> int:
     rels, st = harvest_core(basis, fb, max(1, args.workers))
     # m1 only adds rank: run it when `solve` would fail on the core rows
     try:
-        solve_core(basis, fb, rels, cfg["small_prime_bound"], cfg["seed"])
+        solve_core(basis, fb, rels, cfg["seed"])
     except MoreRelationsNeeded as exc:
         reinforced = harvest_m1(basis, fb)
         m1_note = f"run, since the core rows fall short ({exc})"
@@ -177,8 +175,7 @@ def cmd_solve(args) -> int:
     rels = read_relations(_artifact(args.out, "relations.txt", "harvest"), fb)
     core_rels = [r for r in rels if r.mode in ("core", "m1")]
     try:
-        table = solve_core(basis, fb, core_rels, cfg["small_prime_bound"],
-                           cfg["seed"])
+        table = solve_core(basis, fb, core_rels, cfg["seed"])
     except MoreRelationsNeeded as exc:
         print(f"linear algebra needs more relations: {exc}", file=sys.stderr)
         return EXIT_VERIFY
@@ -256,8 +253,7 @@ def cmd_dlog(args) -> int:
     else:
         print("need --target or --plant", file=sys.stderr)
         return EXIT_CONFIG
-    res = dlog(z, g, basis, fb, logs, d0=cfg["d0"], seed=args.seed,
-               allow_descent=not args.no_descent)
+    res = dlog(z, g, basis, fb, logs, d0=cfg["d0"], seed=args.seed)
     state = "VERIFIED" if res.verified else "UNVERIFIED"
     print(f"g = {ext.enc(g)}")
     print(f"z = {ext.enc(z)}")
@@ -319,6 +315,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_stats(args) -> int:
+    if args.samples < 1:
+        raise ConfigError(f"--samples must be >= 1, not {args.samples}")
+    if args.degree is not None and not 2 <= args.degree <= 8:
+        raise ConfigError(f"--degree must be 2 to 8, not {args.degree}")
     from . import stats as stats_mod  # numpy loads only for this command
     if args.degree is None:
         rows = stats_mod.rate_report(args.q, args.samples, args.seed)
@@ -357,7 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--d0", type=int, default=4)
-    p.add_argument("--small-prime-bound", type=int, default=10)
     add_out(p)
     p.set_defaults(func=cmd_search)
 
@@ -383,7 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plant", type=int, default=None,
                    help="use g^PLANT as the target")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--no-descent", action="store_true")
     add_out(p)
     p.set_defaults(func=cmd_dlog)
 

@@ -62,22 +62,6 @@ class Place:
         vc = ",".join(K.enc(c) for c in self.v)
         return f"{self.kind}:{uc}:{vc}"
 
-    @staticmethod
-    def decode(K: FieldDesc, text: str) -> "Place":
-        kind, uc, vc = text.split(":")
-        if kind == INFINITY:
-            return PLACE_AT_INFINITY
-
-        def parse(blob):
-            if not blob:
-                return ()
-            digits = [int(t) for t in blob.split(",")]
-            if len(digits) % K.m:
-                raise ValueError("ragged element encoding")
-            return tuple(K.code(digits[i:i + K.m]) for i in range(0, len(digits), K.m))
-
-        return Place(kind, parse(uc), parse(vc))
-
 
 PLACE_AT_INFINITY = Place(INFINITY, (), ())
 
@@ -205,20 +189,6 @@ class Divisor:
     def finite_places(self):
         return [(p, n) for p, n in sorted(self.coeffs.items(), key=_place_key)
                 if p.kind != INFINITY]
-
-    def encode(self, K: FieldDesc) -> str:
-        terms = [f"{p.encode(K)}^{n}" for p, n in sorted(self.coeffs.items(), key=_place_key)]
-        return ";".join(terms)
-
-    @staticmethod
-    def decode(K: FieldDesc, text: str) -> "Divisor":
-        d = Divisor()
-        if not text:
-            return d
-        for term in text.split(";"):
-            enc, n = term.rsplit("^", 1)
-            d.add_place(Place.decode(K, enc), int(n))
-        return d
 
     def __repr__(self):
         if not self.coeffs:

@@ -28,7 +28,7 @@ from itertools import combinations, product
 from math import gcd
 
 from .algebra import ConfigError, Poly, poly_irreducibles
-from .curve import TriPoly, bracket, phi_star, plucker_bracket, point_neg
+from .curve import TriPoly, bracket, phi_star, plucker_bracket
 from .divisor import (Divisor, Place, decompose, divisor_of, orbit_places,
                       place_of_point, places_over)
 from .linalg import crt, determined_mod_prime, solve_affine_mod
@@ -64,8 +64,6 @@ class FactorBase:
         self.rep_col: dict[Place, int] = {}
         self.place_map: dict[Place, tuple[int, int, int]] = {}
         self.cycle_len: dict[int, int] = {}
-        self.degree_start: dict[int, int] = {}
-        self.c_place = place_of_point(basis.curve, point_neg(basis.td.P1))
         self._torsion_places = self._torsion_table()
         self.extend_to(bound)
 
@@ -83,7 +81,6 @@ class FactorBase:
         td = basis.td
         k = td.k
         for deg in range(self.bound + 1, bound + 1):
-            self.degree_start[deg] = len(self.reps)
             new_places = []
             # split and ramified places sit over degree-deg polynomials,
             # inert ones over degree-(deg/2)
@@ -100,18 +97,16 @@ class FactorBase:
                 if j is not None:
                     self.place_map[p] = (C_COLUMN, (k - 1 - j) % k, 1)
                     continue
+                # places come in sorted order, so the first unmapped one is
+                # the least of its orbit: p is the representative
                 orbit = orbit_places(p, td)
                 assert all(o is not None for o in orbit)
-                keyed = sorted(range(len(orbit)), key=lambda i: orbit[i].sort_key())
-                rep_i = keyed[0]
-                rep = orbit[rep_i]
-                self.reps.append(rep)
+                self.reps.append(p)
                 col = len(self.reps)
-                self.rep_col[rep] = col
+                self.rep_col[p] = col
                 self.cycle_len[col] = len(orbit)
-                for i, member in enumerate(orbit):
-                    shift = (i - rep_i) % len(orbit)
-                    # member = translate^shift(rep) holds along the cycle
+                for shift, member in enumerate(orbit):
+                    # member = translate^shift(p) holds along the cycle
                     self.place_map[member] = (col, shift, member.degree)
         self.bound = max(self.bound, bound)
 
@@ -222,8 +217,10 @@ def k1k2_coefficients(basis):
 
     Returns (c1, c2, c3, weighted_degree) for <U,UV>, <UV,V>, <U,V>; the
     weighted degree (X counts 2, Y counts 3) must agree across the three or
-    the group construction degenerates.
+    the group construction degenerates.  Computed once per basis.
     """
+    if basis.k1k2_coeffs is not None:
+        return basis.k1k2_coeffs
     K = basis.curve.field
     td = basis.td
     U = TriPoly.var(K, "U")
@@ -253,7 +250,8 @@ def k1k2_coefficients(basis):
             cs.append(n0.lead())
         else:
             cs.append(n1.lead())
-    return cs[0], cs[1], cs[2], wmax_all
+    basis.k1k2_coeffs = (cs[0], cs[1], cs[2], wmax_all)
+    return basis.k1k2_coeffs
 
 
 def k1k2_group_basis(basis, k1: int) -> int:

@@ -174,19 +174,24 @@ def determined_mod_prime(rows: list[dict[int, int]], rhs: list[int], ncols: int,
 
 
 def kernel_mod_prime_power(rows: list[dict[int, int]], ncols: int,
-                           ell: int, e: int) -> list[int] | None:
+                           ell: int, e: int) -> list[int]:
     """A kernel vector mod ell^e whose reduction mod ell spans the kernel.
 
-    Returns None when the mod-ell kernel dimension is not 1 (the caller
-    decides between MoreRelationsNeeded and a degenerate instance).  The
-    first nonzero coordinate of the mod-ell vector stays fixed; moved to
-    the right-hand side, it leaves a system that fixes every other
-    coordinate mod ell, which `solve_affine_mod` lifts.
+    Raises InconsistentSystem when the mod-ell kernel is empty (the rows
+    are homogeneous, so the columns cannot all carry consistent logs) and
+    MoreRelationsNeeded when its dimension exceeds 1.  The first nonzero
+    coordinate of the mod-ell vector stays fixed; moved to the right-hand
+    side, it leaves a system that fixes every other coordinate mod ell,
+    which `solve_affine_mod` lifts.
     """
     basis = kernel_mod_prime(rows, ncols, ell)
-    if len(basis) != 1:
-        return None
+    if not basis:
+        raise InconsistentSystem("homogeneous system with trivial kernel")
+    if len(basis) > 1:
+        raise MoreRelationsNeeded(f"kernel dimension {len(basis)} mod {ell}")
     vec = basis[0]
+    if e == 1:
+        return vec
     anchor = next(c for c in range(ncols) if vec[c])
     a = vec[anchor]
     rest = [{c - (c > anchor): x for c, x in row.items() if c != anchor}

@@ -19,8 +19,7 @@ from .curve import CurveFunction, TriPoly, phi
 from .divisor import Divisor, Place, PlaceAlgebra, divisor_of
 from .harvest import (C_COLUMN, DegeneratePair, FactorBase, Relation, _sigma,
                       pair_divisors)
-from .linalg import (InconsistentSystem, MoreRelationsNeeded, crt, kernel_mod_prime,
-                     kernel_mod_prime_power, solve_linear)
+from .linalg import MoreRelationsNeeded, crt, kernel_mod_prime_power, solve_linear
 from .psi import PsiValue, psi_elementary, translation_constant
 
 
@@ -30,6 +29,8 @@ _SPLIT_TRIES = 400
 _DESCENT_BUDGET = 200_000
 _MAX_DEPTH = 4
 _B_POINTS = 64
+# primes of M up to this bound get their logs by BSGS, not from the matrix
+_SMALL_PRIME_BOUND = 10
 
 
 class BudgetExhausted(RuntimeError):
@@ -113,26 +114,6 @@ def find_generator(ext, seed: int = 0):
 # the core solve
 # ---------------------------------------------------------------------------
 
-def solve_mod(rows: list[dict[int, int]], ncols: int, ell: int, e: int = 1):
-    """Kernel vector of the homogeneous system mod ell^e.
-
-    Raises MoreRelationsNeeded when the mod-ell kernel dimension exceeds 1
-    and InconsistentSystem when it is 0 (relations are homogeneous, so an
-    empty kernel means the columns cannot all carry consistent logs).
-    """
-    basis_vecs = kernel_mod_prime(rows, ncols, ell)
-    if len(basis_vecs) == 0:
-        raise InconsistentSystem("homogeneous system with trivial kernel")
-    if len(basis_vecs) > 1:
-        raise MoreRelationsNeeded(f"kernel dimension {len(basis_vecs)} mod {ell}")
-    if e == 1:
-        return basis_vecs[0]
-    vec = kernel_mod_prime_power(rows, ncols, ell, e)
-    if vec is None:
-        raise MoreRelationsNeeded(f"kernel lift failed mod {ell}^{e}")
-    return vec
-
-
 @dataclass
 class LogTable:
     """Column logs relative to the reference class, per prime power and mod M."""
@@ -142,9 +123,6 @@ class LogTable:
     mod_m: dict[int, int] = dc_field(default_factory=dict)
     M: int = 0
 
-    def log(self, col: int) -> int | None:
-        return self.mod_m.get(col)
-
 
 def column_class(fb: FactorBase, col: int, basis) -> PsiValue:
     if col == 0:
@@ -153,10 +131,10 @@ def column_class(fb: FactorBase, col: int, basis) -> PsiValue:
 
 
 def solve_core(basis, fb: FactorBase, relations: list[Relation],
-               small_prime_bound: int = 10, seed: int = 0) -> LogTable:
+               seed: int = 0) -> LogTable:
     """Solve the height-<=3 system for every prime power dividing M.
 
-    Primes up to small_prime_bound skip the matrix and read the logs off
+    Primes up to _SMALL_PRIME_BOUND skip the matrix and read the logs off
     psi values directly (tiny subgroups); the rest go through the kernel.
     The reference column is chosen so its kernel coordinate is a unit in
     every factor and its class generates the full quotient group.
@@ -167,10 +145,10 @@ def solve_core(basis, fb: FactorBase, relations: list[Relation],
     vectors: dict[int, list[int]] = {}
     small: list[tuple[int, int]] = []
     for ell, e in factor_modulus(M):
-        if ell <= small_prime_bound:
+        if ell <= _SMALL_PRIME_BOUND:
             small.append((ell, e))
             continue
-        vectors[ell ** e] = solve_mod(rows, ncols, ell, e)
+        vectors[ell ** e] = kernel_mod_prime_power(rows, ncols, ell, e)
     if small:
         gq = PsiValue(basis.ext, find_generator(basis.ext, seed))
         classes = [column_class(fb, c, basis) for c in range(ncols)]
@@ -361,6 +339,11 @@ def _mono_list(t: int) -> list[tuple[int, int]]:
     return sorted(out, key=lambda m: (m[0] + m[1], m[0]), reverse=True)
 
 
+# A and B both range over M_2: U^2 V, U V^2, U^2, U V, V^2, U, V, 1, with
+# the head U^2 V (slot 0) fixed to 1 in each
+_MONOS = _mono_list(2)
+
+
 def _mono_value(alg, m, x, y):
     acc = alg.one
     for _ in range(m[0]):
@@ -370,32 +353,27 @@ def _mono_value(alg, m, x, y):
     return acc
 
 
-def descent_free_counts(t_a: int, t_b: int, compelled: int = 0) -> tuple[int, int]:
-    """Free coefficient counts in A and B after monic normalization.
-
-    With no compelled points: A carries 4 t_a - 2 unknowns (head fixed to 1,
-    B's head removed), B carries 4 t_b - 1, minus one more when the sets
-    coincide; each compelled point removes one from each side.
-    """
-    na = 4 * t_a - 2 - compelled
-    nb = 4 * t_b - 1 - (1 if t_a == t_b else 0) - compelled
-    return na, nb
+def _compelled(deg: int) -> int:
+    """Compelled points imposed on A and B when descending a degree-deg place."""
+    return 3 if deg <= 6 else 2
 
 
 def bilinear_descend(basis, ctx: LogContext, target: Place,
-                     t_a: int = 2, t_b: int = 2,
                      compelled: int = 0, seed: int = 0, depth: int = 0,
                      _active: frozenset = frozenset()):
     """Express log(target) through lower-degree places; record it in ctx
     and return it.
 
-    A ranges over its free coefficients; for each A the vanishing of the
-    bracket at a conjugate point of the target imposes deg(target)
-    F_q-linear conditions on B.  A surviving pair must have all other
-    divisor places resolvable, recursing on stubborn ones of strictly
-    smaller degree.  At most _DESCENT_BUDGET choices of A are tried at
-    each of at most _MAX_DEPTH + 1 levels.  Raises NoSolutionInBudget when
-    the space is exhausted.
+    A and B range over the monomials `_MONOS`, each with its head fixed to
+    1, and both vanish at the `compelled` points (U, V) = (x_(j-1), x_j),
+    j = 2, 3, ...  A runs over its free coefficients (the compelled points
+    pin the slots after the head);
+    for each A the vanishing of the bracket at a conjugate point of the
+    target imposes deg(target) F_q-linear conditions on B.  A surviving
+    pair must have all other divisor places resolvable, recursing on
+    stubborn ones of degree at most the target's.  At most _DESCENT_BUDGET
+    choices of A are tried at each of at most _MAX_DEPTH + 1 levels.
+    Raises NoSolutionInBudget when the space is exhausted.
     """
     M = basis.M
     K = basis.curve.field
@@ -412,45 +390,32 @@ def bilinear_descend(basis, ctx: LogContext, target: Place,
     alg = PlaceAlgebra(basis.curve, target)
     Q = alg.point()
     xu, xv, xw = phi(Q, basis.td)
-
-    monos_a = _mono_list(t_a)
-    monos_b = _mono_list(t_b)
-    head_a, head_b = monos_a[0], monos_b[0]
-    mu_b = [_mono_value(alg, m, xv, xw) for m in monos_b]   # m(V, W)
-    nu_b = [_mono_value(alg, m, xu, xv) for m in monos_b]   # m(U, V)
-    mu_a = [_mono_value(alg, m, xv, xw) for m in monos_a]
-    nu_a = [_mono_value(alg, m, xu, xv) for m in monos_a]
-
+    mu = [_mono_value(alg, m, xv, xw) for m in _MONOS]   # m(V, W)
+    nu = [_mono_value(alg, m, xu, xv) for m in _MONOS]   # m(U, V)
     td = basis.td
-    compelled_pts = [(td.xs[(j - 1) % td.k], td.xs[j % td.k])
-                     for j in range(2, 2 + compelled)]
+    # each compelled point's row: the value of every monomial there
+    pinned = [[K.mul(K.pow_(cx, m[0]), K.pow_(cy, m[1])) for m in _MONOS]
+              for cx, cy in ((td.xs[(j - 1) % td.k], td.xs[j % td.k])
+                             for j in range(2, 2 + compelled))]
 
-    free_a = [i for i, m in enumerate(monos_a) if m not in (head_a, head_b)]
     rng = random.Random(seed * 7919 + deg)
-    for a_vec in _coef_stream(q, len(free_a) - len(compelled_pts), rng):
-        coeffs_a = _build_coeffs(K, monos_a, head_a, head_b, free_a, a_vec,
-                                 compelled_pts)
+    for a_vec in _coef_stream(q, len(_MONOS) - 1 - compelled, rng):
+        coeffs_a = _build_coeffs(K, a_vec, pinned)
         if coeffs_a is None:
             continue
-        a1 = _combo(alg, mu_a, coeffs_a)
-        a2 = _combo(alg, nu_a, coeffs_a)
+        a1 = _combo(alg, mu, coeffs_a)
+        a2 = _combo(alg, nu, coeffs_a)
         # bracket(A, B)(Phi Q) = a1 * B(U,V)(Q) - a2 * B(V,W)(Q), linear in B
-        rows = [[0] * (len(monos_b) + 1) for _ in range(alg.dim)]
-        for bi in range(len(monos_b)):
-            col = alg.sub(alg.mul(a1, nu_b[bi]), alg.mul(a2, mu_b[bi]))
+        rows = [[0] * len(_MONOS) for _ in range(alg.dim)]
+        for bi in range(len(_MONOS)):
+            col = alg.sub(alg.mul(a1, nu[bi]), alg.mul(a2, mu[bi]))
             for r, coord in enumerate(alg.coords(col)):
                 rows[r][bi] = coord
-        for (cx, cy) in compelled_pts:
-            extra = [0] * (len(monos_b) + 1)
-            for bi, m in enumerate(monos_b):
-                extra[bi] = K.mul(K.pow_(cx, m[0]), K.pow_(cy, m[1]))
-            rows.append(extra)
-        bsol = _b_solutions(K, rows, monos_b, head_b, head_a if t_a == t_b else None)
-        for coeffs_b in bsol:
-            A = TriPoly(K, {(m[0], m[1], 0): c for m, c in zip(monos_a, coeffs_a) if c})
-            B = TriPoly(K, {(m[0], m[1], 0): c for m, c in zip(monos_b, coeffs_b) if c})
-            if A.is_zero() or B.is_zero() or A == B:
+        A = TriPoly(K, {(m[0], m[1], 0): c for m, c in zip(_MONOS, coeffs_a) if c})
+        for coeffs_b in _b_solutions(K, rows + pinned):
+            if coeffs_b == coeffs_a:
                 continue
+            B = TriPoly(K, {(m[0], m[1], 0): c for m, c in zip(_MONOS, coeffs_b) if c})
             try:
                 pr = pair_divisors(basis, A, B)
             except DegeneratePair:
@@ -466,9 +431,8 @@ def bilinear_descend(basis, ctx: LogContext, target: Place,
                 if p.degree > 8 or p.degree > deg:
                     ok = False
                     break
-                sub_compelled = 3 if p.degree <= 6 else 2
                 try:
-                    bilinear_descend(basis, ctx, p, t_a, t_b, sub_compelled,
+                    bilinear_descend(basis, ctx, p, _compelled(p.degree),
                                      seed, depth + 1, _active)
                 except (NoSolutionInBudget, DescentFailed):
                     ok = False
@@ -478,25 +442,14 @@ def bilinear_descend(basis, ctx: LogContext, target: Place,
                     break
             if not ok:
                 continue
-            rest = 0
-            gap = False
-            for p, n in total.finite_places():
-                if p == target:
-                    continue
-                v = ctx.log_of_place(p)
-                if v is None:
-                    gap = True
-                    break
-                rest = (rest + n * v) % M
-            if gap:
-                continue
-            # total carries the target with coefficient -n_target, so
-            # rest - n_target * log(target) = 0
+            # every other place now has a log; total carries the target with
+            # coefficient -n_target, so rest - n_target * log(target) = 0
+            rest = sum(n * ctx.log_of_place(p) for p, n in total.finite_places()
+                       if p != target)
             val = rest * pow(n_target, -1, M) % M
             _store_place_log(ctx, target, val)
             return val
-    raise NoSolutionInBudget(
-        f"no usable (A, B) for the degree-{deg} target with t_a={t_a}, t_b={t_b}")
+    raise NoSolutionInBudget(f"no usable (A, B) for the degree-{deg} target")
 
 
 def _store_place_log(ctx: LogContext, place: Place, val: int):
@@ -530,35 +483,24 @@ def _coef_stream(q: int, nfree: int, rng: random.Random):
         yield vec
 
 
-def _build_coeffs(K, monos, head, removed, free_idx, a_vec, compelled_pts):
-    coeffs = [0] * len(monos)
-    coeffs[monos.index(head)] = 1
-    take = list(a_vec)
-    ncomp = len(compelled_pts)
-    enum_idx = free_idx[ncomp:] if ncomp else free_idx
-    pin_idx = free_idx[:ncomp]
-    for i, v in zip(enum_idx, take):
-        coeffs[i] = v
-    if ncomp:
-        # solve the compelled vanishing rows for the pinned coefficients
-        rows = []
+def _build_coeffs(K, a_vec, pinned):
+    """A's coefficients over _MONOS, or None when the pinned slots are not
+    determined: the head (slot 0) is 1, the next len(pinned) slots make A
+    vanish at the compelled points, and a_vec fills the rest."""
+    c = len(pinned)
+    coeffs = [1] + [0] * c + list(a_vec)
+    if c:
+        rows = [vals[1:c + 1] for vals in pinned]
         rhs = []
-        for (cx, cy) in compelled_pts:
-            row = []
+        for vals in pinned:
             acc = 0
-            for i, m in enumerate(monos):
-                val = K.mul(K.pow_(cx, m[0]), K.pow_(cy, m[1]))
-                if i in pin_idx:
-                    row.append(val)
-                else:
-                    acc = K.add(acc, K.mul(val, coeffs[i]))
-            rows.append(row)
+            for v, x in zip(vals, coeffs):
+                acc = K.add(acc, K.mul(v, x))
             rhs.append(K.neg(acc))
-        sol, _ = solve_linear(K, rows, rhs, len(pin_idx))
+        sol, _ = solve_linear(K, rows, rhs, c)
         if sol is None:
             return None
-        for i, v in zip(pin_idx, sol):
-            coeffs[i] = v
+        coeffs[1:c + 1] = sol
     return coeffs
 
 
@@ -566,66 +508,35 @@ def _combo(alg, values, coeffs):
     acc = alg.zero
     for v, c in zip(values, coeffs):
         if c:
-            acc = alg.add(acc, _scale(alg, v, c))
+            acc = alg.add(acc, alg.mul(alg.embed(c), v))
     return acc
 
 
-def _scale(alg, v, c):
-    return alg.mul(alg.embed(c), v)
-
-
-def _b_solutions(K, rows, monos_b, head_b, also_zero):
-    """Points of the affine solution space for B: head = 1, optional zero slot.
+def _b_solutions(K, rows):
+    """Points of the affine solution space for B with its head (slot 0) = 1.
 
     The space always contains the degenerate direction proportional to A, so
     up to _B_POINTS points are returned (particular solution plus nullspace
     offsets); the caller filters the useless ones.
     """
-    n = len(monos_b)
-    fixed = {monos_b.index(head_b): 1}
-    if also_zero is not None and also_zero in monos_b and monos_b.index(also_zero) not in fixed:
-        fixed[monos_b.index(also_zero)] = 0
-    free_cols = [i for i in range(n) if i not in fixed]
-    A = []
-    b = []
-    for row in rows:
-        acc = 0
-        for i, v in fixed.items():
-            if v and row[i]:
-                acc = K.add(acc, K.mul(row[i], v))
-        A.append([row[i] for i in free_cols])
-        b.append(K.neg(acc))
-    sol, null_basis = solve_linear(K, A, b, len(free_cols))
+    sol, null_basis = solve_linear(K, [row[1:] for row in rows],
+                                   [K.neg(row[0]) for row in rows], len(_MONOS) - 1)
     if sol is None:
         return []
-
-    def assemble(vec):
-        coeffs = [0] * n
-        for i, v in fixed.items():
-            coeffs[i] = v
-        for i, v in zip(free_cols, vec):
-            coeffs[i] = v
-        return coeffs
-
-    out = [assemble(sol)]
-    count = 1
+    out = [[1] + sol]
     for nb in null_basis:
         for lam in range(1, K.q):
-            if count >= _B_POINTS:
+            if len(out) >= _B_POINTS:
                 return out
-            vec = [K.add(s, K.mul(lam, w)) for s, w in zip(sol, nb)]
-            out.append(assemble(vec))
-            count += 1
+            out.append([1] + [K.add(s, K.mul(lam, w)) for s, w in zip(sol, nb)])
     if len(null_basis) >= 2:
         n1, n2 = null_basis[0], null_basis[1]
         for l1 in range(1, K.q):
             for l2 in range(1, K.q):
-                if count >= _B_POINTS:
+                if len(out) >= _B_POINTS:
                     return out
-                vec = [K.add(s, K.add(K.mul(l1, w1), K.mul(l2, w2)))
-                       for s, w1, w2 in zip(sol, n1, n2)]
-                out.append(assemble(vec))
-                count += 1
+                out.append([1] + [K.add(s, K.add(K.mul(l1, w1), K.mul(l2, w2)))
+                                  for s, w1, w2 in zip(sol, n1, n2)])
     return out
 
 
@@ -647,9 +558,8 @@ def _make_descender(basis, ctx: LogContext, seed: int):
         deg = place.degree
         if deg < 4 or deg > 8:
             return False
-        compelled = 3 if deg <= 6 else 2
         try:
-            bilinear_descend(basis, ctx, place, compelled=compelled, seed=seed)
+            bilinear_descend(basis, ctx, place, _compelled(deg), seed)
             return ctx.log_of_place(place) is not None
         except (NoSolutionInBudget, DescentFailed):
             return False
@@ -663,7 +573,7 @@ def log_r_of_generator(basis, ctx: LogContext, g,
     ext = basis.ext
     M = basis.M
     rng = random.Random(seed * 131 + 1)
-    for _ in range(400):
+    for _ in range(_SPLIT_TRIES):
         rr = rng.randrange(M)
         if math.gcd(1 + rr, M) != 1:
             continue
@@ -674,8 +584,7 @@ def log_r_of_generator(basis, ctx: LogContext, g,
 
 
 def dlog(z, g, basis, fb: FactorBase, logs: dict[int, int],
-         d0: int = 4, seed: int = 0, allow_descent: bool = True,
-         ctx: LogContext | None = None) -> DlogResult:
+         d0: int = 4, seed: int = 0, ctx: LogContext | None = None) -> DlogResult:
     """log_g(z) mod M, plus the full exponent once the mod-M part verifies.
 
     The mod-M part is the ratio of two reference-based logs, so it never
@@ -687,7 +596,7 @@ def dlog(z, g, basis, fb: FactorBase, logs: dict[int, int],
     M = basis.M
     if ctx is None:
         ctx = LogContext(fb, logs)
-    descender = _make_descender(basis, ctx, seed) if allow_descent else None
+    descender = _make_descender(basis, ctx, seed)
     lg = log_r_of_generator(basis, ctx, g, d0, seed, descender)
     if math.gcd(lg, M) != 1:
         raise DescentFailed("generator log is not invertible mod M; is g primitive?")

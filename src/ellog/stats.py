@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import ConfigError, FieldDesc, field_make
+from .algebra import ConfigError, FieldDesc, factor_modulus, field_make
 
 _TABLE_CAP = 2048
 
@@ -149,19 +149,10 @@ def h5_yield_fraction(q: int, samples: int = 100_000, seed: int = 0,
 
 
 def _field_for(q: int, seed: int) -> FieldDesc:
-    # factor q = p^m with p prime
-    p, m = None, None
-    for cand in range(2, q + 1):
-        if q % cand == 0:
-            p = cand
-            m = 0
-            t = q
-            while t % p == 0:
-                t //= p
-                m += 1
-            if t != 1:
-                raise ConfigError(f"{q} is not a prime power")
-            break
+    fac = factor_modulus(q) if q >= 2 else []
+    if len(fac) != 1:
+        raise ConfigError(f"q = {q} is not a prime power")
+    (p, m), = fac
     return field_make(p, m, seed)
 
 

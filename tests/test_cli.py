@@ -121,6 +121,18 @@ def test_extend_rerun_keeps_artifacts(pipeline, tmp_path, capsys):
         assert _sha256(os.path.join(out, name)) == want, name
 
 
+def test_config_with_the_old_small_prime_bound_key_loads(pipeline, tmp_path):
+    out = str(tmp_path / "run")
+    shutil.copytree(pipeline["dir"], out)
+    path = os.path.join(out, "config.json")
+    with open(path) as fh:
+        cfg = json.load(fh)
+    cfg["small_prime_bound"] = 10
+    with open(path, "w") as fh:
+        json.dump(cfg, fh)
+    assert main(["solve", "--out", out]) == 0
+
+
 def test_dlog_command_planted(pipeline, capsys):
     outdir = pipeline["dir"]
     assert main(["dlog", "--plant", "12345", "--out", outdir]) == 0
@@ -399,6 +411,9 @@ def test_search_bad_m0_is_config_error(tmp_path):
 
 
 @pytest.mark.parametrize("args", [["--degree", "9"], ["--degree", "4", "--bound", "2"],
-                                  ["--degree", "4", "--q", "12"]])
+                                  ["--degree", "4", "--q", "12"],
+                                  ["--q", "1"], ["--q", "0"], ["--q", "-5"],
+                                  ["--samples", "0"], ["--samples", "-3"],
+                                  ["--degree", "0"], ["--degree", "1"]])
 def test_stats_bad_arguments_are_config_errors(args):
     assert main(["stats", "--samples", "10"] + args) == 2

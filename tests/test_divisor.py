@@ -11,6 +11,7 @@ from ellog.divisor import (Divisor, HitsInfinity, INERT, PLACE_AT_INFINITY,
                            divisor_of, elementary_divisor, height,
                            place_of_point, places_over,
                            split_ordinate, translate_place)
+from ellog.harvest import build_factor_base
 
 from oracles import QuotientRing, orbit_canonical
 
@@ -287,20 +288,23 @@ def test_p2_p3_share_one_orbit(env):
     assert r2 == r3
 
 
-def test_place_and_divisor_codecs(env):
-    curve, td, K = env
-    rng = random.Random(13)
-    f = rand_function(curve, td.xs[1], rng)
-    D = divisor_of(f, curve)
-    text = D.encode(K)
-    assert Divisor.decode(K, text) == D
-    for place in D.coeffs:
-        assert Place.decode(K, place.encode(K)) == place
+def test_place_encodings_are_distinct(basis59):
+    # read_logs maps a logs.txt column name back to its place by encoding
+    K = basis59.curve.field
+    fb = build_factor_base(basis59, 5)
+    names = {p.encode(K) for p in fb.place_map}
+    assert len(names) == len(fb.place_map)
 
 
 def test_codecs_with_extension_coefficients():
+    # over F_121 each coefficient is two base-11 digits
     K = field_make(11, 2, 0)
     C = Curve(K, 1, K.code((2, 1)))
-    u = poly_irreducibles(K, 1)[3]
-    for p in places_over(C, u):
-        assert Place.decode(K, p.encode(K)) == p
+    places = [p for u in poly_irreducibles(K, 1) for p in places_over(C, u)]
+    names = [p.encode(K) for p in places]
+    assert len(set(names)) == len(places)
+    for p, name in zip(places, names):
+        kind, uc, vc = name.split(":")
+        assert kind == p.kind
+        assert uc == ",".join(str(d) for c in p.u for d in K.vec(c))
+        assert vc == ",".join(str(d) for c in p.v for d in K.vec(c))

@@ -62,3 +62,16 @@ def test_extend_sieves_each_pair_once(basis59, fb5, core_logs, monkeypatch):
                                       factor_modulus(basis59.M)))
     assert max(h4.values()) == 1 and max(h5.values()) == 1
     assert ext == h4 + h5
+
+
+def test_every_stored_row_vanishes_on_the_stored_logs(pipeline):
+    """After `extend` at (5, 9), each row of relations.txt, core or not,
+    has a log for every column and sums to 0 mod M on logs.txt."""
+    M = pipeline["basis"].M
+    logs = pipeline["logs"]
+    rows = pipeline["relations"]
+    assert len(rows) == 197
+    for rel in rows:
+        assert all(c in logs for c in rel.cols), (rel.mode, rel.params)
+        assert sum(v * logs[c] for c, v in rel.cols.items()) % M == 0, (
+            rel.mode, rel.params)

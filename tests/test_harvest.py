@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import random
 import re
@@ -5,6 +6,7 @@ from collections import Counter
 
 import pytest
 
+from ellog import harvest
 from ellog.algebra import ConfigError
 from ellog.curve import TriPoly, bracket, phi_star
 from ellog.divisor import decompose, divisor_of, place_of_point, translate_place
@@ -269,6 +271,25 @@ def test_reconstruct_pair_rejects_a_wrong_k2(basis59):
     # k1 = 0 gives k2 = 0, a degenerate group
     with pytest.raises(ConfigError, match="k1 = 0: degenerate"):
         reconstruct_pair(basis59, "k1k2_free", (0, 1, 0, 0))
+
+
+def test_extend_h4_derives_the_k1k2_data_once(basis59, fb59, monkeypatch):
+    basis = dataclasses.replace(basis59, k1k2_coeffs=None)
+    brackets = []
+
+    def counting(A, B):
+        brackets.append((A, B))
+        return bracket(A, B)
+
+    monkeypatch.setattr(harvest, "bracket", counting)
+    harvest.extend_h4(basis, build_factor_base(basis, 3))
+    # the three building brackets of k1k2_coefficients, once per basis
+    assert len(brackets) == 3
+    k1, k2 = family_params(basis, "k1k2")[0][:2]
+    bad = (k2 + 1) % basis.q
+    with pytest.raises(ConfigError, match=f"has k2 = {k2}, not {bad}"):
+        reconstruct_pair(basis, "k1k2", (k1, bad, 0, 0))
+    assert len(brackets) == 3
 
 
 @pytest.mark.parametrize("line,why", [

@@ -3,12 +3,14 @@ against brute force on small inputs."""
 
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ellog.algebra import factor_modulus, field_make
-from ellog.linalg import (Zmod, crt, kernel_mod_prime, kernel_mod_prime_power,
+from ellog.linalg import (InconsistentSystem, MoreRelationsNeeded, Zmod, crt,
+                          kernel_mod_prime, kernel_mod_prime_power,
                           solve_affine_mod, solve_linear)
 
 from oracles import kernel_lift_per_step
@@ -145,11 +147,42 @@ def test_kernel_mod_prime_power_lifts_the_kernel(ell, e, data):
         r[unit] = 0
         r[unit] = -sum(a * v for a, v in zip(r, x)) * pow(x[unit], -1, mod) % mod
         rows.append({c: a for c, a in enumerate(r) if a})
-    vec = kernel_mod_prime_power(rows, n, ell, e)
-    assert vec == kernel_lift_per_step(rows, n, ell, e)
     kernel = kernel_mod_prime(rows, n, ell)
     if len(kernel) != 1:
-        assert vec is None
+        # x is a kernel vector mod ell, so the kernel is never empty
+        assert kernel_lift_per_step(rows, n, ell, e) is None
+        with pytest.raises(MoreRelationsNeeded):
+            kernel_mod_prime_power(rows, n, ell, e)
         return
+    vec = kernel_mod_prime_power(rows, n, ell, e)
+    assert vec == kernel_lift_per_step(rows, n, ell, e)
     assert all(sum(a * vec[c] for c, a in r.items()) % mod == 0 for r in rows)
     assert [v % ell for v in vec] == kernel[0]
+
+
+def test_kernel_mod_prime_power_duplicates_and_errors():
+    rows = [{0: 1, 1: 17}, {1: 1, 2: 3}]
+    v1 = kernel_mod_prime_power(rows, 3, 19, 1)
+    v2 = kernel_mod_prime_power(rows + rows, 3, 19, 1)
+    assert v1 == v2
+    with pytest.raises(MoreRelationsNeeded):
+        kernel_mod_prime_power([{0: 1, 1: 1}], 3, 19, 1)
+    with pytest.raises(InconsistentSystem):
+        kernel_mod_prime_power([{0: 1}, {1: 1}, {2: 1}], 3, 19, 1)
+
+
+def test_kernel_mod_prime_power_planted_lift():
+    # planted solution x = (5, 12, 1) mod 7^2, homogeneous rows around it
+    ell, e = 7, 2
+    mod = ell ** e
+    x = [5, 12, 1]
+    rng = random.Random(3)
+    rows = []
+    for _ in range(8):
+        a = [rng.randrange(mod) for _ in range(3)]
+        # adjust last coefficient so the row annihilates x (x[2] = 1 helps)
+        a[2] = (-(a[0] * x[0] + a[1] * x[1])) % mod
+        rows.append({i: v for i, v in enumerate(a) if v})
+    vec = kernel_mod_prime_power(rows, 3, ell, e)
+    lam = vec[2]  # x normalized so the last coordinate is 1 in the plant
+    assert all((vec[i] - lam * x[i]) % mod == 0 for i in range(3))

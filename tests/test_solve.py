@@ -2,17 +2,15 @@ import random
 
 import pytest
 
+from ellog import solve
 from ellog.algebra import Poly, poly_irreducibles
 from ellog.divisor import PLACE_AT_INFINITY, places_over
 from ellog.harvest import build_factor_base, harvest_core, harvest_m1
-from ellog.linalg import MoreRelationsNeeded
 from ellog.psi import PsiValue, psi_elementary
 from ellog.solve import (LogContext, NotInSubgroup, bilinear_descend,
-                         bsgs_oracle, classical_split, column_class,
-                         descent_free_counts, dlog, factor_modulus,
-                         find_generator, log_r_of_generator,
-                         poly_to_divisor, solve_core, solve_mod,
-                         verify_log_table)
+                         bsgs_oracle, classical_split, column_class, dlog,
+                         factor_modulus, find_generator, log_r_of_generator,
+                         poly_to_divisor, solve_core, verify_log_table)
 
 from oracles import extend_per_pass, pollard_rho_dlog
 
@@ -51,32 +49,6 @@ def test_factor_modulus_prime_and_tiny():
     assert factor_modulus(829) == [(829, 1)]
     with pytest.raises(ValueError):
         factor_modulus(1)
-
-
-def test_solve_mod_duplicates_and_errors():
-    rows = [{0: 1, 1: 17}, {1: 1, 2: 3}]
-    v1 = solve_mod(rows, 3, 19)
-    v2 = solve_mod(rows + rows, 3, 19)
-    assert v1 == v2
-    with pytest.raises(MoreRelationsNeeded):
-        solve_mod([{0: 1, 1: 1}], 3, 19)
-
-
-def test_solve_mod_prime_power_lift():
-    # planted solution x = (5, 12, 1) mod 7^2, homogeneous rows around it
-    ell, e = 7, 2
-    mod = ell ** e
-    x = [5, 12, 1]
-    rng = random.Random(3)
-    rows = []
-    for _ in range(8):
-        a = [rng.randrange(mod) for _ in range(3)]
-        # adjust last coefficient so the row annihilates x (x[2] = 1 helps)
-        a[2] = (-(a[0] * x[0] + a[1] * x[1])) % mod
-        rows.append({i: v for i, v in enumerate(a) if v})
-    vec = solve_mod(rows, 3, ell, e)
-    lam = vec[2]  # x normalized so the last coordinate is 1 in the plant
-    assert all((vec[i] - lam * x[i]) % mod == 0 for i in range(3))
 
 
 def test_solve_core_and_verification(basis59, fb59, solved):
@@ -207,12 +179,6 @@ def test_classical_split_reconstruction(basis59, fb59, solved):
         assert ext.is_base(ratio)
 
 
-def test_descent_free_counts():
-    assert descent_free_counts(2, 1) == (6, 3)
-    assert descent_free_counts(2, 2) == (6, 6)
-    assert descent_free_counts(2, 2, compelled=3) == (3, 3)
-
-
 def test_bilinear_descend_known_target_returns(basis59, fb59, solved):
     _, table = solved
     ctx = LogContext(fb59, dict(table.mod_m))
@@ -232,7 +198,7 @@ def test_bilinear_descend_degree_six(basis59, fb59, solved):
     K = basis59.curve.field
     target = next(p for u in poly_irreducibles(K, 3)
                   for p in places_over(basis59.curve, u) if p.degree == 6)
-    val = bilinear_descend(basis59, ctx, target, 2, 2, compelled=3, seed=1)
+    val = bilinear_descend(basis59, ctx, target, compelled=3, seed=1)
     rcls = column_class(fbx, table.ref_col, basis59)
     assert val == bsgs_oracle(psi_elementary(target, basis59), rcls, basis59.M)
     assert ctx.log_of_place(target) == val
@@ -243,7 +209,44 @@ def test_dlog_identity_and_planted(basis59, fb59, solved):
     logs = dict(table.mod_m)
     ext = basis59.ext
     g = find_generator(ext, 0)
-    res = dlog(g, g, basis59, fb59, logs, allow_descent=False)
+    res = dlog(g, g, basis59, fb59, logs)
     assert res.verified and res.x_mod_m == 1 % basis59.M and res.x_full == 1
-    res = dlog(ext.pow_(g, 12345), g, basis59, fb59, logs, allow_descent=False)
+    res = dlog(ext.pow_(g, 12345), g, basis59, fb59, logs)
     assert res.verified and res.x_full == 12345
+
+
+# five planted targets x from random.Random(1) at (5, 9, seed 0), each
+# answered by dlog(..., seed=i) on a fresh LogContext: x, log mod M, and
+# the places handed to bilinear_descend (top level and recursion), in order
+DLOG_PATHS = [
+    (281782, 281782, []),
+    (1193707, 217145, ["inert:1,1,3,1:", "inert:4,1,0,1:",
+                       "split:4,4,1,0,1,1:2,1,3,0,4",
+                       "split:3,1,0,1,2,1:2,4,0,4,1",
+                       "split:1,3,3,3,2,1:1,1,1,1"]),
+    (1777197, 312354, []),
+    (1682471, 217628, ["inert:3,1,1,1:", "split:3,4,2,0,1,1:4,4,2,3,4"]),
+    (1601751, 136908, ["inert:4,2,3,2,1:", "split:2,3,4,1,2,1:3,0,0,1,3",
+                       "split:3,0,0,0,2,1:3,3,2,2,1"]),
+]
+
+
+def test_dlog_path_is_pinned(pipeline, monkeypatch):
+    basis, fb, g = pipeline["basis"], pipeline["fb"], pipeline["g"]
+    ext, K = basis.ext, basis.curve.field
+    targets = []
+    descend = solve.bilinear_descend
+
+    def recording(basis_, ctx, target, *args, **kwargs):
+        targets.append(target.encode(K))
+        return descend(basis_, ctx, target, *args, **kwargs)
+
+    monkeypatch.setattr(solve, "bilinear_descend", recording)
+    rng = random.Random(1)
+    for i, (x, x_mod_m, path) in enumerate(DLOG_PATHS):
+        assert rng.randrange(ext.order_total - 1) == x
+        ctx = LogContext(fb, dict(pipeline["logs"]))
+        del targets[:]
+        res = dlog(ext.pow_(g, x), g, basis, fb, ctx.cols, seed=i, ctx=ctx)
+        assert res.verified and res.x_full == x and res.x_mod_m == x_mod_m
+        assert targets == path
