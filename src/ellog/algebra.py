@@ -866,6 +866,16 @@ def poly_irreducibles(K: FieldDesc, degree: int) -> list[Poly]:
 # the extension F_{q^k} = F_q[X]/(I)
 # ---------------------------------------------------------------------------
 
+def _pack(code: str, coeffs) -> int:
+    """Codes as one int: slot i holds coeffs[i], in items of array type `code`."""
+    return int.from_bytes(array(code, coeffs).tobytes(), "little")
+
+
+def _pack_mod(code: str, x: int, nbytes: int, p: int) -> int:
+    """The packed int x, its nbytes // itemsize slots each reduced mod p."""
+    return _pack(code, [s % p for s in array(code, x.to_bytes(nbytes, "little"))])
+
+
 class ExtFieldDesc:
     """F_q[X]/(I) for monic irreducible I of degree k over the base.
 
@@ -874,16 +884,21 @@ class ExtFieldDesc:
     (low degree first).  The constructor checks only that I is monic;
     `ext_make` also checks that it is irreducible.
 
-    Over a prime base F_p, `mul` is a Kronecker substitution: each operand
-    is packed into one int, k slots of w bits, low degree in the low slot,
-    and the two ints are multiplied once.  The low k slots of the product
-    are kept; each of the k - 1 high slots is reduced mod p and folded back
-    in as that multiple of the packed row X^(k+i) mod I, which `__init__`
-    precomputes.  A product slot holds at most k(p-1)^2 and the fold adds
-    at most (k-1)(p-1)^2, so w is the smallest array item width with
-    2^w > 2k(p-1)^2 + p and no slot ever carries into the next.  Over an
-    F_{p^m} base (m > 1), and on a big-endian host, `mul` keeps the
-    schoolbook loop on the base field's tables.
+    Over a prime base F_p, `mul` is a Kronecker substitution with a
+    Barrett fold.  Each operand is packed into one int, k slots of w bits,
+    low degree in the low slot, and the two ints are multiplied once: the
+    product c has 2k - 1 slots.  With mu = floor(X^(2k-2) / I) over F_p,
+    which `__init__` precomputes, the quotient is
+    Q = floor(floor(c / X^k) * mu / X^(k-2)), exact for deg c <= 2k - 2,
+    and the remainder is the low k slots of c + Q * (X^k mod I); one `% p`
+    per output slot ends the product.  The slots are never reduced in
+    between, only congruent mod p to the true coefficients: a slot of the
+    sum holds at most k(p-1)^2 + k(k-1)^2(p-1)^4, and w is the smallest
+    array item width above that, so no slot carries into the next.  Where
+    no item is wide enough (p > 9949 at k = 13), the high half and Q are
+    reduced mod p before their products, which bounds a slot by
+    2k(p-1)^2 + p.  Over an F_{p^m} base (m > 1), and on a big-endian
+    host, `mul` keeps the schoolbook loop on the base field's tables.
     """
 
     __slots__ = ("base", "I", "k", "order_total", "_frob_pows", "_kron")
@@ -898,19 +913,20 @@ class ExtFieldDesc:
         self._frob_pows = None
         self._kron = None
         if base.m == 1 and sys.byteorder == "little":
-            p, k, coeffs = base.p, self.k, I.coeffs
-            code = next(c for c in "BHIQ"
-                        if 2 * k * (p - 1) ** 2 + p < 1 << 8 * array(c).itemsize)
+            p, k = base.p, self.k
+            exact = k * (p - 1) ** 2 + k * (k - 1) ** 2 * (p - 1) ** 4
+            code = next((c for c in "BHIQ" if exact < 1 << 8 * array(c).itemsize), None)
+            mid_mod = code is None
+            if mid_mod:
+                code = next(c for c in "BHIQ"
+                            if 2 * k * (p - 1) ** 2 + p < 1 << 8 * array(c).itemsize)
             width = array(code).itemsize
-            rows = []
-            r = [-c % p for c in coeffs[:k]]  # X^k mod I
-            for _ in range(k - 1):
-                rows.append(int.from_bytes(array(code, r).tobytes(), "little"))
-                top = r[-1]
-                r = [(lo - top * c) % p for lo, c in zip([0] + r[:-1], coeffs)]
+            mu = Poly(base, (0,) * (2 * k - 2) + (1,)) // I
+            fold = [-c % p for c in I.coeffs[:k]]  # X^k mod I
             shift = 8 * width * k
-            self._kron = (p, code, shift, (1 << shift) - 1, width * (k - 1),
-                          width * k, tuple(rows))
+            self._kron = (p, code, shift, 8 * width * max(k - 2, 0), (1 << shift) - 1,
+                          _pack(code, mu.coeffs), _pack(code, fold),
+                          width * (k - 1), width * k, mid_mod)
 
     # -- element helpers ----------------------------------------------
 
@@ -930,9 +946,11 @@ class ExtFieldDesc:
         return (0, 1) + (0,) * (self.k - 2)
 
     def from_poly(self, f: Poly):
-        r = f % self.I
-        cs = list(r.coeffs) + [0] * (self.k - len(r.coeffs))
-        return tuple(cs)
+        """f mod I; with theta = X mod I this is also f(theta)."""
+        cs = f.coeffs
+        if len(cs) > self.k:
+            cs = (f % self.I).coeffs
+        return tuple(cs) + (0,) * (self.k - len(cs))
 
     def to_poly(self, a) -> Poly:
         return Poly(self.base, a)
@@ -960,12 +978,16 @@ class ExtFieldDesc:
 
     def mul(self, a, b):
         if self._kron is not None:
-            p, code, shift, mask, high_bytes, low_bytes, rows = self._kron
+            p, code, shift, q_shift, mask, mu, fold, high_bytes, low_bytes, mid_mod = self._kron
             c = (int.from_bytes(array(code, a).tobytes(), "little")
                  * int.from_bytes(array(code, b).tobytes(), "little"))
-            low = c & mask
-            for h, row in zip(array(code, (c >> shift).to_bytes(high_bytes, "little")), rows):
-                low += h % p * row
+            high = c >> shift
+            if mid_mod:
+                high = _pack_mod(code, high, high_bytes, p)
+            quot = high * mu >> q_shift
+            if mid_mod:
+                quot = _pack_mod(code, quot, high_bytes, p)
+            low = (c + quot * fold) & mask
             return tuple([x % p for x in array(code, low.to_bytes(low_bytes, "little"))])
         K = self.base
         k = self.k

@@ -295,7 +295,11 @@ _BASIS_KEYS = ("p", "m", "field_modulus", "a", "b", "N", "k", "mu", "nu",
 
 
 def basis_from_json(text: str) -> EllipticBasis:
-    """Load a basis.json; M and N, which psi relies on, are checked."""
+    """Load a basis.json; what psi relies on is checked.
+
+    That is M, gcd(N, M) = 1, theta = X mod I (psi reads a polynomial at
+    theta as its residue mod I) and tau^2 = theta^3 + a theta + b.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -319,6 +323,11 @@ def basis_from_json(text: str) -> EllipticBasis:
     ext = ExtFieldDesc(field, I)
     theta = ext.dec(doc["theta"])
     tau = ext.dec(doc["tau"])
+    if theta != ext.gen():
+        raise ConfigError("stored theta is not X mod modulus_I")
+    if ext.mul(tau, tau) != curve.rhs_in(ext, theta):
+        raise ConfigError("stored tau is not a square root of the curve "
+                          "cubic at theta")
     basis = EllipticBasis(curve, td, ext, theta, tau, M,
                           doc["mu"], doc["nu"], k, doc["seed"])
     expected = [field.dec(t) for t in doc["torsion_x"]]

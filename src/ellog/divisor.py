@@ -13,7 +13,6 @@ zero, the one with ordinate v = -p0/p1 mod u, so no square root is taken.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import total_ordering
 
 from .algebra import ExtFieldDesc, FieldDesc, Poly, poly_ext_gcd, poly_factor
@@ -31,29 +30,65 @@ RAMIFIED = "ram"
 INERT = "inert"
 
 _KIND_RANK = {INFINITY: 0, SPLIT: 1, RAMIFIED: 2, INERT: 3}
+_set = object.__setattr__
 
 
 @total_ordering
-@dataclass(frozen=True)
 class Place:
-    """A Galois orbit of curve points, keyed by (kind, u, v)."""
+    """A Galois orbit of curve points, keyed by (kind, u, v).
+
+    An immutable value.  Its degree, its sort key (degree, kind rank, u, v)
+    and its hash are computed once, when it is built, since every divisor
+    sum and every psi term looks places up in dicts; it pickles as
+    (kind, u, v).
+    """
+
+    __slots__ = ("kind", "u", "v", "degree", "sort_key", "_hash")
 
     kind: str
     u: tuple[int, ...]   # monic abscissa polynomial, low degree first; () at infinity
     v: tuple[int, ...]   # ordinate polynomial; () for inert / infinity
+    degree: int
+    sort_key: tuple
 
-    @property
-    def degree(self) -> int:
-        if self.kind == INFINITY:
-            return 1
-        d = len(self.u) - 1
-        return 2 * d if self.kind == INERT else d
+    def __init__(self, kind: str, u: tuple[int, ...], v: tuple[int, ...]):
+        if kind == INFINITY:
+            degree = 1
+        else:
+            degree = 2 * (len(u) - 1) if kind == INERT else len(u) - 1
+        _set(self, "kind", kind)
+        _set(self, "u", u)
+        _set(self, "v", v)
+        _set(self, "degree", degree)
+        _set(self, "sort_key", (degree, _KIND_RANK[kind], u, v))
+        _set(self, "_hash", hash((kind, u, v)))
 
-    def sort_key(self):
-        return (self.degree, _KIND_RANK[self.kind], self.u, self.v)
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Place is immutable: cannot set {name}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"Place is immutable: cannot delete {name}")
+
+    def __reduce__(self):
+        return (Place, (self.kind, self.u, self.v))
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if type(other) is not Place:
+            return NotImplemented
+        return self.sort_key == other.sort_key
 
     def __lt__(self, other):
-        return self.sort_key() < other.sort_key()
+        if type(other) is not Place:
+            return NotImplemented
+        return self.sort_key < other.sort_key
+
+    def __repr__(self):
+        return f"Place(kind={self.kind!r}, u={self.u!r}, v={self.v!r})"
 
     def encode(self, K: FieldDesc) -> str:
         if self.kind == INFINITY:
@@ -127,8 +162,8 @@ def places_at(curve: Curve, x0: int) -> tuple[Place, ...]:
 
 
 def _place_key(item):
-    """The place's sort key, so that a sort computes it once per item."""
-    return item[0].sort_key()
+    """The stored sort key of an item's place."""
+    return item[0].sort_key
 
 
 class Divisor:

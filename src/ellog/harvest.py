@@ -90,7 +90,7 @@ class FactorBase:
                     for p in places_over(basis.curve, u):
                         if p.degree == deg:
                             new_places.append(p)
-            for p in sorted(new_places, key=Place.sort_key):
+            for p in sorted(new_places, key=lambda p: p.sort_key):
                 if p in self.place_map:
                     continue
                 j = self._torsion_places.get(p)
@@ -363,11 +363,11 @@ class PairResult:
     right_divisor: Divisor
 
     def left_total(self) -> Divisor:
-        tot = Divisor()
+        tot: dict[Place, int] = {}
         for d in self.left_divisors:
             for p, n in d.coeffs.items():
-                tot.add_place(p, n)
-        return tot
+                tot[p] = tot.get(p, 0) + n
+        return Divisor(tot)
 
 
 def _class_key(labels, coords, K) -> tuple:

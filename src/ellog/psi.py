@@ -21,9 +21,10 @@ built from two memos on the basis:
 * `_term(P, n)` is psi(n((P) - d(O))): Cantor-style Mumford reduction gives
   (P) - d(O) = (T) - (O) + div(g), with the chord and vertical functions
   evaluated at F on the fly (an inert place is the divisor of u(x)
-  outright, so T = O), and the term's class is (g(F) pi(T))^n.  It is
-  kept as a numerator and a denominator in `EllipticBasis.place_terms`
-  under (P, n).
+  outright, so T = O), and the term's class is (g(F) pi(T))^n, kept as a
+  numerator and a denominator in `EllipticBasis.place_terms` under (P, n).
+  Since theta = X mod I, a polynomial over F_q is read at theta as its
+  residue mod I (`ExtFieldDesc.from_poly`), with no product.
 
 So a check on warm memos is products in F_{q^k} and nothing else.  The
 value cannot differ from the definition: psi(div g) = g(F), psi((R) - (O))
@@ -136,7 +137,7 @@ def _vertical(ext, theta, x):
     return _checked(ext.sub(theta, ext.embed(x)), ext)
 
 
-def _mumford_reduce(curve: Curve, u: Poly, v: Poly, ext: ExtFieldDesc, theta, tau):
+def _mumford_reduce(curve: Curve, u: Poly, v: Poly, ext: ExtFieldDesc, tau):
     """Reduce the semi-reduced pair (u, v) to a rational point.
 
     Returns (T, num, den) with  D(u,v) - deg(u)(O) = [(T) - (O)] + Xi(g)
@@ -150,8 +151,8 @@ def _mumford_reduce(curve: Curve, u: Poly, v: Poly, ext: ExtFieldDesc, theta, ta
         if not rem.is_zero():
             raise AssertionError("pair (u, v) is not semi-reduced")
         w = quot.monic()
-        num = _mul(ext, num, _checked(ext.sub(tau, v.eval_in(ext, theta)), ext))
-        den = _mul(ext, den, w.eval_in(ext, theta))
+        num = _mul(ext, num, _checked(ext.sub(tau, ext.from_poly(v)), ext))
+        den = _mul(ext, den, ext.from_poly(w))
         u, v = w, (-v) % w if not v.is_zero() else v % w
     if u.degree() <= 0:
         return None, num, den
@@ -229,14 +230,14 @@ def _point_class(R: Point, basis):
 
 def _term(curve: Curve, place: Place, n: int, basis):
     """(num, den) with num/den = psi(n((P) - deg(P)(O))) up to F_q^*."""
-    ext, theta = basis.ext, basis.theta
+    ext = basis.ext
     K = curve.field
     u = Poly(K, place.u)
     if place.kind == INERT:
-        num, den = _checked(u.eval_in(ext, theta), ext), None
+        num, den = _checked(ext.from_poly(u), ext), None
     else:
         v = Poly(K, place.v) if place.kind == SPLIT else Poly(K, ())
-        T, num, den = _mumford_reduce(curve, u, v, ext, theta, basis.tau)
+        T, num, den = _mumford_reduce(curve, u, v, ext, basis.tau)
         if T is not None:
             num = _mul(ext, num, _point_class(T, basis))
     m = abs(n)

@@ -593,7 +593,7 @@ def orbit_canonical(place, td):
     """
     from ellog.divisor import orbit_places
     orbit = orbit_places(place, td)
-    _, rep_i = min((p.sort_key(), i) for i, p in enumerate(orbit) if p is not None)
+    _, rep_i = min((p.sort_key, i) for i, p in enumerate(orbit) if p is not None)
     return orbit[rep_i], (-rep_i) % len(orbit)
 
 

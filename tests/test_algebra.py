@@ -179,10 +179,14 @@ def test_zero_power_convention():
 
 
 # Degrees 9 and 13 are the target fields of the two pinned instances; F_1048573
-# (2^20 - 3, just under DESK_Q_CAP) needs the widest packed slots.
+# (2^20 - 3, just under DESK_Q_CAP) needs the widest packed slots.  At degree
+# 13, 9949 is the largest prime whose packed product folds with no slot
+# reduced, and 9967 the next one, which reduces the high half and the
+# quotient mod p before their products.
 _RESIDUE_CASES = [(p, m, d) for p, m, top in ((5, 1, 13), (11, 1, 13), (11, 2, 5),
                                                (1048573, 1, 4))
-                  for d in range(1, top + 1)]
+                  for d in range(1, top + 1)] + [(9949, 1, 13), (9967, 1, 13),
+                                                 (1048573, 1, 13)]
 _RESIDUE_BASES = {(p, m): field_make(p, m, 0) for p, m, _ in _RESIDUE_CASES}
 
 
@@ -191,6 +195,10 @@ _RESIDUE_BASES = {(p, m): field_make(p, m, 0) for p, m, _ in _RESIDUE_CASES}
 @example(case=(5, 1, 9), seed=0)
 @example(case=(11, 1, 13), seed=0)
 @example(case=(1048573, 1, 4), seed=0)
+@example(case=(1048573, 1, 13), seed=0)
+@example(case=(9949, 1, 13), seed=0)
+@example(case=(9967, 1, 13), seed=0)
+@example(case=(5, 1, 1), seed=0)
 @example(case=(11, 2, 3), seed=0)
 def test_residue_ring_matches_reference(case, seed):
     """ExtFieldDesc(K, u) computes what the Poly-then-reduce ring computes."""
@@ -218,6 +226,15 @@ def test_residue_ring_matches_reference(case, seed):
         if R.is_square(x):
             # the very root, not one up to sign
             assert R.sqrt(x) == ref.sqrt(x)
+
+
+@pytest.mark.parametrize("p, reduced", [(9949, False), (9967, True)])
+def test_residue_cases_straddle_the_unreduced_slot_limit(p, reduced):
+    """The packed product reduces its slots mod p only where no array item
+    holds k(p-1)^2 + k(k-1)^2(p-1)^4; at k = 13 that starts after 9949."""
+    K = _RESIDUE_BASES[p, 1]
+    u = poly_random_monic(K, 13, random.Random(p))
+    assert ExtFieldDesc(K, u)._kron[-1] is reduced
 
 
 def test_eval_in_starts_at_leading_coefficient():

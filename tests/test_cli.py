@@ -358,6 +358,27 @@ def test_malformed_basis_file_is_config_error(tmp_path, capsys):
     assert "basis file lacks" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["theta", "tau"])
+def test_tampered_theta_or_tau_is_config_error(tmp_path, capsys, key):
+    """psi reads a polynomial at theta as its residue mod I and needs F on
+    the curve, so a basis.json whose theta is not X mod I, or whose tau is
+    not a root of the cubic at theta, is refused and named (exit 2)."""
+    out = str(tmp_path / "r")
+    assert main(["search", "--p", "5", "--k", "9", "--out", out]) == 0
+    assert main(["basis", "--out", out]) == 0
+    path = os.path.join(out, "basis.json")
+    with open(path) as fh:
+        doc = json.load(fh)
+    codes = doc[key].split(";")
+    codes[0] = str((int(codes[0]) + 1) % 5)
+    doc[key] = ";".join(codes)
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    capsys.readouterr()
+    assert main(["harvest", "--out", out]) == 2
+    assert f"stored {key} is not" in capsys.readouterr().err
+
+
 def test_malformed_curve_file_is_config_error(tmp_path):
     out = str(tmp_path / "r")
     assert main(["search", "--p", "5", "--k", "9", "--out", out]) == 0

@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -308,3 +309,55 @@ def test_codecs_with_extension_coefficients():
         assert kind == p.kind
         assert uc == ",".join(str(d) for c in p.u for d in K.vec(c))
         assert vc == ",".join(str(d) for c in p.v for d in K.vec(c))
+
+
+def _places_to_height_5(curve):
+    K = curve.field
+    return [p for d in range(1, 6) for u in poly_irreducibles(K, d)
+            for p in places_over(curve, u) if p.degree <= 5]
+
+
+def test_place_pickles_and_cannot_be_changed(basis59):
+    """The harvest pool pickles places: one comes back equal, with the same
+    hash and sort key; and no attribute of a place can be set."""
+    places = _places_to_height_5(basis59.curve)[::40] + [PLACE_AT_INFINITY]
+    for p in places:
+        back = pickle.loads(pickle.dumps(p))
+        assert back == p and hash(back) == hash(p)
+        assert (back.kind, back.u, back.v, back.degree, back.sort_key) == \
+            (p.kind, p.u, p.v, p.degree, p.sort_key)
+        for name, value in (("kind", INERT), ("degree", 0), ("u", ())):
+            with pytest.raises(AttributeError):
+                setattr(p, name, value)
+        with pytest.raises(AttributeError):
+            del p.v
+
+
+def test_places_built_apart_are_equal(basis59):
+    """Two places built separately from equal (kind, u, v) are one dict key."""
+    curve = basis59.curve
+    for p in _places_to_height_5(curve)[::9]:
+        q = Place(p.kind, tuple(list(p.u)), tuple(list(p.v)))
+        assert q is not p and q == p and hash(q) == hash(p)
+        assert {p: 1}[q] == 1
+        assert not q < p and not p < q
+    u = Poly(curve.field, (1, 0, 1))
+    assert places_over(curve, u) == places_over(curve, u)
+
+
+def test_place_order_is_degree_kind_u_v(basis59):
+    """Sorting the 824 places of degree <= 5 at (5, 9), by comparison or by
+    finite_places, gives the (degree, kind rank, u, v) order."""
+    places = _places_to_height_5(basis59.curve)
+    assert len(places) == 824
+    rank = {SPLIT: 1, RAMIFIED: 2, INERT: 3}
+
+    def old_key(p):
+        d = len(p.u) - 1
+        return (2 * d if p.kind == INERT else d, rank[p.kind], p.u, p.v)
+
+    want = sorted(places, key=old_key)
+    shuffled = random.Random(824).sample(places, len(places))
+    assert sorted(shuffled) == want
+    D = Divisor({p: 1 for p in shuffled})
+    assert [p for p, _ in D.finite_places()] == want

@@ -564,3 +564,23 @@ def test_warm_check_is_products_only(basis11, monkeypatch):
     for lhs, rhs, verdict in cases:
         assert verify_relation(lhs, rhs, warm) == verdict
     assert calls and set(calls) == {"mul"}
+
+
+def test_cold_check_reads_polynomials_at_theta_by_reduction(basis11, monkeypatch):
+    """theta is X mod I, so psi reads u, v and the Mumford quotients at
+    theta as residues mod I: a check on cold memos evaluates no Poly."""
+    assert basis11.theta == basis11.ext.gen()
+    calls = []
+    monkeypatch.setattr(Poly, "eval_in", lambda *args: calls.append(args))
+    cold = replace(basis11, place_terms={}, point_classes={})
+    checked = 0
+    for params in itertools.product(range(11), repeat=3):
+        try:
+            lhs, rhs = _core_relation(basis11, params)
+        except DegeneratePair:
+            continue
+        assert verify_relation(lhs, rhs, cold)
+        checked += 1
+        if checked == 4:
+            break
+    assert cold.place_terms and calls == []
