@@ -499,10 +499,30 @@ def _derivative(K: FieldDesc, a) -> list:
     return _strip([mul(c, i % p) for i, c in enumerate(a[1:], 1)])
 
 
+def _horner(K: FieldDesc, a, x: int) -> tuple[list, int]:
+    """(quotient, remainder) of a by X - x: Horner's rule at x, whose
+    partial sums are the quotient's coefficients and whose value is a(x)."""
+    quot = [0] * max(len(a) - 1, 0)
+    acc = 0
+    if K.m == 1:
+        p = K.p
+        for i in range(len(a) - 1, 0, -1):
+            acc = quot[i - 1] = (acc * x + a[i]) % p
+        return quot, (acc * x + a[0]) % p if a else 0
+    add, mul = K.add, K.mul
+    for i in range(len(a) - 1, 0, -1):
+        acc = quot[i - 1] = add(mul(acc, x), a[i])
+    return quot, add(mul(acc, x), a[0]) if a else 0
+
+
 def _gcd(K: FieldDesc, a, b):
-    """The monic gcd (zero only when both are zero)."""
+    """The monic gcd (zero only when both are zero).
+
+    The remainder sequence runs on two lists of its own, each step reduced
+    in place by `_reduce`."""
+    a, b = list(a), list(b)
     while b:
-        a, b = b, _rem(K, a, b)
+        a, b = b, _reduce(K, a, b)
     return _monic(K, a)
 
 
@@ -631,11 +651,7 @@ class Poly:
         return _poly(self.field, _gcd(self.field, self.coeffs, other.coeffs))
 
     def eval_code(self, x: int) -> int:
-        K = self.field
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = K.add(K.mul(acc, x), c)
-        return acc
+        return _horner(self.field, self.coeffs, x)[1]
 
     def eval_in(self, dom, x):
         """Horner evaluation in any domain exposing zero/embed/add/mul."""
@@ -759,6 +775,9 @@ def _squarefree_parts(K: FieldDesc, f) -> list[tuple[list, int]]:
             rec(root, mult * K.p)
             return
         c = _gcd(K, g, gp)
+        if len(c) == 1:
+            out.append((g, mult))  # g is squarefree
+            return
         w = _monic(K, _quo(K, g, c))
         i = 1
         while len(w) > 1:
@@ -797,12 +816,16 @@ def _distinct_degree(K: FieldDesc, f) -> list[tuple[list, int]]:
     return out
 
 
-def _equal_degree(K: FieldDesc, f, d: int, rng: random.Random) -> list:
-    """Cantor-Zassenhaus split of a product of degree-d irreducibles (odd q)."""
+def _equal_degree(K: FieldDesc, f, d: int, draws) -> list:
+    """Cantor-Zassenhaus split of a product of degree-d irreducibles (odd q).
+
+    `draws()` gives the random generator; it is called only when f splits.
+    """
     n = len(f) - 1
     if n == d:
         return [f]
     exp = (K.q ** d - 1) // 2
+    rng = draws()
     while True:
         r = _strip([rng.randrange(K.q) for _ in range(n)])
         if len(r) < 2:
@@ -813,30 +836,37 @@ def _equal_degree(K: FieldDesc, f, d: int, rng: random.Random) -> list:
         g = _gcd(K, f, _sub(K, _powmod(K, r, exp, f), [1]))
         if 0 < len(g) - 1 < n:
             break
-    left = _equal_degree(K, g, d, rng)
-    right = _equal_degree(K, _monic(K, _quo(K, f, g)), d, rng)
+    left = _equal_degree(K, g, d, draws)
+    right = _equal_degree(K, _monic(K, _quo(K, f, g)), d, draws)
     return left + right
 
 
 def poly_factor(f: Poly) -> list[tuple[Poly, int]]:
     """Full factorization into monic irreducibles with multiplicities.
 
-    Deterministic: the equal-degree randomness is seeded from the input, and
-    the result is sorted by (degree, coefficient codes).
+    Deterministic: the equal-degree randomness is seeded from the input, at
+    its first draw, and the result is sorted by (degree, coefficient codes).
     """
     if f.is_zero():
         raise ZeroPolynomial("cannot factor the zero polynomial")
     if f.degree() == 0:
         return []
     K = f.field
-    seed = 0
-    for c in f.coeffs:
-        seed = (seed * 1_000_003 + c + 1) & 0x7FFFFFFF
-    rng = random.Random(seed ^ (K.q << 8))
+    rng = None
+
+    def draws() -> random.Random:
+        nonlocal rng
+        if rng is None:
+            seed = 0
+            for c in f.coeffs:
+                seed = (seed * 1_000_003 + c + 1) & 0x7FFFFFFF
+            rng = random.Random(seed ^ (K.q << 8))
+        return rng
+
     factors: dict[tuple, int] = {}
     for part, mult in _squarefree_parts(K, f.coeffs):
         for prod, d in _distinct_degree(K, part):
-            for irr in _equal_degree(K, prod, d, rng):
+            for irr in _equal_degree(K, prod, d, draws):
                 key = tuple(irr)
                 factors[key] = factors.get(key, 0) + mult
     return [(_poly(K, g), mult)

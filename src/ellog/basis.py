@@ -316,13 +316,24 @@ def basis_from_json(text: str) -> EllipticBasis:
                           f"q = {q}, k = {k}")
     if math.gcd(N, M) != 1:
         raise ConfigError(f"stored curve order {N} shares a factor with M = {M}")
-    curve = Curve(field, field.dec(doc["a"]), field.dec(doc["b"]), N)
-    P1 = Point(curve, field, field.dec(doc["P1"][0]), field.dec(doc["P1"][1]))
+
+    def value(key, dec):
+        """dec(doc[key]); a value that does not decode is named."""
+        try:
+            return dec(doc[key])
+        except (ValueError, TypeError, AttributeError, IndexError):
+            raise ConfigError(f"basis file has a malformed {key}: {doc[key]!r}") from None
+
+    def codes(texts):
+        return [field.dec(t) for t in texts]
+
+    curve = Curve(field, value("a", field.dec), value("b", field.dec), N)
+    x1, y1 = value("P1", lambda xy: (field.dec(xy[0]), field.dec(xy[1])))
+    P1 = Point(curve, field, x1, y1)
     td = TorsionData(curve, P1, k)
-    I = Poly(field, [field.dec(t) for t in doc["modulus_I"]])
-    ext = ExtFieldDesc(field, I)
-    theta = ext.dec(doc["theta"])
-    tau = ext.dec(doc["tau"])
+    ext = value("modulus_I", lambda texts: ExtFieldDesc(field, Poly(field, codes(texts))))
+    theta = value("theta", ext.dec)
+    tau = value("tau", ext.dec)
     if theta != ext.gen():
         raise ConfigError("stored theta is not X mod modulus_I")
     if ext.mul(tau, tau) != curve.rhs_in(ext, theta):
@@ -330,7 +341,7 @@ def basis_from_json(text: str) -> EllipticBasis:
                           "cubic at theta")
     basis = EllipticBasis(curve, td, ext, theta, tau, M,
                           doc["mu"], doc["nu"], k, doc["seed"])
-    expected = [field.dec(t) for t in doc["torsion_x"]]
+    expected = value("torsion_x", codes)
     if [basis.td.xs[j] for j in range(1, k)] != expected:
         raise ConfigError("stored torsion abscissae disagree")
     return basis

@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .algebra import FieldDesc, Poly, factor_modulus
+from .algebra import FieldDesc, Poly, _horner, _poly, factor_modulus
 
 
 class MixedCurves(ValueError):
@@ -576,20 +576,19 @@ class CurveFunction:
 
     @staticmethod
     def make(curve: Curve, x1: int, n0: Poly, n1: Poly, e: int) -> "CurveFunction":
+        """The function over (X - x1)^e with every common (X - x1) struck
+        out, one synthetic division of each numerator per factor."""
         K = curve.field
-        lin = Poly(K, (K.neg(x1), 1))
-        while e > 0 and not (n0.is_zero() and n1.is_zero()):
-            q0, r0 = n0.divmod(lin)
-            if not r0.is_zero():
+        c0, c1 = n0.coeffs, n1.coeffs
+        while e > 0 and (c0 or c1):
+            q0, r0 = _horner(K, c0, x1)
+            if r0:
                 break
-            if n1.is_zero():
-                n0, e = q0, e - 1
-                continue
-            q1, r1 = n1.divmod(lin)
-            if not r1.is_zero():
+            q1, r1 = _horner(K, c1, x1)
+            if r1:
                 break
-            n0, n1, e = q0, q1, e - 1
-        return CurveFunction(curve, x1, n0, n1, e)
+            c0, c1, e = q0, q1, e - 1
+        return CurveFunction(curve, x1, _poly(K, c0), _poly(K, c1), e)
 
     def is_zero(self) -> bool:
         return self.n0.is_zero() and self.n1.is_zero()
@@ -632,6 +631,7 @@ def phi_star(f: TriPoly, td: TorsionData) -> CurveFunction:
         return CurveFunction.make(curve, x1, Poly(K, ()), Poly(K, ()), 0)
     e_common = max(2 * (i + l) for (i, j, l) in f.terms)
     table = td.pullbacks
+    prime = K.m == 1
     add, mul = K.add, K.mul
     tot0: list[int] = []
     tot1: list[int] = []
@@ -642,8 +642,16 @@ def phi_star(f: TriPoly, td: TorsionData) -> CurveFunction:
         for tot, n in zip((tot0, tot1), img):
             if len(tot) < len(n):
                 tot.extend([0] * (len(n) - len(tot)))
-            for d, x in enumerate(n):
-                tot[d] = add(tot[d], mul(c, x))
+            if prime:
+                for d, x in enumerate(n):
+                    tot[d] += c * x
+            else:
+                for d, x in enumerate(n):
+                    tot[d] = add(tot[d], mul(c, x))
+    if prime:
+        p = K.p
+        tot0 = [x % p for x in tot0]
+        tot1 = [x % p for x in tot1]
     return CurveFunction.make(curve, x1, Poly(K, tot0), Poly(K, tot1), e_common)
 
 

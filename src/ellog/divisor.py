@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from functools import total_ordering
 
-from .algebra import ExtFieldDesc, FieldDesc, Poly, poly_ext_gcd, poly_factor
+from .algebra import (ExtFieldDesc, FieldDesc, Poly, _ext_gcd, _horner, _mul, _rem,
+                      _sub, poly_factor)
 from .curve import Curve, CurveFunction, Point, TorsionData, ZeroFunction, point_add, point_neg
 from .linalg import solve_linear
 
@@ -253,8 +254,7 @@ def divisor_of(fun: CurveFunction, curve: Curve) -> Divisor:
     the norm of the primitive part p0 + p1 y.  A norm factor u off the
     ramified locus is the split place (u, v) with v = -p0 p1^-1 mod u, and
     p0 + p1 y vanishes only where y = v; the conjugate place (u, -v) is not
-    a zero.  Since gcd(p0, p1) = 1, p1 is a unit modulo the whole norm, so
-    V = -p0 p1^-1 is formed once mod the norm and each v is read as V mod u.
+    a zero.  Each v is read modulo its own factor (`_zero_ordinate`).
     """
     if fun.is_zero():
         raise ZeroFunction("divisor of the zero function")
@@ -274,32 +274,24 @@ def divisor_of(fun: CurveFunction, curve: Curve) -> Divisor:
     # content: valuation mult at split/inert places, doubled at ramified ones
     if g.degree() > 0:
         for u, mult in poly_factor(g):
-            for place in places_over(curve, u):
-                if place.kind == RAMIFIED:
-                    D.add_place(place, 2 * mult)
-                else:
-                    D.add_place(place, mult)
+            places = (places_at(curve, K.neg(u.coeffs[0])) if u.degree() == 1
+                      else places_over(curve, u))
+            for place in places:
+                D.add_place(place, 2 * mult if place.kind == RAMIFIED else mult)
 
     # primitive part via its norm
     norm = p0 * p0 - (p1 * p1) * f
     if norm.is_zero():
         raise ZeroFunction("function vanishes on the curve")
     if norm.degree() > 0:
-        unit, p1_inv, _ = poly_ext_gcd(p1, norm)
-        if unit.degree() != 0:
-            raise AssertionError("norm factor divides the y-coefficient of a primitive part")
-        V = (-(p0 * p1_inv)) % norm
         for u, mult in poly_factor(norm):
-            fres = f % u
-            if fres.is_zero():
-                if mult != 1:
-                    raise AssertionError("ramified factor of a primitive part with multiplicity > 1")
+            v = _zero_ordinate(curve, p0.coeffs, p1.coeffs, u.coeffs)
+            if v is not None:
+                D.add_place(Place(SPLIT, u.coeffs, v), mult)
+            elif mult != 1:
+                raise AssertionError("ramified factor of a primitive part with multiplicity > 1")
+            else:
                 D.add_place(Place(RAMIFIED, u.coeffs, ()), 1)
-                continue
-            v = V % u
-            if not ((v * v - fres) % u).is_zero():
-                raise AssertionError("ordinate of a norm factor is off the curve")
-            D.add_place(Place(SPLIT, u.coeffs, v.coeffs), mult)
 
     # poles of the denominator (x - x1)^e
     if fun.e:
@@ -315,6 +307,39 @@ def divisor_of(fun: CurveFunction, curve: Curve) -> Divisor:
     if D.degree != 0:
         raise AssertionError(f"principal divisor of degree {D.degree}")
     return D
+
+
+def _zero_ordinate(curve: Curve, p0, p1, u) -> tuple | None:
+    """The ordinate v = -p0 p1^-1 mod u of the zero of p0 + p1 y above the
+    norm factor u (coefficient tuples), or None when u is ramified.
+
+    A linear u = X - r is worked in F_q at r; a longer one inverts p1
+    modulo u alone.  Raises AssertionError when p1 is not a unit mod u or
+    v^2 is not x^3 + a x + b mod u.
+    """
+    K = curve.field
+    if len(u) == 2:
+        r = K.neg(u[0])
+        fr = curve.rhs(r)
+        if not fr:
+            return None
+        den = _horner(K, p1, r)[1]
+        if not den:
+            raise AssertionError("norm factor divides the y-coefficient of a primitive part")
+        v = K.neg(K.mul(_horner(K, p0, r)[1], K.inv(den)))
+        if K.mul(v, v) != fr:
+            raise AssertionError("ordinate of a norm factor is off the curve")
+        return (v,)
+    fres = _rem(K, curve.rhs_poly().coeffs, u)
+    if not fres:
+        return None
+    unit, p1_inv, _ = _ext_gcd(K, _rem(K, p1, u), u)
+    if len(unit) != 1:
+        raise AssertionError("norm factor divides the y-coefficient of a primitive part")
+    v = _sub(K, (), _mul(K, p0, p1_inv, u))
+    if _mul(K, v, v, u) != fres:
+        raise AssertionError("ordinate of a norm factor is off the curve")
+    return tuple(v)
 
 
 def decompose(D: Divisor, bound: int):

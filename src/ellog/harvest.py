@@ -27,7 +27,7 @@ from dataclasses import dataclass, field as dc_field
 from itertools import combinations, product
 from math import gcd
 
-from .algebra import ConfigError, Poly, poly_irreducibles
+from .algebra import ConfigError, Poly, _scale, poly_irreducibles
 from .curve import TriPoly, bracket, phi_star, plucker_bracket
 from .divisor import (Divisor, Place, decompose, divisor_of, orbit_places,
                       place_of_point, places_over)
@@ -382,8 +382,7 @@ def _class_key(labels, coords, K) -> tuple:
     else:
         return ()
     if top != 1:
-        inv, mul = K.inv(top), K.mul
-        coords = [mul(c, inv) for c in coords]
+        coords = _scale(K, coords, K.inv(top))
     return tuple([(l, c) for l, c in zip(labels, coords) if c])
 
 
@@ -441,9 +440,14 @@ def pair_divisors(basis, A: TriPoly, B: TriPoly) -> PairResult:
     a = [A.terms.get(m, 0) for m in monos]
     b = [B.terms.get(m, 0) for m in monos]
     ij = list(combinations(range(len(monos)), 2))
-    sub, mul = K.sub, K.mul
-    lines = [[sub(x, mul(t, y)) for x, y in zip(a, b)] for t in range(K.q)]
-    plucker = [sub(mul(a[i], b[j]), mul(a[j], b[i])) for i, j in ij]
+    if K.m == 1:
+        p = K.p
+        lines = [[(x - t * y) % p for x, y in zip(a, b)] for t in range(p)]
+        plucker = [(a[i] * b[j] - a[j] * b[i]) % p for i, j in ij]
+    else:
+        sub, mul = K.sub, K.mul
+        lines = [[sub(x, mul(t, y)) for x, y in zip(a, b)] for t in range(K.q)]
+        plucker = [sub(mul(a[i], b[j]), mul(a[j], b[i])) for i, j in ij]
     lefts = [pullback_divisor(basis, _class_key(monos, c, K), "left factor")
              for c in lines]
     lefts.append(pullback_divisor(basis, _class_key(monos, b, K), "B"))

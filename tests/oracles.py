@@ -11,9 +11,14 @@ library but gives each place its own Mumford reduction and its own Miller
 loop over the full exponent N, by default the lcm of #E(F_{q^i}) for
 i <= 3 rather than the library's #E(F_q).
 
-`pair_divisors_fresh` is the memo-free reference for
-`harvest.pair_divisors`, and `phi_star_fresh` the table-free reference for
-`curve.phi_star`.  `pollard_rho_dlog`, `smooth_fraction_slow` and
+`divisor_two_root` is the reference for `divisor.divisor_of`: it takes
+both square roots of the cubic modulo each norm factor in `QuotientRing`
+and keeps the one where the function vanishes.  `pair_divisors_fresh` is
+the memo-free reference for `harvest.pair_divisors`, and `phi_star_fresh`
+the table-free reference for `curve.phi_star` that strips (X - x1) by
+`Poly.divmod`; the first takes every divisor from `divisor_two_root` and
+every pull-back from the second, so neither calls `divisor_of` or
+`CurveFunction.make`.  `pollard_rho_dlog`, `smooth_fraction_slow` and
 `orbit_canonical` are slow or alternative forms of library routines, kept
 only to check them.
 
@@ -467,11 +472,76 @@ def psi_per_place(D, basis, exponent: int | None = None, _depth: int = 0):
         return psi_per_place(D + shift, basis, exponent, _depth + 1).div(line)
 
 
+def quotient_ring_ordinate(curve, u):
+    """The square root of the cubic in F_q[x]/(u), None if there is none."""
+    K = curve.field
+    R = QuotientRing(K, u)
+    fx = R.reduce(curve.rhs_poly())
+    if not any(fx):
+        return Poly(K, ())
+    if not R.is_square(fx):
+        return None
+    return Poly(K, R.sqrt(fx))
+
+
+def places_over_two_root(curve, u):
+    """The places above u, with their ordinates from `quotient_ring_ordinate`."""
+    from ellog.divisor import INERT, RAMIFIED, SPLIT, Place
+    v = quotient_ring_ordinate(curve, u)
+    if v is None:
+        return [Place(INERT, u.coeffs, ())]
+    if v.is_zero():
+        return [Place(RAMIFIED, u.coeffs, ())]
+    return [Place(SPLIT, u.coeffs, v.coeffs), Place(SPLIT, u.coeffs, (-v).coeffs)]
+
+
+def divisor_two_root(fun, curve):
+    """Reference principal divisor by the two-root rule.
+
+    Each split norm factor u of the primitive part p0 + p1 y is resolved by
+    taking both square roots of the cubic mod u and keeping the one where
+    p0 + p1 v vanishes mod u.
+    """
+    from ellog.algebra import poly_factor
+    from ellog.divisor import PLACE_AT_INFINITY, RAMIFIED, SPLIT, Divisor
+    K = curve.field
+    f = curve.rhs_poly()
+    n0, n1 = fun.n0, fun.n1
+    if n1.is_zero():
+        g, p0, p1 = n0.monic(), Poly(K, (1,)), Poly(K, ())
+    else:
+        g = n0.gcd(n1)
+        p0, p1 = n0 // g, n1 // g
+    D = Divisor()
+    for u, mult in (poly_factor(g) if g.degree() > 0 else ()):
+        for place in places_over_two_root(curve, u):
+            D.add_place(place, 2 * mult if place.kind == RAMIFIED else mult)
+    norm = p0 * p0 - (p1 * p1) * f
+    for u, mult in (poly_factor(norm) if norm.degree() > 0 else ()):
+        places = places_over_two_root(curve, u)
+        if places[0].kind == RAMIFIED:
+            assert mult == 1
+            D.add_place(places[0], 1)
+            continue
+        zeros = [pl for pl in places if pl.kind == SPLIT
+                 and ((p0 + p1 * Poly(K, pl.v)) % u).is_zero()]
+        assert len(zeros) == 1
+        D.add_place(zeros[0], mult)
+    if fun.e:
+        for place in places_over_two_root(curve, Poly(K, (K.neg(fun.x1), 1))):
+            D.add_place(place, -2 * fun.e if place.kind == RAMIFIED else -fun.e)
+    pole = max(w for w in (2 * n0.degree() if not n0.is_zero() else None,
+                           3 + 2 * n1.degree() if not n1.is_zero() else None)
+               if w is not None)
+    D.add_place(PLACE_AT_INFINITY, -pole + 2 * fun.e)
+    return D
+
+
 def pair_divisors_fresh(basis, A, B):
-    """`harvest.pair_divisors` with no memo: every left factor pulled back
-    and factored afresh, as the library did before its pull-back memo."""
-    from ellog.curve import bracket, phi_star
-    from ellog.divisor import divisor_of
+    """`harvest.pair_divisors` with no memo: every left factor and the
+    bracket pulled back afresh by `phi_star_fresh` and given its divisor by
+    `divisor_two_root`."""
+    from ellog.curve import bracket
     from ellog.harvest import DegeneratePair, PairResult
     if A == B:
         raise DegeneratePair("A = B")
@@ -480,27 +550,29 @@ def pair_divisors_fresh(basis, A, B):
     curve = basis.curve
     lefts = []
     for aprime in range(K.q):
-        f = phi_star(A - B.scale(aprime), td)
+        f = phi_star_fresh(A - B.scale(aprime), td)
         if f.is_zero():
             raise DegeneratePair("left factor pulls back to zero")
-        lefts.append(divisor_of(f, curve))
-    fB = phi_star(B, td)
+        lefts.append(divisor_two_root(f, curve))
+    fB = phi_star_fresh(B, td)
     if fB.is_zero():
         raise DegeneratePair("B pulls back to zero")
-    lefts.append(divisor_of(fB, curve))
+    lefts.append(divisor_two_root(fB, curve))
     br = bracket(A, B)
     if br.is_zero():
         raise DegeneratePair("bracket vanishes identically")
-    fR = phi_star(br, td)
+    fR = phi_star_fresh(br, td)
     if fR.is_zero():
         raise DegeneratePair("bracket pulls back to zero")
-    return PairResult(lefts, divisor_of(fR, curve))
+    return PairResult(lefts, divisor_two_root(fR, curve))
 
 
 def phi_star_fresh(f, td):
     """`curve.phi_star` with no table: every term's image built from `Poly`
     products and padded to the common power of (X - x1), as the library did
-    before `TorsionData.pullbacks`."""
+    before `TorsionData.pullbacks`; each common (X - x1) is struck out by
+    `Poly.divmod`, as `CurveFunction.make` did before its synthetic
+    division."""
     from ellog.curve import CurveFunction
     curve = td.curve
     K = curve.field
@@ -517,7 +589,7 @@ def phi_star_fresh(f, td):
         return (p[0] * q[0] + (p[1] * q[1]) * fpoly, p[0] * q[1] + p[1] * q[0])
 
     if f.is_zero():
-        return CurveFunction.make(curve, x1, Poly(K, ()), Poly(K, ()), 0)
+        return CurveFunction(curve, x1, Poly(K, ()), Poly(K, ()), 0)
     e_common = max(2 * (i + l) for (i, j, l) in f.terms)
     tot0, tot1 = Poly(K, ()), Poly(K, ())
     lin = Poly(K, (K.neg(x1), 1))
@@ -533,7 +605,19 @@ def phi_star_fresh(f, td):
             term = (term[0] * lin, term[1] * lin)
         tot0 = tot0 + term[0]
         tot1 = tot1 + term[1]
-    return CurveFunction.make(curve, x1, tot0, tot1, e_common)
+    n0, n1, e = tot0, tot1, e_common
+    while e > 0 and not (n0.is_zero() and n1.is_zero()):
+        q0, r0 = n0.divmod(lin)
+        if not r0.is_zero():
+            break
+        if n1.is_zero():
+            n0, e = q0, e - 1
+            continue
+        q1, r1 = n1.divmod(lin)
+        if not r1.is_zero():
+            break
+        n0, n1, e = q0, q1, e - 1
+    return CurveFunction(curve, x1, n0, n1, e)
 
 
 def pollard_rho_dlog(h, g, ell: int, seed: int = 0):

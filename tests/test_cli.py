@@ -358,6 +358,36 @@ def test_malformed_basis_file_is_config_error(tmp_path, capsys):
     assert "basis file lacks" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def basis_run59(tmp_path_factory):
+    """A (5, 9) run directory after search and basis."""
+    out = str(tmp_path_factory.mktemp("basis59") / "r")
+    assert main(["search", "--p", "5", "--k", "9", "--out", out]) == 0
+    assert main(["basis", "--out", out]) == 0
+    return out
+
+
+@pytest.mark.parametrize("key, value", [
+    ("a", "x"), ("b", "1;2"), ("P1", ["0,1"]), ("torsion_x", ["x"]),
+    ("modulus_I", 7), ("modulus_I", ["1", "2"]), ("theta", "1;2"), ("tau", "x"),
+])
+def test_malformed_basis_value_is_config_error(basis_run59, tmp_path, capsys,
+                                               key, value):
+    """A basis.json value that does not decode is a configuration error
+    naming its key (exit 2), not a traceback."""
+    out = str(tmp_path / "r")
+    shutil.copytree(basis_run59, out)
+    path = os.path.join(out, "basis.json")
+    with open(path) as fh:
+        doc = json.load(fh)
+    doc[key] = value
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    capsys.readouterr()
+    assert main(["verify", "--out", out]) == 2
+    assert f"basis file has a malformed {key}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("key", ["theta", "tau"])
 def test_tampered_theta_or_tau_is_config_error(tmp_path, capsys, key):
     """psi reads a polynomial at theta as its residue mod I and needs F on
