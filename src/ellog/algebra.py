@@ -186,6 +186,8 @@ class FieldDesc:
         digits = [int(t) for t in text.split(",")]
         if len(digits) != self.m:
             raise ValueError(f"expected {self.m} digits, got {text!r}")
+        if not all(0 <= d < self.p for d in digits):
+            raise ValueError(f"a digit of {text!r} is outside 0..{self.p - 1}")
         return self.code(digits)
 
     # -- arithmetic on codes ------------------------------------------
@@ -540,27 +542,25 @@ def _powmod(K: FieldDesc, a, e: int, m) -> list:
 
 
 def _euclid(K: FieldDesc, a, b):
-    """Yield (r, s, t) with s*a + t*b = r for each remainder after a and b."""
+    """Yield (r, t) with t*b = r mod a for each remainder after a and b."""
     r0, r1 = a, b
-    s0, s1 = [1], []
     t0, t1 = [], [1]
     while r1:
         q, r = _divmod(K, r0, r1)
         r0, r1 = r1, r
-        s0, s1 = s1, _sub(K, s0, _mul(K, q, s1))
         t0, t1 = t1, _sub(K, t0, _mul(K, q, t1))
-        yield r0, s0, t0
+        yield r0, t0
 
 
 def _ext_gcd(K: FieldDesc, a, b):
-    """(g, s, t) with s*a + t*b = g, g monic (or zero)."""
-    r, s, t = a, [1], []
-    for r, s, t in _euclid(K, a, b):
+    """(g, s) with s*a = g mod b, g = gcd(a, b) monic (or zero)."""
+    r, s = b, []
+    for r, s in _euclid(K, b, a):
         pass
     if not r:
-        return r, s, t
+        return r, s
     ic = K.inv(r[-1])
-    return _scale(K, r, ic), _scale(K, s, ic), _scale(K, t, ic)
+    return _scale(K, r, ic), _scale(K, s, ic)
 
 
 def _poly(K: FieldDesc, cs) -> "Poly":
@@ -685,17 +685,17 @@ class Poly:
         return "Poly[" + " ".join(self.field.enc(c) for c in self.coeffs) + "]"
 
 
-def poly_ext_gcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
-    """(g, s, t) with s*a + t*b = g, g monic (or zero)."""
+def poly_ext_gcd(a: Poly, b: Poly) -> tuple[Poly, Poly]:
+    """(g, s) with s*a = g mod b, g = gcd(a, b) monic (or zero)."""
     K = a.field
     return tuple(_poly(K, c) for c in _ext_gcd(K, a.coeffs, b.coeffs))
 
 
 def poly_euclid(a: Poly, b: Poly):
-    """Yield (r, s, t) with s*a + t*b = r for each remainder after a and b."""
+    """Yield (r, t) with t*b = r mod a for each remainder after a and b."""
     K = a.field
-    for r, s, t in _euclid(K, a.coeffs, b.coeffs):
-        yield _poly(K, r), _poly(K, s), _poly(K, t)
+    for r, t in _euclid(K, a.coeffs, b.coeffs):
+        yield _poly(K, r), _poly(K, t)
 
 
 def _is_irreducible(K: FieldDesc, f) -> bool:
@@ -1040,7 +1040,7 @@ class ExtFieldDesc:
     def inv(self, a):
         if not any(a):
             raise ZeroDivisionError("inverse of zero extension element")
-        g, s, _ = poly_ext_gcd(self.to_poly(a), self.I)
+        g, s = poly_ext_gcd(self.to_poly(a), self.I)
         if g.degree() != 0:
             raise ZeroDivisionError("non-invertible element (reducible modulus?)")
         inv_c = self.base.inv(g.coeffs[0])

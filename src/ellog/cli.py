@@ -123,13 +123,11 @@ def cmd_basis(args) -> int:
     try:
         field_part, a_enc, b_enc, n_s, k_s, p1x, p1y = desc.split("|")
         bits = field_part.split(",")
-        p, m = int(bits[0]), int(bits[1])
-        modulus = tuple(int(x) for x in bits[2:])
+        field = FieldDesc(int(bits[0]), int(bits[1]), tuple(int(x) for x in bits[2:]))
+        curve = Curve(field, field.dec(a_enc), field.dec(b_enc), int(n_s))
+        P1 = Point.make(curve, field, field.dec(p1x), field.dec(p1y))
     except (ValueError, IndexError):
         raise ConfigError(f"malformed curve.txt: {desc!r}") from None
-    field = FieldDesc(p, m, modulus)
-    curve = Curve(field, field.dec(a_enc), field.dec(b_enc), int(n_s))
-    P1 = Point.make(curve, field, field.dec(p1x), field.dec(p1y))
     basis = build_basis(curve, P1, cfg["seed"], field.m // cfg["m0"])
     text = basis_to_json(basis)
     with open(os.path.join(args.out, "basis.json"), "w") as fh:
@@ -223,36 +221,41 @@ def cmd_extend(args) -> int:
 
 
 def _parse_target(basis, text: str):
-    ext = basis.ext
+    """The nonzero field element named by --target: 0x<hex> or its ';' codes."""
+    q, k = basis.q, basis.k
     try:
         if text.startswith("0x") or text.startswith("0X"):
             val = int(text, 16)
-            codes = []
-            K = basis.curve.field
-            for _ in range(basis.k):
-                codes.append(val % K.q)
-                val //= K.q
-            return tuple(codes)
-        return ext.dec(text)
+            if val >= q ** k:
+                raise ValueError(f"not below q^k = {q ** k}")
+            z = []
+            for _ in range(k):
+                val, c = divmod(val, q)
+                z.append(c)
+            z = tuple(z)
+        else:
+            z = basis.ext.dec(text)
     except ValueError as exc:
         raise ConfigError(f"bad --target {text!r}: {exc}") from None
+    if not any(z):
+        raise ConfigError(f"bad --target {text!r}: zero has no logarithm")
+    return z
 
 
 def cmd_dlog(args) -> int:
     cfg = _load_config(args.out)
     basis = _load_basis(args.out)
     _artifact(args.out, "logs.txt", "solve")
+    if args.plant is None and not args.target:
+        print("need --target or --plant", file=sys.stderr)
+        return EXIT_CONFIG
+    z = _parse_target(basis, args.target) if args.plant is None else None
     fb = build_factor_base(basis, cfg["height_extended"])
     table, logs = read_logs(os.path.join(args.out, "logs.txt"), basis, fb)
     ext = basis.ext
     g = find_generator(ext, cfg["seed"])
-    if args.plant is not None:
+    if z is None:
         z = ext.pow_(g, args.plant)
-    elif args.target:
-        z = _parse_target(basis, args.target)
-    else:
-        print("need --target or --plant", file=sys.stderr)
-        return EXIT_CONFIG
     res = dlog(z, g, basis, fb, logs, d0=cfg["d0"], seed=args.seed)
     state = "VERIFIED" if res.verified else "UNVERIFIED"
     print(f"g = {ext.enc(g)}")

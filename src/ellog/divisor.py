@@ -9,6 +9,13 @@ The principal-divisor map factors the norm n0^2 - n1^2 (x^3 + a x + b) of
 the primitive part p0 + p1 y of a function (n0 + n1 y)/(x - x1)^e.  At each
 irreducible factor u off the ramified locus only one conjugate place is a
 zero, the one with ordinate v = -p0/p1 mod u, so no square root is taken.
+
+Translation by -P1 walks a place along its orbit.  `orbit_places` builds the
+residue algebra of the place once and reaches every translate from the
+place's own point Q: the place of Q - s P1 is one chord with the rational
+point -s P1, then one elimination over F_q that reads the minimal
+polynomial of the new abscissa and the ordinate over it.  A torsion place
+is no special case: its walk meets O once, where the chord gives O.
 """
 
 from __future__ import annotations
@@ -17,8 +24,8 @@ from functools import total_ordering
 
 from .algebra import (ExtFieldDesc, FieldDesc, Poly, _ext_gcd, _horner, _mul, _rem,
                       _sub, poly_factor)
-from .curve import Curve, CurveFunction, Point, TorsionData, ZeroFunction, point_add, point_neg
-from .linalg import solve_linear
+from .curve import Curve, CurveFunction, Point, TorsionData, ZeroFunction, point_add
+from .linalg import _rref
 
 
 class HitsInfinity(ValueError):
@@ -333,7 +340,7 @@ def _zero_ordinate(curve: Curve, p0, p1, u) -> tuple | None:
     fres = _rem(K, curve.rhs_poly().coeffs, u)
     if not fres:
         return None
-    unit, p1_inv, _ = _ext_gcd(K, _rem(K, p1, u), u)
+    unit, p1_inv = _ext_gcd(K, _rem(K, p1, u), u)
     if len(unit) != 1:
         raise AssertionError("norm factor divides the y-coefficient of a primitive part")
     v = _sub(K, (), _mul(K, p0, p1_inv, u))
@@ -449,112 +456,75 @@ class PlaceAlgebra:
         return Point(self.curve, self, self.x_elem(), self.y_elem())
 
 
-def _min_poly(alg: PlaceAlgebra, elem) -> Poly:
-    """Minimal polynomial of an algebra element over F_q (the algebra is a field)."""
+def _place_of_algebra_point(alg: PlaceAlgebra, S: Point) -> Place:
+    """The place of a point with coordinates in a place algebra.
+
+    One elimination over the coordinates of 1, x, ..., x^dim and y.  The
+    powers of x span the subfield F_q(x), so the first power that depends
+    on the lower ones, x^e, gives the minimal polynomial u of x.  When e is
+    dim, y lies in F_q(x) and the last column gives its ordinate v (zero on
+    a ramified place); when e is dim/2 the place is inert.
+    """
     K = alg.ring.base
     dim = alg.dim
-    rows = []
-    cur = alg.one
+    cols = []
+    pw = alg.one
     for _ in range(dim + 1):
-        rows.append(alg.coords(cur))
-        cur = alg.mul(cur, elem)
-    # the first monic dependency c_0 row_0 + ... + row_deg = 0 among powers
-    for deg in range(1, dim + 1):
-        A = [[rows[i][j] for i in range(deg)] for j in range(dim)]
-        b = [K.neg(rows[deg][j]) for j in range(dim)]
-        sol, _ = solve_linear(K, A, b, deg)
-        if sol is not None:
-            return Poly(K, sol + [1])
-    raise AssertionError("no minimal polynomial found")
+        cols.append(alg.coords(pw))
+        pw = alg.mul(pw, S.x)
+    cols.append(alg.coords(S.y))
+    rows = [list(r) for r in zip(*cols)]
+    e = len(_rref(K, rows, dim + 1))
+    u = tuple(K.neg(row[e]) for row in rows[:e]) + (1,)
+    if e == dim:
+        v = Poly(K, [row[dim + 1] for row in rows]).coeffs
+        return Place(SPLIT, u, v) if v else Place(RAMIFIED, u, ())
+    if 2 * e == dim:
+        return Place(INERT, u, ())
+    raise AssertionError(f"translated place degree mismatch: {e} vs {dim}")
+
+
+def _translate(alg: PlaceAlgebra, Q: Point, steps: int, td: TorsionData) -> Place | None:
+    """The place of Q - steps * P1 for the point Q of a place algebra, None at O.
+
+    One chord with the rational point -steps * P1, which must not be O.
+    """
+    T = td.point(-steps)
+    S = point_add(Q, Point(td.curve, alg, alg.embed(T.x), alg.embed(T.y)))
+    return None if S.inf else _place_of_algebra_point(alg, S)
 
 
 def translate_place(place: Place, steps: int, td: TorsionData) -> Place:
     """The place of {pi^i(Q) - steps * P1}.
 
     Runs the chord rule inside the residue algebra of the place; raises
-    HitsInfinity when the orbit lands on O (torsion places only).
+    HitsInfinity when the translate is O (torsion places only).
     """
     if place.kind == INFINITY:
         raise ValueError("translate_place expects a finite place")
     steps %= td.k
     if steps == 0:
         return place
-    curve = td.curve
-    K = curve.field
-    # torsion fast path: places over points of <P1>
-    j = _torsion_index(place, td)
-    if j is not None:
-        jj = (j - steps) % td.k
-        if jj == 0:
-            raise HitsInfinity("translate of a torsion place reached O")
-        return place_of_point(curve, td.point(jj))
-    alg = PlaceAlgebra(curve, place)
-    Q = alg.point()
-    T = Point(curve, alg, alg.embed(td.xs[(-steps) % td.k]), alg.embed(td.ys[(-steps) % td.k]))
-    S = point_add(Q, T)
-    if S.inf:
+    alg = PlaceAlgebra(td.curve, place)
+    out = _translate(alg, alg.point(), steps, td)
+    if out is None:
         raise HitsInfinity("translate reached O")
-    return _place_of_algebra_point(curve, alg, S, place.degree)
-
-
-def _torsion_index(place: Place, td: TorsionData) -> int | None:
-    if len(place.u) != 2:
-        return None
-    K = td.curve.field
-    x0 = K.neg(place.u[0])
-    if place.kind == SPLIT:
-        y0 = place.v[0]
-    elif place.kind == RAMIFIED:
-        y0 = 0
-    else:
-        return None
-    for j in range(1, td.k):
-        if td.xs[j] == x0 and td.ys[j] == y0:
-            return j
-    return None
-
-
-def _place_of_algebra_point(curve: Curve, alg: PlaceAlgebra, S: Point, deg: int) -> Place:
-    """Classify the place of a point with coordinates in a place algebra."""
-    K = curve.field
-    mx = _min_poly(alg, S.x)
-    e = mx.degree()
-    if e == deg:
-        # y must lie in F_q[x']: solve for v with v(x') = y'
-        R = alg
-        pw = R.one
-        rows = []
-        for _ in range(e):
-            rows.append(R.coords(pw))
-            pw = R.mul(pw, S.x)
-        target = R.coords(S.y)
-        A = [[rows[i][j] for i in range(e)] for j in range(alg.dim)]
-        sol, _ = solve_linear(K, A, target, e)
-        if sol is None:
-            raise AssertionError("ordinate not rational over the abscissa field")
-        v = Poly(K, sol) % mx
-        if v.is_zero():
-            return Place(RAMIFIED, mx.coeffs, ())
-        return Place(SPLIT, mx.coeffs, tuple(v.coeffs))
-    if 2 * e == deg:
-        return Place(INERT, mx.coeffs, ())
-    raise AssertionError(f"translated place degree mismatch: {e} vs {deg}")
+    return out
 
 
 def orbit_places(place: Place, td: TorsionData) -> list[Place | None]:
-    """The translation cycle through the place (None marks the O slot)."""
-    out: list[Place | None] = []
-    cur: Place | None = place
-    for _ in range(td.k):
-        out.append(cur)
-        if cur is None:
-            nxt = place_of_point(td.curve, point_neg(td.P1))
-        else:
-            try:
-                nxt = translate_place(cur, 1, td)
-            except HitsInfinity:
-                nxt = None
+    """The translation cycle through the place: entry s is the place of
+    Q - s * P1 for a point Q of the place, None where that is O.
+
+    Every entry is one chord from Q in the place's own algebra; the cycle
+    ends where it comes back to the place.
+    """
+    alg = PlaceAlgebra(td.curve, place)
+    Q = alg.point()
+    out: list[Place | None] = [place]
+    for s in range(1, td.k):
+        nxt = _translate(alg, Q, s, td)
         if nxt == place:
             break
-        cur = nxt
+        out.append(nxt)
     return out

@@ -64,22 +64,18 @@ class FactorBase:
         self.rep_col: dict[Place, int] = {}
         self.place_map: dict[Place, tuple[int, int, int]] = {}
         self.cycle_len: dict[int, int] = {}
-        self._torsion_places = self._torsion_table()
+        # the c orbit: entry s is the place of -(s + 1) P1, None at O
+        td = basis.td
+        for s, p in enumerate(orbit_places(place_of_point(basis.curve, td.point(-1)), td)):
+            if p is not None:
+                self.place_map[p] = (C_COLUMN, s, 1)
         self.extend_to(bound)
-
-    def _torsion_table(self):
-        td = self.basis.td
-        out = {}
-        for j in range(1, td.k):
-            out[place_of_point(self.basis.curve, td.point(j))] = j
-        return out
 
     def extend_to(self, bound: int):
         """Index every place of degree <= bound (appends, keeping old columns)."""
         basis = self.basis
         K = basis.curve.field
         td = basis.td
-        k = td.k
         for deg in range(self.bound + 1, bound + 1):
             new_places = []
             # split and ramified places sit over degree-deg polynomials,
@@ -92,10 +88,6 @@ class FactorBase:
                             new_places.append(p)
             for p in sorted(new_places, key=lambda p: p.sort_key):
                 if p in self.place_map:
-                    continue
-                j = self._torsion_places.get(p)
-                if j is not None:
-                    self.place_map[p] = (C_COLUMN, (k - 1 - j) % k, 1)
                     continue
                 # places come in sorted order, so the first unmapped one is
                 # the least of its orbit: p is the representative

@@ -323,7 +323,7 @@ def _resolve_factors(basis, ctx: LogContext, W: Poly, d0: int, descender):
 
 def _euclid_splits(W: Poly, I: Poly, half: int):
     """(num, den) pairs with W = num/den mod I and deg num <= half-ish."""
-    return [(r, t) for r, _, t in poly_euclid(I, W % I)
+    return [(r, t) for r, t in poly_euclid(I, W % I)
             if not r.is_zero() and r.degree() <= half and not t.is_zero()]
 
 

@@ -151,7 +151,7 @@ class QuotientRing:
         return self.reduce(Poly(self.K, a) * Poly(self.K, b))
 
     def inv(self, a):
-        g, s, _ = poly_ext_gcd(Poly(self.K, a), self.u)
+        g, s = poly_ext_gcd(Poly(self.K, a), self.u)
         if g.degree() != 0:
             raise ZeroDivisionError("non-invertible residue")
         return self.reduce(s.scale(self.K.inv(g.coeffs[0])))

@@ -409,13 +409,20 @@ def test_tampered_theta_or_tau_is_config_error(tmp_path, capsys, key):
     assert f"stored {key} is not" in capsys.readouterr().err
 
 
-def test_malformed_curve_file_is_config_error(tmp_path):
+def test_malformed_curve_file_is_config_error(tmp_path, capsys):
     out = str(tmp_path / "r")
     assert main(["search", "--p", "5", "--k", "9", "--out", out]) == 0
-    for text in ("", "5|1|2", "x,1,0,1|1|2|3|9|1|2"):
+    with open(os.path.join(out, "curve.txt")) as fh:
+        assert fh.read() == "5,1,0,1|1|1|9|9|4|2\n"
+    # a value that does not decode: a digit outside 0..4, an order that is
+    # no integer, a P1 off the curve
+    for text in ("", "5|1|2", "x,1,0,1|1|2|3|9|1|2", "5,1,0,1|7|1|9|9|4|2",
+                 "5,1,0,1|1|1|x|9|4|2", "5,1,0,1|1|1|9|9|4|1"):
         with open(os.path.join(out, "curve.txt"), "w") as fh:
             fh.write(text + "\n")
+        capsys.readouterr()
         assert main(["basis", "--out", out]) == 2
+        assert "malformed curve.txt" in capsys.readouterr().err
 
 
 def test_malformed_config_is_config_error(tmp_path):
@@ -452,8 +459,14 @@ def test_value_error_inside_a_stage_propagates(pipeline, monkeypatch):
         main(["solve", "--out", pipeline["dir"]])
 
 
-def test_bad_target_is_config_error(pipeline):
-    assert main(["dlog", "--target", "0xzz", "--out", pipeline["dir"]]) == 2
+def test_bad_target_is_config_error(pipeline, capsys):
+    for target in ("0xzz",
+                   "7;0;0;0;0;0;0;0;1",         # a digit outside 0..4, once read as 2
+                   hex(5 ** 9 * 7 + 3),         # not below q^k, once read as 0x3
+                   "0x0", "0;0;0;0;0;0;0;0;0"):  # zero has no logarithm
+        capsys.readouterr()
+        assert main(["dlog", "--target", target, "--out", pipeline["dir"]]) == 2
+        assert f"bad --target {target!r}" in capsys.readouterr().err
 
 
 def test_search_bad_m0_is_config_error(tmp_path):

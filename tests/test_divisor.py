@@ -1,20 +1,22 @@
 import pickle
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ellog.algebra import Poly, field_make, poly_irreducibles
 from ellog.curve import (Curve, CurveFunction, Point, Singular, TorsionData,
-                         TriPoly, ZeroFunction, phi_star, point_neg)
+                         TriPoly, ZeroFunction, phi_star, point_add, point_neg)
 from ellog.divisor import (Divisor, HitsInfinity, INERT, PLACE_AT_INFINITY,
                            Place, RAMIFIED, SPLIT, decompose,
                            divisor_of, elementary_divisor, height,
                            place_of_point, places_over,
-                           split_ordinate, translate_place)
+                           orbit_places, split_ordinate, translate_place)
 from ellog.harvest import build_factor_base
 
-from oracles import divisor_two_root, orbit_canonical, quotient_ring_ordinate
+from oracles import (divisor_two_root, extension_of, orbit_canonical,
+                     place_of_extension_point, quotient_ring_ordinate)
 
 
 @pytest.fixture(scope="module")
@@ -190,6 +192,50 @@ def test_translate_torsion(env):
     assert translate_place(p3, 1, td) == p2
     with pytest.raises(HitsInfinity):
         translate_place(place_of_point(curve, td.P1), 1, td)
+
+
+def _brute_point(curve, place):
+    """A point of the place over extension_of(K, deg), by search over L."""
+    K = curve.field
+    L = extension_of(K, place.degree)
+    u = Poly(K, place.u)
+    elems = list(product(range(K.q), repeat=L.k))
+    x0 = next(x for x in elems if not any(u.eval_in(L, x)))
+    if place.kind == INERT:
+        fx = curve.rhs_in(L, x0)
+        y0 = next(y for y in elems if L.eq(L.mul(y, y), fx))
+    else:
+        y0 = Poly(K, place.v).eval_in(L, x0)
+    assert place_of_extension_point(curve, L, x0, y0) == place
+    return Point.make(curve, L, x0, y0)
+
+
+def test_translation_matches_brute_force_points(env):
+    """Entry s of the orbit and translate_place(p, s) are the place of
+    Q - s P1, for Q found by search and subtracted P1 at a time."""
+    curve, td, K = env
+    places = [place_of_point(curve, td.point(j)) for j in range(1, td.k)]
+    for du in (1, 2, 3, 4):
+        for u in poly_irreducibles(K, du)[:20]:
+            places += [p for p in places_over(curve, u) if p.degree <= 4]
+    kinds = {p.kind for p in places}
+    assert kinds == {SPLIT, RAMIFIED, INERT}
+    for place in places:
+        Q = _brute_point(curve, place)
+        L = Q.dom
+        minus_p1 = Point(curve, L, L.embed(td.P1.x), L.neg(L.embed(td.P1.y)))
+        orbit = orbit_places(place, td)
+        R = Q
+        for s in range(td.k):
+            want = None if R.inf else place_of_extension_point(curve, L, R.x, R.y)
+            assert orbit[s % len(orbit)] == want
+            if want is None:
+                with pytest.raises(HitsInfinity):
+                    translate_place(place, s, td)
+            else:
+                assert translate_place(place, s, td) == want
+            R = point_add(R, minus_p1)
+        assert R == Q
 
 
 def test_translate_cycles_and_orbits(env, fb59):

@@ -36,15 +36,19 @@ def test_factor_base_counts(basis59):
     assert sum(fb59.cycle_len.values()) + (basis59.k - 1) == len(fb59.place_map)
 
 
-def test_factor_base_numbering_pinned(basis59):
+@pytest.mark.parametrize("instance, height, places, digest", [
+    ("basis59", 5, 824, "3a9cd1cec01d883978dd44783bf723b6e06c633c10e36d522a374cebde7e18ea"),
+    ("basis11", 4, 4081, "494acb2a59d3f4abebf941afb81412bd9b3e144065353756f5a1342c2c5b6b66"),
+], ids=["basis59", "basis11"])
+def test_factor_base_numbering_pinned(request, instance, height, places, digest):
     """dlog and verify rebuild the factor base and read stored columns by it."""
-    K = basis59.curve.field
-    fb = build_factor_base(basis59, 5)
+    basis = request.getfixturevalue(instance)
+    K = basis.curve.field
+    fb = build_factor_base(basis, height)
     text = "\n".join(f"{p.encode(K)} {col} {shift} {deg}"
                      for p, (col, shift, deg) in sorted(fb.place_map.items()))
-    assert len(fb.place_map) == 824
-    assert hashlib.sha256(text.encode()).hexdigest() == (
-        "3a9cd1cec01d883978dd44783bf723b6e06c633c10e36d522a374cebde7e18ea")
+    assert len(fb.place_map) == places
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_factor_base_expansion_recovers_places(basis59, fb59):
