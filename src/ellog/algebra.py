@@ -21,8 +21,7 @@ from __future__ import annotations
 
 import math
 import random
-import sys
-from array import array
+from struct import Struct, calcsize
 
 
 DESK_Q_CAP = 1 << 20
@@ -896,14 +895,14 @@ def poly_irreducibles(K: FieldDesc, degree: int) -> list[Poly]:
 # the extension F_{q^k} = F_q[X]/(I)
 # ---------------------------------------------------------------------------
 
-def _pack(code: str, coeffs) -> int:
-    """Codes as one int: slot i holds coeffs[i], in items of array type `code`."""
-    return int.from_bytes(array(code, coeffs).tobytes(), "little")
+def _pack(slots: Struct, coeffs) -> int:
+    """Codes as one int: slot i holds coeffs[i], in the items of `slots`."""
+    return int.from_bytes(slots.pack(*coeffs), "little")
 
 
-def _pack_mod(code: str, x: int, nbytes: int, p: int) -> int:
-    """The packed int x, its nbytes // itemsize slots each reduced mod p."""
-    return _pack(code, [s % p for s in array(code, x.to_bytes(nbytes, "little"))])
+def _pack_mod(slots: Struct, x: int, p: int) -> int:
+    """The packed int x, each of its slots reduced mod p."""
+    return _pack(slots, [s % p for s in slots.unpack(x.to_bytes(slots.size, "little"))])
 
 
 class ExtFieldDesc:
@@ -923,12 +922,14 @@ class ExtFieldDesc:
     and the remainder is the low k slots of c + Q * (X^k mod I); one `% p`
     per output slot ends the product.  The slots are never reduced in
     between, only congruent mod p to the true coefficients: a slot of the
-    sum holds at most k(p-1)^2 + k(k-1)^2(p-1)^4, and w is the smallest
-    array item width above that, so no slot carries into the next.  Where
-    no item is wide enough (p > 9949 at k = 13), the high half and Q are
+    sum holds at most k(p-1)^2 + k(k-1)^2(p-1)^4, and w is the smallest of
+    8, 16, 32 and 64 bits above that, so no slot carries into the next.
+    Where no width is enough (p > 9949 at k = 13), the high half and Q are
     reduced mod p before their products, which bounds a slot by
-    2k(p-1)^2 + p.  Over an F_{p^m} base (m > 1), and on a big-endian
-    host, `mul` keeps the schoolbook loop on the base field's tables.
+    2k(p-1)^2 + p.  Operands are packed and products unpacked by one
+    precomputed little-endian `struct.Struct` of k slots (k - 1 for the
+    high half), so the layout is the same on every host.  Over an F_{p^m}
+    base (m > 1) `mul` keeps the schoolbook loop on the base field's tables.
     """
 
     __slots__ = ("base", "I", "k", "order_total", "_frob_pows", "_kron")
@@ -942,21 +943,20 @@ class ExtFieldDesc:
         self.order_total = base.q ** self.k
         self._frob_pows = None
         self._kron = None
-        if base.m == 1 and sys.byteorder == "little":
+        if base.m == 1:
             p, k = base.p, self.k
             exact = k * (p - 1) ** 2 + k * (k - 1) ** 2 * (p - 1) ** 4
-            code = next((c for c in "BHIQ" if exact < 1 << 8 * array(c).itemsize), None)
+            code = next((c for c in "BHIQ" if exact < 1 << 8 * calcsize("<" + c)), None)
             mid_mod = code is None
             if mid_mod:
                 code = next(c for c in "BHIQ"
-                            if 2 * k * (p - 1) ** 2 + p < 1 << 8 * array(c).itemsize)
-            width = array(code).itemsize
+                            if 2 * k * (p - 1) ** 2 + p < 1 << 8 * calcsize("<" + c))
+            bits = 8 * calcsize("<" + code)
+            low, high = Struct("<%d%s" % (k, code)), Struct("<%d%s" % (k - 1, code))
             mu = Poly(base, (0,) * (2 * k - 2) + (1,)) // I
             fold = [-c % p for c in I.coeffs[:k]]  # X^k mod I
-            shift = 8 * width * k
-            self._kron = (p, code, shift, 8 * width * max(k - 2, 0), (1 << shift) - 1,
-                          _pack(code, mu.coeffs), _pack(code, fold),
-                          width * (k - 1), width * k, mid_mod)
+            self._kron = (p, low, high, bits * k, bits * max(k - 2, 0), (1 << bits * k) - 1,
+                          _pack(high, mu.coeffs), _pack(low, fold), mid_mod)
 
     # -- element helpers ----------------------------------------------
 
@@ -1008,17 +1008,17 @@ class ExtFieldDesc:
 
     def mul(self, a, b):
         if self._kron is not None:
-            p, code, shift, q_shift, mask, mu, fold, high_bytes, low_bytes, mid_mod = self._kron
-            c = (int.from_bytes(array(code, a).tobytes(), "little")
-                 * int.from_bytes(array(code, b).tobytes(), "little"))
-            high = c >> shift
+            p, low, high, shift, q_shift, mask, mu, fold, mid_mod = self._kron
+            c = (int.from_bytes(low.pack(*a), "little")
+                 * int.from_bytes(low.pack(*b), "little"))
+            hi = c >> shift
             if mid_mod:
-                high = _pack_mod(code, high, high_bytes, p)
-            quot = high * mu >> q_shift
+                hi = _pack_mod(high, hi, p)
+            quot = hi * mu >> q_shift
             if mid_mod:
-                quot = _pack_mod(code, quot, high_bytes, p)
-            low = (c + quot * fold) & mask
-            return tuple([x % p for x in array(code, low.to_bytes(low_bytes, "little"))])
+                quot = _pack_mod(high, quot, p)
+            rem = (c + quot * fold) & mask
+            return tuple([x % p for x in low.unpack(rem.to_bytes(low.size, "little"))])
         K = self.base
         k = self.k
         prod = [0] * (2 * k - 1)

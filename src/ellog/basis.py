@@ -328,9 +328,13 @@ def basis_from_json(text: str) -> EllipticBasis:
         return [field.dec(t) for t in texts]
 
     curve = Curve(field, value("a", field.dec), value("b", field.dec), N)
-    x1, y1 = value("P1", lambda xy: (field.dec(xy[0]), field.dec(xy[1])))
-    P1 = Point(curve, field, x1, y1)
-    td = TorsionData(curve, P1, k)
+    P1 = value("P1", lambda xy: Point.make(curve, field, field.dec(xy[0]),
+                                           field.dec(xy[1])))
+    try:
+        td = TorsionData(curve, P1, k)
+    except ValueError as exc:
+        raise ConfigError(f"basis file has a P1 without exact order k = {k}: "
+                          f"{exc}") from None
     ext = value("modulus_I", lambda texts: ExtFieldDesc(field, Poly(field, codes(texts))))
     theta = value("theta", ext.dec)
     tau = value("tau", ext.dec)

@@ -39,19 +39,22 @@ INERT = "inert"
 
 _KIND_RANK = {INFINITY: 0, SPLIT: 1, RAMIFIED: 2, INERT: 3}
 _set = object.__setattr__
+_PLACES: dict[tuple, "Place"] = {}  # (kind, u, v) -> the one Place, for the process's life
 
 
 @total_ordering
 class Place:
     """A Galois orbit of curve points, keyed by (kind, u, v).
 
-    An immutable value.  Its degree, its sort key (degree, kind rank, u, v)
-    and its hash are computed once, when it is built, since every divisor
-    sum and every psi term looks places up in dicts; it pickles as
-    (kind, u, v).
+    An immutable, interned value: `Place(kind, u, v)` returns the one
+    object in a module table for that key, so equal places are the same
+    object and dicts hash and compare places by identity, at C level.
+    Its degree and its sort key (degree, kind rank, u, v) are computed
+    once, when it is first built; it pickles as (kind, u, v), which
+    rebuilds through the table.
     """
 
-    __slots__ = ("kind", "u", "v", "degree", "sort_key", "_hash")
+    __slots__ = ("kind", "u", "v", "degree", "sort_key")
 
     kind: str
     u: tuple[int, ...]   # monic abscissa polynomial, low degree first; () at infinity
@@ -59,17 +62,21 @@ class Place:
     degree: int
     sort_key: tuple
 
-    def __init__(self, kind: str, u: tuple[int, ...], v: tuple[int, ...]):
-        if kind == INFINITY:
-            degree = 1
-        else:
-            degree = 2 * (len(u) - 1) if kind == INERT else len(u) - 1
-        _set(self, "kind", kind)
-        _set(self, "u", u)
-        _set(self, "v", v)
-        _set(self, "degree", degree)
-        _set(self, "sort_key", (degree, _KIND_RANK[kind], u, v))
-        _set(self, "_hash", hash((kind, u, v)))
+    def __new__(cls, kind: str, u: tuple[int, ...], v: tuple[int, ...]):
+        key = (kind, u, v)
+        place = _PLACES.get(key)
+        if place is None:
+            if kind == INFINITY:
+                degree = 1
+            else:
+                degree = 2 * (len(u) - 1) if kind == INERT else len(u) - 1
+            place = _PLACES[key] = object.__new__(cls)
+            _set(place, "kind", kind)
+            _set(place, "u", u)
+            _set(place, "v", v)
+            _set(place, "degree", degree)
+            _set(place, "sort_key", (degree, _KIND_RANK[kind], u, v))
+        return place
 
     def __setattr__(self, name, value):
         raise AttributeError(f"Place is immutable: cannot set {name}")
@@ -79,16 +86,6 @@ class Place:
 
     def __reduce__(self):
         return (Place, (self.kind, self.u, self.v))
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if type(other) is not Place:
-            return NotImplemented
-        return self.sort_key == other.sort_key
 
     def __lt__(self, other):
         if type(other) is not Place:

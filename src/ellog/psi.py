@@ -32,8 +32,10 @@ is the root of f_{N,R}(F) because N R = O, and psi is multiplicative.
 If a function meets F, D is slid by the principal divisor of a vertical,
 whose class, the line itself, is divided back out.
 
-`verify_relation` compares the numerator and the denominator up to F_q^*,
-with no inversion and no root; `psi_eval` pays one inversion per divisor.
+`verify_relation` compares the numerator and the denominator up to F_q^*
+by cross-multiplying their coordinates against one slot where the
+denominator is nonzero, with no inversion, no root and no normalised
+representative; `psi_eval` pays one inversion per divisor.
 Constants in F_q^* are dropped freely throughout: they vanish in the
 quotient group.
 
@@ -44,9 +46,9 @@ basis psi sees has the N-th root.
 
 from __future__ import annotations
 
-from .algebra import ExtFieldDesc, Poly
+from .algebra import ExtFieldDesc, _divmod, _monic, _mul as _pmul, _poly, _rem, _sub
 from .curve import Curve, Point, point_neg
-from .divisor import (Divisor, INERT, INFINITY, Place, RAMIFIED, SPLIT,
+from .divisor import (Divisor, INERT, INFINITY, Place, RAMIFIED,
                       elementary_divisor, place_of_point, places_at)
 
 
@@ -137,27 +139,29 @@ def _vertical(ext, theta, x):
     return _checked(ext.sub(theta, ext.embed(x)), ext)
 
 
-def _mumford_reduce(curve: Curve, u: Poly, v: Poly, ext: ExtFieldDesc, tau):
-    """Reduce the semi-reduced pair (u, v) to a rational point.
+def _mumford_reduce(curve: Curve, u, v, ext: ExtFieldDesc, tau):
+    """Reduce the semi-reduced pair (u, v), coefficient sequences, to a
+    rational point.
 
     Returns (T, num, den) with  D(u,v) - deg(u)(O) = [(T) - (O)] + Xi(g)
     and g(F) = num / den up to F_q^*; T is None for the trivial class.
+    Runs on the list kernel of `algebra`.
     """
     K = curve.field
-    f = curve.rhs_poly()
+    f = curve.rhs_poly().coeffs
     num = den = None
-    while u.degree() >= 2:
-        quot, rem = (v * v - f).divmod(u)
-        if not rem.is_zero():
+    while len(u) > 2:
+        quot, rem = _divmod(K, _sub(K, _pmul(K, v, v), f), u)
+        if rem:
             raise AssertionError("pair (u, v) is not semi-reduced")
-        w = quot.monic()
-        num = _mul(ext, num, _checked(ext.sub(tau, ext.from_poly(v)), ext))
-        den = _mul(ext, den, ext.from_poly(w))
-        u, v = w, (-v) % w if not v.is_zero() else v % w
-    if u.degree() <= 0:
+        w = _monic(K, quot)
+        num = _mul(ext, num, _checked(ext.sub(tau, ext.from_poly(_poly(K, v))), ext))
+        den = _mul(ext, den, ext.from_poly(_poly(K, w)))
+        u, v = w, _rem(K, _sub(K, (), v), w)
+    if len(u) < 2:
         return None, num, den
-    x0 = K.neg(u.coeffs[0])
-    y0 = v.eval_code(x0) if not v.is_zero() else 0
+    x0 = K.neg(u[0])
+    y0 = v[0] if v else 0
     return Point(curve, K, x0, y0), num, den
 
 
@@ -231,13 +235,10 @@ def _point_class(R: Point, basis):
 def _term(curve: Curve, place: Place, n: int, basis):
     """(num, den) with num/den = psi(n((P) - deg(P)(O))) up to F_q^*."""
     ext = basis.ext
-    K = curve.field
-    u = Poly(K, place.u)
     if place.kind == INERT:
-        num, den = _checked(ext.from_poly(u), ext), None
+        num, den = _checked(ext.from_poly(_poly(curve.field, place.u)), ext), None
     else:
-        v = Poly(K, place.v) if place.kind == SPLIT else Poly(K, ())
-        T, num, den = _mumford_reduce(curve, u, v, ext, basis.tau)
+        T, num, den = _mumford_reduce(curve, place.u, place.v, ext, basis.tau)
         if T is not None:
             num = _mul(ext, num, _point_class(T, basis))
     m = abs(n)
@@ -292,14 +293,33 @@ def psi_elementary(place: Place, basis) -> PsiValue:
     return psi_eval(elementary_divisor(place), basis)
 
 
+def _same_class(ext: ExtFieldDesc, num, den) -> bool:
+    """num ~ den up to F_q^*, for den nonzero: with i the first nonzero
+    slot of den, num[i] is nonzero and num[j] den[i] = den[j] num[i] for
+    every j."""
+    i = next((i for i, c in enumerate(den) if c), None)
+    if i is None:
+        raise ZeroDivisionError("zero has no class in the unit quotient")
+    a, b = num[i], den[i]
+    if not a:
+        return False
+    K = ext.base
+    if K.m == 1:
+        p = K.p
+        return not any([(x * b - y * a) % p for x, y in zip(num, den)])
+    return not any(K.sub(K.mul(x, b), K.mul(y, a)) for x, y in zip(num, den))
+
+
 def verify_relation(lhs, rhs, basis) -> bool:
     """Check that two elementary-divisor combinations have the same class.
 
     Each side is a list of (Place, int) pairs; a place may repeat or sit on
     both sides, and its coefficients add up.  psi is a homomorphism, so
     the sides agree exactly when psi(DL - DR) is one: one evaluation, with
-    no inversion and no root, decides the relation.  The sides are summed
-    into a plain dict of finite coefficients; (O) is implied by each term.
+    no inversion and no root, gives num / den, and the relation holds when
+    num and den are proportional over F_q (`_same_class`).  The sides are
+    summed into a plain dict of finite coefficients; (O) is implied by each
+    term.
     """
     coeffs: dict[Place, int] = {}
     for place, n in lhs:
@@ -308,7 +328,7 @@ def verify_relation(lhs, rhs, basis) -> bool:
         coeffs[place] = coeffs.get(place, 0) - n
     num, den = _psi_class(coeffs, basis)
     ext = basis.ext
-    return PsiValue(ext, num or ext.one) == PsiValue(ext, den or ext.one)
+    return _same_class(ext, num or ext.one, den or ext.one)
 
 
 def translation_constant(basis) -> PsiValue:

@@ -230,7 +230,7 @@ def test_residue_ring_matches_reference(case, seed):
 
 @pytest.mark.parametrize("p, reduced", [(9949, False), (9967, True)])
 def test_residue_cases_straddle_the_unreduced_slot_limit(p, reduced):
-    """The packed product reduces its slots mod p only where no array item
+    """The packed product reduces its slots mod p only where no slot width
     holds k(p-1)^2 + k(k-1)^2(p-1)^4; at k = 13 that starts after 9949."""
     K = _RESIDUE_BASES[p, 1]
     u = poly_random_monic(K, 13, random.Random(p))

@@ -370,6 +370,7 @@ def basis_run59(tmp_path_factory):
 @pytest.mark.parametrize("key, value", [
     ("a", "x"), ("b", "1;2"), ("P1", ["0,1"]), ("torsion_x", ["x"]),
     ("modulus_I", 7), ("modulus_I", ["1", "2"]), ("theta", "1;2"), ("tau", "x"),
+    ("P1", ["4", "1"]),
 ])
 def test_malformed_basis_value_is_config_error(basis_run59, tmp_path, capsys,
                                                key, value):
@@ -386,6 +387,26 @@ def test_malformed_basis_value_is_config_error(basis_run59, tmp_path, capsys,
     capsys.readouterr()
     assert main(["verify", "--out", out]) == 2
     assert f"basis file has a malformed {key}" in capsys.readouterr().err
+
+
+def test_basis_p1_of_wrong_order_is_config_error(basis_run59, tmp_path, capsys):
+    """A stored P1 on the curve but of order 3, not k = 9, is refused and
+    named (exit 2), not a traceback."""
+    out = str(tmp_path / "r")
+    shutil.copytree(basis_run59, out)
+    path = os.path.join(out, "basis.json")
+    with open(path) as fh:
+        doc = json.load(fh)
+    a, b = (int(doc[key]) for key in ("a", "b"))
+    x, y = next((x, y) for x in range(5) for y in range(1, 5)
+                if (y * y - x ** 3 - a * x - b) % 5 == 0 and (3 * x ** 4 + 6 * a * x * x
+                + 12 * b * x - a * a) % 5 == 0)  # 3-division polynomial
+    doc["P1"] = [str(x), str(y)]
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    capsys.readouterr()
+    assert main(["verify", "--out", out]) == 2
+    assert "P1 without exact order k = 9" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key", ["theta", "tau"])

@@ -11,7 +11,7 @@ from ellog.curve import (Curve, CurveFunction, Point, Singular, TorsionData,
 from ellog.divisor import (Divisor, HitsInfinity, INERT, PLACE_AT_INFINITY,
                            Place, RAMIFIED, SPLIT, decompose,
                            divisor_of, elementary_divisor, height,
-                           place_of_point, places_over,
+                           place_of_point, places_at, places_over,
                            orbit_places, split_ordinate, translate_place)
 from ellog.harvest import build_factor_base
 
@@ -312,12 +312,12 @@ def _places_to_height_5(curve):
 
 
 def test_place_pickles_and_cannot_be_changed(basis59):
-    """The harvest pool pickles places: one comes back equal, with the same
-    hash and sort key; and no attribute of a place can be set."""
+    """The harvest pool pickles places: one comes back as the very same
+    object; and no attribute of a place can be set."""
     places = _places_to_height_5(basis59.curve)[::40] + [PLACE_AT_INFINITY]
     for p in places:
         back = pickle.loads(pickle.dumps(p))
-        assert back == p and hash(back) == hash(p)
+        assert back is p
         assert (back.kind, back.u, back.v, back.degree, back.sort_key) == \
             (p.kind, p.u, p.v, p.degree, p.sort_key)
         for name, value in (("kind", INERT), ("degree", 0), ("u", ())):
@@ -328,15 +328,35 @@ def test_place_pickles_and_cannot_be_changed(basis59):
 
 
 def test_places_built_apart_are_equal(basis59):
-    """Two places built separately from equal (kind, u, v) are one dict key."""
+    """Two places built separately from equal (kind, u, v) are one object,
+    so one dict key; places hash and compare by identity."""
+    assert "__hash__" not in Place.__dict__ and "__eq__" not in Place.__dict__
     curve = basis59.curve
     for p in _places_to_height_5(curve)[::9]:
         q = Place(p.kind, tuple(list(p.u)), tuple(list(p.v)))
-        assert q is not p and q == p and hash(q) == hash(p)
+        assert q is p
         assert {p: 1}[q] == 1
         assert not q < p and not p < q
     u = Poly(curve.field, (1, 0, 1))
     assert places_over(curve, u) == places_over(curve, u)
+
+
+def test_divisor_of_gives_the_places_of_places_over(basis59):
+    """The places in a principal divisor are the objects that places_at and
+    places_over return for the same abscissa."""
+    curve, K = basis59.curve, basis59.curve.field
+    rng = random.Random(22)
+    seen = 0
+    for _ in range(60):
+        D = divisor_of(rand_function(curve, rng.randrange(K.q), rng), curve)
+        for p in D.coeffs:
+            if p is PLACE_AT_INFINITY:
+                continue
+            over = (places_at(curve, K.neg(p.u[0])) if len(p.u) == 2
+                    else places_over(curve, Poly(K, p.u)))
+            assert any(p is q for q in over)
+            seen += 1
+    assert seen > 100
 
 
 def test_place_order_is_degree_kind_u_v(basis59):

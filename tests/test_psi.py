@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from ellog.algebra import (ExtFieldDesc, Poly, field_make, poly_irreducibles,
                            poly_random_monic, poly_is_irreducible)
-from ellog.basis import build_basis
+from ellog.basis import build_basis, find_basis
 from ellog.curve import Curve, Point, curve_points, point_neg
 from ellog.divisor import (Divisor, INERT, PLACE_AT_INFINITY, Place, RAMIFIED, SPLIT,
                            decompose, divisor_of, elementary_divisor,
@@ -64,13 +64,49 @@ def test_psi_matches_direct_evaluation_for_functions(basis59):
         assert psi_eval(D, basis59) == want
 
 
-def test_psi_multiplicative(basis59):
-    rng = random.Random(31)
-    for _ in range(100):
-        D1 = rand_divisor(basis59.curve, rng)
-        D2 = rand_divisor(basis59.curve, rng)
-        lhs = psi_eval(D1 + D2, basis59)
-        assert lhs == psi_eval(D1, basis59).mul(psi_eval(D2, basis59))
+@pytest.fixture(scope="module")
+def basis25():
+    """A basis over F_{5^2}: its target field multiplies by the schoolbook
+    loop on the base field's tables, not by the packed product."""
+    basis = find_basis(5, 2, 5, seed=0)
+    assert basis.ext._kron is None
+    return basis
+
+
+def test_psi_multiplicative(basis59, basis25):
+    """psi(D1 + D2) = psi(D1) psi(D2) on random degree-0 divisors, over a
+    prime base and over F_{5^2}."""
+    for basis in (basis59, basis25):
+        rng = random.Random(31)
+        for _ in range(100):
+            D1 = rand_divisor(basis.curve, rng)
+            D2 = rand_divisor(basis.curve, rng)
+            lhs = psi_eval(D1 + D2, basis)
+            assert lhs == psi_eval(D1, basis).mul(psi_eval(D2, basis))
+
+
+@pytest.mark.parametrize("name", ["basis59", "basis25"])
+def test_verify_relation_agrees_with_psi_eval(request, name):
+    """verify_relation(DL, DR) is psi_eval(DL) == psi_eval(DR): on random
+    pairs, on true relations DR = DL + M D0 (psi has order dividing M),
+    and on those relations perturbed by one elementary divisor."""
+    basis = request.getfixturevalue(name)
+    curve = basis.curve
+    pool = [p for d in (1, 2) for u in poly_irreducibles(curve.field, d)
+            for p in places_over(curve, u)]
+    rng = random.Random(22)
+    verdicts = []
+    for _ in range(40):
+        DL, D0 = rand_divisor(curve, rng), rand_divisor(curve, rng)
+        true = DL + D0.scale(basis.M)
+        bump = elementary_divisor(rng.choice(pool))
+        for DR in (rand_divisor(curve, rng), true, true + bump):
+            want = psi_eval(DL, basis) == psi_eval(DR, basis)
+            fresh = replace(basis, place_terms={}, point_classes={})
+            assert verify_relation(DL.finite_places(), DR.finite_places(), fresh) == want
+            assert verify_relation(DL.finite_places(), DR.finite_places(), basis) == want
+            verdicts.append(want)
+    assert verdicts.count(True) >= 40 and verdicts.count(False) >= 40
 
 
 def test_psi_independent_of_exponent_choice(basis59):
