@@ -62,6 +62,12 @@ def _load_config(outdir) -> dict:
     missing = [key for key in _CONFIG_KEYS if key not in cfg]
     if missing:
         raise ConfigError(f"config.json lacks {', '.join(missing)}")
+    for key in _CONFIG_KEYS:
+        value = cfg[key]
+        if type(value) is not int:  # a bool is an int to isinstance
+            raise ConfigError(f"config.json {key} must be an integer, not {value!r}")
+        if key != "seed" and value < 1:
+            raise ConfigError(f"config.json {key} must be >= 1, not {value}")
     return cfg
 
 
@@ -90,6 +96,8 @@ def _load_basis(outdir) -> EllipticBasis:
 # ---------------------------------------------------------------------------
 
 def cmd_search(args) -> int:
+    if args.d0 < 1:
+        raise ConfigError(f"--d0 must be >= 1, not {args.d0}")
     cfg = {
         "p": args.p, "m0": args.m0, "k": args.k, "seed": args.seed,
         "height_base": 3, "height_extended": 5,

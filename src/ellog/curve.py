@@ -39,10 +39,12 @@ class Curve:
     """y^2 = x^3 + a x + b over a FieldDesc, with its point count cached.
 
     `x_places` is the memo of `divisor.places_at`: the places over each
-    abscissa x0 of F_q met so far.  It is not compared or pickled.
+    abscissa x0 of F_q met so far; `x_rational` is that of
+    `rational_abscissas`, filled on first use.  Neither is compared or
+    pickled.
     """
 
-    __slots__ = ("field", "a", "b", "N", "t", "x_places")
+    __slots__ = ("field", "a", "b", "N", "t", "x_places", "x_rational")
 
     def __init__(self, field: FieldDesc, a: int, b: int, N: int | None = None):
         K = field
@@ -57,6 +59,17 @@ class Curve:
         if self.t * self.t > 4 * field.q:
             raise ValueError("point count violates the Hasse bound")
         self.x_places = {}
+        self.x_rational = None
+
+    def rational_abscissas(self) -> list[int]:
+        """The codes x of F_q with x^3 + a x + b a square or zero, in code
+        order: the abscissas of the affine points of E(F_q), about q/2."""
+        xs = self.x_rational
+        if xs is None:
+            K = self.field
+            xs = self.x_rational = [x for x in range(K.q)
+                                    if K.is_square(self.rhs(x))]
+        return xs
 
     def rhs(self, x: int) -> int:
         K = self.field

@@ -9,6 +9,9 @@ The principal-divisor map factors the norm n0^2 - n1^2 (x^3 + a x + b) of
 the primitive part p0 + p1 y of a function (n0 + n1 y)/(x - x1)^e.  At each
 irreducible factor u off the ramified locus only one conjugate place is a
 zero, the one with ordinate v = -p0/p1 mod u, so no square root is taken.
+The norm's roots in F_q lie over F_q-rational points, so its linear factors
+come from a Horner scan of the curve's rational abscissas; only the rootless
+rest of degree >= 4 is factored.
 
 Translation by -P1 walks a place along its orbit.  `orbit_places` builds the
 residue algebra of the place once and reaches every translate from the
@@ -22,8 +25,8 @@ from __future__ import annotations
 
 from functools import total_ordering
 
-from .algebra import (ExtFieldDesc, FieldDesc, Poly, _ext_gcd, _horner, _mul, _rem,
-                      _sub, poly_factor)
+from .algebra import (ExtFieldDesc, FieldDesc, Poly, _ext_gcd, _horner, _mul, _poly,
+                      _rem, _sub, poly_factor)
 from .curve import Curve, CurveFunction, Point, TorsionData, ZeroFunction, point_add
 from .linalg import _rref
 
@@ -259,6 +262,19 @@ def divisor_of(fun: CurveFunction, curve: Curve) -> Divisor:
     ramified locus is the split place (u, v) with v = -p0 p1^-1 mod u, and
     p0 + p1 y vanishes only where y = v; the conjugate place (u, -v) is not
     a zero.  Each v is read modulo its own factor (`_zero_ordinate`).
+
+    The norm N = p0^2 - p1^2 f has its roots in F_q at rational abscissas
+    only: p0 and p1 are coprime, so p1(r) = 0 would force p0(r) = 0; hence
+    p1(r) != 0 and f(r) = (p0(r)/p1(r))^2 is a square or zero, and r is the
+    abscissa of a split or ramified F_q-point.  So `_norm_factors` divides
+    the monic N by X - r with `_horner` for each r of
+    `Curve.rational_abscissas`, as often as the remainder is 0, and stops
+    once the rest is constant.  The rest has no root in F_q: of degree 2 or
+    3 it is irreducible, and only from degree 4 on does it go to
+    `poly_factor`.  The scan costs about (q/2) deg N Horner steps, the same
+    order as the q + 1 lines whose divisors every sieve pair looks up.  The
+    content g goes to `poly_factor` whole, since its roots may lie under
+    inert places.
     """
     if fun.is_zero():
         raise ZeroFunction("divisor of the zero function")
@@ -287,15 +303,14 @@ def divisor_of(fun: CurveFunction, curve: Curve) -> Divisor:
     norm = p0 * p0 - (p1 * p1) * f
     if norm.is_zero():
         raise ZeroFunction("function vanishes on the curve")
-    if norm.degree() > 0:
-        for u, mult in poly_factor(norm):
-            v = _zero_ordinate(curve, p0.coeffs, p1.coeffs, u.coeffs)
-            if v is not None:
-                D.add_place(Place(SPLIT, u.coeffs, v), mult)
-            elif mult != 1:
-                raise AssertionError("ramified factor of a primitive part with multiplicity > 1")
-            else:
-                D.add_place(Place(RAMIFIED, u.coeffs, ()), 1)
+    for u, mult in _norm_factors(curve, norm):
+        v = _zero_ordinate(curve, p0.coeffs, p1.coeffs, u)
+        if v is not None:
+            D.add_place(Place(SPLIT, u, v), mult)
+        elif mult != 1:
+            raise AssertionError("ramified factor of a primitive part with multiplicity > 1")
+        else:
+            D.add_place(Place(RAMIFIED, u, ()), 1)
 
     # poles of the denominator (x - x1)^e
     if fun.e:
@@ -311,6 +326,33 @@ def divisor_of(fun: CurveFunction, curve: Curve) -> Divisor:
     if D.degree != 0:
         raise AssertionError(f"principal divisor of degree {D.degree}")
     return D
+
+
+def _norm_factors(curve: Curve, norm: Poly) -> list[tuple[tuple, int]]:
+    """The monic irreducible factors of the norm of a primitive part, as
+    (u, multiplicity) sorted by (degree, u) as `poly_factor` sorts them:
+    the linear ones by the scan of rational abscissas (see `divisor_of`),
+    the rootless rest whole below degree 4, else by `poly_factor`."""
+    K = curve.field
+    rest = norm.monic().coeffs
+    factors = []
+    for r in curve.rational_abscissas():
+        if len(rest) == 1:
+            break
+        mult = 0
+        while True:
+            quot, rem = _horner(K, rest, r)
+            if rem:
+                break
+            rest, mult = quot, mult + 1
+        if mult:
+            factors.append(((K.neg(r), 1), mult))
+    if len(rest) in (3, 4):
+        factors.append((tuple(rest), 1))
+    elif len(rest) > 4:
+        factors += [(u.coeffs, mult) for u, mult in poly_factor(_poly(K, rest))]
+    factors.sort(key=lambda item: (len(item[0]), item[0]))
+    return factors
 
 
 def _zero_ordinate(curve: Curve, p0, p1, u) -> tuple | None:

@@ -456,6 +456,36 @@ def test_malformed_config_is_config_error(tmp_path):
         assert main(["harvest", "--out", out]) == 2
 
 
+@pytest.mark.parametrize("key, value", [
+    ("m0", 0), ("m0", "1"), ("m0", 1.0), ("m0", True), ("d0", 0), ("d0", -1),
+    ("height_base", 0), ("height_extended", 0), ("height_extended", None),
+    ("seed", "0"), ("seed", False),
+])
+def test_bad_config_value_is_config_error(basis_run59, tmp_path, capsys, key, value):
+    """Each config.json key must be an integer (not a bool), all but the
+    seed >= 1; anything else is refused and named (exit 2), not a
+    traceback from the stage that reads it."""
+    out = str(tmp_path / "r")
+    shutil.copytree(basis_run59, out)
+    path = os.path.join(out, "config.json")
+    with open(path) as fh:
+        cfg = json.load(fh)
+    cfg[key] = value
+    with open(path, "w") as fh:
+        json.dump(cfg, fh)
+    capsys.readouterr()
+    assert main(["basis", "--out", out]) == 2
+    assert f"config.json {key} must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("d0", ["0", "-2"])
+def test_search_bad_d0_is_config_error(tmp_path, capsys, d0):
+    out = str(tmp_path / "r")
+    assert main(["search", "--p", "5", "--k", "9", "--d0", d0, "--out", out]) == 2
+    assert "--d0 must be >= 1" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "config.json"))
+
+
 def test_key_error_inside_a_stage_propagates(pipeline, monkeypatch):
     # a faulty lookup is a program fault, not a configuration error
     import ellog.cli

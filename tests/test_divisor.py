@@ -375,3 +375,127 @@ def test_place_order_is_degree_kind_u_v(basis59):
     assert sorted(shuffled) == want
     D = Divisor({p: 1 for p in shuffled})
     assert [p for p, _ in D.finite_places()] == want
+
+
+# ---------------------------------------------------------------------------
+# the rational zeros of a norm, found by the scan of rational abscissas
+# ---------------------------------------------------------------------------
+
+def _rational_points(curve):
+    K = curve.field
+    squares = {}
+    for y in range(K.q):
+        squares.setdefault(K.mul(y, y), []).append(y)
+    return [(x, y) for x in range(K.q) for y in squares.get(curve.rhs(x), ())]
+
+
+def _tangent(curve, x1, x0, y0):
+    """The tangent line at (x0, y0) as a function over (X - x1)^0: the
+    vertical X - x0 at a ramified point, else Y - y0 - lam (X - x0)."""
+    K = curve.field
+    if y0 == 0:
+        return CurveFunction.make(curve, x1, Poly(K, (K.neg(x0), 1)), Poly(K, ()), 0)
+    lam = K.div(K.add(K.mul(3 % K.p, K.mul(x0, x0)), curve.a), K.add(y0, y0))
+    n0 = Poly(K, (K.sub(K.mul(lam, x0), y0), K.neg(lam)))
+    return CurveFunction.make(curve, x1, n0, Poly(K, (1,)), 0)
+
+
+def _power(fun, n):
+    out = fun
+    for _ in range(n - 1):
+        out = out.mul(fun)
+    return out
+
+
+@pytest.mark.parametrize("which", ["split_cubic", "curve121", "basis59"])
+def test_divisor_of_at_rational_zeros_of_high_multiplicity(
+        which, curve5_split_cubic, curve121, basis59):
+    """Products of tangent powers at rational points, some times y, have
+    norms with repeated rational roots, split and ramified; divisor_of
+    agrees with the two-root oracle and puts 2n at a tangent point."""
+    curve = {"split_cubic": curve5_split_cubic, "curve121": curve121,
+             "basis59": basis59.curve}[which]
+    K = curve.field
+    points = _rational_points(curve)
+    y = CurveFunction.make(curve, 0, Poly(K, ()), Poly(K, (1,)), 0)
+    rng = random.Random(23)
+    high = 0
+    for _ in range(40):
+        picks = rng.sample(points, min(len(points), rng.randrange(1, 4)))
+        fun = y if rng.randrange(2) else None
+        for x0, y0 in picks:
+            term = _power(_tangent(curve, 0, x0, y0), rng.randrange(1, 4))
+            fun = term if fun is None else fun.mul(term)
+        D = divisor_of(fun, curve)
+        assert D == divisor_two_root(fun, curve)
+        for x0, y0 in picks:
+            P = place_of_point(curve, Point.make(curve, K, x0, y0))
+            assert D.coeffs[P] >= 2
+            high += D.coeffs[P] > 2
+    assert high > 10
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_norm_roots_are_rational_abscissas(basis59, curve121, curve5_split_cubic, seed):
+    """Every root in F_q of the norm p0^2 - p1^2 f of a primitive part is an
+    abscissa where f is a square or zero, found by brute force."""
+    rng = random.Random(seed)
+    for curve in (basis59.curve, curve121, curve5_split_cubic):
+        K = curve.field
+        squares = {K.mul(y, y) for y in range(K.q)}
+        fun = rand_function(curve, 0, rng, emax=1)
+        n0, n1 = fun.n0, fun.n1
+        if n1.is_zero():
+            continue
+        g = n0.gcd(n1)
+        p0, p1 = n0 // g, n1 // g
+        norm = p0 * p0 - (p1 * p1) * curve.rhs_poly()
+        for r in range(K.q):
+            value = 0
+            for c in reversed(norm.coeffs):
+                value = K.add(K.mul(value, r), c)
+            if value == 0:
+                assert curve.rhs(r) in squares
+                assert r in curve.rational_abscissas()
+
+
+@pytest.mark.parametrize("which", ["curve121", "basis59"])
+def test_norm_factors_call_poly_factor_only_for_a_long_rootless_rest(
+        which, curve121, basis59, monkeypatch):
+    """For n0 + y the content is 1, so poly_factor runs only on the norm's
+    rootless rest and only when that has degree >= 4; the divisor is the
+    oracle's either way."""
+    import ellog.divisor
+    from ellog.algebra import poly_factor
+
+    curve = {"curve121": curve121, "basis59": basis59.curve}[which]
+    K = curve.field
+    calls = []
+
+    def counting(f):
+        calls.append(f)
+        return poly_factor(f)
+
+    rng = random.Random(7)
+    cases = [0] * 9
+    for _ in range(150):
+        n0 = Poly(K, [rng.randrange(K.q) for _ in range(rng.randrange(1, 5))])
+        fun = CurveFunction.make(curve, 0, n0, Poly(K, (1,)), 0)
+        norm = n0 * n0 - curve.rhs_poly()
+        factors = poly_factor(norm)
+        rest = sum(u.degree() * m for u, m in factors if u.degree() > 1)
+        if not any(u.degree() == 1 for u, _ in factors):
+            continue
+        want = divisor_two_root(fun, curve)
+        calls.clear()
+        monkeypatch.setattr(ellog.divisor, "poly_factor", counting)
+        D = divisor_of(fun, curve)
+        monkeypatch.undo()
+        assert D == want
+        assert len(calls) == (rest >= 4)
+        for f in calls:
+            assert f.degree() == rest
+            assert all(f.eval_code(r) for r in range(K.q))
+        cases[rest] += 1
+    assert cases[2] + cases[3] > 10 and sum(cases[4:]) > 3
