@@ -1089,10 +1089,6 @@ class ExtFieldDesc:
             cur = acc
         return cur
 
-    def frobenius_pow(self, a, times: int = 1):
-        """Same map computed by plain exponentiation (independent path)."""
-        return self.pow_(a, self.base.q ** (times % self.k))
-
     def sqrt(self, a):
         return _tonelli_shanks(self, a, self.order_total)
 

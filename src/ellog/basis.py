@@ -65,6 +65,8 @@ class EllipticBasis:
     which lie in span{1, U, V, UV}, that is at most q^3 + q^2 + q + 1 lines
     plus one bracket for each of the (q^2 + 1)(q^2 + q + 1) planes of that
     span; descent pairs over larger monomial sets add their own entries.
+    A bracket entry may be derived from that of the plane with U and V
+    swapped, as its negation; it is stored all the same, one entry per key.
     `place_terms`, the memo of `psi._psi_class`, holds the class under psi
     of each term n((P) - deg(P)(O)) of an evaluated divisor, keyed by
     (place, n).  `point_classes`, the memo of `psi._point_class`, holds
@@ -250,14 +252,6 @@ def find_basis(p: int, m0: int, k: int, seed: int = 0) -> EllipticBasis:
         except (NoDegreeKFactor, NotSquare, OrientationFailed, NdNotInvertible):
             continue
     raise SearchExhausted(f"no viable basis for p={p}, m0={m0}, k={k}")
-
-
-def phi_of_F(basis: EllipticBasis):
-    """The model image of F: (theta^(q^(k-1)), theta, theta^q)."""
-    ext = basis.ext
-    return (ext.frobenius(basis.theta, basis.k - 1),
-            basis.theta,
-            ext.frobenius(basis.theta, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -467,11 +467,6 @@ class TriPoly:
             acc = dom.add(acc, term)
         return acc
 
-    def degrees(self) -> tuple[int, int, int]:
-        if not self.terms:
-            return (0, 0, 0)
-        return tuple(max(m[i] for m in self.terms) for i in range(3))
-
     def canonical(self) -> tuple:
         return tuple(sorted(self.terms.items()))
 
@@ -502,48 +497,6 @@ def plucker_bracket(field: FieldDesc, coords) -> TriPoly:
     return TriPoly(field, [term for ((a, b, _), (c, d, _)), p in coords
                            for term in (((c, a + d, b), p),
                                         ((a, b + c, d), neg(p)))])
-
-
-def semaev3_tri(curve: Curve, x_list: tuple[str | int, ...]) -> TriPoly:
-    """S_3 with each slot a variable name or a constant code."""
-    K = curve.field
-    vals = []
-    for s in x_list:
-        vals.append(TriPoly.var(K, s) if isinstance(s, str) else TriPoly.const(K, s))
-    x1, x2, x3 = vals
-    s1 = x1 + x2 + x3
-    s2 = x1 * x2 + x1 * x3 + x2 * x3
-    s3 = x1 * x2 * x3
-    t = s2 - TriPoly.const(K, curve.a)
-    return (s1 * (s3 + TriPoly.const(K, curve.b))).scale(4 % K.p) - t * t
-
-
-def model_equations(td: TorsionData) -> tuple[TriPoly, TriPoly, TriPoly]:
-    """The three defining equations of the image curve.
-
-    Returns (S_3(U,V,x1), divided difference of S_3(U,V,x1) - S_3(V,W,x1)
-    by U - W, S_3(U,W,x2)).
-    """
-    curve = td.curve
-    K = curve.field
-    e1 = semaev3_tri(curve, ("U", "V", td.xs[1]))
-    e3 = semaev3_tri(curve, ("U", "W", td.xs[2]))
-    # e1 - e1[U->W] is divisible by U - W; divide monomial-wise using
-    # U^a - W^a = (U - W) * sum U^i W^(a-1-i)
-    diff_terms: dict[tuple, int] = {}
-    for (i, j, l), c in e1.terms.items():
-        if l:
-            raise AssertionError("unexpected W in S_3(U,V,x1)")
-        for t in range(i):
-            mono = (t, j, i - 1 - t)
-            cur = diff_terms.get(mono, 0)
-            c2 = K.add(cur, c)
-            if c2:
-                diff_terms[mono] = c2
-            else:
-                diff_terms.pop(mono, None)
-    e2 = TriPoly(K, diff_terms)
-    return e1, e2, e3
 
 
 def phi(Q: Point, td: TorsionData):
@@ -613,17 +566,6 @@ class CurveFunction:
         n0 = self.n0 * other.n0 + (self.n1 * other.n1) * f
         n1 = self.n0 * other.n1 + self.n1 * other.n0
         return CurveFunction.make(self.curve, self.x1, n0, n1, self.e + other.e)
-
-    def eval_at(self, dom, x, y):
-        """Value at an affine point in any domain (raises on a pole)."""
-        num = dom.add(self.n0.eval_in(dom, x), dom.mul(self.n1.eval_in(dom, x), y))
-        if self.e == 0:
-            return num
-        den = dom.sub(x, dom.embed(self.x1))
-        d = den
-        for _ in range(self.e - 1):
-            d = dom.mul(d, den)
-        return dom.div(num, d)
 
     def __repr__(self):
         return f"({self.n0!r} + ({self.n1!r})*Y)/(X-x1)^{self.e}"

@@ -250,6 +250,21 @@ def height(D: Divisor) -> int:
     return D.height
 
 
+def negation(D: Divisor, K: FieldDesc) -> Divisor:
+    """The image of D under the negation iota: Q -> -Q of E.
+
+    A split place (u, v) goes to (u, -v); ramified, inert and infinite
+    places are fixed.  So div(f o iota) = negation(div f).  On the model,
+    iota turns (U, V, W) = (x(Q - P1), x(Q), x(Q + P1)) into (W, V, U),
+    whence bracket(A^s, B^s) = -bracket(A, B) o iota for s the swap of U
+    and V in A and B; the constant -1 does not change a divisor, so the
+    bracket divisor of the swapped plane is the negation of this one.
+    """
+    neg = K.neg
+    return Divisor({Place(SPLIT, p.u, tuple([neg(c) for c in p.v]))
+                    if p.kind == SPLIT else p: n for p, n in D.coeffs.items()})
+
+
 # ---------------------------------------------------------------------------
 # the principal divisor map
 # ---------------------------------------------------------------------------

@@ -29,8 +29,8 @@ from math import gcd
 
 from .algebra import ConfigError, Poly, _scale, poly_irreducibles
 from .curve import TriPoly, bracket, phi_star, plucker_bracket
-from .divisor import (Divisor, Place, decompose, divisor_of, orbit_places,
-                      place_of_point, places_over)
+from .divisor import (Divisor, Place, decompose, divisor_of, negation,
+                      orbit_places, place_of_point, places_over)
 from .linalg import crt, determined_mod_prime, solve_affine_mod
 
 
@@ -378,6 +378,23 @@ def _class_key(labels, coords, K) -> tuple:
     return tuple([(l, c) for l, c in zip(labels, coords) if c])
 
 
+def _swapped_plane(key: tuple, K) -> tuple:
+    """The `_class_key` of a plane's image under the swap of U and V.
+
+    The swap takes U^a V^b to U^b V^a, so the coordinate of the label
+    (m, n) moves to the label of the swapped monomials, with its sign
+    flipped where they come out of order.  Any monomials in U and V work,
+    the descent's among them.
+    """
+    neg = K.neg
+    moved = []
+    for ((a, b, _), (c, d, _)), p in key:
+        m, n = (b, a, 0), (d, c, 0)
+        moved.append(((m, n), p) if m < n else ((n, m), neg(p)))
+    moved.sort()
+    return _class_key([l for l, _ in moved], [p for _, p in moved], K)
+
+
 _UNSEEN = object()
 
 
@@ -391,7 +408,8 @@ def pullback_divisor(basis, key: tuple, what: str, build=TriPoly) -> Divisor:
     entry serves the whole class.  Raises DegeneratePair("<what> pulls back
     to zero") for the zero class or a zero pull-back, and "<what> vanishes
     identically" when build gives zero.  Returns a copy: the memo cannot
-    be changed through the result.
+    be changed through the result.  `pair_divisors` may fill a plane's
+    entry beforehand, from the plane's image under the swap of U and V.
     """
     if not key:
         raise DegeneratePair(f"{what} pulls back to zero")
@@ -419,9 +437,14 @@ def pair_divisors(basis, A: TriPoly, B: TriPoly) -> PairResult:
     its Plucker vector p_mn = a_m b_n - a_n b_m.  A pair whose lines and
     plane are in the memo of `pullback_divisor` is therefore lookups only:
     one pull-back and factorization per line and one per plane in all.
-    The sieve families lie in span{1, U, V, UV}, where the memo holds at
-    most q^3 + q^2 + q + 1 lines and (q^2 + 1)(q^2 + q + 1) planes; the
-    descent's pairs over larger monomial sets share the same memo.
+    A plane missing from the memo whose image under the swap of U and V
+    (`_swapped_plane`) is there takes that entry's `negation`, a zero
+    pull-back included, so the two planes share one factorization; the
+    derived entry is stored.  Lines are not mapped: the image of a line
+    needs a translation by P1.  The sieve families lie in
+    span{1, U, V, UV}, where the memo holds at most q^3 + q^2 + q + 1
+    lines and (q^2 + 1)(q^2 + q + 1) planes; the descent's pairs over
+    larger monomial sets share the same memo.
     """
     if A == B:
         raise DegeneratePair("A = B")
@@ -444,6 +467,11 @@ def pair_divisors(basis, A: TriPoly, B: TriPoly) -> PairResult:
              for c in lines]
     lefts.append(pullback_divisor(basis, _class_key(monos, b, K), "B"))
     plane = _class_key([(monos[i], monos[j]) for i, j in ij], plucker, K)
+    memo = basis.pullback_divisors
+    if plane not in memo:
+        image = memo.get(_swapped_plane(plane, K), _UNSEEN)
+        if image is not _UNSEEN:
+            memo[plane] = image if image is None else negation(image, K)
     return PairResult(lefts, pullback_divisor(basis, plane, "bracket",
                                               plucker_bracket))
 
@@ -587,8 +615,9 @@ def harvest_m1(basis, fb: FactorBase):
     of higher degree, which has no column.  The left factors are the
     q^3 + q^2 + q + 1 lines of span{1, U, V, UV}, each factored once
     through the memo of `pair_divisors`.  Each pencil is a plane of its
-    own, so its bracket is new to the memo and is most of the cost of the
-    pencil.
+    own, and the family is closed under the swap of U and V, so of each
+    swapped pair of planes one bracket is factored and the other is its
+    negation (see `pair_divisors`); that bracket is most of the cost.
     Returns the first relation of each row, in walk order.
     """
     q = basis.q

@@ -44,6 +44,12 @@ division by every monic polynomial in order of degree and then of
 coefficients, with its own division loop on the field's `add`/`mul`, so
 it shares nothing with the coefficient-list kernel under `Poly` or with
 Cantor-Zassenhaus.
+
+`frobenius_pow`, `phi_of_F`, `model_equations` (with `semaev3_tri`) and
+`eval_function_at` are checks of the model that no library path needs:
+the Frobenius by plain exponentiation, the model image of F, the three
+equations of the image curve and the value of a curve function at a
+point.
 """
 
 from __future__ import annotations
@@ -894,3 +900,68 @@ def kernel_lift_per_step(rows, ncols, ell, e):
         vec = [(v + modk * ww) % target for v, ww in zip(vec, w)]
         modk *= ell
     return vec
+
+
+# ---------------------------------------------------------------------------
+# the model and its image of F, for checks only
+# ---------------------------------------------------------------------------
+
+def frobenius_pow(ext: ExtFieldDesc, a, times: int = 1):
+    """a^(q^times) by plain exponentiation, the reference for
+    `ExtFieldDesc.frobenius`, which uses the q-power basis images."""
+    return ext.pow_(a, ext.base.q ** (times % ext.k))
+
+
+def phi_of_F(basis):
+    """The model image of F: (theta^(q^(k-1)), theta, theta^q)."""
+    ext = basis.ext
+    return (ext.frobenius(basis.theta, basis.k - 1),
+            basis.theta,
+            ext.frobenius(basis.theta, 1))
+
+
+def semaev3_tri(curve, x_list):
+    """S_3 as a TriPoly, each slot a variable name or a constant code."""
+    from ellog.curve import TriPoly
+    K = curve.field
+    x1, x2, x3 = (TriPoly.var(K, s) if isinstance(s, str) else TriPoly.const(K, s)
+                  for s in x_list)
+    s1 = x1 + x2 + x3
+    s2 = x1 * x2 + x1 * x3 + x2 * x3
+    s3 = x1 * x2 * x3
+    t = s2 - TriPoly.const(K, curve.a)
+    return (s1 * (s3 + TriPoly.const(K, curve.b))).scale(4 % K.p) - t * t
+
+
+def model_equations(td):
+    """The three defining equations of the image curve.
+
+    Returns (S_3(U,V,x1), divided difference of S_3(U,V,x1) - S_3(V,W,x1)
+    by U - W, S_3(U,W,x2)).
+    """
+    from ellog.curve import TriPoly
+    curve = td.curve
+    K = curve.field
+    e1 = semaev3_tri(curve, ("U", "V", td.xs[1]))
+    e3 = semaev3_tri(curve, ("U", "W", td.xs[2]))
+    # e1 - e1[U->W] is divisible by U - W; divide monomial-wise using
+    # U^a - W^a = (U - W) * sum U^i W^(a-1-i)
+    diff_terms = []
+    for (i, j, l), c in e1.terms.items():
+        if l:
+            raise AssertionError("unexpected W in S_3(U,V,x1)")
+        diff_terms += [((t, j, i - 1 - t), c) for t in range(i)]
+    return e1, TriPoly(K, diff_terms), e3
+
+
+def eval_function_at(fun, dom, x, y):
+    """Value of the curve function (n0 + n1 y)/(x - x1)^e at an affine point
+    in any domain (raises on a pole)."""
+    num = dom.add(fun.n0.eval_in(dom, x), dom.mul(fun.n1.eval_in(dom, x), y))
+    if fun.e == 0:
+        return num
+    den = dom.sub(x, dom.embed(fun.x1))
+    d = den
+    for _ in range(fun.e - 1):
+        d = dom.mul(d, den)
+    return dom.div(num, d)

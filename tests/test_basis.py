@@ -4,10 +4,11 @@ import pytest
 
 from ellog.algebra import ConfigError, field_make
 from ellog.basis import (NdNotInvertible, basis_from_json, basis_to_json,
-                         build_basis, find_basis, mu_bound, phi_of_F,
+                         build_basis, find_basis, mu_bound,
                          search_curve, theta_min_poly_candidates)
 from ellog.curve import (Curve, Point, TorsionData, find_point_of_order,
                          point_add, point_order, scalar_mul, semaev3)
+from oracles import model_equations, phi_of_F
 
 GOLDEN_59 = {
     "a": "1", "b": "1", "N": 9, "k": 9, "mu": 1, "nu": 1,
@@ -137,7 +138,6 @@ def test_phi_of_F_coordinate_shift(basis59):
 
 
 def test_phi_of_F_satisfies_model_equations(basis59):
-    from ellog.curve import model_equations
     ext = basis59.ext
     u, v, w = phi_of_F(basis59)
     for eq in model_equations(basis59.td):

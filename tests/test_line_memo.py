@@ -1,5 +1,7 @@
 """The pull-back memo of `harvest.pair_divisors` and the monomial table of
-`curve.phi_star`, against memo-free and table-free pull-backs."""
+`curve.phi_star`, against memo-free and table-free pull-backs, and the
+bracket of the plane with U and V swapped, which the memo derives by
+`divisor.negation`."""
 
 import random
 from dataclasses import replace
@@ -7,17 +9,17 @@ from dataclasses import replace
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from ellog.algebra import field_make
+from ellog.algebra import Poly, field_make
 from ellog.basis import basis_to_json
 import ellog.curve
 import ellog.divisor
 import ellog.harvest
-from ellog.curve import (Curve, Point, TorsionData, TriPoly, bracket, phi_star,
-                         plucker_bracket)
-from ellog.divisor import divisor_of
-from ellog.harvest import (DegeneratePair, pullback_divisor, pair_divisors,
-                           reconstruct_pair)
-from ellog.solve import _mono_list
+from ellog.curve import (Curve, CurveFunction, Point, TorsionData, TriPoly,
+                         bracket, phi_star, plucker_bracket)
+from ellog.divisor import SPLIT, divisor_of, negation
+from ellog.harvest import (DegeneratePair, _class_key, _swapped_plane,
+                           pullback_divisor, pair_divisors, reconstruct_pair)
+from ellog.solve import _MONOS, _mono_list
 
 from oracles import (family_params, m1_params, pair_divisors_fresh,
                      phi_star_fresh)
@@ -235,6 +237,17 @@ def test_plucker_bracket_and_general_path(request, name):
     check()
 
 
+def _count_calls(monkeypatch, calls, owner, name):
+    """Record name in calls at every call of owner.name."""
+    real = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
 @pytest.mark.parametrize("name", ["basis59", "basis11"])
 def test_warm_pair_is_lookups_only(request, monkeypatch, name):
     """Once the memo holds a pair's lines and plane, any other basis of the
@@ -257,30 +270,160 @@ def test_warm_pair_is_lookups_only(request, monkeypatch, name):
                 cases.append((A2, B2, pr.left_total(), pr.right_divisor))
     assert len(cases) > 20
     calls = []
-
-    def count(owner, name):
-        real = getattr(owner, name)
-
-        def counted(*args, **kwargs):
-            calls.append(name)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(owner, name, counted)
-
     for owner in (ellog.curve, ellog.harvest):
         for fn in ("phi_star", "bracket", "plucker_bracket"):
-            count(owner, fn)
+            _count_calls(monkeypatch, calls, owner, fn)
     for owner in (ellog.divisor, ellog.harvest):
-        count(owner, "divisor_of")
-    count(ellog.divisor, "places_over")
-    count(TriPoly, "__mul__")
-    count(TriPoly, "__sub__")
+        _count_calls(monkeypatch, calls, owner, "divisor_of")
+    _count_calls(monkeypatch, calls, ellog.divisor, "places_over")
+    _count_calls(monkeypatch, calls, TriPoly, "__mul__")
+    _count_calls(monkeypatch, calls, TriPoly, "__sub__")
     entries = len(basis.pullback_divisors)
     for A2, B2, left, right in cases:
         pr = pair_divisors(basis, A2, B2)
         assert (pr.left_total(), pr.right_divisor) == (left, right)
     assert calls == []
     assert len(basis.pullback_divisors) == entries
+
+
+# ---------------------------------------------------------------------------
+# the plane with U and V swapped
+# ---------------------------------------------------------------------------
+
+def _swap(T: TriPoly) -> TriPoly:
+    """T(V, U): U and V swapped."""
+    return TriPoly(T.field, {(j, i, 0): c for (i, j, _), c in T.terms.items()})
+
+
+def _plane_key(A, B):
+    """The memo key of the plane of A and B, as `pair_divisors` forms it."""
+    coords = _plucker(A, B)
+    return _class_key([l for l, _ in coords], [c for _, c in coords], A.field)
+
+
+def _swap_cases(basis, rng, n_m1, n_monos):
+    """Seeded m1 pencils, then pairs over the descent's monomials `_MONOS`
+    with both heads 1, as the descent draws them."""
+    K = basis.curve.field
+    q = basis.q
+    cases = [reconstruct_pair(basis, "m1", ps)
+             for ps in rng.sample(m1_params(q), n_m1)]
+    monos = [(i, j, 0) for i, j in _MONOS]
+    while len(cases) < n_m1 + n_monos:
+        A, B = (TriPoly(K, dict(zip(monos, [1] + [rng.randrange(q)
+                                                  for _ in monos[1:]])))
+                for _ in range(2))
+        if A != B:
+            cases.append((A, B))
+    return cases
+
+
+def _bracket_outcome(fn, basis, A, B):
+    """The bracket divisor that fn gives the pair, or the message of its
+    DegeneratePair."""
+    try:
+        return fn(basis, A, B).right_divisor
+    except DegeneratePair as exc:
+        return str(exc)
+
+
+def _warm_lines(basis, A, B) -> bool:
+    """Put the lines of the pencil (A, B) in the memo, and no plane; False
+    when a line pulls back to zero."""
+    K = A.field
+    monos = sorted(A.terms.keys() | B.terms.keys())
+    try:
+        for L in [A - B.scale(t) for t in range(K.q)] + [B]:
+            pullback_divisor(basis, _class_key(monos, [L.terms.get(m, 0)
+                                                       for m in monos], K),
+                             "line")
+    except DegeneratePair:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("name", ["basis59", "basis11"])
+def test_swapped_pair_matches_fresh(request, name):
+    """With the plane of (A, B) in the memo, the bracket of the swapped pair
+    is that divisor negated, and equal to the memo-free one; the swapped
+    key is the plane of the swapped pair, and swapping twice is the
+    identity."""
+    basis = _fresh_basis(request.getfixturevalue(name))
+    K = basis.curve.field
+    memo = basis.pullback_divisors
+    rng = random.Random(name)
+    derived = 0
+    sizes = (40, 20) if basis.q == 5 else (20, 10)
+    for A, B in _swap_cases(basis, rng, *sizes):
+        A2, B2 = _swap(A), _swap(B)
+        key, key2 = _plane_key(A, B), _plane_key(A2, B2)
+        assert _swapped_plane(key, K) == key2
+        assert _swapped_plane(key2, K) == key
+        first = _bracket_outcome(pair_divisors, basis, A, B)
+        derived += key in memo and key2 not in memo
+        got = _bracket_outcome(pair_divisors, basis, A2, B2)
+        assert got == _bracket_outcome(pair_divisors_fresh, basis, A2, B2)
+        if not isinstance(first, str):
+            assert got == negation(first, K)
+    assert derived >= sum(sizes) // 2
+
+
+@pytest.mark.parametrize("name", ["basis59", "basis11"])
+def test_swapped_bracket_is_lookups_only(request, monkeypatch, name):
+    """Once the memo holds a plane, the bracket of the swapped plane costs
+    no pull-back, no factorization and no Plucker bracket, and its derived
+    entry is stored: one entry per swapped plane."""
+    basis = _fresh_basis(request.getfixturevalue(name))
+    memo = basis.pullback_divisors
+    rng = random.Random(name + " lookups")
+    cases = []
+    for A, B in _swap_cases(basis, rng, 15, 8):
+        try:
+            pair_divisors(basis, A, B)
+        except DegeneratePair:
+            continue
+        A2, B2 = _swap(A), _swap(B)
+        if _plane_key(A2, B2) not in memo and _warm_lines(basis, A2, B2):
+            cases.append((A2, B2, _bracket_outcome(pair_divisors_fresh,
+                                                    basis, A2, B2)))
+    assert len(cases) >= 10
+    calls = []
+    for owner in (ellog.curve, ellog.harvest):
+        for fn in ("phi_star", "plucker_bracket"):
+            _count_calls(monkeypatch, calls, owner, fn)
+    for owner in (ellog.divisor, ellog.harvest):
+        _count_calls(monkeypatch, calls, owner, "divisor_of")
+    entries = len(memo)
+    for A2, B2, want in cases:
+        assert _bracket_outcome(pair_divisors, basis, A2, B2) == want
+    assert calls == []
+    assert len(memo) == entries + len({_plane_key(A2, B2) for A2, B2, _ in cases})
+    entries = len(memo)
+    for A2, B2, want in cases:
+        assert _bracket_outcome(pair_divisors, basis, A2, B2) == want
+    assert len(memo) == entries
+
+
+@pytest.mark.parametrize("name", ["basis59", "basis11"])
+def test_sigma_fixed_plane_is_its_own_negation(request, name):
+    """The special group's A and B are symmetric in U and V, so its planes
+    are their own swap and each bracket divisor equals its negation."""
+    basis = _fresh_basis(request.getfixturevalue(name))
+    K = basis.curve.field
+    rng = random.Random(name)
+    split = 0
+    for params in rng.sample(family_params(basis, "special_group"), 15):
+        A, B = reconstruct_pair(basis, "special_group", params)
+        assert (_swap(A), _swap(B)) == (A, B)
+        key = _plane_key(A, B)
+        assert _swapped_plane(key, K) == key
+        try:
+            R = pair_divisors(basis, A, B).right_divisor
+        except DegeneratePair:
+            continue
+        assert negation(R, K) == R
+        split += any(p.kind == SPLIT for p in R.coeffs)
+    assert split >= 5
 
 
 @pytest.fixture(scope="module")
@@ -312,5 +455,28 @@ def test_phi_star_table_matches_fresh(request, name):
             phi_star(f, warm)
         for f in fs:
             assert phi_star(f, warm) == phi_star_fresh(f, td)
+
+    check()
+
+
+@pytest.mark.parametrize("name", ["basis59", "basis11", "td121"])
+def test_divisor_of_conjugate_is_negation(request, name):
+    """div((n0 - n1 y)/(x - x1)^e) is div((n0 + n1 y)/(x - x1)^e) with every
+    split ordinate negated, over F_5, F_11 and F_{11^2}."""
+    fix = request.getfixturevalue(name)
+    curve = (fix if name == "td121" else fix.td).curve
+    K = curve.field
+    code = st.integers(0, K.q - 1)
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(n0=st.lists(code, max_size=7), n1=st.lists(code, max_size=5),
+           x1=code, e=st.integers(0, 3))
+    def check(n0, n1, x1, e):
+        f = CurveFunction.make(curve, x1, Poly(K, n0), Poly(K, n1), e)
+        assume(not f.is_zero())
+        g = CurveFunction.make(curve, x1, Poly(K, n0), -Poly(K, n1), e)
+        D = divisor_of(f, curve)
+        assert divisor_of(g, curve) == negation(D, K)
+        assert negation(negation(D, K), K) == D
 
     check()

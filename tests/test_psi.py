@@ -16,7 +16,7 @@ from ellog.divisor import (Divisor, INERT, PLACE_AT_INFINITY, Place, RAMIFIED, S
 from ellog.harvest import DegeneratePair, pair_divisors, reconstruct_pair
 from ellog.psi import (PsiValue, psi_elementary, psi_eval, translation_constant,
                        verify_relation)
-from oracles import psi_per_place
+from oracles import eval_function_at, psi_per_place
 
 
 def rand_divisor(curve, rng, deg_cap=3):
@@ -60,7 +60,7 @@ def test_psi_matches_direct_evaluation_for_functions(basis59):
     for _ in range(40):
         f = rand_function(curve, td.xs[1], rng)
         D = divisor_of(f, curve)
-        want = PsiValue(ext, f.eval_at(ext, basis59.theta, basis59.tau))
+        want = PsiValue(ext, eval_function_at(f, ext, basis59.theta, basis59.tau))
         assert psi_eval(D, basis59) == want
 
 
@@ -73,16 +73,30 @@ def basis25():
     return basis
 
 
-def test_psi_multiplicative(basis59, basis25):
-    """psi(D1 + D2) = psi(D1) psi(D2) on random degree-0 divisors, over a
-    prime base and over F_{5^2}."""
-    for basis in (basis59, basis25):
-        rng = random.Random(31)
-        for _ in range(100):
-            D1 = rand_divisor(basis.curve, rng)
-            D2 = rand_divisor(basis.curve, rng)
-            lhs = psi_eval(D1 + D2, basis)
+def test_psi_multiplicative(basis59, basis25, basis11):
+    """psi(D1 + D2) = psi(D1) psi(D2) for degree-0 divisors drawn as sums
+    of n((P) - deg(P)(O)), n in -2..2, over places of degree <= 3 (<= 2
+    over F_{5^2}): over F_5, F_{5^2} and, fewer, over F_11.  The sum is
+    evaluated on empty memos, so it shares no term with the factors."""
+    for basis, examples in ((basis59, 80), (basis25, 40), (basis11, 20)):
+        curve = basis.curve
+        top = 3 if curve.field.m == 1 else 2
+        pool = [p for d in range(1, top + 1)
+                for u in poly_irreducibles(curve.field, d)
+                for p in places_over(curve, u) if p.degree <= top]
+        terms = st.lists(st.tuples(st.sampled_from(pool), st.integers(-2, 2)),
+                         min_size=1, max_size=4)
+
+        @settings(derandomize=True, max_examples=examples, deadline=None)
+        @given(t1=terms, t2=terms)
+        def check(t1, t2):
+            D1, D2 = (sum((elementary_divisor(p).scale(n) for p, n in ts),
+                          Divisor()) for ts in (t1, t2))
+            fresh = replace(basis, place_terms={}, point_classes={})
+            lhs = psi_eval(D1 + D2, fresh)
             assert lhs == psi_eval(D1, basis).mul(psi_eval(D2, basis))
+
+        check()
 
 
 @pytest.mark.parametrize("name", ["basis59", "basis25"])
