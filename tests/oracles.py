@@ -921,11 +921,13 @@ def phi_of_F(basis):
 
 
 def semaev3_tri(curve, x_list):
-    """S_3 as a TriPoly, each slot a variable name or a constant code."""
+    """S_3 with each slot a variable name or a constant code."""
     from ellog.curve import TriPoly
     K = curve.field
-    x1, x2, x3 = (TriPoly.var(K, s) if isinstance(s, str) else TriPoly.const(K, s)
-                  for s in x_list)
+    vals = []
+    for s in x_list:
+        vals.append(TriPoly.var(K, s) if isinstance(s, str) else TriPoly.const(K, s))
+    x1, x2, x3 = vals
     s1 = x1 + x2 + x3
     s2 = x1 * x2 + x1 * x3 + x2 * x3
     s3 = x1 * x2 * x3
@@ -946,12 +948,20 @@ def model_equations(td):
     e3 = semaev3_tri(curve, ("U", "W", td.xs[2]))
     # e1 - e1[U->W] is divisible by U - W; divide monomial-wise using
     # U^a - W^a = (U - W) * sum U^i W^(a-1-i)
-    diff_terms = []
+    diff_terms: dict[tuple, int] = {}
     for (i, j, l), c in e1.terms.items():
         if l:
             raise AssertionError("unexpected W in S_3(U,V,x1)")
-        diff_terms += [((t, j, i - 1 - t), c) for t in range(i)]
-    return e1, TriPoly(K, diff_terms), e3
+        for t in range(i):
+            mono = (t, j, i - 1 - t)
+            cur = diff_terms.get(mono, 0)
+            c2 = K.add(cur, c)
+            if c2:
+                diff_terms[mono] = c2
+            else:
+                diff_terms.pop(mono, None)
+    e2 = TriPoly(K, diff_terms)
+    return e1, e2, e3
 
 
 def eval_function_at(fun, dom, x, y):

@@ -4,7 +4,7 @@ from dataclasses import replace
 from math import gcd, lcm
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ellog.algebra import (ExtFieldDesc, Poly, field_make, poly_irreducibles,
                            poly_random_monic, poly_is_irreducible)
@@ -73,30 +73,53 @@ def basis25():
     return basis
 
 
-def test_psi_multiplicative(basis59, basis25, basis11):
-    """psi(D1 + D2) = psi(D1) psi(D2) for degree-0 divisors drawn as sums
-    of n((P) - deg(P)(O)), n in -2..2, over places of degree <= 3 (<= 2
-    over F_{5^2}): over F_5, F_{5^2} and, fewer, over F_11.  The sum is
-    evaluated on empty memos, so it shares no term with the factors."""
-    for basis, examples in ((basis59, 80), (basis25, 40), (basis11, 20)):
-        curve = basis.curve
-        top = 3 if curve.field.m == 1 else 2
-        pool = [p for d in range(1, top + 1)
-                for u in poly_irreducibles(curve.field, d)
-                for p in places_over(curve, u) if p.degree <= top]
-        terms = st.lists(st.tuples(st.sampled_from(pool), st.integers(-2, 2)),
-                         min_size=1, max_size=4)
-
-        @settings(derandomize=True, max_examples=examples, deadline=None)
-        @given(t1=terms, t2=terms)
-        def check(t1, t2):
-            D1, D2 = (sum((elementary_divisor(p).scale(n) for p, n in ts),
-                          Divisor()) for ts in (t1, t2))
-            fresh = replace(basis, place_terms={}, point_classes={})
-            lhs = psi_eval(D1 + D2, fresh)
+def test_psi_multiplicative(basis59, basis25):
+    """psi(D1 + D2) = psi(D1) psi(D2) on random degree-0 divisors, over a
+    prime base and over F_{5^2}."""
+    for basis in (basis59, basis25):
+        rng = random.Random(31)
+        for _ in range(100):
+            D1 = rand_divisor(basis.curve, rng)
+            D2 = rand_divisor(basis.curve, rng)
+            lhs = psi_eval(D1 + D2, basis)
             assert lhs == psi_eval(D1, basis).mul(psi_eval(D2, basis))
 
-        check()
+
+@st.composite
+def elementary_terms(draw, curve, deg_cap=3):
+    """n((P) - deg(P)(O)) for a place P of degree <= deg_cap above a random
+    monic irreducible of degree <= deg_cap, with n in +-1..2."""
+    K = curve.field
+    d = draw(st.integers(1, deg_cap))
+    coeffs = draw(st.lists(st.integers(0, K.q - 1), min_size=d, max_size=d))
+    u = Poly(K, tuple(coeffs) + (1,))
+    assume(poly_is_irreducible(u))
+    pls = [p for p in places_over(curve, u) if p.degree <= deg_cap]
+    assume(pls)
+    p = draw(st.sampled_from(pls))
+    n = draw(st.sampled_from((-2, -1, 1, 2)))
+    return elementary_divisor(p).scale(n)
+
+
+@pytest.mark.parametrize("name,examples", [("basis59", 100), ("basis25", 100),
+                                           ("basis11", 20)])
+def test_psi_multiplicative_property(request, name, examples):
+    """psi(D1 + D2) = psi(D1) psi(D2) for degree-0 divisors drawn as sums
+    of one to four elementary divisors over places of degree <= 3, over
+    F_5, F_{5^2} and F_11.  The sum is evaluated on empty memos, so it
+    shares no memoized term with the factors."""
+    basis = request.getfixturevalue(name)
+    divisors = st.lists(elementary_terms(basis.curve), min_size=1, max_size=4).map(
+        lambda ts: sum(ts, Divisor()))
+
+    @settings(derandomize=True, max_examples=examples, deadline=None)
+    @given(D1=divisors, D2=divisors)
+    def check(D1, D2):
+        fresh = replace(basis, place_terms={}, point_classes={})
+        lhs = psi_eval(D1 + D2, fresh)
+        assert lhs == psi_eval(D1, basis).mul(psi_eval(D2, basis))
+
+    check()
 
 
 @pytest.mark.parametrize("name", ["basis59", "basis25"])
