@@ -20,6 +20,7 @@ live here too.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from struct import Struct, calcsize
 
@@ -930,9 +931,14 @@ class ExtFieldDesc:
     precomputed little-endian `struct.Struct` of k slots (k - 1 for the
     high half), so the layout is the same on every host.  Over an F_{p^m}
     base (m > 1) `mul` keeps the schoolbook loop on the base field's tables.
+
+    `frobenius` is the F_q-linear map a -> a^q = sum a_i X^(iq) mod I.
+    Over F_p its rows X^(iq) mod I are packed once, on first use, in slots
+    of the smallest of 8, 16, 32 and 64 bits above k(p-1)^2, which bounds
+    a slot of the sum; over F_{p^m} it runs on the base field's tables.
     """
 
-    __slots__ = ("base", "I", "k", "order_total", "_frob_pows", "_kron")
+    __slots__ = ("base", "I", "k", "order_total", "_frob", "_kron")
 
     def __init__(self, base: FieldDesc, I: Poly):
         if not I.is_monic():
@@ -941,7 +947,7 @@ class ExtFieldDesc:
         self.I = I
         self.k = I.degree()
         self.order_total = base.q ** self.k
-        self._frob_pows = None
+        self._frob = None
         self._kron = None
         if base.m == 1:
             p, k = base.p, self.k
@@ -1070,24 +1076,40 @@ class ExtFieldDesc:
         return not any(a[1:])
 
     def frobenius(self, a, times: int = 1):
-        """a^(q^times) via the cached q-power basis images."""
+        """a^(q^times), by the packed linear map of the class notes."""
         times %= self.k
         if times == 0:
             return tuple(a)
-        if self._frob_pows is None:
-            x_q = Poly(self.base, (0, 1)).powmod(self.base.q, self.I)
-            pows = [self.one, self.from_poly(x_q)]
-            for _ in range(2, self.k):
-                pows.append(self.mul(pows[-1], pows[1]))
-            self._frob_pows = pows
-        cur = a
+        if self._frob is None:
+            self._frob = self._frobenius_rows()
+        if self.base.m == 1:
+            p, slots, rows = self._frob
+            for _ in range(times):
+                acc = sum(map(operator.mul, a, rows))
+                a = tuple([x % p for x in slots.unpack(acc.to_bytes(slots.size, "little"))])
+            return a
+        K, rows = self.base, self._frob
         for _ in range(times):
             acc = self.zero
-            for i, c in enumerate(cur):
+            for c, row in zip(a, rows):
                 if c:
-                    acc = self.add(acc, tuple(self.base.mul(c, y) for y in self._frob_pows[i]))
-            cur = acc
-        return cur
+                    acc = self.add(acc, tuple([K.mul(c, y) for y in row]))
+            a = acc
+        return a
+
+    def _frobenius_rows(self):
+        """The rows X^(iq) mod I of `frobenius`: over F_p as (p, slots,
+        packed rows), else as elements."""
+        x_q = self.from_poly(Poly(self.base, (0, 1)).powmod(self.base.q, self.I))
+        rows = [self.one]
+        for _ in range(1, self.k):
+            rows.append(self.mul(rows[-1], x_q))
+        if self.base.m > 1:
+            return rows
+        p, k = self.base.p, self.k
+        code = next(c for c in "BHIQ" if k * (p - 1) ** 2 < 1 << 8 * calcsize("<" + c))
+        slots = Struct("<%d%s" % (k, code))
+        return p, slots, [_pack(slots, row) for row in rows]
 
     def sqrt(self, a):
         return _tonelli_shanks(self, a, self.order_total)

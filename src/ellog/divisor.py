@@ -260,9 +260,14 @@ def negation(D: Divisor, K: FieldDesc) -> Divisor:
     and V in A and B; the constant -1 does not change a divisor, so the
     bracket divisor of the swapped plane is the negation of this one.
     """
+    return Divisor({conjugate(p, K) if p.kind == SPLIT else p: n
+                    for p, n in D.coeffs.items()})
+
+
+def conjugate(place: Place, K: FieldDesc) -> Place:
+    """The split place (u, -v) of the points -Q for Q on the split place (u, v)."""
     neg = K.neg
-    return Divisor({Place(SPLIT, p.u, tuple([neg(c) for c in p.v]))
-                    if p.kind == SPLIT else p: n for p, n in D.coeffs.items()})
+    return Place(SPLIT, place.u, tuple([neg(c) for c in place.v]))
 
 
 # ---------------------------------------------------------------------------
@@ -287,9 +292,10 @@ def divisor_of(fun: CurveFunction, curve: Curve) -> Divisor:
     once the rest is constant.  The rest has no root in F_q: of degree 2 or
     3 it is irreducible, and only from degree 4 on does it go to
     `poly_factor`.  The scan costs about (q/2) deg N Horner steps, the same
-    order as the q + 1 lines whose divisors every sieve pair looks up.  The
-    content g goes to `poly_factor` whole, since its roots may lie under
-    inert places.
+    order as the q + 1 lines whose divisors every sieve pair looks up.  A
+    linear content g = X - r gives the places of `places_at(r)`; a longer
+    one goes to `poly_factor` whole, since its roots may lie under inert
+    places.
     """
     if fun.is_zero():
         raise ZeroFunction("divisor of the zero function")
@@ -308,7 +314,7 @@ def divisor_of(fun: CurveFunction, curve: Curve) -> Divisor:
 
     # content: valuation mult at split/inert places, doubled at ramified ones
     if g.degree() > 0:
-        for u, mult in poly_factor(g):
+        for u, mult in [(g, 1)] if g.degree() == 1 else poly_factor(g):
             places = (places_at(curve, K.neg(u.coeffs[0])) if u.degree() == 1
                       else places_over(curve, u))
             for place in places:

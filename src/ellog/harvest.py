@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import multiprocessing
 from dataclasses import dataclass, field as dc_field
+from functools import cache
 from itertools import combinations, product
 from math import gcd
 
@@ -378,21 +379,38 @@ def _class_key(labels, coords, K) -> tuple:
     return tuple([(l, c) for l, c in zip(labels, coords) if c])
 
 
-def _swapped_plane(key: tuple, K) -> tuple:
-    """The `_class_key` of a plane's image under the swap of U and V.
+@cache
+def _plane_labels(monos: tuple) -> tuple:
+    """How `pair_divisors` labels a plane over the sorted monomials `monos`.
 
-    The swap takes U^a V^b to U^b V^a, so the coordinate of the label
-    (m, n) moves to the label of the swapped monomials, with its sign
-    flipped where they come out of order.  Any monomials in U and V work,
-    the descent's among them.
+    Returns (ij, labels, swapped, moves): the index pairs i < j of the
+    Plucker coordinates, their labels (monos[i], monos[j]), and for the
+    swap of U and V the image labels in sorted order and, for each, the
+    index of the coordinate it takes and whether that is negated.  The swap
+    takes U^a V^b to U^b V^a, so the label (m, n) moves to the label of
+    the swapped monomials, with its coordinate's sign flipped where they
+    come out of order.  Any monomials in U and V work, the descent's
+    among them.  Cached for the process's life: a tuple is a subset of
+    the sieve span {1, U, V, UV} or of the descent's eight monomials, so
+    there are at most 2^8 entries.
     """
-    neg = K.neg
+    ij = tuple(combinations(range(len(monos)), 2))
+    labels = tuple([(monos[i], monos[j]) for i, j in ij])
     moved = []
-    for ((a, b, _), (c, d, _)), p in key:
+    for idx, ((a, b, _), (c, d, _)) in enumerate(labels):
         m, n = (b, a, 0), (d, c, 0)
-        moved.append(((m, n), p) if m < n else ((n, m), neg(p)))
+        moved.append(((m, n), idx, False) if m < n else ((n, m), idx, True))
     moved.sort()
-    return _class_key([l for l, _ in moved], [p for _, p in moved], K)
+    return (ij, labels, tuple([l for l, _, _ in moved]),
+            tuple([(i, f) for _, i, f in moved]))
+
+
+def _swapped_plane(monos: tuple, plucker, K) -> tuple:
+    """The `_class_key` of the image under the swap of U and V of the
+    plane with Plucker vector `plucker` over `monos` (`_plane_labels`)."""
+    _, _, labels, moves = _plane_labels(monos)
+    neg = K.neg
+    return _class_key(labels, [neg(plucker[i]) if f else plucker[i] for i, f in moves], K)
 
 
 _UNSEEN = object()
@@ -449,12 +467,12 @@ def pair_divisors(basis, A: TriPoly, B: TriPoly) -> PairResult:
     if A == B:
         raise DegeneratePair("A = B")
     K = basis.curve.field
-    monos = sorted(A.terms.keys() | B.terms.keys())
+    monos = tuple(sorted(A.terms.keys() | B.terms.keys()))
     if any(m[2] for m in monos):
         raise ValueError("a sieve pair lies in U and V only")
     a = [A.terms.get(m, 0) for m in monos]
     b = [B.terms.get(m, 0) for m in monos]
-    ij = list(combinations(range(len(monos)), 2))
+    ij, labels, _, _ = _plane_labels(monos)
     if K.m == 1:
         p = K.p
         lines = [[(x - t * y) % p for x, y in zip(a, b)] for t in range(p)]
@@ -466,10 +484,10 @@ def pair_divisors(basis, A: TriPoly, B: TriPoly) -> PairResult:
     lefts = [pullback_divisor(basis, _class_key(monos, c, K), "left factor")
              for c in lines]
     lefts.append(pullback_divisor(basis, _class_key(monos, b, K), "B"))
-    plane = _class_key([(monos[i], monos[j]) for i, j in ij], plucker, K)
+    plane = _class_key(labels, plucker, K)
     memo = basis.pullback_divisors
     if plane not in memo:
-        image = memo.get(_swapped_plane(plane, K), _UNSEEN)
+        image = memo.get(_swapped_plane(monos, plucker, K), _UNSEEN)
         if image is not _UNSEEN:
             memo[plane] = image if image is None else negation(image, K)
     return PairResult(lefts, pullback_divisor(basis, plane, "bracket",

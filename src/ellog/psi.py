@@ -13,22 +13,33 @@ group.  psi is a homomorphism, so `_psi_class` returns psi(D) for
 D = sum n_i ((P_i) - d_i (O)) as the product of the classes of its terms,
 built from two memos on the basis:
 
-* `_point_class(R)` is pi(R) = psi((R) - (O)) for R in E(F_q): one Miller
-  loop gives f_{N,R} with divisor N(R) - N(O), and pi(R) = f_{N,R}(F)^(1/N).
-  The vertical at R then gives pi(-R) = (theta - x_R) / pi(R).  At most
-  N - 1 classes are kept, in `EllipticBasis.point_classes`, and these
-  roots, at most one per pair {R, -R}, are the only ones psi takes;
-* `_term(P, n)` is psi(n((P) - d(O))): Cantor-style Mumford reduction gives
+* `_point_class(R)` is pi(R) = psi((R) - (O)) for R in E(F_q).  The q-power
+  map moves F by P1 (`basis.build_basis` orients tau so), so for f over
+  F_q, f(F)^q = f(F + P1): the function f_{N,R} o tau_{P1} has divisor
+  N(R - P1) - N(-P1), whence pi(R) = pi(R + P1)^q pi(-P1).  A class is
+  walked down from the first known class along R, R + P1, ..., where
+  pi(O) = 1, one Frobenius and one product a step.  Only pi(-P1) and the
+  first point of any other coset of <P1> take a Miller loop, f_{N,R} with
+  divisor N(R) - N(O), and an N-th root: with N = k, as at (5, 9) and
+  (11, 13), that is one loop and one inversion per basis.  The classes,
+  at most N - 1, are kept in `EllipticBasis.point_classes`;
+* `_term(P, n)` is psi(n((P) - d(O))): the term (P, -n) with its sides
+  swapped, or the term (P, 1) to the power |n|, so a place is reduced
+  once.  (P, 1) is g(F) pi(T), where Cantor-style Mumford reduction gives
   (P) - d(O) = (T) - (O) + div(g), with the chord and vertical functions
-  evaluated at F on the fly (an inert place is the divisor of u(x)
-  outright, so T = O), and the term's class is (g(F) pi(T))^n, kept as a
-  numerator and a denominator in `EllipticBasis.place_terms` under (P, n).
+  evaluated at F on the fly.  An inert place is the divisor of u(x)
+  outright, and a split place of degree >= 2 whose conjugate (u, -v) has
+  its term takes u(theta) over it, since div(u) = (P) + (-P) - 2d(O).
+  Terms are kept as a numerator and a denominator in
+  `EllipticBasis.place_terms` under (P, n).
   Since theta = X mod I, a polynomial over F_q is read at theta as its
   residue mod I (`ExtFieldDesc.from_poly`), with no product.
 
 So a check on warm memos is products in F_{q^k} and nothing else.  The
 value cannot differ from the definition: psi(div g) = g(F), psi((R) - (O))
-is the root of f_{N,R}(F) because N R = O, and psi is multiplicative.
+is the root of f_{N,R}(F) because N R = O, the Frobenius step holds up to
+F_q^* because f_{N,R} o tau_{P1} and f_{N,R-P1}/f_{N,-P1} are functions
+over F_q with one divisor, and psi is multiplicative.
 If a function meets F, D is slid by the principal divisor of a vertical,
 whose class, the line itself, is divided back out.
 
@@ -47,8 +58,8 @@ basis psi sees has the N-th root.
 from __future__ import annotations
 
 from .algebra import ExtFieldDesc, _divmod, _monic, _mul as _pmul, _poly, _rem, _sub
-from .curve import Curve, Point, point_neg
-from .divisor import (Divisor, INERT, INFINITY, Place, RAMIFIED,
+from .curve import Curve, Point, point_add, point_neg
+from .divisor import (Divisor, INERT, INFINITY, Place, RAMIFIED, SPLIT, conjugate,
                       elementary_divisor, place_of_point, places_at)
 
 
@@ -209,41 +220,92 @@ def _miller(curve: Curve, T: Point, n: int, ext, theta, tau):
     return num, den, R
 
 
-def _point_class(R: Point, basis):
-    """pi(R) = psi((R) - (O)) up to F_q^*, for R in E(F_q), as one element.
+def _miller_class(R: Point, basis):
+    """pi(R) from scratch: one Miller loop for N and one N-th root."""
+    ext, N = basis.ext, basis.curve.N
+    fn, fd, S = _miller(basis.curve, R, N, ext, basis.theta, basis.tau)
+    if not S.inf:
+        raise AssertionError("Miller loop did not close at O")
+    f = ext.div(fn, fd) if fd is not None else fn
+    return ext.pow_(f, pow(N, -1, basis.M))
 
-    One Miller loop for N and one N-th root give pi(R); since
-    div(x - x_R) = (R) + (-R) - 2(O), pi(-R) = (theta - x_R) / pi(R) follows
-    with one inversion.  Both are memoised on the basis.
+
+def _point_class(R: Point, basis):
+    """pi(R) = psi((R) - (O)) up to F_q^*, for affine R in E(F_q), as one
+    element.
+
+    Walks R, R + P1, ... up to the first point whose class is memoised,
+    or O, where pi(O) = 1, and comes back down by pi(S) = pi(S + P1)^q
+    pi(-P1), one Frobenius and one product a step.  pi(-P1) and the first
+    point of a coset of <P1> with no memoised class take `_miller_class`.
+    Every class of the walk is memoised on the basis, all of them or,
+    should a function meet F, none.
     """
     memo = basis.point_classes
-    key = (R.x, R.y)
-    cls = memo.get(key)
-    if cls is None:
-        ext, N = basis.ext, basis.curve.N
-        fn, fd, S = _miller(basis.curve, R, N, ext, basis.theta, basis.tau)
-        if not S.inf:
-            raise AssertionError("Miller loop did not close at O")
-        f = ext.div(fn, fd) if fd is not None else fn
-        cls = memo[key] = ext.pow_(f, pow(N, -1, basis.M))
-        if R.y:
-            vert = _vertical(ext, basis.theta, R.x)
-            memo[(R.x, basis.curve.field.neg(R.y))] = ext.div(vert, cls)
+    cls = memo.get((R.x, R.y))
+    if cls is not None:
+        return cls
+    P1 = basis.td.P1
+    chain, S = [R], point_add(R, P1)
+    while not S.inf:
+        cls = memo.get((S.x, S.y))
+        if cls is not None:
+            break
+        if S.x == R.x and S.y == R.y:
+            cls = memo[(R.x, R.y)] = _miller_class(R, basis)
+            return cls
+        chain.append(S)
+        S = point_add(S, P1)
+    ext = basis.ext
+    neg_p1 = (P1.x, basis.curve.field.neg(P1.y))
+    c = memo.get(neg_p1)
+    new = {}
+    if c is None:
+        c = new[neg_p1] = _miller_class(point_neg(P1), basis)
+    for T in reversed(chain):
+        cls = new[(T.x, T.y)] = c if cls is None else ext.mul(ext.frobenius(cls), c)
+    memo.update(new)
     return cls
 
 
 def _term(curve: Curve, place: Place, n: int, basis):
-    """(num, den) with num/den = psi(n((P) - deg(P)(O))) up to F_q^*."""
+    """(num, den) with num/den = psi(n((P) - deg(P)(O))) up to F_q^*.
+
+    (P, -n) in the memo gives it with its sides swapped; otherwise it is
+    the term (P, 1), memoised at first use, to the power |n|.
+    """
+    terms = basis.place_terms
+    flip = terms.get((place, -n))
+    if flip is not None:
+        return flip[1], flip[0]
+    one = terms.get((place, 1))
+    if one is None:
+        one = terms[(place, 1)] = _place_class(curve, place, basis)
+    ext, m = basis.ext, abs(n)
+    num, den = _pow(ext, one[0], m), _pow(ext, one[1], m)
+    return (num, den) if n > 0 else (den, num)
+
+
+def _place_class(curve: Curve, place: Place, basis):
+    """(num, den) with num/den = psi((P) - deg(P)(O)) up to F_q^*.
+
+    An inert place is the divisor of u(x) outright.  A split place of
+    degree >= 2 whose conjugate (u, -v) has its term takes u(theta) over
+    that term, since div u = (P) + (-P) - 2 deg(P)(O).  Any other place is
+    one Mumford reduction and the class of the point it reaches.
+    """
     ext = basis.ext
     if place.kind == INERT:
-        num, den = _checked(ext.from_poly(_poly(curve.field, place.u)), ext), None
-    else:
-        T, num, den = _mumford_reduce(curve, place.u, place.v, ext, basis.tau)
-        if T is not None:
-            num = _mul(ext, num, _point_class(T, basis))
-    m = abs(n)
-    num, den = _pow(ext, num, m), _pow(ext, den, m)
-    return (num, den) if n > 0 else (den, num)
+        return _checked(ext.from_poly(_poly(curve.field, place.u)), ext), None
+    if place.kind == SPLIT and place.degree > 1:
+        conj = basis.place_terms.get((conjugate(place, curve.field), 1))
+        if conj is not None:
+            u = _checked(ext.from_poly(_poly(curve.field, place.u)), ext)
+            return _mul(ext, u, conj[1]), conj[0]
+    T, num, den = _mumford_reduce(curve, place.u, place.v, ext, basis.tau)
+    if T is not None:
+        num = _mul(ext, num, _point_class(T, basis))
+    return num, den
 
 
 def _psi_class(coeffs: dict, basis, _depth: int = 0):

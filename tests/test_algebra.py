@@ -108,13 +108,16 @@ def test_frobenius_fixes_base_and_cycles(basis59):
         assert ext.eq(ext.frobenius(ext.frobenius(x, 1), k - 1), x)
 
 
-def test_frobenius_two_methods_agree(basis59):
-    ext = basis59.ext
-    rng = random.Random(10)
-    for times in (1, 2, 5):
-        for _ in range(10):
-            x = ext.rand(rng)
-            assert ext.eq(ext.frobenius(x, times), frobenius_pow(ext, x, times))
+def test_frobenius_two_methods_agree(request):
+    """The packed rows over F_5 (slots of 8 bits) and F_11 (16 bits), and
+    the loop over F_{5^2}, against plain exponentiation."""
+    for name in ("basis59", "basis11", "basis25"):
+        ext = request.getfixturevalue(name).ext
+        rng = random.Random(10)
+        top = (ext.base.q - 1,) * ext.k
+        for times in (1, 2, 5, ext.k - 1):
+            for x in [ext.rand(rng) for _ in range(10)] + [top]:
+                assert ext.eq(ext.frobenius(x, times), frobenius_pow(ext, x, times))
 
 
 def test_ext_make_degree_one_copies_base():

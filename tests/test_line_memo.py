@@ -301,6 +301,12 @@ def _plane_key(A, B):
     return _class_key([l for l, _ in coords], [c for _, c in coords], A.field)
 
 
+def _swapped_key(A, B):
+    """`_swapped_plane` of the plane of A and B, as `pair_divisors` asks it."""
+    monos = tuple(sorted(A.terms.keys() | B.terms.keys()))
+    return _swapped_plane(monos, [c for _, c in _plucker(A, B)], A.field)
+
+
 def _swap_cases(basis, rng, n_m1, n_monos):
     """Seeded m1 pencils, then pairs over the descent's monomials `_MONOS`
     with both heads 1, as the descent draws them."""
@@ -357,8 +363,8 @@ def test_swapped_pair_matches_fresh(request, name):
     for A, B in _swap_cases(basis, rng, *sizes):
         A2, B2 = _swap(A), _swap(B)
         key, key2 = _plane_key(A, B), _plane_key(A2, B2)
-        assert _swapped_plane(key, K) == key2
-        assert _swapped_plane(key2, K) == key
+        assert _swapped_key(A, B) == key2
+        assert _swapped_key(A2, B2) == key
         first = _bracket_outcome(pair_divisors, basis, A, B)
         derived += key in memo and key2 not in memo
         got = _bracket_outcome(pair_divisors, basis, A2, B2)
@@ -416,7 +422,7 @@ def test_sigma_fixed_plane_is_its_own_negation(request, name):
         A, B = reconstruct_pair(basis, "special_group", params)
         assert (_swap(A), _swap(B)) == (A, B)
         key = _plane_key(A, B)
-        assert _swapped_plane(key, K) == key
+        assert _swapped_key(A, B) == key
         try:
             R = pair_divisors(basis, A, B).right_divisor
         except DegeneratePair:

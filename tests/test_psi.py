@@ -8,8 +8,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from ellog.algebra import (ExtFieldDesc, Poly, field_make, poly_irreducibles,
                            poly_random_monic, poly_is_irreducible)
-from ellog.basis import build_basis, find_basis
-from ellog.curve import Curve, Point, curve_points, point_neg
+from ellog.basis import build_basis
+from ellog.curve import Curve, Point, curve_points, point_add, point_neg
 from ellog.divisor import (Divisor, INERT, PLACE_AT_INFINITY, Place, RAMIFIED, SPLIT,
                            decompose, divisor_of, elementary_divisor,
                            place_of_point, places_over)
@@ -62,15 +62,6 @@ def test_psi_matches_direct_evaluation_for_functions(basis59):
         D = divisor_of(f, curve)
         want = PsiValue(ext, eval_function_at(f, ext, basis59.theta, basis59.tau))
         assert psi_eval(D, basis59) == want
-
-
-@pytest.fixture(scope="module")
-def basis25():
-    """A basis over F_{5^2}: its target field multiplies by the schoolbook
-    loop on the base field's tables, not by the packed product."""
-    basis = find_basis(5, 2, 5, seed=0)
-    assert basis.ext._kron is None
-    return basis
 
 
 def test_psi_multiplicative(basis59, basis25):
@@ -458,7 +449,9 @@ def test_place_terms_memo_is_order_free(basis59, places59):
     cold = replace(basis59, place_terms={}, point_classes={})
     want = [psi_eval(D, cold) for D in divisors]
     assert want == [psi_per_place(D, basis59) for D in divisors]
-    assert set(cold.place_terms) == {key for D in divisors for key in D.finite_places()}
+    # the terms asked for, and the term (P, 1) of every place they name
+    asked = {key for D in divisors for key in D.finite_places()}
+    assert set(cold.place_terms) == asked | {(p, 1) for p, _ in asked}
     warm = replace(basis59, place_terms={}, point_classes={})
     for D in reversed(divisors):
         psi_eval(D, warm)
@@ -507,8 +500,8 @@ def _core_relation(basis, params):
 def test_point_classes_match_oracle_on_every_point(request, name):
     """psi((R) - (O)) for every affine R in E(F_q), on a cold basis, is the
     oracle's class; the memo ends with one entry per point, never more,
-    and a Miller loop runs once per pair {R, -R} (basis75 has a rational
-    2-torsion point, where R = -R)."""
+    and a Miller loop runs once per coset of <P1> in E(F_q): once on
+    basis59 and basis11, where N = k, twice on basis75, where N = 2k."""
     import ellog.psi as psi
     basis = request.getfixturevalue(name)
     cold = replace(basis, place_terms={}, point_classes={})
@@ -528,20 +521,91 @@ def test_point_classes_match_oracle_on_every_point(request, name):
             assert psi_elementary(place, cold) == psi_per_place(elementary_divisor(place), basis)
             assert len(cold.point_classes) <= basis.curve.N - 1
     assert set(cold.point_classes) == {(R.x, R.y) for R in points}
-    assert len(loops) == len({R.x for R in points})
+    assert len(loops) == basis.nu == {"basis59": 1, "basis75": 2, "basis11": 1}[name]
 
 
 def test_term_power_is_power_of_term(basis59, places59):
-    """The memoised term (P, n) for n in +-1..+-3 is psi((P) - deg P (O))
-    to the power n, as the oracle has it."""
-    cold = replace(basis59, place_terms={}, point_classes={})
+    """The memoised term (P, n) for n in +-1..+-3, asked for in a shuffled
+    order, is psi((P) - deg P (O)) to the power n, as the oracle has it;
+    the memo then holds exactly those terms and (P, 1)."""
+    rng = random.Random(111)
     for kind in sorted(places59):
         for place in places59[kind][:3]:
             base = psi_per_place(elementary_divisor(place), basis59)
-            for n in (1, -1, 2, -2, 3, -3):
+            ns = rng.sample([1, -1, 2, -2, 3, -3], 6)
+            cold = replace(basis59, place_terms={}, point_classes={})
+            for n in ns:
                 D = elementary_divisor(place).scale(n)
                 assert psi_eval(D, cold) == base.pow(n) == psi_per_place(D, basis59)
-                assert (place, n) in cold.place_terms
+            assert set(cold.place_terms) == {(place, n) for n in ns}
+
+
+@pytest.mark.parametrize("name", ["basis59", "basis75", "basis11"])
+def test_point_class_chain_by_frobenius(request, name):
+    """pi(R) = pi(R + P1)^q pi(-P1) for every affine R in E(F_q), with
+    pi(O) = 1, on the oracle's classes; and pi(R) and pi(-R) from cold
+    memos, walking from R first and from -R first, are the oracle's."""
+    basis = request.getfixturevalue(name)
+    curve, P1 = basis.curve, basis.td.P1
+    points = curve_points(curve)[1:]
+
+    def oracle(R):
+        if R.inf:
+            return PsiValue(basis.ext, basis.ext.one)
+        return psi_per_place(elementary_divisor(place_of_point(curve, R)), basis)
+
+    c = oracle(point_neg(P1))
+    want = {(R.x, R.y): oracle(R) for R in points}
+    for R in points:
+        assert want[(R.x, R.y)] == oracle(point_add(R, P1)).frob(1).mul(c)
+        for first, then in ((R, point_neg(R)), (point_neg(R), R)):
+            cold = replace(basis, place_terms={}, point_classes={})
+            for S in (first, then):
+                got = psi_elementary(place_of_point(curve, S), cold)
+                assert got == want[(S.x, S.y)]
+
+
+def _split_places(basis, degree, count, rng):
+    """`count` split places of the given degree above random monic
+    irreducibles."""
+    K = basis.curve.field
+    found = []
+    while len(found) < count:
+        u = poly_random_monic(K, degree, rng)
+        if poly_is_irreducible(u):
+            pls = places_over(basis.curve, u)
+            if pls[0].kind == SPLIT and pls[0] not in found:
+                found.append(pls[0])
+    return found
+
+
+@pytest.mark.parametrize("name", ["basis59", "basis25", "basis11"])
+def test_conjugate_places_share_one_reduction(request, name, monkeypatch):
+    """For split places P of degree 2 and 3 and their conjugates -P,
+    evaluated P then -P and -P then P on cold memos, both classes are the
+    oracle's, and the second comes from the first by u(theta) with no
+    Mumford reduction of its own."""
+    import ellog.psi as psi
+    basis = request.getfixturevalue(name)
+    rng = random.Random(name + " conjugates")
+    reductions = []
+    real = psi._mumford_reduce
+
+    def counted(*args):
+        reductions.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(psi, "_mumford_reduce", counted)
+    for degree in (2, 3):
+        for P in _split_places(basis, degree, 3, rng):
+            negP = _conjugate(basis.curve, P)
+            want = {Q: psi_per_place(elementary_divisor(Q), basis) for Q in (P, negP)}
+            for order in ((P, negP), (negP, P)):
+                cold = replace(basis, place_terms={}, point_classes={})
+                reductions.clear()
+                for Q in order:
+                    assert psi_elementary(Q, cold) == want[Q]
+                assert len(reductions) == 1
 
 
 def test_hit_in_a_point_class_slides_the_divisor(basis59, places59, monkeypatch):
@@ -558,6 +622,16 @@ def test_hit_in_a_point_class_slides_the_divisor(basis59, places59, monkeypatch)
         return real(*args)
 
     monkeypatch.setattr(psi, "_miller", flaky)
+    # the walk from P1 ends at -P1, whose class is the first Miller loop; a
+    # hit there stores no class of the walk
+    P1 = basis59.td.P1
+    fresh = replace(basis59, place_terms={}, point_classes={})
+    with pytest.raises(psi._Hit):
+        psi._point_class(P1, fresh)
+    assert failed == [point_neg(P1)] and fresh.point_classes == {}
+    want = psi_per_place(elementary_divisor(place_of_point(basis59.curve, P1)), basis59)
+    assert PsiValue(basis59.ext, psi._point_class(P1, fresh)) == want
+    assert len(fresh.point_classes) == basis59.k - 1
     # (P1) - (O) reduces to the point P1 itself, so every D needs a class
     p1 = elementary_divisor(place_of_point(basis59.curve, basis59.td.P1))
     for D in _small_pool_divisors(places59, random.Random(141), 5):
