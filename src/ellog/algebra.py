@@ -49,6 +49,10 @@ class Reducible(ValueError):
     pass
 
 
+class NonResidue(ValueError):
+    """A square root was asked of a non-square."""
+
+
 class ZeroPolynomial(ValueError):
     pass
 
@@ -318,8 +322,8 @@ class FieldDesc:
         return self.pow_(a, (self.q - 1) // 2) == 1
 
     def sqrt(self, a: int) -> int:
-        """A square root of a, or raise ValueError if a is a non-residue."""
-        return _tonelli_shanks(self, a, self.q)
+        """A square root of a, or raise NonResidue."""
+        return _sqrt(self, a, self.q)
 
     def __repr__(self):
         return f"GF({self.p}^{self.m})" if self.m > 1 else f"GF({self.p})"
@@ -1112,12 +1116,8 @@ class ExtFieldDesc:
         return p, slots, [_pack(slots, row) for row in rows]
 
     def sqrt(self, a):
-        return _tonelli_shanks(self, a, self.order_total)
-
-    def is_square(self, a) -> bool:
-        if not any(a):
-            return True
-        return self.eq(self.pow_(a, (self.order_total - 1) // 2), self.one)
+        """A square root of a, or raise NonResidue."""
+        return _sqrt(self, a, self.order_total)
 
     def enc(self, a) -> str:
         return ";".join(self.base.enc(c) for c in a)
@@ -1149,37 +1149,71 @@ def ext_make(base: FieldDesc, I: Poly) -> ExtFieldDesc:
     return ExtFieldDesc(base, I)
 
 
-def _tonelli_shanks(dom, a, order: int):
-    """Square root in a cyclic multiplicative group of the given odd-char field."""
-    eq = dom.eq
-    if eq(a, dom.zero):
+def _sqrt(dom, a, order: int):
+    """A square root of a in the field `dom` of odd order Q = `order`, or
+    raise NonResidue.
+
+    The rule is chosen by Q mod 8; the first two take one exponentiation:
+    - Q = 3 mod 4: r = a^((Q+1)/4).
+    - Q = 5 mod 8: Atkin's formula.  There 2 is a non-square, so for a
+      square a, i = (2a)^((Q-1)/4) has i^2 = -1; with b = (2a)^((Q-5)/8),
+      i = 2a b^2 and r = a b (i - 1) has r^2 = a^2 b^2 (-2i) = a.
+    - Q = 1 mod 8: Tonelli-Shanks, with a seeded non-residue search.
+    Each rule gives a root whenever a is a square, and a non-square has
+    none, so the check r^2 = a decides squareness: it is the Legendre
+    test, for the price of one product.
+    """
+    if dom.eq(a, dom.zero):
         return a
+    if order % 4 == 3:
+        r = dom.pow_(a, (order + 1) // 4)
+    elif order % 8 == 5:
+        a2 = dom.add(a, a)
+        b = dom.pow_(a2, (order - 5) // 8)
+        i = dom.mul(a2, dom.mul(b, b))
+        r = dom.mul(dom.mul(a, b), dom.sub(i, dom.one))
+    else:
+        r = _tonelli_shanks(dom, a, order)
+    if not dom.eq(dom.mul(r, r), a):
+        raise NonResidue("element is not a square")
+    return r
+
+
+def _tonelli_shanks(dom, a, order: int):
+    """For Q = `order` = 1 mod 8: a square root of a if a is a square, else
+    an element whose square is not a.
+
+    Q - 1 = 2^m s with s odd.  w = a^((s-1)/2) gives r = a^((s+1)/2) = w a
+    and t = a^s = w r, one exponentiation for both.  The non-residue z is
+    searched only once t is known to need it: for a non-square, the first
+    squarings of t show a^((Q-1)/2) = -1 and end the loop without it.
+    """
+    eq = dom.eq
     one = dom.one
     n1 = order - 1
-    legendre = dom.pow_(a, n1 // 2)
-    if not eq(legendre, one):
-        raise ValueError("element is not a square")
     s, m = n1, 0
     while s % 2 == 0:
         s //= 2
         m += 1
-    if m == 1:
-        return dom.pow_(a, (order + 1) // 4)
-    rng = random.Random(0xE11)
-    while True:
-        z = dom.rand(rng)
-        if eq(z, dom.zero):
-            continue
-        if not eq(dom.pow_(z, n1 // 2), one):
-            break
-    c = dom.pow_(z, s)
-    t = dom.pow_(a, s)
-    r = dom.pow_(a, (s + 1) // 2)
+    w = dom.pow_(a, (s - 1) // 2)
+    r = dom.mul(w, a)
+    t = dom.mul(w, r)
+    c = None
     while not eq(t, one):
         i, tt = 0, t
         while not eq(tt, one):
             tt = dom.mul(tt, tt)
             i += 1
+        if i == m:
+            # t has order 2^m: a^((Q-1)/2) = -1, a non-square
+            break
+        if c is None:
+            rng = random.Random(0xE11)
+            while True:
+                z = dom.rand(rng)
+                if not eq(z, dom.zero) and not eq(dom.pow_(z, n1 // 2), one):
+                    break
+            c = dom.pow_(z, s)
         b = c
         for _ in range(m - i - 1):
             b = dom.mul(b, b)

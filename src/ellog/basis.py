@@ -21,10 +21,11 @@ import math
 import random
 from dataclasses import dataclass, field as dc_field
 
-from .algebra import (ConfigError, ExtFieldDesc, FieldDesc, Poly, field_make,
-                      poly_factor)
+from .algebra import (ConfigError, ExtFieldDesc, FieldDesc, NonResidue, Poly,
+                      _distinct_degree, _equal_degree, _poly, _squarefree_parts,
+                      field_make)
 from .curve import (Curve, Point, Singular, TorsionData, find_point_of_order,
-                    point_add)
+                    point_add, point_neg)
 
 
 class SearchExhausted(RuntimeError):
@@ -175,8 +176,8 @@ def _order_k_point_nonzero_x(curve: Curve, k: int) -> Point | None:
     return None
 
 
-def theta_min_poly_candidates(curve: Curve, td: TorsionData) -> list[Poly]:
-    """Degree-k irreducible factors of S_3(X, X^q, x1), smallest first."""
+def theta_equation(curve: Curve, td: TorsionData) -> Poly:
+    """S_3(X, X^q, x1), of degree 2q + 2: theta is a root of it."""
     K = curve.field
     q = K.q
     x1 = td.xs[1]
@@ -190,8 +191,23 @@ def theta_min_poly_candidates(curve: Curve, td: TorsionData) -> list[Poly]:
     S = (s1 * (s3 + b_p)).scale(4 % K.p) - (s2 - a_p) * (s2 - a_p)
     if S.degree() != 2 * q + 2:
         raise AssertionError("summation polynomial substitution has wrong degree")
-    factors = [g for g, _ in poly_factor(S) if g.degree() == td.k]
-    return sorted(factors, key=lambda g: g.coeffs)
+    return S
+
+
+def theta_min_poly_candidates(curve: Curve, td: TorsionData) -> list[Poly]:
+    """Degree-k irreducible factors of S_3(X, X^q, x1), smallest first.
+
+    Only the degree-k part of the distinct-degree split is split further:
+    the other factors are never used."""
+    K = curve.field
+    S = theta_equation(curve, td)
+    rng = random.Random(0)
+    factors = []
+    for part, _ in _squarefree_parts(K, S.coeffs):
+        for prod, d in _distinct_degree(K, part):
+            if d == td.k:
+                factors += _equal_degree(K, prod, d, lambda: rng)
+    return sorted((_poly(K, g) for g in factors), key=lambda g: g.coeffs)
 
 
 def build_basis(curve: Curve, P1: Point, seed: int = 0,
@@ -200,8 +216,8 @@ def build_basis(curve: Curve, P1: Point, seed: int = 0,
 
     Refuses the curve at once when gcd(#E(F_q), M) > 1.  Otherwise tries
     the degree-k factors of S_3(X, X^q, x1) in coefficient order; for each,
-    both square roots of the cubic at theta are tested against the
-    orientation constraint pi(F) = F + P1.
+    the square root tau of the cubic at theta is taken and its sign chosen
+    by the orientation constraint pi(F) = F + P1.
     """
     from .curve import point_order
     k = point_order(P1, curve.N)
@@ -226,18 +242,20 @@ def build_basis(curve: Curve, P1: Point, seed: int = 0,
         f_theta = curve.rhs_in(ext, theta)
         try:
             tau = ext.sqrt(f_theta)
-        except ValueError:
+        except NonResidue:
             last_err = NotSquare("cubic at theta is a non-square")
             continue
+        # pi(F) - F is P1 for the oriented root; for the other, pi(-F) - (-F)
+        # = -(pi(F) - F), so one chord decides between tau and -tau
+        F = Point(curve, ext, theta, tau)
+        D = point_add(Point(curve, ext, ext.frobenius(theta, 1), ext.frobenius(tau, 1)),
+                      point_neg(F))
         P1e = Point(curve, ext, ext.embed(P1.x), ext.embed(P1.y))
-        oriented = None
-        for cand in (tau, ext.neg(tau)):
-            Fpt = Point(curve, ext, theta, cand)
-            frob = Point(curve, ext, ext.frobenius(theta, 1), ext.frobenius(cand, 1))
-            if frob == point_add(Fpt, P1e):
-                oriented = cand
-                break
-        if oriented is None:
+        if D == P1e:
+            oriented = tau
+        elif D == point_neg(P1e):
+            oriented = ext.neg(tau)
+        else:
             last_err = OrientationFailed("neither root satisfies pi(F) = F + P1")
             continue
         return EllipticBasis(curve, td, ext, theta, oriented, M,

@@ -25,8 +25,8 @@ from __future__ import annotations
 
 from functools import total_ordering
 
-from .algebra import (ExtFieldDesc, FieldDesc, Poly, _ext_gcd, _horner, _mul, _poly,
-                      _rem, _sub, poly_factor)
+from .algebra import (ExtFieldDesc, FieldDesc, NonResidue, Poly, _ext_gcd, _horner, _mul,
+                      _poly, _rem, _sub, poly_factor)
 from .curve import Curve, CurveFunction, Point, TorsionData, ZeroFunction, point_add
 from .linalg import _rref
 
@@ -123,23 +123,17 @@ def split_ordinate(curve: Curve, u: Poly) -> Poly | None:
     """A square root of x^3 + a x + b in F_q[x]/(u), or None if inert.
 
     Over a degree-1 u the residue ring is F_q itself, so the root is taken
-    there; both paths run the same Tonelli-Shanks and give the same root.
+    there.  Both paths ask for the root once (`algebra._sqrt`), whose check
+    r^2 = f raises NonResidue exactly at an inert u, and give the same root.
     """
     K = curve.field
-    if u.degree() == 1:
-        fx = curve.rhs(K.neg(u.coeffs[0]))
-        if fx == 0:
-            return Poly(K, ())
-        if not K.is_square(fx):
-            return None
-        return Poly(K, (K.sqrt(fx),))
-    R = ExtFieldDesc(K, u)
-    fx = R.from_poly(curve.rhs_poly())
-    if not any(fx):
-        return Poly(K, ())
-    if not R.is_square(fx):
+    try:
+        if u.degree() == 1:
+            return Poly(K, (K.sqrt(curve.rhs(K.neg(u.coeffs[0]))),))
+        R = ExtFieldDesc(K, u)
+        return Poly(K, R.sqrt(R.from_poly(curve.rhs_poly())))
+    except NonResidue:
         return None
-    return Poly(K, R.sqrt(fx))
 
 
 def places_over(curve: Curve, u: Poly) -> list[Place]:

@@ -45,6 +45,10 @@ coefficients, with its own division loop on the field's `add`/`mul`, so
 it shares nothing with the coefficient-list kernel under `Poly` or with
 Cantor-Zassenhaus.
 
+`point_over_place` gives `ord_at_point` a point of a place without
+enumerating an extension field, so valuations can be checked at places of
+any degree over any base field.
+
 `frobenius_pow`, `phi_of_F`, `model_equations` (with `semaev3_tri`) and
 `eval_function_at` are checks of the model that no library path needs:
 the Frobenius by plain exponentiation, the model image of F, the three
@@ -58,7 +62,7 @@ import itertools
 import math
 import random
 
-from ellog.algebra import (ExtFieldDesc, FieldDesc, Poly, _tonelli_shanks, poly_ext_gcd,
+from ellog.algebra import (ExtFieldDesc, FieldDesc, Poly, _sqrt, poly_ext_gcd,
                            poly_is_irreducible, poly_random_monic)
 
 
@@ -184,7 +188,7 @@ class QuotientRing:
         return self.eq(self.pow_(a, (order - 1) // 2), self.one)
 
     def sqrt(self, a):
-        return _tonelli_shanks(self, a, self.K.q ** self.d)
+        return _sqrt(self, a, self.K.q ** self.d)
 
 
 def curve_points_over(curve, L: ExtFieldDesc):
@@ -316,6 +320,30 @@ def ord_at_point(curve, L, fun, x0, y0, prec: int = 24):
     if dv is None:
         raise RuntimeError("denominator vanishes identically")
     return nv - fun.e * dv
+
+
+def point_over_place(curve, place):
+    """(L, x0, y0): a point of a finite place in its residue field L, for
+    `ord_at_point`.  A split or ramified place over u is read in
+    F_q[x]/(u) itself, at x0 = x and y0 = v; an inert one in
+    L = F_q[X]/(u(X^2 - c)) for the first c that makes that modulus
+    irreducible, at x0 = X^2 - c and a y0 with y0^2 = f(x0) in L."""
+    from ellog.divisor import INERT
+    K = curve.field
+    u = Poly(K, place.u)
+    if place.kind != INERT:
+        L = ExtFieldDesc(K, u)
+        return L, L.from_poly(Poly(K, (0, 1))), L.from_poly(Poly(K, place.v))
+    X2 = Poly(K, (0, 0, 1))
+    for c in range(K.q):
+        J = Poly(K, ())
+        for a in reversed(u.coeffs):
+            J = J * (X2 - Poly(K, (c,))) + Poly(K, (a,))
+        if poly_is_irreducible(J):
+            L = ExtFieldDesc(K, J)
+            x0 = L.from_poly(X2 - Poly(K, (c,)))
+            return L, x0, L.sqrt(curve.rhs_in(L, x0))
+    raise AssertionError("no c makes u(X^2 - c) irreducible")
 
 
 def poly_series_compose(L, f: Poly, xs: Series, prec) -> Series:

@@ -1,10 +1,11 @@
+import itertools
 import pickle
 import random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ellog.algebra import (CharTooSmall, ExtFieldDesc, FieldDesc,
+from ellog.algebra import (CharTooSmall, ExtFieldDesc, FieldDesc, NonResidue,
                            NotPrime, Poly, Reducible, ZeroPolynomial, ext_make,
                            field_make, poly_factor, poly_is_irreducible,
                            poly_random_monic)
@@ -225,10 +226,72 @@ def test_residue_ring_matches_reference(case, seed):
     if any(a):
         assert R.inv(a) == ref.inv(a)
     for x in (a, R.mul(b, b)):
-        assert R.is_square(x) == ref.is_square(x)
-        if R.is_square(x):
-            # the very root, not one up to sign
-            assert R.sqrt(x) == ref.sqrt(x)
+        # the very root, not one up to sign, or the non-residue error
+        assert _sqrt_outcome(R, x) == _sqrt_outcome(ref, x)
+        assert (_sqrt_outcome(ref, x) is NonResidue) != ref.is_square(x)
+
+
+def _sqrt_outcome(dom, x):
+    """The root `dom.sqrt` gives, or NonResidue if it raises that."""
+    try:
+        return dom.sqrt(x)
+    except NonResidue:
+        return NonResidue
+
+
+def _check_every_root(dom, elements):
+    """r^2 = a for every square a, NonResidue for every other element."""
+    squares = {dom.mul(y, y) for y in elements}
+    for a in elements:
+        r = _sqrt_outcome(dom, a)
+        if a in squares:
+            assert r is not NonResidue and dom.mul(r, r) == a
+        else:
+            assert r is NonResidue
+    assert dom.sqrt(dom.zero) == dom.zero
+
+
+# q mod 8: 5 and 13 are 5, 7 and 23 are 7, 11 is 3, 17 is 1; curve121's
+# base F_{11^2} is 1, and its pow_ is not `pow`
+@pytest.mark.parametrize("p, m", [(5, 1), (7, 1), (11, 1), (13, 1), (17, 1), (23, 1), (11, 2)])
+def test_sqrt_every_element_of_base_field(p, m):
+    K = field_make(p, m, 0)
+    _check_every_root(K, range(K.q))
+    # the degree-1 residue ring gives the same root
+    E = ExtFieldDesc(K, Poly(K, (0, 1)))
+    for a in range(K.q):
+        want = _sqrt_outcome(K, a)
+        assert _sqrt_outcome(E, (a,)) == (want if want is NonResidue else (want,))
+
+
+# Q = q^d mod 8 over (q, d): 1 at even d; 5 at (5, 3), (13, 3); 7 at
+# (7, 3); 3 at (11, 3)
+@pytest.mark.parametrize("q", [5, 7, 11, 13])
+@pytest.mark.parametrize("d", [2, 3])
+def test_sqrt_every_element_of_residue_ring(q, d):
+    K = field_make(q, 1)
+    rng = random.Random(q * 10 + d)
+    u = poly_random_monic(K, d, rng)
+    while not poly_is_irreducible(u):
+        u = poly_random_monic(K, d, rng)
+    R = ExtFieldDesc(K, u)
+    _check_every_root(R, [tuple(c) for c in itertools.product(range(q), repeat=d)])
+
+
+def test_sqrt_roots_pinned():
+    """The root itself, sign included, in each class of q mod 8.  At q = 13
+    (Atkin's formula) four roots are the negatives of the Tonelli-Shanks
+    ones; the others are the roots Tonelli-Shanks gives."""
+    pinned = {
+        5: {1: 1, 4: 3},
+        11: {1: 1, 3: 5, 4: 9, 5: 4, 9: 3},
+        13: {1: 1, 3: 9, 4: 11, 9: 3, 10: 7, 12: 8},
+        17: {1: 1, 2: 6, 4: 2, 8: 12, 9: 14, 13: 8, 15: 7, 16: 4},
+    }
+    for q, roots in pinned.items():
+        K = field_make(q, 1)
+        got = {a: _sqrt_outcome(K, a) for a in range(1, q)}
+        assert {a: r for a, r in got.items() if r is not NonResidue} == roots
 
 
 @pytest.mark.parametrize("p, reduced", [(9949, False), (9967, True)])

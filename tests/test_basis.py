@@ -2,10 +2,10 @@ import json
 
 import pytest
 
-from ellog.algebra import ConfigError, field_make
+from ellog.algebra import ConfigError, field_make, poly_factor
 from ellog.basis import (NdNotInvertible, basis_from_json, basis_to_json,
                          build_basis, find_basis, mu_bound,
-                         search_curve, theta_min_poly_candidates)
+                         search_curve, theta_equation, theta_min_poly_candidates)
 from ellog.curve import (Curve, Point, TorsionData, find_point_of_order,
                          point_add, point_order, scalar_mul, semaev3)
 from oracles import model_equations, phi_of_F
@@ -106,6 +106,16 @@ def test_summation_polynomial_degree(basis59):
     cands = theta_min_poly_candidates(basis59.curve, basis59.td)
     assert len(cands) >= 1
     assert all(c.degree() == basis59.k for c in cands)
+
+
+@pytest.mark.parametrize("name", ["basis59", "basis11", "basis25"])
+def test_candidates_are_the_degree_k_factors(request, name):
+    """Splitting only the degree-k part keeps the candidates and their order."""
+    b = request.getfixturevalue(name)
+    S = theta_equation(b.curve, b.td)
+    want = [g for g, _ in poly_factor(S) if g.degree() == b.k]
+    assert theta_min_poly_candidates(b.curve, b.td) == want
+    assert b.ext.I in want
 
 
 def test_orientation_unique(basis59):

@@ -5,7 +5,8 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ellog.algebra import Poly, field_make, poly_irreducibles
+from ellog.algebra import (ExtFieldDesc, Poly, field_make, poly_factor, poly_irreducibles,
+                           poly_is_irreducible, poly_random_monic)
 from ellog.curve import (Curve, CurveFunction, Point, Singular, TorsionData,
                          TriPoly, ZeroFunction, phi_star, point_add, point_neg)
 from ellog.divisor import (Divisor, HitsInfinity, INERT, PLACE_AT_INFINITY,
@@ -15,8 +16,9 @@ from ellog.divisor import (Divisor, HitsInfinity, INERT, PLACE_AT_INFINITY,
                            orbit_places, split_ordinate, translate_place)
 from ellog.harvest import build_factor_base
 
-from oracles import (divisor_two_root, extension_of, orbit_canonical,
-                     place_of_extension_point, quotient_ring_ordinate)
+from oracles import (divisor_two_root, extension_of, orbit_canonical, ord_at_point,
+                     place_of_extension_point, places_over_two_root, point_over_place,
+                     quotient_ring_ordinate)
 
 
 @pytest.fixture(scope="module")
@@ -61,6 +63,44 @@ def test_divisor_of_matches_two_root_rule(env, curve121, curve5_split_cubic, see
     assert divisor_of(fun, curve5_split_cubic) == divisor_two_root(fun, curve5_split_cubic)
 
 
+def _irreducible(K, d, rng):
+    while True:
+        u = poly_random_monic(K, d, rng)
+        if poly_is_irreducible(u):
+            return u
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(q=st.sampled_from([5, 7, 121]), seed=st.integers(0, 2 ** 32 - 1))
+def test_divisor_of_matches_series_valuations(curve121, curve5_split_cubic, q, seed):
+    """divisor_of against the power-series order of vanishing at a point of
+    every place over the norm's factors and over x1.  The content is a
+    product of irreducibles of degree 2 or 3, one of them maybe squared, so
+    `places_over` takes roots in F_q[x]/(u) on the way."""
+    curve = {5: curve5_split_cubic, 7: Curve(field_make(7, 1), 1, 1), 121: curve121}[q]
+    K = curve.field
+    rng = random.Random(seed)
+    x1 = rng.randrange(K.q)
+    parts = [_irreducible(K, rng.choice((2, 3)), rng) for _ in range(rng.randrange(1, 3))]
+    if rng.random() < 0.3:
+        parts.append(parts[0])
+    g = Poly(K, (1,))
+    for u in parts:
+        g = g * u
+    fun = rand_function(curve, x1, rng, emax=3)
+    fun = CurveFunction.make(curve, x1, fun.n0 * g, fun.n1 * g, fun.e)
+    D = divisor_of(fun, curve)
+    norm = fun.n0 * fun.n0 - fun.n1 * fun.n1 * curve.rhs_poly()
+    us = {u for u, _ in poly_factor(norm * Poly(K, (K.neg(x1), 1)))}
+    seen = set()
+    for u in us:
+        for place in places_over_two_root(curve, u):
+            L, x0, y0 = point_over_place(curve, place)
+            assert ord_at_point(curve, L, fun, x0, y0, prec=12) == D.coeffs.get(place, 0)
+            seen.add(place)
+    assert set(D.coeffs) - seen == {PLACE_AT_INFINITY}
+
+
 def test_split_ordinate_degree_one_root(curve121):
     """Over degree-1 u the F_q square root is the QuotientRing root itself."""
     curves = [curve121]
@@ -81,6 +121,30 @@ def test_split_ordinate_degree_one_root(curve121):
             assert v == quotient_ring_ordinate(curve, u)
             kinds.add("inert" if v is None else "ram" if v.is_zero() else "split")
     assert kinds == {"inert", "ram", "split"}
+
+
+@pytest.mark.parametrize("q, b", [(11, 6), (13, 1)])
+def test_split_ordinate_takes_one_exponentiation(monkeypatch, q, b):
+    """At degree 5, Q = 11^5 = 3 mod 4 and Q = 13^5 = 5 mod 8: the root is
+    one power, with no Legendre symbol before it, split or inert."""
+    K = field_make(q, 1)
+    curve = Curve(K, 1, b)
+    calls = []
+    pow_ = ExtFieldDesc.pow_
+
+    def counted(self, a, e):
+        calls.append(e)
+        return pow_(self, a, e)
+
+    monkeypatch.setattr(ExtFieldDesc, "pow_", counted)
+    rng = random.Random(q)
+    inert = set()
+    for _ in range(12):
+        u = _irreducible(K, 5, rng)
+        calls.clear()
+        inert.add(split_ordinate(curve, u) is None)
+        assert len(calls) == 1
+    assert inert == {True, False}
 
 
 def test_lemma_divisors_for_v(env):
