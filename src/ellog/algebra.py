@@ -3,7 +3,8 @@
 Two levels are supported: a base field F_q = F_p[w]/(modulus) with q = p^m,
 and `ExtFieldDesc`, the residue field F_q[X]/(f) for any monic irreducible f
 over it.  That one class is both the target field F_{q^k} = F_q[X]/(I) and
-the residue field F_q[x]/(u) at a place of degree deg u.  Base field
+the residue field of a place: F_q[x]/(u), or F_q[X]/(u(X^2 - c)) at an
+inert place (`divisor.place_point`).  Base field
 elements are stored as integer codes in [0, q): the code is the base-p
 expansion of the coefficient vector, low degree first.  A `Poly` over F_q
 is a tuple of codes, and its arithmetic, gcds, modular powers and the
@@ -913,8 +914,8 @@ def _pack_mod(slots: Struct, x: int, p: int) -> int:
 class ExtFieldDesc:
     """F_q[X]/(I) for monic irreducible I of degree k over the base.
 
-    The target field of a basis and the residue field F_q[x]/(u) at a place
-    are both of this class.  Elements are tuples of base codes of length k
+    The target field of a basis and the residue field of a place
+    (`divisor.place_point`) are both of this class.  Elements are tuples of base codes of length k
     (low degree first).  The constructor checks only that I is monic;
     `ext_make` also checks that it is irreducible.
 
@@ -1048,13 +1049,14 @@ class ExtFieldDesc:
         return tuple(prod[:k])
 
     def inv(self, a):
+        """a^-1 from the Bezout cofactor of a and I; `_ext_gcd` makes the
+        gcd monic, so a unit a has g = 1 and s = a^-1, already reduced."""
         if not any(a):
             raise ZeroDivisionError("inverse of zero extension element")
-        g, s = poly_ext_gcd(self.to_poly(a), self.I)
-        if g.degree() != 0:
+        g, s = _ext_gcd(self.base, _strip(list(a)), self.I.coeffs)
+        if len(g) != 1:
             raise ZeroDivisionError("non-invertible element (reducible modulus?)")
-        inv_c = self.base.inv(g.coeffs[0])
-        return self.from_poly(s.scale(inv_c))
+        return tuple(s) + (0,) * (self.k - len(s))
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))

@@ -13,12 +13,15 @@ The norm's roots in F_q lie over F_q-rational points, so its linear factors
 come from a Horner scan of the curve's rational abscissas; only the rootless
 rest of degree >= 4 is factored.
 
-Translation by -P1 walks a place along its orbit.  `orbit_places` builds the
-residue algebra of the place once and reaches every translate from the
-place's own point Q: the place of Q - s P1 is one chord with the rational
-point -s P1, then one elimination over F_q that reads the minimal
-polynomial of the new abscissa and the ordinate over it.  A torsion place
-is no special case: its walk meets O once, where the chord gives O.
+Translation by -P1 walks a place along its orbit.  `place_point` reads a
+place's point Q in one field L of degree deg(place) over F_q: F_q[x]/(u)
+at a split or ramified place, F_q[X]/(u(X^2 - c)) at an inert one.  An
+element of L is its own vector of F_q coordinates.  `orbit_places` builds
+Q once and reaches every translate from it: the place of Q - s P1 is one
+chord with the rational point -s P1, then one elimination over F_q that
+reads the minimal polynomial of the new abscissa and the ordinate over
+it.  A torsion place is no special case: its walk meets O once, where the
+chord gives O.  The bilinear descent evaluates its brackets at the same Q.
 """
 
 from __future__ import annotations
@@ -420,113 +423,62 @@ def decompose(D: Divisor, bound: int):
 
 
 # ---------------------------------------------------------------------------
-# residue arithmetic at a place, translations, orbits
+# the point of a place, translations, orbits
 # ---------------------------------------------------------------------------
 
-class PlaceAlgebra:
-    """Residue field of a place, as an F_q-algebra holding the point (x, y).
+def place_point(curve: Curve, place: Place) -> Point:
+    """A point of a finite place over an `ExtFieldDesc` L of degree
+    deg(place); each element of L is its own vector of F_q coordinates.
 
-    `ring` is the residue field F_q[x]/(u) of the abscissa, an
-    `ExtFieldDesc`.  For split and ramified places the algebra is that ring
-    with y = v(x); for inert places it is the quadratic extension
-    F_q[x,y]/(u, y^2 - rhs), dimension 2 deg u.  Elements are tuples (a, b)
-    of ring elements meaning a + b y; split/ramified elements keep b = 0.
+    A split or ramified place over u is read in L = F_q[x]/(u), at
+    (x, v(x)).  An inert one is read in L = F_q[X]/(u(X^2 - c)), at
+    x = X^2 - c and y = sqrt(x^3 + a x + b), for the least c that makes
+    this modulus irreducible.  With x a root of u of degree d, it is
+    irreducible iff X^2 = x + c is a non-square in F_q(x), that is iff the
+    norm (-1)^d u(-c) of x + c is a non-square in F_q; so c is found by
+    d-step Horner values, with no factoring.  Raises ValueError at the
+    place at infinity.
     """
-
-    __slots__ = ("ring", "place", "curve", "yv", "fx", "dim")
-
-    def __init__(self, curve: Curve, place: Place):
-        K = curve.field
-        u = Poly(K, place.u)
-        self.ring = ExtFieldDesc(K, u)
-        self.place = place
-        self.curve = curve
-        self.fx = self.ring.from_poly(curve.rhs_poly())
-        if place.kind == INERT:
-            self.yv = None
-            self.dim = 2 * self.ring.k
-        else:
-            self.yv = self.ring.from_poly(Poly(K, place.v))
-            self.dim = self.ring.k
-
-    @property
-    def zero(self):
-        z = self.ring.zero
-        return (z, z)
-
-    @property
-    def one(self):
-        return (self.ring.one, self.ring.zero)
-
-    def embed(self, c: int):
-        return (self.ring.embed(c), self.ring.zero)
-
-    def x_elem(self):
-        R = self.ring
-        return (R.from_poly(Poly(R.base, (0, 1))), R.zero)
-
-    def y_elem(self):
-        if self.yv is not None:
-            return (self.yv, self.ring.zero)
-        return (self.ring.zero, self.ring.one)
-
-    def add(self, a, b):
-        return (self.ring.add(a[0], b[0]), self.ring.add(a[1], b[1]))
-
-    def sub(self, a, b):
-        return (self.ring.sub(a[0], b[0]), self.ring.sub(a[1], b[1]))
-
-    def neg(self, a):
-        return (self.ring.neg(a[0]), self.ring.neg(a[1]))
-
-    def mul(self, a, b):
-        R = self.ring
-        lo = R.add(R.mul(a[0], b[0]), R.mul(R.mul(a[1], b[1]), self.fx))
-        hi = R.add(R.mul(a[0], b[1]), R.mul(a[1], b[0]))
-        return (lo, hi)
-
-    def inv(self, a):
-        R = self.ring
-        if not any(a[1]):
-            return (R.inv(a[0]), R.zero)
-        # (a0 + a1 y)^-1 = (a0 - a1 y) / (a0^2 - a1^2 fx)
-        nrm = R.sub(R.mul(a[0], a[0]), R.mul(R.mul(a[1], a[1]), self.fx))
-        ninv = R.inv(nrm)
-        return (R.mul(a[0], ninv), R.mul(R.neg(a[1]), ninv))
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
-    def eq(self, a, b):
-        return a[0] == b[0] and a[1] == b[1]
-
-    def coords(self, a) -> list[int]:
-        """F_q coordinates, length = dim."""
-        if self.yv is not None:
-            return list(a[0])
-        return list(a[0]) + list(a[1])
-
-    def point(self) -> Point:
-        return Point(self.curve, self, self.x_elem(), self.y_elem())
+    if place.kind == INFINITY:
+        raise ValueError("place_point expects a finite place")
+    K = curve.field
+    u = place.u
+    if place.kind != INERT:
+        L = ExtFieldDesc(K, Poly(K, u))
+        return Point(curve, L, L.from_poly(Poly(K, (0, 1))), L.from_poly(Poly(K, place.v)))
+    sign = 1 if len(u) % 2 else K.neg(1)
+    for c in range(K.q):
+        w = K.mul(sign, _horner(K, u, K.neg(c))[1])
+        if w and not K.is_square(w):
+            break
+    else:
+        raise AssertionError("no c makes u(X^2 - c) irreducible")
+    x = Poly(K, (K.neg(c), 0, 1))
+    J = Poly(K, ())
+    for a in reversed(u):
+        J = J * x + Poly(K, (a,))
+    L = ExtFieldDesc(K, J)
+    x0 = L.from_poly(x)
+    return Point(curve, L, x0, L.sqrt(curve.rhs_in(L, x0)))
 
 
-def _place_of_algebra_point(alg: PlaceAlgebra, S: Point) -> Place:
-    """The place of a point with coordinates in a place algebra.
+def _place_of_residue_point(S: Point) -> Place:
+    """The place of a point over the residue field L of `place_point`.
 
-    One elimination over the coordinates of 1, x, ..., x^dim and y.  The
-    powers of x span the subfield F_q(x), so the first power that depends
-    on the lower ones, x^e, gives the minimal polynomial u of x.  When e is
-    dim, y lies in F_q(x) and the last column gives its ordinate v (zero on
-    a ramified place); when e is dim/2 the place is inert.
+    One elimination over the coordinates of 1, x, ..., x^dim and y,
+    dim = [L : F_q].  The powers of x span the subfield F_q(x), so the
+    first power that depends on the lower ones, x^e, gives the minimal
+    polynomial u of x.  When e is dim, y lies in F_q(x) and the last
+    column gives its ordinate v (zero on a ramified place); when e is
+    dim/2 the place is inert.
     """
-    K = alg.ring.base
-    dim = alg.dim
-    cols = []
-    pw = alg.one
-    for _ in range(dim + 1):
-        cols.append(alg.coords(pw))
-        pw = alg.mul(pw, S.x)
-    cols.append(alg.coords(S.y))
+    L = S.dom
+    K = L.base
+    dim = L.k
+    cols = [L.one]
+    for _ in range(dim):
+        cols.append(L.mul(cols[-1], S.x))
+    cols.append(S.y)
     rows = [list(r) for r in zip(*cols)]
     e = len(_rref(K, rows, dim + 1))
     u = tuple(K.neg(row[e]) for row in rows[:e]) + (1,)
@@ -538,29 +490,29 @@ def _place_of_algebra_point(alg: PlaceAlgebra, S: Point) -> Place:
     raise AssertionError(f"translated place degree mismatch: {e} vs {dim}")
 
 
-def _translate(alg: PlaceAlgebra, Q: Point, steps: int, td: TorsionData) -> Place | None:
-    """The place of Q - steps * P1 for the point Q of a place algebra, None at O.
+def _translate(Q: Point, steps: int, td: TorsionData) -> Place | None:
+    """The place of Q - steps * P1 for a point Q of `place_point`, None at O.
 
     One chord with the rational point -steps * P1, which must not be O.
     """
+    L = Q.dom
     T = td.point(-steps)
-    S = point_add(Q, Point(td.curve, alg, alg.embed(T.x), alg.embed(T.y)))
-    return None if S.inf else _place_of_algebra_point(alg, S)
+    S = point_add(Q, Point(td.curve, L, L.embed(T.x), L.embed(T.y)))
+    return None if S.inf else _place_of_residue_point(S)
 
 
 def translate_place(place: Place, steps: int, td: TorsionData) -> Place:
     """The place of {pi^i(Q) - steps * P1}.
 
-    Runs the chord rule inside the residue algebra of the place; raises
-    HitsInfinity when the translate is O (torsion places only).
+    Runs the chord rule in the residue field of the place; raises
+    HitsInfinity when the translate is O (torsion places only), and
+    ValueError at the place at infinity.
     """
-    if place.kind == INFINITY:
-        raise ValueError("translate_place expects a finite place")
+    Q = place_point(td.curve, place)
     steps %= td.k
     if steps == 0:
         return place
-    alg = PlaceAlgebra(td.curve, place)
-    out = _translate(alg, alg.point(), steps, td)
+    out = _translate(Q, steps, td)
     if out is None:
         raise HitsInfinity("translate reached O")
     return out
@@ -570,14 +522,13 @@ def orbit_places(place: Place, td: TorsionData) -> list[Place | None]:
     """The translation cycle through the place: entry s is the place of
     Q - s * P1 for a point Q of the place, None where that is O.
 
-    Every entry is one chord from Q in the place's own algebra; the cycle
-    ends where it comes back to the place.
+    Every entry is one chord from Q in the place's own residue field; the
+    cycle ends where it comes back to the place.
     """
-    alg = PlaceAlgebra(td.curve, place)
-    Q = alg.point()
+    Q = place_point(td.curve, place)
     out: list[Place | None] = [place]
     for s in range(1, td.k):
-        nxt = _translate(alg, Q, s, td)
+        nxt = _translate(Q, s, td)
         if nxt == place:
             break
         out.append(nxt)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .algebra import ConfigError, Poly, factor_modulus, poly_euclid, poly_factor
 from .curve import CurveFunction, TriPoly, phi
-from .divisor import Divisor, Place, PlaceAlgebra, divisor_of
+from .divisor import Divisor, Place, divisor_of, place_point
 from .harvest import (C_COLUMN, DegeneratePair, FactorBase, Relation, _sigma,
                       pair_divisors)
 from .linalg import MoreRelationsNeeded, crt, kernel_mod_prime_power, solve_linear
@@ -344,12 +344,12 @@ def _mono_list(t: int) -> list[tuple[int, int]]:
 _MONOS = _mono_list(2)
 
 
-def _mono_value(alg, m, x, y):
-    acc = alg.one
+def _mono_value(L, m, x, y):
+    acc = L.one
     for _ in range(m[0]):
-        acc = alg.mul(acc, x)
+        acc = L.mul(acc, x)
     for _ in range(m[1]):
-        acc = alg.mul(acc, y)
+        acc = L.mul(acc, y)
     return acc
 
 
@@ -387,11 +387,11 @@ def bilinear_descend(basis, ctx: LogContext, target: Place,
     if target in _active:
         raise DescentFailed("cyclic descent dependency")
     _active = _active | {target}
-    alg = PlaceAlgebra(basis.curve, target)
-    Q = alg.point()
+    Q = place_point(basis.curve, target)
+    L = Q.dom
     xu, xv, xw = phi(Q, basis.td)
-    mu = [_mono_value(alg, m, xv, xw) for m in _MONOS]   # m(V, W)
-    nu = [_mono_value(alg, m, xu, xv) for m in _MONOS]   # m(U, V)
+    mu = [_mono_value(L, m, xv, xw) for m in _MONOS]   # m(V, W)
+    nu = [_mono_value(L, m, xu, xv) for m in _MONOS]   # m(U, V)
     td = basis.td
     # each compelled point's row: the value of every monomial there
     pinned = [[K.mul(K.pow_(cx, m[0]), K.pow_(cy, m[1])) for m in _MONOS]
@@ -403,14 +403,12 @@ def bilinear_descend(basis, ctx: LogContext, target: Place,
         coeffs_a = _build_coeffs(K, a_vec, pinned)
         if coeffs_a is None:
             continue
-        a1 = _combo(alg, mu, coeffs_a)
-        a2 = _combo(alg, nu, coeffs_a)
-        # bracket(A, B)(Phi Q) = a1 * B(U,V)(Q) - a2 * B(V,W)(Q), linear in B
-        rows = [[0] * len(_MONOS) for _ in range(alg.dim)]
-        for bi in range(len(_MONOS)):
-            col = alg.sub(alg.mul(a1, nu[bi]), alg.mul(a2, mu[bi]))
-            for r, coord in enumerate(alg.coords(col)):
-                rows[r][bi] = coord
+        a1 = _combo(K, mu, coeffs_a)
+        a2 = _combo(K, nu, coeffs_a)
+        # bracket(A, B)(Phi Q) = a1 * B(U,V)(Q) - a2 * B(V,W)(Q), linear in
+        # B: its value at each monomial is a column of B's system
+        rows = [list(r) for r in zip(*[L.sub(L.mul(a1, n), L.mul(a2, m))
+                                       for n, m in zip(nu, mu)])]
         A = TriPoly(K, {(m[0], m[1], 0): c for m, c in zip(_MONOS, coeffs_a) if c})
         for coeffs_b in _b_solutions(K, rows + pinned):
             if coeffs_b == coeffs_a:
@@ -504,12 +502,13 @@ def _build_coeffs(K, a_vec, pinned):
     return coeffs
 
 
-def _combo(alg, values, coeffs):
-    acc = alg.zero
+def _combo(K, values, coeffs):
+    """sum c * v over F_q, on the coordinate vectors of the values."""
+    acc = [0] * len(values[0])
     for v, c in zip(values, coeffs):
         if c:
-            acc = alg.add(acc, alg.mul(alg.embed(c), v))
-    return acc
+            acc = [K.add(a, K.mul(c, x)) for a, x in zip(acc, v)]
+    return tuple(acc)
 
 
 def _b_solutions(K, rows):

@@ -7,8 +7,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from ellog.algebra import (CharTooSmall, ExtFieldDesc, FieldDesc, NonResidue,
                            NotPrime, Poly, Reducible, ZeroPolynomial, ext_make,
-                           field_make, poly_factor, poly_is_irreducible,
-                           poly_random_monic)
+                           field_make, poly_factor, poly_irreducibles,
+                           poly_is_irreducible, poly_random_monic)
 
 from oracles import QuotientRing, frobenius_pow
 
@@ -173,6 +173,22 @@ def test_inverse_and_division():
         assert K.mul(a, K.inv(a)) == 1
     with pytest.raises(ZeroDivisionError):
         K.inv(0)
+
+
+@pytest.mark.parametrize("p, m, d", [(5, 1, 3), (5, 2, 2)], ids=["F5-cubic", "F25-quadratic"])
+def test_extension_inverse_of_every_element(p, m, d):
+    """a * a^-1 = 1 for every nonzero a; zero and non-units raise."""
+    K = field_make(p, m, 0)
+    R = ExtFieldDesc(K, poly_irreducibles(K, d)[0])
+    for a in itertools.product(range(K.q), repeat=R.k):
+        if any(a):
+            assert R.mul(a, R.inv(a)) == R.one
+    with pytest.raises(ZeroDivisionError):
+        R.inv(R.zero)
+    # X^2 - 1 = (X - 1)(X + 1): X - 1 is a nonzero non-unit
+    split = ExtFieldDesc(K, Poly(K, (K.neg(1), 0, 1)))
+    with pytest.raises(ZeroDivisionError):
+        split.inv((K.neg(1), 1))
 
 
 def test_zero_power_convention():

@@ -13,7 +13,8 @@ from ellog.divisor import (Divisor, HitsInfinity, INERT, PLACE_AT_INFINITY,
                            Place, RAMIFIED, SPLIT, decompose,
                            divisor_of, elementary_divisor, height,
                            place_of_point, places_at, places_over,
-                           orbit_places, split_ordinate, translate_place)
+                           orbit_places, place_point, split_ordinate,
+                           translate_place)
 from ellog.harvest import build_factor_base
 
 from oracles import (divisor_two_root, extension_of, orbit_canonical, ord_at_point,
@@ -274,14 +275,26 @@ def _brute_point(curve, place):
     return Point.make(curve, L, x0, y0)
 
 
-def test_translation_matches_brute_force_points(env):
+def test_translation_matches_brute_force_points(basis59):
+    _check_walk_by_brute_force(basis59, 4)
+
+
+def test_translation_matches_brute_force_points_over_f25(basis25):
+    """The walk over an F_{5^2} base, whose residue fields multiply by the
+    schoolbook loop; places of degree <= 2 cover all three kinds."""
+    _check_walk_by_brute_force(basis25, 2)
+
+
+def _check_walk_by_brute_force(basis, top):
     """Entry s of the orbit and translate_place(p, s) are the place of
-    Q - s P1, for Q found by search and subtracted P1 at a time."""
-    curve, td, K = env
+    Q - s P1, for Q found by search and subtracted P1 at a time, on the
+    torsion places and the places of degree <= top over the first 20
+    abscissas of each degree."""
+    curve, td, K = basis.curve, basis.td, basis.curve.field
     places = [place_of_point(curve, td.point(j)) for j in range(1, td.k)]
-    for du in (1, 2, 3, 4):
+    for du in range(1, top + 1):
         for u in poly_irreducibles(K, du)[:20]:
-            places += [p for p in places_over(curve, u) if p.degree <= 4]
+            places += [p for p in places_over(curve, u) if p.degree <= top]
     kinds = {p.kind for p in places}
     assert kinds == {SPLIT, RAMIFIED, INERT}
     for place in places:
@@ -300,6 +313,36 @@ def test_translation_matches_brute_force_points(env):
                 assert translate_place(place, s, td) == want
             R = point_add(R, minus_p1)
         assert R == Q
+
+
+def test_place_point_reads_each_kind(basis59, basis11, basis25):
+    """place_point gives a point of the place over a field of its degree;
+    an inert place is read over the oracle's F_q[X]/(u(X^2 - c)), the
+    least c that makes that modulus irreducible (at q = 11, -1 is a
+    non-square, so the sign of the norm matters over odd-degree u)."""
+    for basis in (basis59, basis11, basis25):
+        curve, K = basis.curve, basis.curve.field
+        us = [u for u, _ in poly_factor(curve.rhs_poly())]   # the ramified places
+        us += [u for du in (1, 2) for u in poly_irreducibles(K, du)[:12]]
+        places = [p for u in us for p in places_over(curve, u)]
+        assert {p.kind for p in places} == {SPLIT, RAMIFIED, INERT}
+        for place in places:
+            Q = place_point(curve, place)
+            L = Q.dom
+            assert L.k == place.degree and Q.on_curve()
+            assert place_of_extension_point(curve, L, Q.x, Q.y) == place
+            if place.kind == INERT:
+                assert L.I == point_over_place(curve, place)[0].I
+
+
+def test_place_at_infinity_has_no_point(env):
+    curve, td, K = env
+    with pytest.raises(ValueError, match="finite place"):
+        place_point(curve, PLACE_AT_INFINITY)
+    with pytest.raises(ValueError, match="finite place"):
+        orbit_places(PLACE_AT_INFINITY, td)
+    with pytest.raises(ValueError, match="finite place"):
+        translate_place(PLACE_AT_INFINITY, 1, td)
 
 
 def test_translate_cycles_and_orbits(env, fb59):

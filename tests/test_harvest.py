@@ -39,7 +39,8 @@ def test_factor_base_counts(basis59):
 @pytest.mark.parametrize("instance, height, places, digest", [
     ("basis59", 5, 824, "3a9cd1cec01d883978dd44783bf723b6e06c633c10e36d522a374cebde7e18ea"),
     ("basis11", 4, 4081, "494acb2a59d3f4abebf941afb81412bd9b3e144065353756f5a1342c2c5b6b66"),
-], ids=["basis59", "basis11"])
+    ("basis25", 3, 5609, "5b2d91cf49d142165ad1457d9af0fbf9b1d26bd284d6aab9b967bcb91d68de15"),
+], ids=["basis59", "basis11", "basis25"])
 def test_factor_base_numbering_pinned(request, instance, height, places, digest):
     """dlog and verify rebuild the factor base and read stored columns by it."""
     basis = request.getfixturevalue(instance)

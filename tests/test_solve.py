@@ -186,6 +186,11 @@ def test_bilinear_descend_known_target_returns(basis59, fb59, solved):
     assert bilinear_descend(basis59, ctx, rep) == table.mod_m[fb59.rep_col[rep]]
 
 
+def test_bilinear_descend_rejects_the_place_at_infinity(basis59, fb59):
+    with pytest.raises(ValueError, match="finite place"):
+        bilinear_descend(basis59, LogContext(fb59, {}), PLACE_AT_INFINITY)
+
+
 def test_bilinear_descend_degree_six(basis59, fb59, solved):
     from ellog.solve import factor_modulus
     _, table = solved
