@@ -336,10 +336,6 @@ class FieldDesc:
     def __hash__(self):
         return hash((self.p, self.m, self.modulus))
 
-    # pickling support for the harvest worker pool
-    def __reduce__(self):
-        return (FieldDesc, (self.p, self.m, self.modulus))
-
 
 # ---------------------------------------------------------------------------
 # polynomials over F_p (for modulus search) and over a FieldDesc
@@ -373,9 +369,9 @@ DEG_ZERO = -1  # degree sentinel for the zero polynomial
 # base a code is its own residue, so products and remainders accumulate as
 # ints and take one `% p` per output coefficient.  Over F_{p^m} they bind
 # the base field's add/sub/mul (lookups in its tables below _TABLE_Q_CAP)
-# to locals, as `ExtFieldDesc.mul` does.  `Poly`, `poly_ext_gcd`, Rabin's
-# test and the factorization run their loops on these lists and build a
-# `Poly` only for what they return.
+# to locals, as `ExtFieldDesc.mul` does.  `Poly`, Rabin's test and the
+# factorization run their loops on these lists and build a `Poly` only for
+# what they return.
 
 def _strip(cs: list) -> list:
     while cs and not cs[-1]:
@@ -688,12 +684,6 @@ class Poly:
         if self.is_zero():
             return "Poly(0)"
         return "Poly[" + " ".join(self.field.enc(c) for c in self.coeffs) + "]"
-
-
-def poly_ext_gcd(a: Poly, b: Poly) -> tuple[Poly, Poly]:
-    """(g, s) with s*a = g mod b, g = gcd(a, b) monic (or zero)."""
-    K = a.field
-    return tuple(_poly(K, c) for c in _ext_gcd(K, a.coeffs, b.coeffs))
 
 
 def poly_euclid(a: Poly, b: Poly):
@@ -1140,9 +1130,6 @@ class ExtFieldDesc:
     def __repr__(self):
         return f"GF({self.base.q}^{self.k})"
 
-    def __reduce__(self):
-        return (ExtFieldDesc, (self.base, self.I))
-
 
 def ext_make(base: FieldDesc, I: Poly) -> ExtFieldDesc:
     """Wrap F_q[X]/(I); irreducibility is rechecked and Reducible raised if bad."""
@@ -1189,6 +1176,11 @@ def _tonelli_shanks(dom, a, order: int):
     and t = a^s = w r, one exponentiation for both.  The non-residue z is
     searched only once t is known to need it: for a non-square, the first
     squarings of t show a^((Q-1)/2) = -1 and end the loop without it.
+
+    Over a ring that is not a field, where neither step need end, it
+    raises Reducible: t^(2^m) = a^(Q-1) is 1 for every nonzero a of a
+    field, and a field's z with z^((Q-1)/2) = -1 turns up in 64 seeded
+    draws (each misses with chance about 1/2).
     """
     eq = dom.eq
     one = dom.one
@@ -1204,6 +1196,8 @@ def _tonelli_shanks(dom, a, order: int):
     while not eq(t, one):
         i, tt = 0, t
         while not eq(tt, one):
+            if i == m:
+                raise Reducible("t^(2^m) != 1: the ring is not a field")
             tt = dom.mul(tt, tt)
             i += 1
         if i == m:
@@ -1211,10 +1205,12 @@ def _tonelli_shanks(dom, a, order: int):
             break
         if c is None:
             rng = random.Random(0xE11)
-            while True:
+            for _ in range(64):
                 z = dom.rand(rng)
-                if not eq(z, dom.zero) and not eq(dom.pow_(z, n1 // 2), one):
+                if eq(dom.pow_(z, n1 // 2), dom.neg(one)):
                     break
+            else:
+                raise Reducible("no z with z^((Q-1)/2) = -1: the ring is not a field")
             c = dom.pow_(z, s)
         b = c
         for _ in range(m - i - 1):

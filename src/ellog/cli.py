@@ -145,10 +145,12 @@ def cmd_basis(args) -> int:
 
 
 def cmd_harvest(args) -> int:
+    if args.workers != 1:
+        raise ConfigError("harvest runs in one process: --workers must be 1")
     cfg = _load_config(args.out)
     basis = _load_basis(args.out)
     fb = build_factor_base(basis, cfg["height_base"])
-    rels, st = harvest_core(basis, fb, max(1, args.workers))
+    rels, st = harvest_core(basis, fb)
     # m1 only adds rank: run it when `solve` would fail on the core rows
     try:
         solve_core(basis, fb, rels, cfg["seed"])

@@ -40,8 +40,7 @@ class Curve:
 
     `x_places` is the memo of `divisor.places_at`: the places over each
     abscissa x0 of F_q met so far; `x_rational` is that of
-    `rational_abscissas`, filled on first use.  Neither is compared or
-    pickled.
+    `rational_abscissas`, filled on first use.  Neither is compared.
     """
 
     __slots__ = ("field", "a", "b", "N", "t", "x_places", "x_rational")
@@ -107,9 +106,6 @@ class Curve:
     def __repr__(self):
         K = self.field
         return f"E[y^2=x^3+{K.enc(self.a)}x+{K.enc(self.b)}/{K!r}]"
-
-    def __reduce__(self):
-        return (Curve, (self.field, self.a, self.b, self.N))
 
 
 def count_points(field: FieldDesc, a: int, b: int) -> int:
@@ -303,7 +299,7 @@ class TorsionData:
     `pullbacks` is the table behind `phi_star`: for a monomial U^i V^j W^l
     and a power e >= 2 (i + l), the numerator pair (n0, n1) of its pull-back
     over (X - x1)^e, as coefficient tuples.  Entries are added on first use
-    and never change; pickling leaves the table behind.
+    and never change.
     """
 
     __slots__ = ("curve", "k", "P1", "xs", "ys", "_points", "pullbacks")
@@ -335,13 +331,6 @@ class TorsionData:
         if j == 0:
             return Point.infinity(self.curve)
         return self._points[j]
-
-    def __reduce__(self):
-        return (_rebuild_td, (self.curve, self.P1.x, self.P1.y, self.k))
-
-
-def _rebuild_td(curve, x, y, k):
-    return TorsionData(curve, Point(curve, curve.field, x, y), k)
 
 
 def semaev3(x1, x2, x3, curve: Curve, dom=None):

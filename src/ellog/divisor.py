@@ -56,8 +56,7 @@ class Place:
     object in a module table for that key, so equal places are the same
     object and dicts hash and compare places by identity, at C level.
     Its degree and its sort key (degree, kind rank, u, v) are computed
-    once, when it is first built; it pickles as (kind, u, v), which
-    rebuilds through the table.
+    once, when it is first built.
     """
 
     __slots__ = ("kind", "u", "v", "degree", "sort_key")
@@ -89,9 +88,6 @@ class Place:
 
     def __delattr__(self, name):
         raise AttributeError(f"Place is immutable: cannot delete {name}")
-
-    def __reduce__(self):
-        return (Place, (self.kind, self.u, self.v))
 
     def __lt__(self, other):
         if type(other) is not Place:

@@ -22,7 +22,6 @@ height-4 groups and the free height-5 pairs.
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass, field as dc_field
 from functools import cache
 from itertools import combinations, product
@@ -557,11 +556,19 @@ def _check_core_pair_stats(compelled, pr: PairResult, stats: HarvestStats,
     stats.right_residual_max = max(stats.right_residual_max, resid.height)
 
 
-def _core_chunk(args):
-    basis, fb, alphas, compelled = args
-    q = basis.q
+def harvest_core(basis, fb: FactorBase):
+    """Sieve the full (alpha, beta, gamma) cube.
+
+    Every left factor should carry the compelled place over P3 and every
+    bracket those over P3 and P2; `stats` counts how often they do.
+    Returns (relations, stats); relations are deduplicated by row and
+    sorted by provenance.
+    """
+    curve, td = basis.curve, basis.td
+    p3 = place_of_point(curve, td.point(3))
+    compelled = ([p3], [p3, place_of_point(curve, td.point(2))])
     rels, stats = [], HarvestStats()
-    for params in product(alphas, range(q), range(q)):
+    for params in product(range(basis.q), repeat=3):
         A, B = reconstruct_pair(basis, "core", params)
         stats.attempts += 1
         try:
@@ -573,43 +580,6 @@ def _core_chunk(args):
         if rel is not None:
             stats.smooth += 1
             rels.append(rel)
-    return rels, stats
-
-
-def harvest_core(basis, fb: FactorBase, workers: int = 1):
-    """Sieve the full (alpha, beta, gamma) cube.
-
-    Every left factor should carry the compelled place over P3 and every
-    bracket those over P3 and P2; `stats` counts how often they do.
-    Returns (relations, stats); relations are deduplicated by row and
-    sorted by provenance, so the output is independent of worker count.
-    """
-    curve, td = basis.curve, basis.td
-    p3 = place_of_point(curve, td.point(3))
-    compelled = ([p3], [p3, place_of_point(curve, td.point(2))])
-    alphas = list(range(basis.q))
-    if workers > 1:
-        chunks = [(basis, fb, [a], compelled) for a in alphas]
-        try:
-            pool = multiprocessing.get_context("fork").Pool(workers)
-        except (OSError, ValueError, ImportError):
-            # no fork start method or no processes to spare: sieve here.
-            # An error raised inside a worker is not caught; it propagates.
-            parts = [_core_chunk(ch) for ch in chunks]
-        else:
-            with pool:
-                parts = pool.map(_core_chunk, chunks)
-    else:
-        parts = [_core_chunk((basis, fb, alphas, compelled))]
-    stats = HarvestStats()
-    rels: list[Relation] = []
-    for rl, st in parts:
-        rels.extend(rl)
-        for name in HarvestStats.__dataclass_fields__:
-            if name == "right_residual_max":
-                stats.right_residual_max = max(stats.right_residual_max, st.right_residual_max)
-            else:
-                setattr(stats, name, getattr(stats, name) + getattr(st, name))
     seen, out = set(), []
     for rel in sorted(rels, key=lambda r: r.params):
         k = rel.key()

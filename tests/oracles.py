@@ -62,7 +62,7 @@ import itertools
 import math
 import random
 
-from ellog.algebra import (ExtFieldDesc, FieldDesc, Poly, _sqrt, poly_ext_gcd,
+from ellog.algebra import (ExtFieldDesc, FieldDesc, Poly, _ext_gcd, _sqrt,
                            poly_is_irreducible, poly_random_monic)
 
 
@@ -161,10 +161,10 @@ class QuotientRing:
         return self.reduce(Poly(self.K, a) * Poly(self.K, b))
 
     def inv(self, a):
-        g, s = poly_ext_gcd(Poly(self.K, a), self.u)
-        if g.degree() != 0:
+        g, s = _ext_gcd(self.K, Poly(self.K, a).coeffs, self.u.coeffs)
+        if len(g) != 1:
             raise ZeroDivisionError("non-invertible residue")
-        return self.reduce(s.scale(self.K.inv(g.coeffs[0])))
+        return self.reduce(Poly(self.K, s))
 
     def pow_(self, a, e: int):
         r = self.one

@@ -14,7 +14,7 @@ from ellog.cli import main
 def test_stage_ordering_errors(tmp_path):
     out = str(tmp_path / "r")
     assert main(["basis", "--out", out]) == 3
-    assert main(["harvest", "--out", out]) == 3
+    assert main(["harvest", "--workers", "1", "--out", out]) == 3
     assert main(["dlog", "--plant", "5", "--out", out]) == 3
 
 
@@ -102,13 +102,35 @@ def test_harvest_skips_m1_when_the_core_rows_solve(tmp_path, capsys):
         "fe53ffc4072eb72295458f3cd63afc10145fd51553e2a627ff7927c976f04804")
 
 
+# harvest's counters at (5, 9) seed 0, as printed
+PINNED_HARVEST_LINES = [
+    "sieve pairs: 125 (degenerate 5)",
+    "bracket smooth: 72  -> unique rows 14 + 91 reinforcement rows",
+    "left factors: 720, compelled present 720, height ok 720, decomposable 720",
+    "right side: compelled present 120, residual height <= 6: 120",
+]
+
+
 def test_harvest_runs_m1_when_the_core_rows_fall_short(pipeline, tmp_path,
                                                        capsys):
+    """The core rows leave a kernel at (5, 9), so m1 runs; the sieve's
+    counters print as pinned."""
     out = str(tmp_path / "run")
     shutil.copytree(pipeline["dir"], out)
     assert main(["harvest", "--out", out]) == 0
+    lines = capsys.readouterr().out.splitlines()
     assert ("m1 reinforcement: run, since the core rows fall short "
-            "(kernel dimension 2 mod 19)") in capsys.readouterr().out
+            "(kernel dimension 2 mod 19)") in lines
+    for want in PINNED_HARVEST_LINES:
+        assert want in lines
+
+
+def test_harvest_workers_other_than_one_is_config_error(tmp_path, capsys):
+    """harvest runs in one process: asking for more workers exits 2
+    naming the flag, before the run directory is read (else exit 3)."""
+    out = str(tmp_path / "r")
+    assert main(["harvest", "--workers", "2", "--out", out]) == 2
+    assert "--workers" in capsys.readouterr().err
 
 
 def test_extend_rerun_keeps_artifacts(pipeline, tmp_path, capsys):

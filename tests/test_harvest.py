@@ -156,14 +156,6 @@ def test_reinforcement_rows_complete_rank(basis59, fb59, harvested):
         assert len(kernel_mod_prime(rows, fb59.columns(), ell)) == 1
 
 
-def test_worker_count_does_not_change_output(basis59):
-    fb_a = build_factor_base(basis59, 3)
-    fb_b = build_factor_base(basis59, 3)
-    rels1, _ = harvest_core(basis59, fb_a, workers=1)
-    rels2, _ = harvest_core(basis59, fb_b, workers=2)
-    assert [r.key() for r in rels1] == [r.key() for r in rels2]
-
-
 def test_bracket_identities_symbolic(basis59):
     K = basis59.curve.field
     U, V, W = (TriPoly.var(K, s) for s in "UVW")
