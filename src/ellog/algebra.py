@@ -815,13 +815,16 @@ def _equal_degree(K: FieldDesc, f, d: int, draws) -> list:
     """Cantor-Zassenhaus split of a product of degree-d irreducibles (odd q).
 
     `draws()` gives the random generator; it is called only when f splits.
+    An f that is not such a product may never split, so each split takes
+    at most 64 draws and then raises Reducible: a true product of two or
+    more factors splits at each draw with chance about 1/2.
     """
     n = len(f) - 1
     if n == d:
         return [f]
     exp = (K.q ** d - 1) // 2
     rng = draws()
-    while True:
+    for _ in range(64):
         r = _strip([rng.randrange(K.q) for _ in range(n)])
         if len(r) < 2:
             continue
@@ -831,6 +834,9 @@ def _equal_degree(K: FieldDesc, f, d: int, draws) -> list:
         g = _gcd(K, f, _sub(K, _powmod(K, r, exp, f), [1]))
         if 0 < len(g) - 1 < n:
             break
+    else:
+        raise Reducible(f"no split in 64 draws: not a product of degree-{d} "
+                        "irreducibles")
     left = _equal_degree(K, g, d, draws)
     right = _equal_degree(K, _monic(K, _quo(K, f, g)), d, draws)
     return left + right

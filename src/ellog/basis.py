@@ -6,8 +6,13 @@ count is a multiple of k together with a rational point of exact order k.
 The abscissa theta of F is a root of the univariate polynomial obtained by
 substituting (X, X^q) into the third summation polynomial evaluated at x1;
 its degree-k irreducible factors are exactly the candidate field moduli.
+Each root x(Q) has pi(Q) - Q = +-P1, and then degree k, or pi(Q) + Q =
++-P1, and then degree 1 or 2 since pi^2(Q) = Q.  So the factors of degree
+<= 2 are stripped by two Frobenius steps and the rest splits at degree k,
+with no walk through the degrees in between.
 The ordinate tau is the square root of the curve cubic at theta whose sign
-makes the q-power map act as translation by P1.
+makes the q-power map act as translation by P1; the sign is read off the
+collinearity of F, P1 and -pi(F), with no inversion.
 
 The evaluation map psi takes an N-th root in the order-M quotient group,
 where N = #E(F_q) and M = (q^k - 1)/(q - 1), so a curve is accepted only
@@ -22,10 +27,9 @@ import random
 from dataclasses import dataclass, field as dc_field
 
 from .algebra import (ConfigError, ExtFieldDesc, FieldDesc, NonResidue, Poly,
-                      _distinct_degree, _equal_degree, _poly, _squarefree_parts,
-                      field_make)
-from .curve import (Curve, Point, Singular, TorsionData, find_point_of_order,
-                    point_add, point_neg)
+                      _equal_degree, _gcd, _monic, _poly, _powmod, _quo, _rem,
+                      _squarefree_parts, _sub, field_make)
+from .curve import Curve, Point, Singular, TorsionData, find_point_of_order
 
 
 class SearchExhausted(RuntimeError):
@@ -197,17 +201,59 @@ def theta_equation(curve: Curve, td: TorsionData) -> Poly:
 def theta_min_poly_candidates(curve: Curve, td: TorsionData) -> list[Poly]:
     """Degree-k irreducible factors of S_3(X, X^q, x1), smallest first.
 
-    Only the degree-k part of the distinct-degree split is split further:
-    the other factors are never used."""
+    A root x(Q) has pi(Q) - Q = +-P1 or pi(Q) + Q = +-P1.  In the first
+    case pi^j(Q) = Q +- jP1, which is +-Q only when k | j (or j = 2 at
+    k = 4), so x(Q) has degree k (2 at k = 4); these are the N abscissas
+    of the points that pi - 1, separable of degree N, sends to +-P1.  In
+    the second case pi^2(Q) = Q, so x(Q) has degree 1 or 2.  Hence two
+    Frobenius steps per squarefree part, the gcds with X^q - X and
+    X^(q^2) - X, strip every factor of degree <= 2, and what is left is
+    the product of the degree-k factors that a full distinct-degree walk
+    would reach at d = k; it is split by the same draws.  An input
+    without that structure raises AssertionError when k does not divide
+    the degree left, or Reducible from the split."""
     K = curve.field
+    q, k = K.q, td.k
     S = theta_equation(curve, td)
     rng = random.Random(0)
+    x = [0, 1]
     factors = []
     for part, _ in _squarefree_parts(K, S.coeffs):
-        for prod, d in _distinct_degree(K, part):
-            if d == td.k:
-                factors += _equal_degree(K, prod, d, lambda: rng)
+        rest, h = part, x
+        for _ in range(2):  # gcd with X^q - X, then with X^(q^2) - X
+            if len(rest) <= 1:
+                break
+            h = _powmod(K, h, q, rest)
+            g = _gcd(K, rest, _sub(K, h, x))
+            if len(g) > 1:
+                rest = _monic(K, _quo(K, rest, g))
+                h = _rem(K, h, rest)
+        if (len(rest) - 1) % k:
+            raise AssertionError(
+                f"S_3(X, X^q, x1) has a factor of degree {len(rest) - 1} "
+                f"beyond 1, 2 and a multiple of k = {k}")
+        if len(rest) > 1:
+            factors += _equal_degree(K, rest, k, lambda: rng)
     return sorted((_poly(K, g) for g in factors), key=lambda g: g.coeffs)
+
+
+def frobenius_shift(ext: ExtFieldDesc, theta, tau, P1: Point) -> int:
+    """+1 when pi(F) = F + P1 for F = (theta, tau), -1 when pi(F) = F - P1,
+    else 0.
+
+    pi(F) = F + S exactly when F, S and -pi(F) lie on one line.  theta is
+    not in F_q, so the three abscissas differ and the line is not vertical:
+    the slopes from F to S and to -pi(F) agree, which cross-multiplied
+    costs two products per sign and no inversion."""
+    # (y - tau)(theta^q - theta) = (-tau^q - tau)(x1 - theta), y = +-y1
+    dx = ext.sub(ext.frobenius(theta, 1), theta)
+    rhs = ext.mul(ext.neg(ext.add(ext.frobenius(tau, 1), tau)),
+                  ext.sub(ext.embed(P1.x), theta))
+    y1 = ext.embed(P1.y)
+    for sign, y in ((1, y1), (-1, ext.neg(y1))):
+        if ext.eq(ext.mul(ext.sub(y, tau), dx), rhs):
+            return sign
+    return 0
 
 
 def build_basis(curve: Curve, P1: Point, seed: int = 0,
@@ -217,7 +263,7 @@ def build_basis(curve: Curve, P1: Point, seed: int = 0,
     Refuses the curve at once when gcd(#E(F_q), M) > 1.  Otherwise tries
     the degree-k factors of S_3(X, X^q, x1) in coefficient order; for each,
     the square root tau of the cubic at theta is taken and its sign chosen
-    by the orientation constraint pi(F) = F + P1.
+    by the orientation constraint pi(F) = F + P1 (`frobenius_shift`).
     """
     from .curve import point_order
     k = point_order(P1, curve.N)
@@ -245,19 +291,12 @@ def build_basis(curve: Curve, P1: Point, seed: int = 0,
         except NonResidue:
             last_err = NotSquare("cubic at theta is a non-square")
             continue
-        # pi(F) - F is P1 for the oriented root; for the other, pi(-F) - (-F)
-        # = -(pi(F) - F), so one chord decides between tau and -tau
-        F = Point(curve, ext, theta, tau)
-        D = point_add(Point(curve, ext, ext.frobenius(theta, 1), ext.frobenius(tau, 1)),
-                      point_neg(F))
-        P1e = Point(curve, ext, ext.embed(P1.x), ext.embed(P1.y))
-        if D == P1e:
-            oriented = tau
-        elif D == point_neg(P1e):
-            oriented = ext.neg(tau)
-        else:
+        # pi(-F) = -F - P1 when pi(F) = F + P1: one root of the two is oriented
+        sign = frobenius_shift(ext, theta, tau, P1)
+        if not sign:
             last_err = OrientationFailed("neither root satisfies pi(F) = F + P1")
             continue
+        oriented = tau if sign == 1 else ext.neg(tau)
         return EllipticBasis(curve, td, ext, theta, oriented, M,
                              mu, curve.N // k, k, seed)
     raise last_err or NoDegreeKFactor("no usable factor")
@@ -357,6 +396,8 @@ def basis_from_json(text: str) -> EllipticBasis:
     if ext.mul(tau, tau) != curve.rhs_in(ext, theta):
         raise ConfigError("stored tau is not a square root of the curve "
                           "cubic at theta")
+    if frobenius_shift(ext, theta, tau, P1) != 1:
+        raise ConfigError("stored tau is not oriented: pi(F) != F + P1")
     basis = EllipticBasis(curve, td, ext, theta, tau, M,
                           doc["mu"], doc["nu"], k, doc["seed"])
     expected = value("torsion_x", codes)

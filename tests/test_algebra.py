@@ -8,6 +8,7 @@ from ellog.algebra import (CharTooSmall, ExtFieldDesc, FieldDesc, NonResidue,
                            NotPrime, Poly, Reducible, ZeroPolynomial, ext_make,
                            field_make, poly_factor, poly_irreducibles,
                            poly_is_irreducible, poly_random_monic)
+from ellog.algebra import _equal_degree
 
 from oracles import QuotientRing, frobenius_pow
 
@@ -311,6 +312,20 @@ def test_sqrt_over_a_split_modulus_raises_reducible():
         except (Reducible, NonResidue):
             continue
         assert R.mul(r, r) == a
+
+
+def test_equal_degree_split_of_an_irreducible_raises_reducible():
+    """An irreducible quartic over F_5 is no product of quadratics, so no
+    draw splits it: the split raises Reducible instead of drawing for ever,
+    and a true product of two quadratics still splits."""
+    K = field_make(5, 1)
+    f = next(g for g in (poly_random_monic(K, 4, random.Random(s))
+                         for s in itertools.count()) if poly_is_irreducible(g))
+    with pytest.raises(Reducible):
+        _equal_degree(K, list(f.coeffs), 2, lambda: random.Random(0))
+    g, h = poly_irreducibles(K, 2)[:2]
+    parts = _equal_degree(K, list((g * h).coeffs), 2, lambda: random.Random(0))
+    assert sorted(parts) == sorted([list(g.coeffs), list(h.coeffs)])
 
 
 @pytest.mark.parametrize("p, reduced", [(9949, False), (9967, True)])

@@ -2,9 +2,11 @@ import json
 
 import pytest
 
-from ellog.algebra import ConfigError, field_make, poly_factor
+from ellog import algebra, basis as basis_mod
+from ellog.algebra import (ConfigError, _squarefree_parts, field_make, poly_factor,
+                           poly_irreducibles)
 from ellog.basis import (NdNotInvertible, basis_from_json, basis_to_json,
-                         build_basis, find_basis, mu_bound,
+                         build_basis, find_basis, frobenius_shift, mu_bound,
                          search_curve, theta_equation, theta_min_poly_candidates)
 from ellog.curve import (Curve, Point, TorsionData, find_point_of_order,
                          point_add, point_order, scalar_mul, semaev3)
@@ -108,14 +110,94 @@ def test_summation_polynomial_degree(basis59):
     assert all(c.degree() == basis59.k for c in cands)
 
 
-@pytest.mark.parametrize("name", ["basis59", "basis11", "basis25"])
+@pytest.fixture(scope="module")
+def basis11_7():
+    """q = 11, k = 7: N = 14 = 2k, so two degree-k factors."""
+    return find_basis(11, 1, 7, seed=0)
+
+
+@pytest.fixture(scope="module")
+def basis17_5():
+    """q = 17, k = 5: N = 15 = 3k."""
+    return find_basis(17, 1, 5, seed=0)
+
+
+@pytest.mark.parametrize("name", ["basis59", "basis11", "basis25",
+                                  "basis11_7", "basis17_5"])
 def test_candidates_are_the_degree_k_factors(request, name):
-    """Splitting only the degree-k part keeps the candidates and their order."""
+    """A root x(Q) of S_3(X, X^q, x1) has pi(Q) - Q = +-P1 (degree k, N
+    abscissas in all) or pi(Q) + Q = +-P1 (degree <= 2).  The candidates,
+    found by stripping degrees 1 and 2, are the degree-k factors of the
+    full factorization, in its order."""
     b = request.getfixturevalue(name)
-    S = theta_equation(b.curve, b.td)
-    want = [g for g, _ in poly_factor(S) if g.degree() == b.k]
+    factors = poly_factor(theta_equation(b.curve, b.td))
+    assert {g.degree() for g, _ in factors} <= {1, 2, b.k}
+    top = [(g, mult) for g, mult in factors if g.degree() == b.k]
+    assert all(mult == 1 for _, mult in top)
+    assert sum(g.degree() for g, _ in top) == b.curve.N
+    want = [g for g, _ in top]
     assert theta_min_poly_candidates(b.curve, b.td) == want
     assert b.ext.I in want
+
+
+def test_candidates_take_two_frobenius_steps_per_part(monkeypatch):
+    """At (13, 17) a walk through the degrees takes 8 q-th powers; the
+    search strips degrees 1 and 2 and stops."""
+    b = find_basis(13, 1, 17, seed=0)
+    K = b.curve.field
+    steps = []
+    powmod = algebra._powmod
+
+    def counted(K_, a, e, m):
+        if e == K.q:
+            steps.append(e)
+        return powmod(K_, a, e, m)
+
+    monkeypatch.setattr(algebra, "_powmod", counted)
+    monkeypatch.setattr(basis_mod, "_powmod", counted, raising=False)
+    S = theta_equation(b.curve, b.td)
+    parts = _squarefree_parts(K, S.coeffs)
+    assert b.ext.I in theta_min_poly_candidates(b.curve, b.td)
+    assert 0 < len(steps) <= 2 * len(parts)
+    steps.clear()
+    for part, _ in parts:
+        algebra._distinct_degree(K, part)
+    assert len(steps) > 2 * len(parts)
+
+
+def test_candidates_refuse_a_factor_of_another_degree(basis59, monkeypatch):
+    """What is left after degrees 1 and 2 must have degree a multiple of k:
+    a cubic factor at k = 9 is an AssertionError, not a missing modulus."""
+    K = basis59.curve.field
+    cubic = poly_irreducibles(K, 3)[0]
+    monkeypatch.setattr(basis_mod, "theta_equation",
+                        lambda curve, td: cubic * basis59.ext.I)
+    with pytest.raises(AssertionError, match="degree 12"):
+        theta_min_poly_candidates(basis59.curve, basis59.td)
+
+
+@pytest.mark.parametrize("name", ["basis59", "basis11", "basis25"])
+def test_orientation_agrees_with_the_chord(request, name):
+    """The collinearity of F, +-P1 and -pi(F) picks the sign that the chord
+    pi(F) - F reads, for tau and for -tau."""
+    b = request.getfixturevalue(name)
+    ext, curve = b.ext, b.curve
+    P1e = Point(curve, ext, ext.embed(b.td.P1.x), ext.embed(b.td.P1.y))
+    for tau, sign in ((b.tau, 1), (ext.neg(b.tau), -1)):
+        F = Point(curve, ext, b.theta, tau)
+        piF = Point(curve, ext, ext.frobenius(b.theta, 1), ext.frobenius(tau, 1))
+        chord = point_add(piF, Point(curve, ext, F.x, ext.neg(F.y)))
+        assert chord == (P1e if sign == 1 else Point(curve, ext, P1e.x, ext.neg(P1e.y)))
+        assert frobenius_shift(ext, b.theta, tau, b.td.P1) == sign
+
+
+def test_json_rejects_a_negated_tau(basis59):
+    """-tau is also a root of the cubic at theta, but pi(F) = F - P1 there,
+    and psi, which relies on pi(F) = F + P1, would be silently wrong."""
+    doc = json.loads(basis_to_json(basis59))
+    doc["tau"] = basis59.ext.enc(basis59.ext.neg(basis59.tau))
+    with pytest.raises(ConfigError, match="stored tau is not oriented"):
+        basis_from_json(json.dumps(doc))
 
 
 def test_orientation_unique(basis59):

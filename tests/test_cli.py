@@ -452,6 +452,22 @@ def test_tampered_theta_or_tau_is_config_error(tmp_path, capsys, key):
     assert f"stored {key} is not" in capsys.readouterr().err
 
 
+def test_negated_tau_is_config_error(basis_run59, tmp_path, capsys):
+    """A basis.json whose tau is negated still has tau^2 = f(theta) but
+    pi(F) = F - P1; harvest refuses it (exit 2)."""
+    out = str(tmp_path / "r")
+    shutil.copytree(basis_run59, out)
+    path = os.path.join(out, "basis.json")
+    with open(path) as fh:
+        doc = json.load(fh)
+    doc["tau"] = ";".join(str(-int(c) % 5) for c in doc["tau"].split(";"))
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    capsys.readouterr()
+    assert main(["harvest", "--workers", "1", "--out", out]) == 2
+    assert "stored tau is not oriented" in capsys.readouterr().err
+
+
 def test_malformed_curve_file_is_config_error(tmp_path, capsys):
     out = str(tmp_path / "r")
     assert main(["search", "--p", "5", "--k", "9", "--out", out]) == 0
