@@ -10,12 +10,21 @@ expansion of the coefficient vector, low degree first.  A `Poly` over F_q
 is a tuple of codes, and its arithmetic, gcds, modular powers and the
 factorization all run in one kernel on plain coefficient lists.
 
+Each primitive is computed one way.  A polynomial product modulo another
+is that kernel's, whether the operands are polynomials over F_q, digit
+vectors of F_{p^m} over F_p (its ops above the table cap, and the tables
+below it) or elements of F_{q^k} over an F_{p^m} base; only F_{q^k} over
+F_p packs its product into one int (see `ExtFieldDesc`).  Every square
+root is `_sqrt`, and a field keeps one table of least square roots
+(`FieldDesc.root_table`) for the scans over all of F_q.
+
 The canonical text encoding of an element is its comma-separated base-p digit
 vector, low degree first (e.g. "3,0,1"), and is used verbatim by every
 persistence format in the package.
 
 The integer primality test and factorizer that the other modules share
-live here too.
+live here too; Rabin's irreducibility test takes its prime divisors of
+the degree from the factorizer.
 """
 
 from __future__ import annotations
@@ -119,7 +128,7 @@ def factor_modulus(M: int) -> list[tuple[int, int]]:
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
-    rng = random.Random(0xFAC7)
+    rng = None  # seeded only for rho: Rabin's test factors each degree
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()
@@ -128,6 +137,8 @@ def factor_modulus(M: int) -> list[tuple[int, int]]:
         if is_probable_prime(m):
             out[m] = out.get(m, 0) + 1
             continue
+        if rng is None:
+            rng = random.Random(0xFAC7)
         d = _pollard_rho_factor(m, rng)
         stack.extend([d, m // d])
     return sorted(out.items())
@@ -137,12 +148,13 @@ class FieldDesc:
     """Description of F_q = F_p[w]/(modulus), q = p^m, with code arithmetic.
 
     Element codes are integers 0..q-1; code(sum d_i w^i) = sum d_i p^i.
-    All arithmetic methods act on codes.  Instances are immutable and safe
-    to share across threads.
+    All arithmetic methods act on codes.  `_prime` is F_p itself, over which
+    the list kernel works on the digit vectors of F_{p^m}.  Instances are
+    immutable, apart from the table of `root_table`, filled on first use.
     """
 
-    __slots__ = ("p", "m", "q", "modulus", "_mul_table", "_add_table",
-                 "_neg_table", "_inv_table")
+    __slots__ = ("p", "m", "q", "modulus", "_prime", "_mul_table", "_add_table",
+                 "_neg_table", "_inv_table", "_roots")
 
     def __init__(self, p: int, m: int, modulus: tuple[int, ...]):
         if not is_probable_prime(p):
@@ -164,7 +176,9 @@ class FieldDesc:
         self._add_table = None
         self._neg_table = None
         self._inv_table = None
-        if m > 1 and not _is_irreducible_mod_p(self.modulus, p):
+        self._roots = None
+        self._prime = _prime_field(p) if m > 1 else self
+        if m > 1 and not _is_irreducible(self._prime, self.modulus):
             raise Reducible("field modulus is reducible")
         if q <= _TABLE_Q_CAP:
             self._build_tables()
@@ -172,16 +186,16 @@ class FieldDesc:
     # -- code <-> vector <-> text -------------------------------------
 
     def vec(self, code: int) -> tuple[int, ...]:
-        out = []
+        p, out = self.p, []
         for _ in range(self.m):
-            out.append(code % self.p)
-            code //= self.p
+            code, d = divmod(code, p)
+            out.append(d)
         return tuple(out)
 
     def code(self, vec) -> int:
-        c = 0
-        for d in reversed(list(vec)):
-            c = c * self.p + (d % self.p)
+        p, c = self.p, 0
+        for d in reversed(vec):
+            c = c * p + d % p
         return c
 
     def enc(self, code: int) -> str:
@@ -196,96 +210,59 @@ class FieldDesc:
         return self.code(digits)
 
     # -- arithmetic on codes ------------------------------------------
+    #
+    # Below _TABLE_Q_CAP every op is a table lookup.  Above it a prime field
+    # works on the ints, and F_{p^m} runs the list kernel of F_p[w] (below)
+    # on digit vectors, reducing products by the modulus; the tables are
+    # filled by the same untabled ops.
 
     def _build_tables(self):
         q = self.q
         add = [[0] * q for _ in range(q)]
         mul = [[0] * q for _ in range(q)]
         for a in range(q):
-            va = self.vec(a)
             for b in range(a, q):
-                vb = self.vec(b)
-                s = self.code((x + y) % self.p for x, y in zip(va, vb))
-                add[a][b] = s
-                add[b][a] = s
-                pr = self._mul_slow(a, b)
-                mul[a][b] = pr
-                mul[b][a] = pr
+                add[a][b] = add[b][a] = self.add(a, b)
+                mul[a][b] = mul[b][a] = self.mul(a, b)
+        self._neg_table = [self.neg(a) for a in range(q)]
+        self._inv_table = [0] + [self.pow_(a, q - 2) for a in range(1, q)]
         self._add_table = add
         self._mul_table = mul
-        self._neg_table = [self._sub_slow(0, a) for a in range(q)]
-        inv = [0] * q
-        for a in range(1, q):
-            inv[a] = self._pow_slow(a, q - 2)
-        self._inv_table = inv
-
-    def _mul_slow(self, a: int, b: int) -> int:
-        if self.m == 1:
-            return a * b % self.p
-        va, vb = self.vec(a), self.vec(b)
-        prod = [0] * (2 * self.m - 1)
-        for i, x in enumerate(va):
-            if x:
-                for j, y in enumerate(vb):
-                    prod[i + j] = (prod[i + j] + x * y) % self.p
-        # reduce by the monic modulus
-        for i in range(len(prod) - 1, self.m - 1, -1):
-            c = prod[i]
-            if c:
-                prod[i] = 0
-                for j in range(self.m):
-                    prod[i - self.m + j] = (prod[i - self.m + j] - c * self.modulus[j]) % self.p
-        return self.code(prod[: self.m])
-
-    def _sub_slow(self, a: int, b: int) -> int:
-        va, vb = self.vec(a), self.vec(b)
-        return self.code((x - y) % self.p for x, y in zip(va, vb))
-
-    def _pow_slow(self, a: int, e: int) -> int:
-        r = 1
-        while e:
-            if e & 1:
-                r = self._mul_slow(r, a)
-            a = self._mul_slow(a, a)
-            e >>= 1
-        return r
 
     def add(self, a: int, b: int) -> int:
         if self._add_table is not None:
             return self._add_table[a][b]
         if self.m == 1:
             return (a + b) % self.p
-        return self.code((x + y) % self.p for x, y in zip(self.vec(a), self.vec(b)))
+        return self.code(_add(self._prime, self.vec(a), self.vec(b)))
 
     def sub(self, a: int, b: int) -> int:
         if self._add_table is not None:
             return self._add_table[a][self._neg_table[b]]
         if self.m == 1:
             return (a - b) % self.p
-        return self._sub_slow(a, b)
+        return self.code(_sub(self._prime, self.vec(a), self.vec(b)))
 
     def neg(self, a: int) -> int:
         if self._neg_table is not None:
             return self._neg_table[a]
         if self.m == 1:
             return -a % self.p
-        return self._sub_slow(0, a)
+        return self.code(_sub(self._prime, (), self.vec(a)))
 
     def mul(self, a: int, b: int) -> int:
         if self._mul_table is not None:
             return self._mul_table[a][b]
         if self.m == 1:
             return a * b % self.p
-        return self._mul_slow(a, b)
+        return self.code(_mul(self._prime, self.vec(a), self.vec(b), self.modulus))
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of zero field element")
         if self._inv_table is not None:
             return self._inv_table[a]
-        if self.m == 1:
-            return pow(a, self.p - 2, self.p)
-        return self._pow_slow(a, self.q - 2)
+        return self.pow_(a, self.q - 2)
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
@@ -298,7 +275,7 @@ class FieldDesc:
         e %= self.q - 1
         if self.m == 1:
             return pow(a, e, self.p)
-        return self._pow_slow(a, e)
+        return self.code(_powmod(self._prime, self.vec(a), e, self.modulus))
 
     def embed(self, base_code: int) -> int:
         return base_code
@@ -326,6 +303,17 @@ class FieldDesc:
         """A square root of a, or raise NonResidue."""
         return _sqrt(self, a, self.q)
 
+    def root_table(self) -> list[int]:
+        """The least square root of each code, -1 at a non-square: one scan
+        of the q squares, on first use."""
+        roots = self._roots
+        if roots is None:
+            roots = self._roots = [-1] * self.q
+            mul = self.mul
+            for y in range(self.q - 1, -1, -1):
+                roots[mul(y, y)] = y
+        return roots
+
     def __repr__(self):
         return f"GF({self.p}^{self.m})" if self.m > 1 else f"GF({self.p})"
 
@@ -340,10 +328,6 @@ class FieldDesc:
 # ---------------------------------------------------------------------------
 # polynomials over F_p (for modulus search) and over a FieldDesc
 # ---------------------------------------------------------------------------
-
-def _is_irreducible_mod_p(coeffs: tuple[int, ...], p: int) -> bool:
-    return _is_irreducible(_prime_field(p), coeffs)
-
 
 _PRIME_FIELD_CACHE: dict[int, FieldDesc] = {}
 
@@ -369,9 +353,9 @@ DEG_ZERO = -1  # degree sentinel for the zero polynomial
 # base a code is its own residue, so products and remainders accumulate as
 # ints and take one `% p` per output coefficient.  Over F_{p^m} they bind
 # the base field's add/sub/mul (lookups in its tables below _TABLE_Q_CAP)
-# to locals, as `ExtFieldDesc.mul` does.  `Poly`, Rabin's test and the
-# factorization run their loops on these lists and build a `Poly` only for
-# what they return.
+# to locals.  `Poly`, Rabin's test, the factorization, `ExtFieldDesc.mul`
+# over F_{p^m} and the untabled ops of F_{p^m} itself (on digit vectors
+# over F_p) run their loops on these lists.
 
 def _strip(cs: list) -> list:
     while cs and not cs[-1]:
@@ -701,18 +685,7 @@ def _is_irreducible(K: FieldDesc, f) -> bool:
     if n == 1:
         return True
     x = [0, 1]
-    # distinct prime divisors of n
-    primes, t = [], n
-    d = 2
-    while d * d <= t:
-        if t % d == 0:
-            primes.append(d)
-            while t % d == 0:
-                t //= d
-        d += 1
-    if t > 1:
-        primes.append(t)
-    for ell in primes:
+    for ell, _ in factor_modulus(n):
         h = _sub(K, _powmod(K, x, K.q ** (n // ell), f), x)
         if len(_gcd(K, f, h)) != 1:
             return False
@@ -931,7 +904,8 @@ class ExtFieldDesc:
     2k(p-1)^2 + p.  Operands are packed and products unpacked by one
     precomputed little-endian `struct.Struct` of k slots (k - 1 for the
     high half), so the layout is the same on every host.  Over an F_{p^m}
-    base (m > 1) `mul` keeps the schoolbook loop on the base field's tables.
+    base (m > 1) `mul` is the list kernel's product mod I, on the base
+    field's ops.
 
     `frobenius` is the F_q-linear map a -> a^q = sum a_i X^(iq) mod I.
     Over F_p its rows X^(iq) mod I are packed once, on first use, in slots
@@ -1026,23 +1000,8 @@ class ExtFieldDesc:
                 quot = _pack_mod(high, quot, p)
             rem = (c + quot * fold) & mask
             return tuple([x % p for x in low.unpack(rem.to_bytes(low.size, "little"))])
-        K = self.base
-        k = self.k
-        prod = [0] * (2 * k - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        prod[i + j] = K.add(prod[i + j], K.mul(x, y))
-        I = self.I.coeffs
-        for i in range(2 * k - 2, k - 1, -1):
-            c = prod[i]
-            if c:
-                prod[i] = 0
-                for j in range(k):
-                    if I[j]:
-                        prod[i - k + j] = K.sub(prod[i - k + j], K.mul(c, I[j]))
-        return tuple(prod[:k])
+        cs = _mul(self.base, a, b, self.I.coeffs)
+        return tuple(cs) + (0,) * (self.k - len(cs))
 
     def inv(self, a):
         """a^-1 from the Bezout cofactor of a and I; `_ext_gcd` makes the
@@ -1148,21 +1107,20 @@ def _sqrt(dom, a, order: int):
     """A square root of a in the field `dom` of odd order Q = `order`, or
     raise NonResidue.
 
-    The rule is chosen by Q mod 8; the first two take one exponentiation:
-    - Q = 3 mod 4: r = a^((Q+1)/4).
+    The rule is chosen by Q mod 8; both take one exponentiation, except
+    that Tonelli-Shanks may search a non-residue at Q = 1 mod 8:
     - Q = 5 mod 8: Atkin's formula.  There 2 is a non-square, so for a
       square a, i = (2a)^((Q-1)/4) has i^2 = -1; with b = (2a)^((Q-5)/8),
       i = 2a b^2 and r = a b (i - 1) has r^2 = a^2 b^2 (-2i) = a.
-    - Q = 1 mod 8: Tonelli-Shanks, with a seeded non-residue search.
+    - otherwise Tonelli-Shanks.  At Q = 3 mod 4 it has m = 1 and returns
+      r = a^((Q+1)/4) with no search.
     Each rule gives a root whenever a is a square, and a non-square has
     none, so the check r^2 = a decides squareness: it is the Legendre
     test, for the price of one product.
     """
     if dom.eq(a, dom.zero):
         return a
-    if order % 4 == 3:
-        r = dom.pow_(a, (order + 1) // 4)
-    elif order % 8 == 5:
+    if order % 8 == 5:
         a2 = dom.add(a, a)
         b = dom.pow_(a2, (order - 5) // 8)
         i = dom.mul(a2, dom.mul(b, b))
@@ -1175,13 +1133,14 @@ def _sqrt(dom, a, order: int):
 
 
 def _tonelli_shanks(dom, a, order: int):
-    """For Q = `order` = 1 mod 8: a square root of a if a is a square, else
-    an element whose square is not a.
+    """For odd Q = `order`: a square root of a if a is a square, else an
+    element whose square is not a.
 
     Q - 1 = 2^m s with s odd.  w = a^((s-1)/2) gives r = a^((s+1)/2) = w a
     and t = a^s = w r, one exponentiation for both.  The non-residue z is
     searched only once t is known to need it: for a non-square, the first
-    squarings of t show a^((Q-1)/2) = -1 and end the loop without it.
+    squarings of t show a^((Q-1)/2) = -1 and end the loop without it.  At
+    m = 1 (Q = 3 mod 4) t is 1 or -1, so z is never needed.
 
     Over a ring that is not a field, where neither step need end, it
     raises Reducible: t^(2^m) = a^(Q-1) is 1 for every nonzero a of a

@@ -1,10 +1,12 @@
 """Weierstrass curves y^2 = x^3 + a x + b over F_q and its extensions.
 
-Besides the chord-tangent group law and naive point counting, this module
-carries the machinery tied to the three-coordinate curve model: the third
-summation polynomial S_3, sparse trivariate polynomials in U, V, W, the
-forward map phi sending Q to the abscissa triple of (Q - P1, Q, Q + P1),
-and the pullback phi_star into functions on the Weierstrass curve.
+Besides the chord-tangent group law and one point table per curve, from
+which the point count, the point list and the rational abscissas are read,
+this module carries the machinery tied to the three-coordinate curve
+model: the third summation polynomial S_3, sparse trivariate polynomials
+in U, V, W, the forward map phi sending Q to the abscissa triple of
+(Q - P1, Q, Q + P1), and the pullback phi_star into functions on the
+Weierstrass curve.
 
 A pulled-back function is kept in the shape (n0(X) + n1(X) Y) / (X - x1)^e,
 reduced with the curve equation; that normal form is what the divisor
@@ -38,12 +40,16 @@ class MapsToInfinity(ValueError):
 class Curve:
     """y^2 = x^3 + a x + b over a FieldDesc, with its point count cached.
 
+    `x_ordinates` is the curve's one point table, the memo of `ordinates`:
+    x -> its ordinates in code order, for every abscissa of an affine point
+    of E(F_q), in code order.  It is read from the field's `root_table`,
+    filled when N is counted or on first use, and serves `count_points`,
+    `curve_points`, `rational_abscissas` and `find_point_of_order`.
     `x_places` is the memo of `divisor.places_at`: the places over each
-    abscissa x0 of F_q met so far; `x_rational` is that of
-    `rational_abscissas`, filled on first use.  Neither is compared.
+    abscissa x0 of F_q met so far.  Neither is compared.
     """
 
-    __slots__ = ("field", "a", "b", "N", "t", "x_places", "x_rational")
+    __slots__ = ("field", "a", "b", "N", "t", "x_places", "x_ordinates")
 
     def __init__(self, field: FieldDesc, a: int, b: int, N: int | None = None):
         K = field
@@ -53,26 +59,38 @@ class Curve:
         self.field = field
         self.a = a
         self.b = b
-        self.N = N if N is not None else count_points(field, a, b)
+        self.x_places = {}
+        self.x_ordinates = None
+        self.N = N if N is not None else count_points(self)
         self.t = field.q + 1 - self.N
         if self.t * self.t > 4 * field.q:
             raise ValueError("point count violates the Hasse bound")
-        self.x_places = {}
-        self.x_rational = None
 
-    def rational_abscissas(self) -> list[int]:
+    def ordinates(self) -> dict[int, tuple[int, ...]]:
+        """The point table: x -> (y,) where x^3 + a x + b = 0, else
+        x -> (y, -y) with y its least root, for x in code order."""
+        table = self.x_ordinates
+        if table is None:
+            K = self.field
+            roots, neg, rhs = K.root_table(), K.neg, self.rhs
+            table = self.x_ordinates = {}
+            for x in range(K.q):
+                y = roots[rhs(x)]
+                if y > 0:
+                    table[x] = (y, neg(y))
+                elif y == 0:
+                    table[x] = (0,)
+        return table
+
+    def rational_abscissas(self):
         """The codes x of F_q with x^3 + a x + b a square or zero, in code
         order: the abscissas of the affine points of E(F_q), about q/2."""
-        xs = self.x_rational
-        if xs is None:
-            K = self.field
-            xs = self.x_rational = [x for x in range(K.q)
-                                    if K.is_square(self.rhs(x))]
-        return xs
+        return self.ordinates().keys()
 
     def rhs(self, x: int) -> int:
+        """x^3 + a x + b, as (x^2 + a) x + b: two products."""
         K = self.field
-        return K.add(K.mul(x, K.mul(x, x)), K.add(K.mul(self.a, x), self.b))
+        return K.add(K.mul(K.add(K.mul(x, x), self.a), x), self.b)
 
     def rhs_in(self, dom, x):
         a = dom.embed(self.a)
@@ -108,20 +126,9 @@ class Curve:
         return f"E[y^2=x^3+{K.enc(self.a)}x+{K.enc(self.b)}/{K!r}]"
 
 
-def count_points(field: FieldDesc, a: int, b: int) -> int:
-    """Exhaustive count via the quadratic character: N = q + 1 + sum chi(f(x))."""
-    K = field
-    sq = set()
-    for y in range(K.q):
-        sq.add(K.mul(y, y))
-    n = 1
-    for x in range(K.q):
-        fx = K.add(K.mul(x, K.mul(x, x)), K.add(K.mul(a, x), b))
-        if fx == 0:
-            n += 1
-        elif fx in sq:
-            n += 2
-    return n
+def count_points(curve: Curve) -> int:
+    """#E(F_q): O and the ordinates of the point table."""
+    return 1 + sum(map(len, curve.ordinates().values()))
 
 
 class Point:
@@ -236,24 +243,19 @@ def point_order(P: Point, group_order: int) -> int:
 
 
 def curve_points(curve: Curve) -> list[Point]:
-    """All rational points (desk scale; O first)."""
+    """All rational points, O first, then in the point table's order."""
     K = curve.field
-    pts = [Point.infinity(curve)]
-    roots: dict[int, list[int]] = {}
-    for y in range(K.q):
-        roots.setdefault(K.mul(y, y), []).append(y)
-    for x in range(K.q):
-        fx = curve.rhs(x)
-        for y in roots.get(fx, ()):
-            pts.append(Point(curve, K, x, y))
-    return pts
+    return [Point.infinity(curve)] + [Point(curve, K, x, y)
+                                      for x, ys in curve.ordinates().items()
+                                      for y in ys]
 
 
 def find_point_of_order(curve: Curve, k: int, seed: int = 0) -> Point | None:
     """A rational point of exact order k, or None if the group has none.
 
-    Random candidates (N/k) * R are tried first; for small q an exhaustive
-    scan certifies a miss.
+    Random candidates (N/k) * R are tried first, R = (x, y) for a random
+    x with y its least ordinate; for small q an exhaustive scan certifies
+    a miss.
     """
     if k == 1:
         return Point.infinity(curve)
@@ -261,17 +263,15 @@ def find_point_of_order(curve: Curve, k: int, seed: int = 0) -> Point | None:
         raise OrderNotDivisible(f"k = {k} does not divide N = {curve.N}")
     K = curve.field
     rng = random.Random(seed * 0x9E3779B1 + 0x5EED)
-    sq = {}
-    for y in range(K.q):
-        sq.setdefault(K.mul(y, y), y)
+    table = curve.ordinates()
     cof = curve.N // k
     kfac = factor_modulus(k)
     for _ in range(96):
         x = rng.randrange(K.q)
-        fx = curve.rhs(x)
-        if fx not in sq:
+        ys = table.get(x)
+        if ys is None:
             continue
-        R = Point(curve, K, x, sq[fx])
+        R = Point(curve, K, x, ys[0])
         P = scalar_mul(cof, R)
         if P.inf:
             continue

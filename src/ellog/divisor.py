@@ -121,15 +121,13 @@ def place_of_point(curve: Curve, P: Point) -> Place:
 def split_ordinate(curve: Curve, u: Poly) -> Poly | None:
     """A square root of x^3 + a x + b in F_q[x]/(u), or None if inert.
 
-    Over a degree-1 u the residue ring is F_q itself, so the root is taken
-    there.  Both paths ask for the root once (`algebra._sqrt`), whose check
-    r^2 = f raises NonResidue exactly at an inert u, and give the same root.
+    The root is asked once (`algebra._sqrt`), whose check r^2 = f raises
+    NonResidue exactly at an inert u.  At degree 1 the residue field is a
+    copy of F_q, and its root is the one F_q gives.
     """
     K = curve.field
+    R = ExtFieldDesc(K, u)
     try:
-        if u.degree() == 1:
-            return Poly(K, (K.sqrt(curve.rhs(K.neg(u.coeffs[0]))),))
-        R = ExtFieldDesc(K, u)
         return Poly(K, R.sqrt(R.from_poly(curve.rhs_poly())))
     except NonResidue:
         return None

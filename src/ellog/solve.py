@@ -142,13 +142,14 @@ def solve_core(basis, fb: FactorBase, relations: list[Relation],
     M = basis.M
     ncols = fb.columns()
     rows = [r.cols for r in relations] + [r.cols for r in fb.cycle_relations()]
-    vectors: dict[int, list[int]] = {}
+    factors = factor_modulus(M)
+    vectors: dict[tuple[int, int], list[int]] = {}
     small: list[tuple[int, int]] = []
-    for ell, e in factor_modulus(M):
+    for ell, e in factors:
         if ell <= _SMALL_PRIME_BOUND:
             small.append((ell, e))
             continue
-        vectors[ell ** e] = kernel_mod_prime_power(rows, ncols, ell, e)
+        vectors[ell, e] = kernel_mod_prime_power(rows, ncols, ell, e)
     if small:
         gq = PsiValue(basis.ext, find_generator(basis.ext, seed))
         classes = [column_class(fb, c, basis) for c in range(ncols)]
@@ -156,34 +157,26 @@ def solve_core(basis, fb: FactorBase, relations: list[Relation],
             pe = ell ** e
             exp = M // pe
             gsub = gq.pow(exp)
-            vec = [bsgs_oracle(cls.pow(exp), gsub, pe) for cls in classes]
-            vectors[pe] = vec
+            vectors[ell, e] = [bsgs_oracle(cls.pow(exp), gsub, pe) for cls in classes]
     # reference column: unit everywhere, class generating the quotient
-    prime_list = [ell for ell, _ in factor_modulus(M)]
     ref = None
     for col in range(ncols):
-        if all(vec[col] % _ell_of(pe, prime_list) for pe, vec in vectors.items()):
+        if all(vec[col] % ell for (ell, _), vec in vectors.items()):
             cls = column_class(fb, col, basis)
-            if all(not cls.pow(M // ell).is_one() for ell in prime_list):
+            if all(not cls.pow(M // ell).is_one() for ell, _ in factors):
                 ref = col
                 break
     if ref is None:
         raise MoreRelationsNeeded("no column usable as a generating reference")
     per_prime = {}
-    for pe, vec in vectors.items():
+    for (ell, e), vec in vectors.items():
+        pe = ell ** e
         inv = pow(vec[ref], -1, pe)
         per_prime[pe] = [(v * inv) % pe for v in vec]
     mod_m = {}
     for col in range(ncols):
         mod_m[col] = crt([(per_prime[pe][col], pe) for pe in per_prime]) % M
     return LogTable(ref, per_prime, mod_m, M)
-
-
-def _ell_of(pe: int, primes: list[int]) -> int:
-    for p in primes:
-        if pe % p == 0:
-            return p
-    raise AssertionError
 
 
 def verify_log_table(basis, fb: FactorBase, table: LogTable,

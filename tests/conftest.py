@@ -31,8 +31,8 @@ def basis11():
 
 @pytest.fixture(scope="session")
 def basis25():
-    """A basis over F_{5^2}: its target field multiplies by the schoolbook
-    loop on the base field's tables, not by the packed product."""
+    """A basis over F_{5^2}: its target field multiplies by the list
+    kernel on the base field's tables, not by the packed product."""
     basis = find_basis(5, 2, 5, seed=0)
     assert basis.ext._kron is None
     return basis

@@ -32,8 +32,9 @@ passes.
 
 `QuotientRing` is the reference residue ring F_q[x]/(u): each sum and
 product is formed as a `Poly` and then reduced by `% u`, where
-`ExtFieldDesc.mul` packs a prime-field product into one int (or runs a
-schoolbook loop over F_{p^m}).
+`ExtFieldDesc.mul` packs a prime-field product into one int (or runs the
+list kernel over F_{p^m}).  `DigitField` is the reference for the base
+field's own ops, on digit vectors with loops of its own.
 
 `kernel_lift_per_step` is the former `linalg.kernel_mod_prime_power`: it
 lifts the mod-ell kernel vector one power of ell at a time through its own
@@ -189,6 +190,55 @@ class QuotientRing:
 
     def sqrt(self, a):
         return _sqrt(self, a, self.K.q ** self.d)
+
+
+class DigitField:
+    """F_{p^m} = F_p[w]/(modulus) of a FieldDesc, on base-p digit vectors
+    with loops of its own: schoolbook products reduced by the modulus one
+    top digit at a time, and the inverse found by trying every code.  The
+    reference for `FieldDesc`, which above its table cap runs the list
+    kernel on the same vectors and below it reads tables that kernel
+    filled."""
+
+    def __init__(self, K: FieldDesc):
+        self.p, self.m, self.q = K.p, K.m, K.q
+        self.modulus = K.modulus
+
+    def vec(self, c: int) -> list:
+        return [c // self.p ** i % self.p for i in range(self.m)]
+
+    def code(self, v) -> int:
+        return sum(d % self.p * self.p ** i for i, d in enumerate(v))
+
+    def add(self, a: int, b: int) -> int:
+        return self.code([x + y for x, y in zip(self.vec(a), self.vec(b))])
+
+    def sub(self, a: int, b: int) -> int:
+        return self.code([x - y for x, y in zip(self.vec(a), self.vec(b))])
+
+    def neg(self, a: int) -> int:
+        return self.code([-x for x in self.vec(a)])
+
+    def mul(self, a: int, b: int) -> int:
+        p, m = self.p, self.m
+        prod = [0] * (2 * m - 1)
+        for i, x in enumerate(self.vec(a)):
+            for j, y in enumerate(self.vec(b)):
+                prod[i + j] += x * y
+        for top in range(2 * m - 2, m - 1, -1):
+            c = prod[top] % p
+            for j in range(m + 1):
+                prod[top - m + j] -= c * self.modulus[j]
+        return self.code(prod[:m])
+
+    def pow_(self, a: int, e: int) -> int:
+        r = 1
+        for _ in range(e):
+            r = self.mul(r, a)
+        return r
+
+    def inv(self, a: int) -> int:
+        return next(b for b in range(self.q) if self.mul(a, b) == 1)
 
 
 def curve_points_over(curve, L: ExtFieldDesc):

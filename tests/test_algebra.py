@@ -10,7 +10,7 @@ from ellog.algebra import (CharTooSmall, ExtFieldDesc, FieldDesc, NonResidue,
                            poly_is_irreducible, poly_random_monic)
 from ellog.algebra import _equal_degree
 
-from oracles import QuotientRing, frobenius_pow
+from oracles import DigitField, QuotientRing, frobenius_pow
 
 
 def test_field_make_prime_field_is_trivial():
@@ -281,10 +281,12 @@ def test_sqrt_every_element_of_residue_ring(q, d):
     _check_every_root(R, [tuple(c) for c in itertools.product(range(q), repeat=d)])
 
 
-def test_sqrt_roots_pinned():
+def test_sqrt_roots_pinned(basis11):
     """The root itself, sign included, in each class of q mod 8.  At q = 13
     (Atkin's formula) four roots are the negatives of the Tonelli-Shanks
-    ones; the others are the roots Tonelli-Shanks gives."""
+    ones; the others are the roots Tonelli-Shanks gives.  Where Q = 3 mod 4
+    the root is a^((Q+1)/4), in F_11 and in residue fields of degree 3, 5
+    and 13 over it."""
     pinned = {
         5: {1: 1, 4: 3},
         11: {1: 1, 3: 5, 4: 9, 5: 4, 9: 3},
@@ -295,6 +297,46 @@ def test_sqrt_roots_pinned():
         K = field_make(q, 1)
         got = {a: _sqrt_outcome(K, a) for a in range(1, q)}
         assert {a: r for a, r in got.items() if r is not NonResidue} == roots
+    F11 = field_make(11, 1)
+    rings = [basis11.ext]
+    for d in (3, 5):
+        rng = random.Random(d)
+        u = poly_random_monic(F11, d, rng)
+        while not poly_is_irreducible(u):
+            u = poly_random_monic(F11, d, rng)
+        rings.append(ExtFieldDesc(F11, u))
+    for R in rings:
+        Q = R.order_total
+        assert Q % 4 == 3
+        rng = random.Random(R.k)
+        for _ in range(40):
+            x = R.rand(rng)
+            a = R.mul(x, x)
+            assert R.sqrt(a) == R.pow_(a, (Q + 1) // 4)
+
+
+@pytest.mark.parametrize("p, m, tabled", [(37, 2, False), (11, 3, False), (31, 2, True)])
+def test_field_ops_match_digit_reference(p, m, tabled):
+    """Above the table cap F_{p^m} runs the list kernel on digit vectors;
+    below it the tables that kernel filled.  Both agree with the digit
+    reference on seeded elements and on 0, 1 and q - 1."""
+    K = field_make(p, m, 0)
+    assert (K._mul_table is not None) == tabled
+    ref = DigitField(K)
+    rng = random.Random(p * m)
+    elements = [0, 1, K.q - 1] + [rng.randrange(K.q) for _ in range(27)]
+    for a in elements:
+        b = rng.randrange(K.q)
+        for x, y in ((a, b), (b, a), (a, a)):
+            assert K.mul(x, y) == ref.mul(x, y)
+            assert K.add(x, y) == ref.add(x, y)
+            assert K.sub(x, y) == ref.sub(x, y)
+        assert K.neg(a) == ref.neg(a)
+        e = rng.randrange(2 * K.q)
+        assert K.pow_(a, e) == ref.pow_(a, e)
+        if a:
+            assert K.inv(a) == ref.inv(a)
+            assert K.pow_(a, -e) == K.inv(ref.pow_(a, e))
 
 
 def test_sqrt_over_a_split_modulus_raises_reducible():

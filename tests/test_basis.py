@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -48,6 +49,21 @@ def test_rebuild_bit_identical():
     a = basis_to_json(find_basis(5, 1, 9, seed=0))
     b = basis_to_json(find_basis(5, 1, 9, seed=0))
     assert a == b
+
+
+# q = 5 is 5 mod 8, 11 is 3, 17 and 25 are 1; (5, 2, 5) has an F_{5^2} base
+@pytest.mark.parametrize("p, m0, k, digest", [
+    (5, 1, 9, "6bee8ed02622ecfb"),
+    (11, 1, 13, "a1403885c01fef5e"),
+    (11, 1, 7, "4af53bdeb43cb39a"),
+    (17, 1, 5, "b3133a57bdb2f750"),
+    (5, 2, 5, "c0f20e675c3d4381"),
+])
+def test_basis_json_pinned(p, m0, k, digest):
+    """The whole seed-0 document, P1, N and the modulus included, by the
+    sha256 prefix of its bytes."""
+    text = basis_to_json(find_basis(p, m0, k, seed=0))
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
 
 def test_json_roundtrip(basis59):

@@ -9,7 +9,7 @@ from ellog.curve import (Curve, CurveFunction, MapsToInfinity, MixedCurves,
                          find_point_of_order, phi, phi_star,
                          point_add, point_neg, point_order, scalar_mul,
                          semaev3)
-from oracles import model_equations
+from oracles import curve_points_over, extension_of, model_equations
 
 F5 = field_make(5, 1)
 E = Curve(F5, 1, 1)
@@ -49,7 +49,7 @@ def test_nine_torsion_by_exhaustive_order():
 
 def test_count_points_matches_brute_force():
     assert E.N == 9
-    assert count_points(F5, 1, 1) == brute_count(F5, 1, 1)
+    assert count_points(E) == brute_count(F5, 1, 1)
     rng = random.Random(3)
     F7 = field_make(7, 1)
     for _ in range(6):
@@ -59,6 +59,32 @@ def test_count_points_matches_brute_force():
         except (Singular, ValueError):
             continue
         assert C.N == brute_count(F7, a, b)
+
+
+@pytest.mark.parametrize("p, m", [(5, 1), (11, 1), (11, 2), (1031, 1)])
+def test_point_table_matches_brute_force(p, m):
+    """count_points, curve_points (order included) and rational_abscissas
+    all read the curve's one point table.  Each agrees with the brute-force
+    points of `oracles.curve_points_over` (every y squared, every x
+    tried), on seeded curves whose table is filled when N is counted and
+    on the same curves with N given."""
+    K = field_make(p, m, 0)
+    L = extension_of(K, 1)
+    rng = random.Random(p * m)
+    checked = 0
+    while checked < 3:
+        a, b = rng.randrange(K.q), rng.randrange(K.q)
+        try:
+            C = Curve(K, a, b)
+        except Singular:
+            continue
+        pts = [(x, y) for (x,), (y,) in curve_points_over(C, L)]
+        assert count_points(C) == C.N == len(pts) + 1
+        for curve in (C, Curve(K, a, b, N=C.N)):
+            got = curve_points(curve)
+            assert got[0].inf and [(P.x, P.y) for P in got[1:]] == pts
+            assert list(curve.rational_abscissas()) == sorted({x for x, _ in pts})
+        checked += 1
 
 
 def test_hasse_bound():

@@ -102,7 +102,8 @@ def test_divisor_of_matches_series_valuations(curve121, curve5_split_cubic, q, s
 
 
 def test_split_ordinate_degree_one_root(curve121):
-    """Over degree-1 u the F_q square root is the QuotientRing root itself."""
+    """Over degree-1 u the root in the residue field F_q[x]/(u) is the
+    QuotientRing root itself."""
     curves = [curve121]
     for p in (5, 11):
         K = field_make(p, 1)
@@ -280,7 +281,7 @@ def test_translation_matches_brute_force_points(basis59):
 
 def test_translation_matches_brute_force_points_over_f25(basis25):
     """The walk over an F_{5^2} base, whose residue fields multiply by the
-    schoolbook loop; places of degree <= 2 cover all three kinds."""
+    list kernel; places of degree <= 2 cover all three kinds."""
     _check_walk_by_brute_force(basis25, 2)
 
 
