@@ -32,6 +32,7 @@ from __future__ import annotations
 import math
 import operator
 import random
+from functools import cache
 from struct import Struct, calcsize
 
 
@@ -217,17 +218,43 @@ class FieldDesc:
     # filled by the same untabled ops.
 
     def _build_tables(self):
-        q = self.q
-        add = [[0] * q for _ in range(q)]
-        mul = [[0] * q for _ in range(q)]
-        for a in range(q):
-            for b in range(a, q):
-                add[a][b] = add[b][a] = self.add(a, b)
-                mul[a][b] = mul[b][a] = self.mul(a, b)
-        self._neg_table = [self.neg(a) for a in range(q)]
-        self._inv_table = [0] + [self.pow_(a, q - 2) for a in range(1, q)]
+        """Fill the add, mul, neg and inv tables.
+
+        Over F_p a row is one comprehension.  Over F_{p^m} a row takes m
+        untabled products: b -> a + b and b -> a b are F_p-linear up to a
+        constant, so the block of codes with top digit t >= 1 at place j,
+        [t p^j, (t + 1) p^j), follows from the block p^j below it.  a + b
+        is a + (b - p^j) with digit j raised by one (a table of such
+        bumps), and a b is a (b - p^j) + a w^j, one lookup in the add
+        table's row of a w^j.  neg and inv are read off the rows, as the
+        codes of 0 and of 1."""
+        p, m, q = self.p, self.m, self.q
+        if m == 1:
+            add = [[(a + b) % p for b in range(q)] for a in range(q)]
+            mul = [[a * b % p for b in range(q)] for a in range(q)]
+        else:
+            powers = [p ** j for j in range(m)]
+            blocks = [(j, pj, t) for j, pj in enumerate(powers) for t in range(1, p)]
+            bumps = [[c - (p - 1) * pj if c // pj % p == p - 1 else c + pj
+                      for c in range(q)] for pj in powers]
+            add, mul = [], []
+            for a in range(q):
+                row = [a] * q
+                for j, pj, t in blocks:
+                    row[t * pj:(t + 1) * pj] = map(bumps[j].__getitem__,
+                                                   row[(t - 1) * pj:t * pj])
+                add.append(row)
+            for a in range(q):
+                cols = [add[self.mul(a, pj)] for pj in powers]
+                row = [0] * q
+                for j, pj, t in blocks:
+                    row[t * pj:(t + 1) * pj] = map(cols[j].__getitem__,
+                                                   row[(t - 1) * pj:t * pj])
+                mul.append(row)
         self._add_table = add
         self._mul_table = mul
+        self._neg_table = [row.index(0) for row in add]
+        self._inv_table = [0] + [row.index(1) for row in mul[1:]]
 
     def add(self, a: int, b: int) -> int:
         if self._add_table is not None:
@@ -635,9 +662,6 @@ class Poly:
     def gcd(self, other: "Poly") -> "Poly":
         return _poly(self.field, _gcd(self.field, self.coeffs, other.coeffs))
 
-    def eval_code(self, x: int) -> int:
-        return _horner(self.field, self.coeffs, x)[1]
-
     def eval_in(self, dom, x):
         """Horner evaluation in any domain exposing zero/embed/add/mul."""
         cs = self.coeffs
@@ -647,9 +671,6 @@ class Poly:
         for c in reversed(cs[:-1]):
             acc = dom.add(dom.mul(acc, x), dom.embed(c))
         return acc
-
-    def derivative(self) -> "Poly":
-        return _poly(self.field, _derivative(self.field, self.coeffs))
 
     def powmod(self, e: int, mod: "Poly") -> "Poly":
         return _poly(self.field, _powmod(self.field, self.coeffs, e, mod.coeffs))
@@ -880,6 +901,24 @@ def _pack_mod(slots: Struct, x: int, p: int) -> int:
     return _pack(slots, [s % p for s in slots.unpack(x.to_bytes(slots.size, "little"))])
 
 
+@cache
+def _kron_layout(p: int, k: int) -> tuple:
+    """The slot layout of `ExtFieldDesc.mul` over F_p at degree k, shared
+    by every modulus of that degree: the Structs of k and k - 1 slots, the
+    shifts of the high half and of the quotient, the mask of the low half,
+    and whether the high half is reduced mod p (see `ExtFieldDesc`).
+    Cached for the process's life, one entry per (p, k)."""
+    exact = k * (p - 1) ** 2 + k * (k - 1) ** 2 * (p - 1) ** 4
+    code = next((c for c in "BHIQ" if exact < 1 << 8 * calcsize("<" + c)), None)
+    mid_mod = code is None
+    if mid_mod:
+        code = next(c for c in "BHIQ"
+                    if 2 * k * (p - 1) ** 2 + p < 1 << 8 * calcsize("<" + c))
+    bits = 8 * calcsize("<" + code)
+    return (Struct("<%d%s" % (k, code)), Struct("<%d%s" % (k - 1, code)),
+            bits * k, bits * max(k - 2, 0), (1 << bits * k) - 1, mid_mod)
+
+
 class ExtFieldDesc:
     """F_q[X]/(I) for monic irreducible I of degree k over the base.
 
@@ -903,7 +942,9 @@ class ExtFieldDesc:
     reduced mod p before their products, which bounds a slot by
     2k(p-1)^2 + p.  Operands are packed and products unpacked by one
     precomputed little-endian `struct.Struct` of k slots (k - 1 for the
-    high half), so the layout is the same on every host.  Over an F_{p^m}
+    high half), so the layout is the same on every host; the layout
+    depends on (p, k) alone and is built once for each (`_kron_layout`),
+    and only mu and the fold are worked out per modulus.  Over an F_{p^m}
     base (m > 1) `mul` is the list kernel's product mod I, on the base
     field's ops.
 
@@ -926,17 +967,10 @@ class ExtFieldDesc:
         self._kron = None
         if base.m == 1:
             p, k = base.p, self.k
-            exact = k * (p - 1) ** 2 + k * (k - 1) ** 2 * (p - 1) ** 4
-            code = next((c for c in "BHIQ" if exact < 1 << 8 * calcsize("<" + c)), None)
-            mid_mod = code is None
-            if mid_mod:
-                code = next(c for c in "BHIQ"
-                            if 2 * k * (p - 1) ** 2 + p < 1 << 8 * calcsize("<" + c))
-            bits = 8 * calcsize("<" + code)
-            low, high = Struct("<%d%s" % (k, code)), Struct("<%d%s" % (k - 1, code))
+            low, high, shift, q_shift, mask, mid_mod = _kron_layout(p, k)
             mu = Poly(base, (0,) * (2 * k - 2) + (1,)) // I
             fold = [-c % p for c in I.coeffs[:k]]  # X^k mod I
-            self._kron = (p, low, high, bits * k, bits * max(k - 2, 0), (1 << bits * k) - 1,
+            self._kron = (p, low, high, shift, q_shift, mask,
                           _pack(high, mu.coeffs), _pack(low, fold), mid_mod)
 
     # -- element helpers ----------------------------------------------

@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .algebra import FieldDesc, Poly, _horner, _poly, factor_modulus
+from .algebra import FieldDesc, Poly, _horner, _poly, _sub, factor_modulus
 
 
 class MixedCurves(ValueError):
@@ -45,11 +45,15 @@ class Curve:
     of E(F_q), in code order.  It is read from the field's `root_table`,
     filled when N is counted or on first use, and serves `count_points`,
     `curve_points`, `rational_abscissas` and `find_point_of_order`.
-    `x_places` is the memo of `divisor.places_at`: the places over each
-    abscissa x0 of F_q met so far.  Neither is compared.
+    `u_places` is the memo of the places over a monic irreducible abscissa
+    polynomial u (a coefficient tuple), filled by `divisor.places_at` and
+    by the principal-divisor map.  `x_powers` holds (n, x -> [1, x, ...,
+    x^(n-1)]) for the rational abscissas x, the table `abscissa_powers`
+    grows.  None of them is compared.
     """
 
-    __slots__ = ("field", "a", "b", "N", "t", "x_places", "x_ordinates")
+    __slots__ = ("field", "a", "b", "N", "t", "u_places", "x_ordinates",
+                 "x_powers")
 
     def __init__(self, field: FieldDesc, a: int, b: int, N: int | None = None):
         K = field
@@ -59,8 +63,9 @@ class Curve:
         self.field = field
         self.a = a
         self.b = b
-        self.x_places = {}
+        self.u_places = {}
         self.x_ordinates = None
+        self.x_powers = (0, {})
         self.N = N if N is not None else count_points(self)
         self.t = field.q + 1 - self.N
         if self.t * self.t > 4 * field.q:
@@ -86,6 +91,22 @@ class Curve:
         """The codes x of F_q with x^3 + a x + b a square or zero, in code
         order: the abscissas of the affine points of E(F_q), about q/2."""
         return self.ordinates().keys()
+
+    def abscissa_powers(self, n: int) -> dict[int, list[int]]:
+        """x -> [1, x, ..., x^(m-1)] for each rational abscissa x, in code
+        order, with m >= n; rebuilt at twice the length when too short."""
+        m, table = self.x_powers
+        if m < n:
+            K = self.field
+            mul = K.mul
+            m = max(n, 2 * m)
+            table = {}
+            for x in self.rational_abscissas():
+                row = table[x] = [1]
+                for _ in range(m - 1):
+                    row.append(mul(row[-1], x))
+            self.x_powers = (m, table)
+        return table
 
     def rhs(self, x: int) -> int:
         """x^3 + a x + b, as (x^2 + a) x + b: two products."""
@@ -298,11 +319,14 @@ class TorsionData:
 
     `pullbacks` is the table behind `phi_star`: for a monomial U^i V^j W^l
     and a power e >= 2 (i + l), the numerator pair (n0, n1) of its pull-back
-    over (X - x1)^e, as coefficient tuples.  Entries are added on first use
+    over (X - x1)^e, as coefficient tuples.  `bracket_pullbacks` is the
+    table behind `plucker_pullback`, the same pair for bracket(m, n) of a
+    label (m, n) of monomials in U and V.  Entries are added on first use
     and never change.
     """
 
-    __slots__ = ("curve", "k", "P1", "xs", "ys", "_points", "pullbacks")
+    __slots__ = ("curve", "k", "P1", "xs", "ys", "_points", "pullbacks",
+                 "bracket_pullbacks")
 
     def __init__(self, curve: Curve, P1: Point, k: int):
         if k < 3:
@@ -325,6 +349,7 @@ class TorsionData:
         self.xs = [None] + [Q.x for Q in pts[1:]]
         self.ys = [None] + [Q.y for Q in pts[1:]]
         self.pullbacks: dict = {}
+        self.bracket_pullbacks: dict = {}
 
     def point(self, j: int) -> Point:
         j %= self.k
@@ -371,10 +396,6 @@ class TriPoly:
                     elif cur is not None:
                         del t[key]
         self.terms = t
-
-    @staticmethod
-    def const(field: FieldDesc, c: int) -> "TriPoly":
-        return TriPoly(field, {(0, 0, 0): c} if c else {})
 
     @staticmethod
     def var(field: FieldDesc, name: str) -> "TriPoly":
@@ -568,21 +589,56 @@ def phi_star(f: TriPoly, td: TorsionData) -> CurveFunction:
     phi_star is linear, so the numerators are c times the image of each
     monomial over the common power e, read from `td.pullbacks`.
     """
+    if f.is_zero():
+        K = td.curve.field
+        return CurveFunction.make(td.curve, td.xs[1], Poly(K, ()), Poly(K, ()), 0)
+    e = max(2 * (i + l) for (i, j, l) in f.terms)
+    return _combine(td, [(c, _monomial_image(td, mono, e))
+                         for mono, c in f.terms.items()], e)
+
+
+def plucker_pullback(coords, td: TorsionData) -> CurveFunction:
+    """phi_star(plucker_bracket(K, coords)), with no TriPoly built.
+
+    The pull-back is linear, so it is sum p_mn phi_star(bracket(m, n)),
+    from the image of each label over the common power e, read from
+    `td.bracket_pullbacks`.  A larger e than the bracket needs is struck
+    out by `CurveFunction.make`, so the result is the same function in the
+    same normal form.
+    """
+    e = max(2 * max(b + c, a + d) for ((a, b, _), (c, d, _)), _ in coords)
+    table = td.bracket_pullbacks
+    terms = []
+    for label, c in coords:
+        img = table.get((label, e))
+        if img is None:
+            K = td.curve.field
+            (a, b, _), (c2, d, _) = label
+            left = _monomial_image(td, (c2, a + d, b), e)
+            right = _monomial_image(td, (a, b + c2, d), e)
+            img = table[(label, e)] = (tuple(_sub(K, left[0], right[0])),
+                                       tuple(_sub(K, left[1], right[1])))
+        terms.append((c, img))
+    return _combine(td, terms, e)
+
+
+def _monomial_image(td: TorsionData, mono: tuple, e: int) -> tuple:
+    """`_monomial_pullback`, memoized in `td.pullbacks`."""
+    img = td.pullbacks.get((mono, e))
+    if img is None:
+        img = td.pullbacks[(mono, e)] = _monomial_pullback(td, mono, e)
+    return img
+
+
+def _combine(td: TorsionData, terms, e: int) -> CurveFunction:
+    """(sum c n0 + sum c n1 Y)/(X - x1)^e over the (c, (n0, n1)) of terms."""
     curve = td.curve
     K = curve.field
-    x1 = td.xs[1]
-    if f.is_zero():
-        return CurveFunction.make(curve, x1, Poly(K, ()), Poly(K, ()), 0)
-    e_common = max(2 * (i + l) for (i, j, l) in f.terms)
-    table = td.pullbacks
     prime = K.m == 1
     add, mul = K.add, K.mul
     tot0: list[int] = []
     tot1: list[int] = []
-    for mono, c in f.terms.items():
-        img = table.get((mono, e_common))
-        if img is None:
-            img = table[(mono, e_common)] = _monomial_pullback(td, mono, e_common)
+    for c, img in terms:
         for tot, n in zip((tot0, tot1), img):
             if len(tot) < len(n):
                 tot.extend([0] * (len(n) - len(tot)))
@@ -596,7 +652,7 @@ def phi_star(f: TriPoly, td: TorsionData) -> CurveFunction:
         p = K.p
         tot0 = [x % p for x in tot0]
         tot1 = [x % p for x in tot1]
-    return CurveFunction.make(curve, x1, Poly(K, tot0), Poly(K, tot1), e_common)
+    return CurveFunction.make(curve, td.xs[1], Poly(K, tot0), Poly(K, tot1), e)
 
 
 def _monomial_pullback(td: TorsionData, mono: tuple, e: int) -> tuple:

@@ -8,10 +8,12 @@ deg u, y = v(x) on the place).  Ramified places have v = 0; inert places
 The principal-divisor map factors the norm n0^2 - n1^2 (x^3 + a x + b) of
 the primitive part p0 + p1 y of a function (n0 + n1 y)/(x - x1)^e.  At each
 irreducible factor u off the ramified locus only one conjugate place is a
-zero, the one with ordinate v = -p0/p1 mod u, so no square root is taken.
-The norm's roots in F_q lie over F_q-rational points, so its linear factors
-come from a Horner scan of the curve's rational abscissas; only the rootless
-rest of degree >= 4 is factored.
+zero, the one with ordinate v = -p0/p1 mod u, so no square root is taken;
+the places over u are read off the point table (u linear) or kept in a
+memo on the curve (u longer).  The norm's roots in F_q lie over
+F_q-rational points, so its linear factors come from one evaluation pass
+over the curve's rational abscissas; only the rootless rest of degree >= 4
+is factored.
 
 Translation by -P1 walks a place along its orbit.  `place_point` reads a
 place's point Q in one field L of degree deg(place) over F_q: F_q[x]/(u)
@@ -27,9 +29,10 @@ chord gives O.  The bilinear descent evaluates its brackets at the same Q.
 from __future__ import annotations
 
 from functools import total_ordering
+from operator import mul
 
-from .algebra import (ExtFieldDesc, FieldDesc, NonResidue, Poly, _ext_gcd, _horner, _mul,
-                      _poly, _rem, _sub, poly_factor)
+from .algebra import (ExtFieldDesc, FieldDesc, NonResidue, Poly, _add, _ext_gcd, _horner,
+                      _mul, _poly, _rem, _sub, poly_factor)
 from .curve import Curve, CurveFunction, Point, TorsionData, ZeroFunction, point_add
 from .linalg import _rref
 
@@ -147,16 +150,24 @@ def places_over(curve: Curve, u: Poly) -> list[Place]:
 
 
 def places_at(curve: Curve, x0: int) -> tuple[Place, ...]:
-    """The places over x = x0, memoized on the curve by x0.
+    """The places over x = x0, read off the point table and memoized on
+    the curve under u = X - x0 (`Curve.u_places`).
 
-    Every pulled-back function has its pole over the same abscissa, so
-    this takes one square root per x0 instead of one per function.
+    Every pulled-back function has its pole over the same abscissa, and
+    every linear norm factor is one of these, so no square root is taken.
     """
-    places = curve.x_places.get(x0)
+    K = curve.field
+    u = (K.neg(x0), 1)
+    places = curve.u_places.get(u)
     if places is None:
-        K = curve.field
-        places = curve.x_places[x0] = tuple(
-            places_over(curve, Poly(K, (K.neg(x0), 1))))
+        ys = curve.ordinates().get(x0)
+        if ys is None:
+            places = (Place(INERT, u, ()),)
+        elif ys == (0,):
+            places = (Place(RAMIFIED, u, ()),)
+        else:
+            places = tuple([Place(SPLIT, u, (y,)) for y in ys])
+        curve.u_places[u] = places
     return places
 
 
@@ -270,23 +281,21 @@ def divisor_of(fun: CurveFunction, curve: Curve) -> Divisor:
 
     The affine zero structure comes from the content g = gcd(n0, n1) plus
     the norm of the primitive part p0 + p1 y.  A norm factor u off the
-    ramified locus is the split place (u, v) with v = -p0 p1^-1 mod u, and
-    p0 + p1 y vanishes only where y = v; the conjugate place (u, -v) is not
-    a zero.  Each v is read modulo its own factor (`_zero_ordinate`).
+    ramified locus lies under two split places (u, v) and (u, -v), and
+    p0 + p1 y vanishes at one of them only, the one with v = -p0 p1^-1 mod
+    u; `_zero_place` picks it.
 
     The norm N = p0^2 - p1^2 f has its roots in F_q at rational abscissas
     only: p0 and p1 are coprime, so p1(r) = 0 would force p0(r) = 0; hence
     p1(r) != 0 and f(r) = (p0(r)/p1(r))^2 is a square or zero, and r is the
-    abscissa of a split or ramified F_q-point.  So `_norm_factors` divides
-    the monic N by X - r with `_horner` for each r of
-    `Curve.rational_abscissas`, as often as the remainder is 0, and stops
-    once the rest is constant.  The rest has no root in F_q: of degree 2 or
-    3 it is irreducible, and only from degree 4 on does it go to
-    `poly_factor`.  The scan costs about (q/2) deg N Horner steps, the same
-    order as the q + 1 lines whose divisors every sieve pair looks up.  A
-    linear content g = X - r gives the places of `places_at(r)`; a longer
-    one goes to `poly_factor` whole, since its roots may lie under inert
-    places.
+    abscissa of a split or ramified F_q-point.  So `_norm_factors`
+    evaluates the monic N at each rational abscissa through the curve's
+    power table and divides it by X - r, with `_horner`, only at the roots.
+    The rest has no root in F_q: of degree 2 or 3 it is irreducible, and
+    only from degree 4 on does it go to `poly_factor`.  A linear content
+    g = X - r gives the places of `places_at(r)`; a longer one goes to
+    `poly_factor` whole, since its roots may lie under inert places, and
+    the places over each factor are memoized on the curve.
     """
     if fun.is_zero():
         raise ZeroFunction("divisor of the zero function")
@@ -306,9 +315,7 @@ def divisor_of(fun: CurveFunction, curve: Curve) -> Divisor:
     # content: valuation mult at split/inert places, doubled at ramified ones
     if g.degree() > 0:
         for u, mult in [(g, 1)] if g.degree() == 1 else poly_factor(g):
-            places = (places_at(curve, K.neg(u.coeffs[0])) if u.degree() == 1
-                      else places_over(curve, u))
-            for place in places:
+            for place in _places_above(curve, u):
                 D.add_place(place, 2 * mult if place.kind == RAMIFIED else mult)
 
     # primitive part via its norm
@@ -316,13 +323,10 @@ def divisor_of(fun: CurveFunction, curve: Curve) -> Divisor:
     if norm.is_zero():
         raise ZeroFunction("function vanishes on the curve")
     for u, mult in _norm_factors(curve, norm):
-        v = _zero_ordinate(curve, p0.coeffs, p1.coeffs, u)
-        if v is not None:
-            D.add_place(Place(SPLIT, u, v), mult)
-        elif mult != 1:
+        place = _zero_place(curve, p0.coeffs, p1.coeffs, u)
+        if place.kind == RAMIFIED and mult != 1:
             raise AssertionError("ramified factor of a primitive part with multiplicity > 1")
-        else:
-            D.add_place(Place(RAMIFIED, u, ()), 1)
+        D.add_place(place, mult)
 
     # poles of the denominator (x - x1)^e
     if fun.e:
@@ -340,25 +344,49 @@ def divisor_of(fun: CurveFunction, curve: Curve) -> Divisor:
     return D
 
 
+def _places_above(curve: Curve, u: Poly) -> tuple[Place, ...]:
+    """`places_over` a monic irreducible u, memoized in `Curve.u_places`."""
+    if u.degree() == 1:
+        return places_at(curve, curve.field.neg(u.coeffs[0]))
+    places = curve.u_places.get(u.coeffs)
+    if places is None:
+        places = curve.u_places[u.coeffs] = tuple(places_over(curve, u))
+    return places
+
+
+def _value_at(K: FieldDesc, cs, powers: list[int]) -> int:
+    """The polynomial cs at x, as sum cs[i] x^i from the powers of x."""
+    if K.m == 1:
+        return sum(map(mul, cs, powers)) % K.p
+    add, kmul = K.add, K.mul
+    acc = 0
+    for c, w in zip(cs, powers):
+        if c:
+            acc = add(acc, kmul(c, w))
+    return acc
+
+
 def _norm_factors(curve: Curve, norm: Poly) -> list[tuple[tuple, int]]:
     """The monic irreducible factors of the norm of a primitive part, as
     (u, multiplicity) sorted by (degree, u) as `poly_factor` sorts them:
-    the linear ones by the scan of rational abscissas (see `divisor_of`),
-    the rootless rest whole below degree 4, else by `poly_factor`."""
+    the linear ones at the roots of one evaluation pass over the rational
+    abscissas (see `divisor_of`), each root's multiplicity by evaluating
+    the quotients there too, the rootless rest whole below degree 4, else
+    by `poly_factor`."""
     K = curve.field
     rest = norm.monic().coeffs
     factors = []
-    for r in curve.rational_abscissas():
+    for r, powers in curve.abscissa_powers(len(rest)).items():
         if len(rest) == 1:
             break
+        if _value_at(K, rest, powers):
+            continue
         mult = 0
         while True:
-            quot, rem = _horner(K, rest, r)
-            if rem:
+            rest, mult = _horner(K, rest, r)[0], mult + 1
+            if len(rest) == 1 or _value_at(K, rest, powers):
                 break
-            rest, mult = quot, mult + 1
-        if mult:
-            factors.append(((K.neg(r), 1), mult))
+        factors.append(((K.neg(r), 1), mult))
     if len(rest) in (3, 4):
         factors.append((tuple(rest), 1))
     elif len(rest) > 4:
@@ -367,27 +395,61 @@ def _norm_factors(curve: Curve, norm: Poly) -> list[tuple[tuple, int]]:
     return factors
 
 
-def _zero_ordinate(curve: Curve, p0, p1, u) -> tuple | None:
-    """The ordinate v = -p0 p1^-1 mod u of the zero of p0 + p1 y above the
-    norm factor u (coefficient tuples), or None when u is ramified.
+def _zero_place(curve: Curve, p0, p1, u) -> Place:
+    """The place above the norm factor u (coefficient tuples) where
+    p0 + p1 y vanishes: the ramified place, or one of the two split ones.
 
-    A linear u = X - r is worked in F_q at r; a longer one inverts p1
-    modulo u alone.  Raises AssertionError when p1 is not a unit mod u or
-    v^2 is not x^3 + a x + b mod u.
+    The places over u come from `Curve.u_places`.  A linear u = X - r reads
+    them off the point table (`places_at`) and takes the ordinate y with
+    p0(r) + p1(r) y = 0.  A longer u met for the first time gets its
+    ordinate from `_zero_ordinate`, and its places (u, v), (u, -v) are
+    stored; at a later u, one product w = p1 v mod u tells them apart,
+    p0 = -w at (u, v) and p0 = w at (u, -v).  Raises AssertionError when
+    neither place is a zero.
     """
     K = curve.field
     if len(u) == 2:
         r = K.neg(u[0])
-        fr = curve.rhs(r)
-        if not fr:
-            return None
-        den = _horner(K, p1, r)[1]
-        if not den:
-            raise AssertionError("norm factor divides the y-coefficient of a primitive part")
-        v = K.neg(K.mul(_horner(K, p0, r)[1], K.inv(den)))
-        if K.mul(v, v) != fr:
-            raise AssertionError("ordinate of a norm factor is off the curve")
-        return (v,)
+        places = places_at(curve, r)
+        if places[0].kind == RAMIFIED:
+            return places[0]
+        powers = curve.abscissa_powers(max(len(p0), len(p1))).get(r)
+        if powers is not None:
+            d0, d1 = _value_at(K, p0, powers), _value_at(K, p1, powers)
+            if d1:
+                for place in places:
+                    if K.add(d0, K.mul(d1, place.v[0])) == 0:
+                        return place
+        raise AssertionError("ordinate of a norm factor is off the curve")
+    places = curve.u_places.get(u)
+    if places is None:
+        v = _zero_ordinate(curve, p0, p1, u)
+        if v is None:
+            places = (Place(RAMIFIED, u, ()),)
+        else:
+            places = (Place(SPLIT, u, v), Place(SPLIT, u, tuple(_sub(K, (), v))))
+        curve.u_places[u] = places
+        return places[0]
+    first = places[0]
+    if first.kind == RAMIFIED:
+        return first
+    if first.kind == SPLIT:
+        r0, w = _rem(K, p0, u), _mul(K, p1, first.v, u)
+        if w and r0 == w:
+            return places[1]
+        if w and not _add(K, r0, w):
+            return first
+    raise AssertionError("ordinate of a norm factor is off the curve")
+
+
+def _zero_ordinate(curve: Curve, p0, p1, u) -> tuple | None:
+    """The ordinate v = -p0 p1^-1 mod u of the zero of p0 + p1 y above the
+    norm factor u (coefficient tuples), or None when u is ramified.
+
+    Inverts p1 modulo u alone.  Raises AssertionError when p1 is not a
+    unit mod u or v^2 is not x^3 + a x + b mod u.
+    """
+    K = curve.field
     fres = _rem(K, curve.rhs_poly().coeffs, u)
     if not fres:
         return None

@@ -28,7 +28,7 @@ from itertools import combinations, product
 from math import gcd
 
 from .algebra import ConfigError, Poly, _scale, poly_irreducibles
-from .curve import TriPoly, bracket, phi_star, plucker_bracket
+from .curve import TriPoly, bracket, phi_star, plucker_bracket, plucker_pullback
 from .divisor import (Divisor, Place, decompose, divisor_of, negation,
                       orbit_places, place_of_point, places_over)
 from .linalg import crt, determined_mod_prime, solve_affine_mod
@@ -349,14 +349,31 @@ def reconstruct_pair(basis, mode: str, params: tuple):
 # pair evaluation
 # ---------------------------------------------------------------------------
 
-@dataclass
 class PairResult:
-    left_divisors: list[Divisor]
-    right_divisor: Divisor
+    """The divisors of a pair's left factors and of its bracket.
+
+    It holds the memo's own divisors: `left_total` reads them, while
+    `left_divisors` and `right_divisor` hand out copies, so the memo
+    cannot be changed through a result.
+    """
+
+    __slots__ = ("_lefts", "_right")
+
+    def __init__(self, lefts: list[Divisor], right: Divisor):
+        self._lefts = lefts
+        self._right = right
+
+    @property
+    def left_divisors(self) -> list[Divisor]:
+        return [D.copy() for D in self._lefts]
+
+    @property
+    def right_divisor(self) -> Divisor:
+        return self._right.copy()
 
     def left_total(self) -> Divisor:
         tot: dict[Place, int] = {}
-        for d in self.left_divisors:
+        for d in self._lefts:
             for p, n in d.coeffs.items():
                 tot[p] = tot.get(p, 0) + n
         return Divisor(tot)
@@ -376,6 +393,52 @@ def _class_key(labels, coords, K) -> tuple:
     if top != 1:
         coords = _scale(K, coords, K.inv(top))
     return tuple([(l, c) for l, c in zip(labels, coords) if c])
+
+
+def _pencil_keys(monos: tuple, a: list, b: list, K) -> list[tuple]:
+    """The `_class_key` of each line a - t b, t = 0..q-1, then of b.
+
+    Every monomial of `monos` is in A or B, so the last coordinate of the
+    pencil is nonzero.  The pencil has a basis d, c with 1 and 0 there, c
+    scaled to 1 at its own last nonzero coordinate.  A line x d + y c with
+    x != 0 is keyed as d + (y/x) c, which already ends in 1, and the line
+    with x = 0 as c: one inverse per line and no vector scaled.  With b_n
+    the last coordinate of b and t0 = a_n/b_n, a - t b = l c + (t0 - t) b_n
+    d for l the last nonzero coordinate of a - t0 b; with b_n = 0, it is
+    a_n d - t m c for m that of b.  Dependent pairs, where a - t0 b or b is
+    zero, are keyed line by line.
+    """
+    q, inv, mul, sub = K.q, K.inv, K.mul, K.sub
+    an, bn = a[-1], b[-1]
+    if bn:
+        t0 = mul(an, inv(bn))
+        e = [sub(x, mul(t0, y)) for x, y in zip(a, b)]
+        d = _scale(K, b, inv(bn))
+    else:
+        e, d = b, _scale(K, a, inv(an))
+    lam = next((x for x in reversed(e) if x), 0)
+    if not lam:
+        return ([_class_key(monos, [sub(x, mul(t, y)) for x, y in zip(a, b)], K)
+                 for t in range(q)] + [_class_key(monos, b, K)])
+    c = _scale(K, e, inv(lam))
+    if bn:
+        lam_bn = mul(lam, inv(bn))
+        ss = [None if t == t0 else mul(lam_bn, inv(sub(t0, t))) for t in range(q)]
+        ss.append(0)
+    else:
+        r = K.neg(mul(lam, inv(an)))
+        ss = [mul(t, r) for t in range(q)]
+        ss.append(None)
+    key_c = tuple([(l, x) for l, x in zip(monos, c) if x])
+    if K.m == 1:
+        p = K.p
+        return [key_c if s is None else
+                tuple([(l, v) for l, x, y in zip(monos, d, c) if (v := (x + s * y) % p)])
+                for s in ss]
+    add = K.add
+    return [key_c if s is None else
+            tuple([(l, v) for l, x, y in zip(monos, d, c) if (v := add(x, mul(s, y)))])
+            for s in ss]
 
 
 @cache
@@ -415,32 +478,37 @@ def _swapped_plane(monos: tuple, plucker, K) -> tuple:
 _UNSEEN = object()
 
 
-def pullback_divisor(basis, key: tuple, what: str, build=TriPoly) -> Divisor:
-    """Divisor of phi_star(build(K, key)), memoized on the basis under key.
+def pullback_divisor(basis, key: tuple, what: str, plane: bool = False) -> Divisor:
+    """Divisor of the pull-back of a line or plane class, memoized on the
+    basis under key.
 
     `key` is a class from `_class_key`.  A line is keyed by its coefficient
-    vector over its monomials and is built as the polynomial itself; a
-    plane is keyed by its Plucker vector, with `build` = `plucker_bracket`.
-    phi_star is linear and a divisor ignores a factor in F_q^*, so one
+    vector over its monomials and pulled back by `phi_star`; a plane is
+    keyed by its Plucker vector and pulled back by `plucker_pullback`.
+    The pull-back is linear and a divisor ignores a factor in F_q^*, so one
     entry serves the whole class.  Raises DegeneratePair("<what> pulls back
     to zero") for the zero class or a zero pull-back, and "<what> vanishes
-    identically" when build gives zero.  Returns a copy: the memo cannot
-    be changed through the result.  `pair_divisors` may fill a plane's
-    entry beforehand, from the plane's image under the swap of U and V.
+    identically" for a plane whose bracket is the zero polynomial.
+    Returns the memo's own divisor, not to be changed.  `pair_divisors` may
+    fill a plane's entry beforehand, from the plane's image under the swap
+    of U and V.
     """
     if not key:
         raise DegeneratePair(f"{what} pulls back to zero")
     memo = basis.pullback_divisors
     D = memo.get(key, _UNSEEN)
     if D is _UNSEEN:
-        F = build(basis.curve.field, key)
-        if F.is_zero():
-            raise DegeneratePair(f"{what} vanishes identically")
-        f = phi_star(F, basis.td)
+        K = basis.curve.field
+        if plane:
+            f = plucker_pullback(key, basis.td)
+            if f.is_zero() and plucker_bracket(K, key).is_zero():
+                raise DegeneratePair(f"{what} vanishes identically")
+        else:
+            f = phi_star(TriPoly(K, key), basis.td)
         D = memo[key] = None if f.is_zero() else divisor_of(f, basis.curve)
     if D is None:
         raise DegeneratePair(f"{what} pulls back to zero")
-    return D.copy()
+    return D
 
 
 def pair_divisors(basis, A: TriPoly, B: TriPoly) -> PairResult:
@@ -448,12 +516,13 @@ def pair_divisors(basis, A: TriPoly, B: TriPoly) -> PairResult:
 
     A and B are read as vectors a, b over the sorted union of their
     monomials, which must lie in U and V (ValueError otherwise).  Each left
-    factor is a line of the plane that A and B span, keyed by a - alpha' b
-    up to scale; every line lies in q + 1 pencils.  The bracket is bilinear
-    and alternating, so it depends only on A ^ B, and the plane is keyed by
-    its Plucker vector p_mn = a_m b_n - a_n b_m.  A pair whose lines and
-    plane are in the memo of `pullback_divisor` is therefore lookups only:
-    one pull-back and factorization per line and one per plane in all.
+    factor is a line of the plane that A and B span, keyed up to scale
+    from one basis of that pencil (`_pencil_keys`); every line lies in
+    q + 1 pencils.  The bracket is bilinear and alternating, so it depends
+    only on A ^ B, and the plane is keyed by its Plucker vector
+    p_mn = a_m b_n - a_n b_m.  A pair whose lines and plane are in the memo
+    of `pullback_divisor` is therefore lookups only: one pull-back and
+    factorization per line and one per plane in all.
     A plane missing from the memo whose image under the swap of U and V
     (`_swapped_plane`) is there takes that entry's `negation`, a zero
     pull-back included, so the two planes share one factorization; the
@@ -474,23 +543,20 @@ def pair_divisors(basis, A: TriPoly, B: TriPoly) -> PairResult:
     ij, labels, _, _ = _plane_labels(monos)
     if K.m == 1:
         p = K.p
-        lines = [[(x - t * y) % p for x, y in zip(a, b)] for t in range(p)]
         plucker = [(a[i] * b[j] - a[j] * b[i]) % p for i, j in ij]
     else:
         sub, mul = K.sub, K.mul
-        lines = [[sub(x, mul(t, y)) for x, y in zip(a, b)] for t in range(K.q)]
         plucker = [sub(mul(a[i], b[j]), mul(a[j], b[i])) for i, j in ij]
-    lefts = [pullback_divisor(basis, _class_key(monos, c, K), "left factor")
-             for c in lines]
-    lefts.append(pullback_divisor(basis, _class_key(monos, b, K), "B"))
+    keys = _pencil_keys(monos, a, b, K)
+    lefts = [pullback_divisor(basis, key, "left factor") for key in keys[:-1]]
+    lefts.append(pullback_divisor(basis, keys[-1], "B"))
     plane = _class_key(labels, plucker, K)
     memo = basis.pullback_divisors
     if plane not in memo:
         image = memo.get(_swapped_plane(monos, plucker, K), _UNSEEN)
         if image is not _UNSEEN:
             memo[plane] = image if image is None else negation(image, K)
-    return PairResult(lefts, pullback_divisor(basis, plane, "bracket",
-                                              plucker_bracket))
+    return PairResult(lefts, pullback_divisor(basis, plane, "bracket", plane=True))
 
 
 def relation_from_pair(basis, fb: FactorBase, A: TriPoly, B: TriPoly,

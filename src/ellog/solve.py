@@ -638,11 +638,19 @@ def _col_name(fb: FactorBase, col: int, K) -> str:
 
 
 def read_logs(path: str, basis, fb: FactorBase) -> tuple[LogTable, dict[int, int]]:
+    """The log table of `write_logs` and the mod-M logs of logs.txt.
+
+    `fb` must hold every column the file names, the extended ones too.
+    Raises ConfigError for a name that is not a column of `fb`, a name
+    twice in one section, [mod p^e] sections of different lengths, or a
+    file without its reference column.
+    """
     K = basis.curve.field
     name_to_col = {fb.reps[i].encode(K): i + 1 for i in range(len(fb.reps))}
     name_to_col["c"] = 0
     per_prime: dict[int, list[int]] = {}
     mod_m: dict[int, int] = {}
+    seen: dict = {}  # section -> the columns it has named
     ref_col = None
     section = None
     M = 0
@@ -668,11 +676,18 @@ def read_logs(path: str, basis, fb: FactorBase) -> tuple[LogTable, dict[int, int
             name, val = line.rsplit(" = ", 1)
             col = name_to_col.get(name)
             if col is None:
-                continue
+                raise ConfigError(f"log file names {name!r}, which is not a column "
+                                  "of the factor base")
+            cols = seen.setdefault(section, set())
+            if col in cols:
+                raise ConfigError(f"log file names {name!r} twice in one section")
+            cols.add(col)
             if section == "M":
                 mod_m[col] = int(val)
             else:
                 per_prime[section][col] = int(val)
+    if len({len(seen.get(pe, ())) for pe in per_prime}) > 1:
+        raise ConfigError("log file's [mod p^e] sections name different numbers of columns")
     if ref_col is None:
         raise ConfigError("log file missing the reference column")
     return LogTable(ref_col, per_prime, dict(mod_m), M), mod_m

@@ -63,8 +63,28 @@ import itertools
 import math
 import random
 
-from ellog.algebra import (ExtFieldDesc, FieldDesc, Poly, _ext_gcd, _sqrt,
-                           poly_is_irreducible, poly_random_monic)
+from ellog.algebra import (ExtFieldDesc, FieldDesc, Poly, _derivative, _ext_gcd, _poly,
+                           _sqrt, poly_is_irreducible, poly_random_monic)
+
+
+def poly_eval(f: Poly, x: int) -> int:
+    """f(x) at a code x of f's field, by Horner's rule on the field ops."""
+    K = f.field
+    acc = 0
+    for c in reversed(f.coeffs):
+        acc = K.add(K.mul(acc, x), c)
+    return acc
+
+
+def poly_derivative(f: Poly) -> Poly:
+    """The formal derivative of f, by the kernel's `_derivative`."""
+    return _poly(f.field, _derivative(f.field, f.coeffs))
+
+
+def tri_const(K: FieldDesc, c: int):
+    """The constant c as a TriPoly."""
+    from ellog.curve import TriPoly
+    return TriPoly(K, {(0, 0, 0): c} if c else {})
 
 
 def extension_of(K: FieldDesc, e: int, seed: int = 0) -> ExtFieldDesc:
@@ -345,7 +365,7 @@ def ord_at_point(curve, L, fun, x0, y0, prec: int = 24):
     else:
         # uniformizer t = y: x(t) = x0 + ..., f(x(t)) = t^2
         xs = Series.const(L, x0, prec)
-        dfdx0 = poly_series(L, f.derivative(), x0, 1).c[0]
+        dfdx0 = poly_series(L, poly_derivative(f), x0, 1).c[0]
         invd = L.inv(dfdx0)
         t2 = [L.zero] * prec
         if prec > 2:
@@ -478,7 +498,7 @@ def _reduce_place(curve, u: Poly, v: Poly, ext, theta, tau):
     if u.degree() <= 0:
         return None, val
     x0 = K.neg(u.coeffs[0])
-    y0 = v.eval_code(x0) if not v.is_zero() else 0
+    y0 = poly_eval(v, x0)
     return Point(curve, K, x0, y0), val
 
 
@@ -899,7 +919,7 @@ def sieve_pair_oracle(basis, mode, params):
     from ellog.curve import TriPoly
     K = basis.curve.field
     U, V = TriPoly.var(K, "U"), TriPoly.var(K, "V")
-    one = TriPoly.const(K, 1)
+    one = tri_const(K, 1)
     UV = U * V
     if mode == "core":
         alpha, beta, gamma = params
@@ -1004,13 +1024,13 @@ def semaev3_tri(curve, x_list):
     K = curve.field
     vals = []
     for s in x_list:
-        vals.append(TriPoly.var(K, s) if isinstance(s, str) else TriPoly.const(K, s))
+        vals.append(TriPoly.var(K, s) if isinstance(s, str) else tri_const(K, s))
     x1, x2, x3 = vals
     s1 = x1 + x2 + x3
     s2 = x1 * x2 + x1 * x3 + x2 * x3
     s3 = x1 * x2 * x3
-    t = s2 - TriPoly.const(K, curve.a)
-    return (s1 * (s3 + TriPoly.const(K, curve.b))).scale(4 % K.p) - t * t
+    t = s2 - tri_const(K, curve.a)
+    return (s1 * (s3 + tri_const(K, curve.b))).scale(4 % K.p) - t * t
 
 
 def model_equations(td):

@@ -319,6 +319,48 @@ def test_malformed_relation_line_is_config_error(pipeline, tmp_path, capsys,
     assert "configuration error" in capsys.readouterr().err
 
 
+def _name_off_the_base(lines):
+    """A [mod M] line renamed to a place that is not a column."""
+    i = next(i for i, line in enumerate(lines) if line.startswith("[mod M")) + 1
+    lines[i] = "split:9:9 = " + lines[i].split(" = ")[1]
+    return lines
+
+
+def _name_twice(lines):
+    """The first [mod p^e] line repeated at once."""
+    i = next(i for i, line in enumerate(lines) if line.startswith("[mod ")) + 1
+    return lines[:i + 1] + lines[i:]
+
+
+def _short_section(lines):
+    """The last line of the first [mod p^e] section dropped."""
+    heads = [i for i, line in enumerate(lines) if line.startswith("[mod ")]
+    assert len(heads) > 2
+    return lines[:heads[1] - 1] + lines[heads[1]:]
+
+
+@pytest.mark.parametrize("edit,message", [
+    (_name_off_the_base, "'split:9:9', which is not a column"),
+    (_name_twice, "twice in one section"),
+    (_short_section, "different numbers of columns"),
+])
+@pytest.mark.parametrize("command", ["verify", "dlog"])
+def test_malformed_log_file_is_config_error(pipeline, tmp_path, capsys, edit,
+                                            message, command):
+    out = str(tmp_path / "run")
+    shutil.copytree(pipeline["dir"], out)
+    path = os.path.join(out, "logs.txt")
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    with open(path, "w") as fh:
+        fh.write("\n".join(edit(lines)) + "\n")
+    args = (["verify", "--sample", "0", "--log-sample", "0"] if command == "verify"
+            else ["dlog", "--plant", "12345"])
+    assert main(args + ["--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and message in err
+
+
 def test_verify_command_raises_programming_errors(pipeline, monkeypatch):
     import ellog.cli
 

@@ -15,10 +15,11 @@ from ellog.divisor import (Divisor, HitsInfinity, INERT, PLACE_AT_INFINITY,
                            orbit_places, place_point, split_ordinate,
                            translate_place)
 from ellog.harvest import build_factor_base
+import ellog.divisor
 
 from oracles import (divisor_two_root, extension_of, orbit_canonical, ord_at_point,
                      place_of_extension_point, places_over_two_root, point_over_place,
-                     quotient_ring_ordinate)
+                     poly_eval, quotient_ring_ordinate, tri_const)
 
 
 @pytest.fixture(scope="module")
@@ -152,7 +153,7 @@ def test_lemma_divisors_for_v(env):
     curve, td, K = env
     V = TriPoly.var(K, "V")
     for j in range(1, td.k):
-        D = divisor_of(phi_star(V - TriPoly.const(K, td.xs[j]), td), curve)
+        D = divisor_of(phi_star(V - tri_const(K, td.xs[j]), td), curve)
         expect = Divisor()
         expect.add_place(place_of_point(curve, td.point(j)), 1)
         expect.add_place(place_of_point(curve, point_neg(td.point(j))), 1)
@@ -166,13 +167,13 @@ def test_lemma_divisors_for_u_and_w(env):
     p1 = place_of_point(curve, td.P1)
     m1 = place_of_point(curve, point_neg(td.P1))
     for j in range(2, td.k - 1):
-        DU = divisor_of(phi_star(U - TriPoly.const(K, td.xs[j]), td), curve)
+        DU = divisor_of(phi_star(U - tri_const(K, td.xs[j]), td), curve)
         expect = Divisor()
         expect.add_place(place_of_point(curve, td.point(j + 1)), 1)
         expect.add_place(place_of_point(curve, point_neg(td.point(j - 1))), 1)
         expect.add_place(p1, -2)
         assert DU == expect
-        DW = divisor_of(phi_star(W - TriPoly.const(K, td.xs[j]), td), curve)
+        DW = divisor_of(phi_star(W - tri_const(K, td.xs[j]), td), curve)
         expect = Divisor()
         expect.add_place(place_of_point(curve, td.point(j - 1)), 1)
         expect.add_place(place_of_point(curve, point_neg(td.point(j + 1))), 1)
@@ -242,7 +243,7 @@ def test_decompose(env):
     assert decompose(D, 3) is None
     # the lemma divisor splits into two height-1 atoms
     V = TriPoly.var(K, "V")
-    D = divisor_of(phi_star(V - TriPoly.const(K, td.xs[4]), td), curve)
+    D = divisor_of(phi_star(V - tri_const(K, td.xs[4]), td), curve)
     out = decompose(D, 3)
     assert out is not None
     assert sorted(n for _, n in out) == [1, 1]
@@ -598,6 +599,104 @@ def test_norm_factors_call_poly_factor_only_for_a_long_rootless_rest(
         assert len(calls) == (rest >= 4)
         for f in calls:
             assert f.degree() == rest
-            assert all(f.eval_code(r) for r in range(K.q))
+            assert all(poly_eval(f, r) for r in range(K.q))
         cases[rest] += 1
     assert cases[2] + cases[3] > 10 and sum(cases[4:]) > 3
+
+
+# ---------------------------------------------------------------------------
+# norm-factor zeros read off the curve
+# ---------------------------------------------------------------------------
+
+def _fresh_curve(curve):
+    """The same curve with empty memos."""
+    return Curve(curve.field, curve.a, curve.b, curve.N)
+
+
+def _primitive_parts(curve, rng, count):
+    """Seeded coprime (p0, p1), p1 != 0, with a nonzero norm."""
+    K = curve.field
+    out = []
+    while len(out) < count:
+        n0 = Poly(K, [rng.randrange(K.q) for _ in range(rng.randrange(1, 7))])
+        n1 = Poly(K, [rng.randrange(K.q) for _ in range(rng.randrange(1, 4))])
+        if n1.is_zero():
+            continue
+        g = n0.gcd(n1)
+        p0, p1 = n0 // g, n1 // g
+        if not (p0 * p0 - (p1 * p1) * curve.rhs_poly()).is_zero():
+            out.append((p0, p1))
+    return out
+
+
+@pytest.mark.parametrize("which", ["basis59", "curve121", "curve5_split_cubic"])
+def test_zero_place_matches_zero_ordinate(request, which):
+    """Over every factor of seeded norms, the zero read off the curve (the
+    point table at a linear factor, the memo of places and one product at
+    a longer one) is the place of `_zero_ordinate`, for p0 + p1 y and for
+    its conjugate p0 - p1 y, on a cold memo and a warm one; and a factor
+    of neither norm raises AssertionError, before and after its places
+    are in the memo."""
+    from ellog.divisor import _places_above, _zero_ordinate, _zero_place
+    fix = request.getfixturevalue(which)
+    curve = _fresh_curve(fix.curve if which == "basis59" else fix)
+    K = curve.field
+    f = curve.rhs_poly()
+    rng = random.Random(which)
+    checked = forged = 0
+    for p0, p1 in _primitive_parts(curve, rng, 80):
+        norm = p0 * p0 - (p1 * p1) * f
+        for s1 in (p1, -p1):
+            for u, _ in poly_factor(norm):
+                v = _zero_ordinate(curve, p0.coeffs, s1.coeffs, u.coeffs)
+                want = (Place(RAMIFIED, u.coeffs, ()) if v is None
+                        else Place(SPLIT, u.coeffs, v))
+                for _ in range(2):
+                    assert _zero_place(curve, p0.coeffs, s1.coeffs, u.coeffs) is want
+                checked += 1
+        for d in (1, 2, 3):
+            u = poly_random_monic(K, d, rng)
+            if not poly_is_irreducible(u) or (norm % u).is_zero() or (f % u).is_zero():
+                continue
+            for _ in range(2):
+                with pytest.raises(AssertionError):
+                    _zero_place(curve, p0.coeffs, p1.coeffs, u.coeffs)
+                _places_above(curve, u)
+            forged += 1
+    assert checked > 150 and forged > 60
+
+
+def test_zero_ordinate_runs_once_per_nonlinear_factor(monkeypatch):
+    """On one pass of 300 seeded core pairs at (11, 13), as perfbench's
+    pairs-11-13 workload replays them, `_zero_ordinate` runs at most once
+    per distinct norm factor, and only at nonlinear ones; later zeros over
+    the same factor come from the memo."""
+    from ellog.basis import build_basis
+    from ellog.harvest import DegeneratePair, pair_divisors, reconstruct_pair
+    F11 = field_make(11, 1)
+    curve = Curve(F11, 1, 6)
+    basis = build_basis(curve, Point.make(curve, F11, 2, 4), seed=0)
+    ordinates, zeros = [], []
+    real_ordinate, real_zero = ellog.divisor._zero_ordinate, ellog.divisor._zero_place
+
+    def ordinate(curve, p0, p1, u):
+        ordinates.append(u)
+        return real_ordinate(curve, p0, p1, u)
+
+    def zero(curve, p0, p1, u):
+        zeros.append(u)
+        return real_zero(curve, p0, p1, u)
+
+    monkeypatch.setattr(ellog.divisor, "_zero_ordinate", ordinate)
+    monkeypatch.setattr(ellog.divisor, "_zero_place", zero)
+    triples = list(product(range(11), repeat=3))
+    random.Random(1).shuffle(triples)
+    for params in triples[:300]:
+        try:
+            pair_divisors(basis, *reconstruct_pair(basis, "core", params))
+        except DegeneratePair:
+            pass
+    nonlinear = [u for u in zeros if len(u) > 2]
+    assert len(ordinates) == len(set(ordinates)) == len(set(nonlinear))
+    assert all(len(u) > 2 for u in ordinates)
+    assert len(nonlinear) > 3 * len(ordinates) // 2

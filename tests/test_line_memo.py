@@ -15,9 +15,9 @@ import ellog.curve
 import ellog.divisor
 import ellog.harvest
 from ellog.curve import (Curve, CurveFunction, Point, TorsionData, TriPoly,
-                         bracket, phi_star, plucker_bracket)
+                         bracket, phi_star, plucker_bracket, plucker_pullback)
 from ellog.divisor import SPLIT, divisor_of, negation
-from ellog.harvest import (DegeneratePair, _class_key, _swapped_plane,
+from ellog.harvest import (DegeneratePair, _class_key, _pencil_keys, _swapped_plane,
                            pullback_divisor, pair_divisors, reconstruct_pair)
 from ellog.solve import _MONOS, _mono_list
 
@@ -484,5 +484,74 @@ def test_divisor_of_conjugate_is_negation(request, name):
         D = divisor_of(f, curve)
         assert divisor_of(g, curve) == negation(D, K)
         assert negation(negation(D, K), K) == D
+
+    check()
+
+
+# ---------------------------------------------------------------------------
+# pencil keys from one basis, plane pull-backs from per-label images
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("p,m", [(5, 1), (11, 1), (5, 2)])
+def test_pencil_keys_match_class_keys(p, m):
+    """The keys of the lines a - t b and of b, read from one basis of the
+    pencil, are the `_class_key` of each line, over F_5, F_11 and F_{5^2};
+    dependent pairs (b = c a, a = c b, one of them zero) included."""
+    K = field_make(p, m, 0)
+    code = st.integers(0, K.q - 1)
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(n=st.integers(1, 8), a=st.lists(code, min_size=8, max_size=8),
+           b=st.lists(code, min_size=8, max_size=8),
+           dep=st.sampled_from(["free"] * 4 + ["b = c a", "a = c b", "a = 0", "b = 0"]),
+           c=code)
+    def check(n, a, b, dep, c):
+        a, b = a[:n], b[:n]
+        if dep == "b = c a":
+            b = [K.mul(c, x) for x in a]
+        elif dep == "a = c b":
+            a = [K.mul(c, x) for x in b]
+        elif dep == "a = 0":
+            a = [0] * n
+        elif dep == "b = 0":
+            b = [0] * n
+        # every monomial of a pair is in A or B
+        assume(all(x or y for x, y in zip(a, b)) and a != b)
+        monos = tuple((i, 7 - i, 0) for i in range(n))
+        want = [_class_key(monos, [K.sub(x, K.mul(t, y)) for x, y in zip(a, b)], K)
+                for t in range(K.q)] + [_class_key(monos, b, K)]
+        assert _pencil_keys(monos, a, b, K) == want
+
+    check()
+
+
+@pytest.mark.parametrize("name", ["basis59", "basis11", "basis25"])
+@pytest.mark.parametrize("span", ["sieve", "M_2"])
+def test_plucker_pullback_matches_phi_star(request, name, span):
+    """The plane pull-back from the images of bracket(m, n) equals
+    phi_star of the Plucker bracket and of bracket(A, B) itself, over the
+    sieve span {1, U, V, UV} and the descent's M_2, with a cold table and
+    a warm one."""
+    basis = request.getfixturevalue(name)
+    td = basis.td
+    K = basis.curve.field
+    monos = ([(0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 1, 0)] if span == "sieve"
+             else sorted(_M2))
+    coefs = st.lists(st.integers(0, K.q - 1), min_size=len(monos),
+                     max_size=len(monos))
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(a=coefs, b=coefs)
+    def check(a, b):
+        A = TriPoly(K, dict(zip(monos, a)))
+        B = TriPoly(K, dict(zip(monos, b)))
+        coords = [(l, c) for l, c in _plucker(A, B) if c]
+        assume(coords)
+        want = phi_star(bracket(A, B), td)
+        assert phi_star(plucker_bracket(K, coords), td) == want
+        cold = TorsionData(td.curve, td.P1, td.k)
+        assert plucker_pullback(coords, cold) == want
+        assert plucker_pullback(coords, cold) == want
+        assert plucker_pullback(coords, td) == want
 
     check()
