@@ -896,27 +896,57 @@ def _pack(slots: Struct, coeffs) -> int:
     return int.from_bytes(slots.pack(*coeffs), "little")
 
 
-def _pack_mod(slots: Struct, x: int, p: int) -> int:
-    """The packed int x, each of its slots reduced mod p."""
-    return _pack(slots, [s % p for s in slots.unpack(x.to_bytes(slots.size, "little"))])
+def _slot_mod_plan(p: int, k: int, bits: int, top: int):
+    """The plan of `_slot_mod` for k slots of `bits` bits, each at most
+    `top`, or None where it does not fit (see `ExtFieldDesc`): the folds,
+    each (t, 2^t mod p, mask of the low t bits of every slot, mask of the
+    low bits - t bits of every slot), then (p, r, s, mask of the low
+    bits - s bits of every slot) for the last step."""
+    def per_slot(width):
+        return sum(((1 << width) - 1) << bits * i for i in range(k))
+
+    folds = []
+    while True:
+        # the least s with top * (r p - 2^s) < 2^s: at s = len(top p) it holds
+        s = next(s for s in range((top * p).bit_length() + 1)
+                 if top * (-(1 << s) % p) < 1 << s)
+        r = -(-(1 << s) // p)
+        if top * r < 1 << bits:
+            return tuple(folds), (p, r, s, per_slot(bits - s))
+        t = min(range(1, bits), key=lambda t: (top >> t) * pow(2, t, p) + (1 << t))
+        c = pow(2, t, p)
+        lower = (top >> t) * c + (1 << t) - 1
+        if lower >= top:
+            return None
+        folds.append((t, c, per_slot(t), per_slot(bits - t)))
+        top = lower
+
+
+def _slot_mod(x: int, plan) -> int:
+    """The packed int x with each slot reduced mod p, by `plan`."""
+    folds, (p, r, s, q_mask) = plan
+    for t, c, low, high in folds:
+        x = ((x >> t) & high) * c + (x & low)
+    return x - p * ((x * r >> s) & q_mask)
 
 
 @cache
 def _kron_layout(p: int, k: int) -> tuple:
-    """The slot layout of `ExtFieldDesc.mul` over F_p at degree k, shared
-    by every modulus of that degree: the Structs of k and k - 1 slots, the
-    shifts of the high half and of the quotient, the mask of the low half,
-    and whether the high half is reduced mod p (see `ExtFieldDesc`).
-    Cached for the process's life, one entry per (p, k)."""
+    """The slot layout of `ExtFieldDesc.pmul` over F_p at degree k, shared
+    by every modulus of that degree: the Struct of k slots, the shifts of
+    the high half and of the quotient, the mask of the low half, the plan
+    of `_slot_mod`, and whether the high half and the quotient are reduced
+    mod p (see `ExtFieldDesc`).  Cached for the process's life, one entry
+    per (p, k)."""
     exact = k * (p - 1) ** 2 + k * (k - 1) ** 2 * (p - 1) ** 4
-    code = next((c for c in "BHIQ" if exact < 1 << 8 * calcsize("<" + c)), None)
-    mid_mod = code is None
-    if mid_mod:
-        code = next(c for c in "BHIQ"
-                    if 2 * k * (p - 1) ** 2 + p < 1 << 8 * calcsize("<" + c))
-    bits = 8 * calcsize("<" + code)
-    return (Struct("<%d%s" % (k, code)), Struct("<%d%s" % (k - 1, code)),
-            bits * k, bits * max(k - 2, 0), (1 << bits * k) - 1, mid_mod)
+    for mid_mod, top in ((False, exact), (True, (2 * k - 1) * (p - 1) ** 2)):
+        for code in "BHIQ":
+            bits = 8 * calcsize("<" + code)
+            plan = _slot_mod_plan(p, k, bits, top) if top < 1 << bits else None
+            if plan is not None:
+                return (Struct("<%d%s" % (k, code)), bits * k, bits * max(k - 2, 0),
+                        (1 << bits * k) - 1, plan, mid_mod)
+    raise ValueError(f"no slot width of at most 64 bits holds F_{p} at degree {k}")
 
 
 class ExtFieldDesc:
@@ -927,26 +957,45 @@ class ExtFieldDesc:
     (low degree first).  The constructor checks only that I is monic;
     `ext_make` also checks that it is irreducible.
 
-    Over a prime base F_p, `mul` is a Kronecker substitution with a
-    Barrett fold.  Each operand is packed into one int, k slots of w bits,
-    low degree in the low slot, and the two ints are multiplied once: the
-    product c has 2k - 1 slots.  With mu = floor(X^(2k-2) / I) over F_p,
-    which `__init__` precomputes, the quotient is
-    Q = floor(floor(c / X^k) * mu / X^(k-2)), exact for deg c <= 2k - 2,
-    and the remainder is the low k slots of c + Q * (X^k mod I); one `% p`
-    per output slot ends the product.  The slots are never reduced in
-    between, only congruent mod p to the true coefficients: a slot of the
-    sum holds at most k(p-1)^2 + k(k-1)^2(p-1)^4, and w is the smallest of
-    8, 16, 32 and 64 bits above that, so no slot carries into the next.
-    Where no width is enough (p > 9949 at k = 13), the high half and Q are
-    reduced mod p before their products, which bounds a slot by
-    2k(p-1)^2 + p.  Operands are packed and products unpacked by one
-    precomputed little-endian `struct.Struct` of k slots (k - 1 for the
-    high half), so the layout is the same on every host; the layout
-    depends on (p, k) alone and is built once for each (`_kron_layout`),
-    and only mu and the fold are worked out per modulus.  Over an F_{p^m}
-    base (m > 1) `mul` is the list kernel's product mod I, on the base
+    Products run on a packed form, in `pmul`; `mul` is `pack`, `pmul` and
+    `unpack`, and `pow_` packs once and squares on the packed form, so a
+    caller that keeps its elements packed (`psi`) pays no conversion per
+    product.  Over an F_{p^m} base (m > 1) the packed form is the tuple
+    itself and `pmul` is the list kernel's product mod I, on the base
     field's ops.
+
+    Over a prime base F_p an element packs into one int, k slots of w
+    bits, low degree in the low slot, each slot in [0, p), and `pmul` is
+    a Kronecker substitution with a Barrett fold: the two ints are
+    multiplied once, and the product c has 2k - 1 slots.  With
+    mu = floor(X^(2k-2) / I) over F_p, which `__init__` precomputes, the
+    quotient is Q = floor(floor(c / X^k) * mu / X^(k-2)), exact for
+    deg c <= 2k - 2, and the remainder is the low k slots of
+    c + Q * (X^k mod I).  The slots are not reduced in between, only
+    congruent mod p to the true coefficients: a slot of the sum holds at
+    most k(p-1)^2 + k(k-1)^2(p-1)^4, so no slot carries into the next
+    where w is above that.  Where no width holds that (p > 9949 at
+    k = 13), the high half and Q are reduced mod p before their products,
+    which bounds a slot by (2k-1)(p-1)^2.
+
+    `_slot_mod` then reduces every slot mod p at once, with no unpacking.
+    A fold at bit t maps each slot x to (x >> t)(2^t mod p) + (x mod 2^t),
+    by two masks, a shift and one product of the whole int; a slot bound
+    B becomes floor(B / 2^t)(2^t mod p) + 2^t - 1, and t is chosen to
+    make that least (near 2^t = sqrt(B p), so folds take B towards 4p);
+    folds repeat until the last step fits (one, at t = 10, at
+    (p, k) = (11, 13)).  The last step is x - p floor(x r / 2^s) with r = ceil(2^s / p) and s
+    the least with B (r p - 2^s) < 2^s, which makes the quotient exact
+    for x <= B (Granlund-Montgomery); it stays in the slot while B r < 2^w,
+    and the quotients are read out of x r by a shift and a mask.  w is the
+    least of 8, 16, 32 and 64 bits above the slot bound for which the
+    folds and the last step fit, first without the reduction of the high
+    half and Q, then with it (at k = 1, p = 131 takes 32 bits where 16
+    hold the product).  Operands are packed and results unpacked
+    by one precomputed little-endian `struct.Struct` of k slots, so the
+    layout is the same on every host; it depends on (p, k) alone and is
+    built once for each (`_kron_layout`), and only mu and the fold are
+    worked out per modulus.
 
     `frobenius` is the F_q-linear map a -> a^q = sum a_i X^(iq) mod I.
     Over F_p its rows X^(iq) mod I are packed once, on first use, in slots
@@ -967,11 +1016,12 @@ class ExtFieldDesc:
         self._kron = None
         if base.m == 1:
             p, k = base.p, self.k
-            low, high, shift, q_shift, mask, mid_mod = _kron_layout(p, k)
+            slots, shift, q_shift, mask, plan, mid_mod = _kron_layout(p, k)
             mu = Poly(base, (0,) * (2 * k - 2) + (1,)) // I
             fold = [-c % p for c in I.coeffs[:k]]  # X^k mod I
-            self._kron = (p, low, high, shift, q_shift, mask,
-                          _pack(high, mu.coeffs), _pack(low, fold), mid_mod)
+            self._kron = (slots, shift, q_shift, mask,
+                          _pack(slots, mu.coeffs + (0,) * (k - len(mu.coeffs))),
+                          _pack(slots, fold), plan, mid_mod)
 
     # -- element helpers ----------------------------------------------
 
@@ -1021,21 +1071,47 @@ class ExtFieldDesc:
             return tuple([-x % p for x in a])
         return tuple(K.neg(x) for x in a)
 
+    def pack(self, a):
+        """a in the packed form of `pmul` (see the class notes)."""
+        if self._kron is None:
+            return tuple(a)
+        return int.from_bytes(self._kron[0].pack(*a), "little")
+
+    def unpack(self, x):
+        """The element of the packed form x, as a tuple."""
+        if self._kron is None:
+            return x
+        slots = self._kron[0]
+        return slots.unpack(x.to_bytes(slots.size, "little"))
+
+    def pmul(self, x, y):
+        """x y on the packed form: the product kernel of the class notes."""
+        if self._kron is None:
+            cs = _mul(self.base, x, y, self.I.coeffs)
+            return tuple(cs) + (0,) * (self.k - len(cs))
+        _, shift, q_shift, mask, mu, fold, plan, mid_mod = self._kron
+        c = x * y
+        hi = c >> shift
+        if mid_mod:
+            hi = _slot_mod(hi, plan)
+        quot = hi * mu >> q_shift
+        if mid_mod:
+            quot = _slot_mod(quot, plan)
+        return _slot_mod((c + quot * fold) & mask, plan)
+
+    def ppow(self, x, e: int):
+        """x^e on the packed form, for e >= 0."""
+        r = None
+        while e:
+            if e & 1:
+                r = x if r is None else self.pmul(r, x)
+            e >>= 1
+            if e:
+                x = self.pmul(x, x)
+        return self.pack(self.one) if r is None else r
+
     def mul(self, a, b):
-        if self._kron is not None:
-            p, low, high, shift, q_shift, mask, mu, fold, mid_mod = self._kron
-            c = (int.from_bytes(low.pack(*a), "little")
-                 * int.from_bytes(low.pack(*b), "little"))
-            hi = c >> shift
-            if mid_mod:
-                hi = _pack_mod(high, hi, p)
-            quot = hi * mu >> q_shift
-            if mid_mod:
-                quot = _pack_mod(high, quot, p)
-            rem = (c + quot * fold) & mask
-            return tuple([x % p for x in low.unpack(rem.to_bytes(low.size, "little"))])
-        cs = _mul(self.base, a, b, self.I.coeffs)
-        return tuple(cs) + (0,) * (self.k - len(cs))
+        return self.unpack(self.pmul(self.pack(a), self.pack(b)))
 
     def inv(self, a):
         """a^-1 from the Bezout cofactor of a and I; `_ext_gcd` makes the
@@ -1053,13 +1129,7 @@ class ExtFieldDesc:
     def pow_(self, a, e: int):
         if e < 0:
             return self.pow_(self.inv(a), -e)
-        r = self.one
-        while e:
-            if e & 1:
-                r = self.mul(r, a)
-            a = self.mul(a, a)
-            e >>= 1
-        return r
+        return self.unpack(self.ppow(self.pack(a), e))
 
     def eq(self, a, b) -> bool:
         return tuple(a) == tuple(b)

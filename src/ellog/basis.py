@@ -75,10 +75,12 @@ class EllipticBasis:
     `place_terms`, the memo of `psi._psi_class`, holds the class under psi
     of each term n((P) - deg(P)(O)) of an evaluated divisor, keyed by
     (place, n), and of the term (P, 1) of each such place, from which the
-    others follow.  `point_classes`, the memo of `psi._point_class`, holds
-    psi((R) - (O)) for the points R of E(F_q) that reduced terms reach and
-    for those on the walk from R by P1 to the first known class, keyed by
-    (x, y): at most N - 1 entries.
+    others follow: a pair (numerator, denominator), None standing for 1.
+    `point_classes`, the memo of `psi._point_class`, holds psi((R) - (O))
+    for the points R of E(F_q) that reduced terms reach and for those on
+    the walk from R by P1 to the first known class, keyed by (x, y): at
+    most N - 1 entries.  Both hold elements of `ext` in the packed form of
+    `ExtFieldDesc.pmul`, not tuples; `ext.unpack` reads one.
     `k1k2_coeffs` holds the result of `harvest.k1k2_coefficients`, from
     which every k1k2 group's k2 follows.
     No memo is compared, printed or written to basis.json.

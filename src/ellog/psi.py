@@ -35,7 +35,12 @@ built from two memos on the basis:
   Since theta = X mod I, a polynomial over F_q is read at theta as its
   residue mod I (`ExtFieldDesc.from_poly`), with no product.
 
-So a check on warm memos is products in F_{q^k} and nothing else.  The
+Both memos, and every running product, hold elements in the packed form of
+`ExtFieldDesc.pmul` (over F_p one int of k slots, over F_{p^m} the tuple
+itself): a factor is packed once when it is built, and the products of
+Miller loops, Mumford reductions, term powers and `_psi_class` are packed
+products.  So a check on warm memos is packed products in F_{q^k} and one
+unpack of its numerator and of its denominator, and nothing else.  The
 value cannot differ from the definition: psi(div g) = g(F), psi((R) - (O))
 is the root of f_{N,R}(F) because N R = O, the Frobenius step holds up to
 F_q^* because f_{N,R} o tau_{P1} and f_{N,R-P1}/f_{N,-P1} are functions
@@ -117,37 +122,45 @@ class PsiValue:
 # ---------------------------------------------------------------------------
 #
 # Values at F are kept as (numerator, denominator) pairs of F_{q^k}
-# elements, with None standing for 1 so that trivial factors cost nothing.
+# elements in the packed form of `ExtFieldDesc.pmul`, with None standing
+# for 1 so that trivial factors cost nothing.  A factor is built as a tuple
+# (by `from_poly`, `sub`, ...), checked nonzero and packed once.
 
 class _Hit(Exception):
     """An intermediate function vanished at F; caller re-randomizes."""
 
 
-def _checked(v, ext):
-    if not any(v):
-        raise _Hit
-    return v
-
-
 def _mul(ext, a, b):
-    """a * b, where None stands for 1."""
+    """a * b on the packed form, where None stands for 1."""
     if a is None:
         return b
     if b is None:
         return a
-    return ext.mul(a, b)
+    return ext.pmul(a, b)
 
 
 def _pow(ext, a, e: int):
-    """a^e for e >= 1, where None stands for 1."""
+    """a^e on the packed form for e >= 1, where None stands for 1."""
     if a is None or e == 1:
         return a
-    return ext.pow_(a, e)
+    return ext.ppow(a, e)
+
+
+def _packed(ext, v):
+    """The tuple v, packed, or raise _Hit where v is zero."""
+    if not any(v):
+        raise _Hit
+    return ext.pack(v)
+
+
+def _unpacked(ext, a):
+    """The packed a as a tuple, where None stands for 1."""
+    return ext.one if a is None else ext.unpack(a)
 
 
 def _vertical(ext, theta, x):
-    """(x - x0)(F) for the vertical line through abscissa x0."""
-    return _checked(ext.sub(theta, ext.embed(x)), ext)
+    """(x - x0)(F), packed, for the vertical line through abscissa x0."""
+    return _packed(ext, ext.sub(theta, ext.embed(x)))
 
 
 def _mumford_reduce(curve: Curve, u, v, ext: ExtFieldDesc, tau):
@@ -155,8 +168,8 @@ def _mumford_reduce(curve: Curve, u, v, ext: ExtFieldDesc, tau):
     rational point.
 
     Returns (T, num, den) with  D(u,v) - deg(u)(O) = [(T) - (O)] + Xi(g)
-    and g(F) = num / den up to F_q^*; T is None for the trivial class.
-    Runs on the list kernel of `algebra`.
+    and g(F) = num / den up to F_q^*, packed; T is None for the trivial
+    class.  Runs on the list kernel of `algebra`.
     """
     K = curve.field
     f = curve.rhs_poly().coeffs
@@ -166,8 +179,8 @@ def _mumford_reduce(curve: Curve, u, v, ext: ExtFieldDesc, tau):
         if rem:
             raise AssertionError("pair (u, v) is not semi-reduced")
         w = _monic(K, quot)
-        num = _mul(ext, num, _checked(ext.sub(tau, ext.from_poly(_poly(K, v))), ext))
-        den = _mul(ext, den, ext.from_poly(_poly(K, w)))
+        num = _mul(ext, num, _packed(ext, ext.sub(tau, ext.from_poly(_poly(K, v)))))
+        den = _mul(ext, den, ext.pack(ext.from_poly(_poly(K, w))))
         u, v = w, _rem(K, _sub(K, (), v), w)
     if len(u) < 2:
         return None, num, den
@@ -181,7 +194,7 @@ def _chord(curve: Curve, R: Point, S: Point, ext, theta, tau):
 
     l is the chord/tangent through R and S and v the vertical at the sum,
     with the usual conventions l_{O,S} = 1, l_{R,-R} = v_R and v_O = 1;
-    a factor equal to 1 is returned as None.
+    the factors are packed, and one equal to 1 is returned as None.
     """
     K = curve.field
     if R.inf:
@@ -199,11 +212,12 @@ def _chord(curve: Curve, R: Point, S: Point, ext, theta, tau):
     T = Point(curve, K, x3, K.sub(K.mul(lam, K.sub(R.x, x3)), R.y))
     dx = ext.sub(theta, ext.embed(R.x))
     line = ext.sub(ext.sub(tau, ext.embed(R.y)), tuple(K.mul(lam, c) for c in dx))
-    return _checked(line, ext), _vertical(ext, theta, x3), T
+    return _packed(ext, line), _vertical(ext, theta, x3), T
 
 
 def _miller(curve: Curve, T: Point, n: int, ext, theta, tau):
-    """(num, den, n * T) with num/den = f(F), div(f) = n(T) - (nT) - (n-1)(O).
+    """(num, den, n * T) with num/den = f(F), packed, and
+    div(f) = n(T) - (nT) - (n-1)(O).
 
     Miller's double-and-add over the bits of n >= 1.
     """
@@ -221,18 +235,19 @@ def _miller(curve: Curve, T: Point, n: int, ext, theta, tau):
 
 
 def _miller_class(R: Point, basis):
-    """pi(R) from scratch: one Miller loop for N and one N-th root."""
+    """pi(R) from scratch, packed: one Miller loop for N and one N-th root."""
     ext, N = basis.ext, basis.curve.N
     fn, fd, S = _miller(basis.curve, R, N, ext, basis.theta, basis.tau)
     if not S.inf:
         raise AssertionError("Miller loop did not close at O")
-    f = ext.div(fn, fd) if fd is not None else fn
-    return ext.pow_(f, pow(N, -1, basis.M))
+    if fd is not None:
+        fn = ext.pmul(fn, ext.pack(ext.inv(ext.unpack(fd))))
+    return ext.ppow(fn, pow(N, -1, basis.M))
 
 
 def _point_class(R: Point, basis):
     """pi(R) = psi((R) - (O)) up to F_q^*, for affine R in E(F_q), as one
-    element.
+    packed element.
 
     Walks R, R + P1, ... up to the first point whose class is memoised,
     or O, where pi(O) = 1, and comes back down by pi(S) = pi(S + P1)^q
@@ -263,13 +278,14 @@ def _point_class(R: Point, basis):
     if c is None:
         c = new[neg_p1] = _miller_class(point_neg(P1), basis)
     for T in reversed(chain):
-        cls = new[(T.x, T.y)] = c if cls is None else ext.mul(ext.frobenius(cls), c)
+        cls = new[(T.x, T.y)] = (c if cls is None else
+                                 ext.pmul(ext.pack(ext.frobenius(ext.unpack(cls))), c))
     memo.update(new)
     return cls
 
 
 def _term(curve: Curve, place: Place, n: int, basis):
-    """(num, den) with num/den = psi(n((P) - deg(P)(O))) up to F_q^*.
+    """(num, den) with num/den = psi(n((P) - deg(P)(O))) up to F_q^*, packed.
 
     (P, -n) in the memo gives it with its sides swapped; otherwise it is
     the term (P, 1), memoised at first use, to the power |n|.
@@ -287,7 +303,7 @@ def _term(curve: Curve, place: Place, n: int, basis):
 
 
 def _place_class(curve: Curve, place: Place, basis):
-    """(num, den) with num/den = psi((P) - deg(P)(O)) up to F_q^*.
+    """(num, den) with num/den = psi((P) - deg(P)(O)) up to F_q^*, packed.
 
     An inert place is the divisor of u(x) outright.  A split place of
     degree >= 2 whose conjugate (u, -v) has its term takes u(theta) over
@@ -296,11 +312,11 @@ def _place_class(curve: Curve, place: Place, basis):
     """
     ext = basis.ext
     if place.kind == INERT:
-        return _checked(ext.from_poly(_poly(curve.field, place.u)), ext), None
+        return _packed(ext, ext.from_poly(_poly(curve.field, place.u))), None
     if place.kind == SPLIT and place.degree > 1:
         conj = basis.place_terms.get((conjugate(place, curve.field), 1))
         if conj is not None:
-            u = _checked(ext.from_poly(_poly(curve.field, place.u)), ext)
+            u = _packed(ext, ext.from_poly(_poly(curve.field, place.u)))
             return _mul(ext, u, conj[1]), conj[0]
     T, num, den = _mumford_reduce(curve, place.u, place.v, ext, basis.tau)
     if T is not None:
@@ -309,7 +325,8 @@ def _place_class(curve: Curve, place: Place, basis):
 
 
 def _psi_class(coeffs: dict, basis, _depth: int = 0):
-    """(num, den) with num/den = psi(D) up to F_q^*, as in the module notes.
+    """(num, den) with num/den = psi(D) up to F_q^*, packed, as in the
+    module notes.
 
     `coeffs` maps the places of D to their coefficients, in any order;
     the place at infinity and zero coefficients are skipped, since each
@@ -334,7 +351,7 @@ def _psi_class(coeffs: dict, basis, _depth: int = 0):
         shift = Divisor({p: 2 if p.kind == RAMIFIED else 1
                          for p in places_at(curve, x0)})
         num, den = _psi_class((Divisor(coeffs) + shift).coeffs, basis, _depth + 1)
-        return num, _mul(ext, den, ext.sub(basis.theta, ext.embed(x0)))
+        return num, _mul(ext, den, _vertical(ext, basis.theta, x0))
     return num, den
 
 
@@ -347,8 +364,8 @@ def psi_eval(D: Divisor, basis) -> PsiValue:
         raise ValueError("psi is defined on degree-0 divisors only")
     ext = basis.ext
     num, den = _psi_class(D.coeffs, basis)
-    num = num or ext.one
-    return PsiValue(ext, ext.div(num, den) if den is not None else num)
+    num = _unpacked(ext, num)
+    return PsiValue(ext, num if den is None else ext.div(num, ext.unpack(den)))
 
 
 def psi_elementary(place: Place, basis) -> PsiValue:
@@ -390,7 +407,7 @@ def verify_relation(lhs, rhs, basis) -> bool:
         coeffs[place] = coeffs.get(place, 0) - n
     num, den = _psi_class(coeffs, basis)
     ext = basis.ext
-    return _same_class(ext, num or ext.one, den or ext.one)
+    return _same_class(ext, _unpacked(ext, num), _unpacked(ext, den))
 
 
 def translation_constant(basis) -> PsiValue:

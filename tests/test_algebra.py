@@ -188,13 +188,17 @@ def test_zero_power_convention():
 
 # Degrees 9 and 13 are the target fields of the two pinned instances; F_1048573
 # (2^20 - 3, just under DESK_Q_CAP) needs the widest packed slots.  At degree
-# 13, 9949 is the largest prime whose packed product folds with no slot
-# reduced, and 9967 the next one, which reduces the high half and the
-# quotient mod p before their products.
+# 13, 9949 is the largest prime whose packed product folds with the high
+# half and the quotient unreduced, and 9967 the next one, which reduces them
+# mod p before their products.  The slot-parallel reduction mod p
+# takes four folds at (8423, 17) and five at (16931, 7), in 32-bit slots,
+# and at (131, 1) it does not fit the 16 bits that hold the slots of the
+# product, so the layout takes 32.
 _RESIDUE_CASES = [(p, m, d) for p, m, top in ((5, 1, 13), (11, 1, 13), (11, 2, 5),
                                                (1048573, 1, 4))
                   for d in range(1, top + 1)] + [(9949, 1, 13), (9967, 1, 13),
-                                                 (1048573, 1, 13)]
+                                                 (1048573, 1, 13), (8423, 1, 17),
+                                                 (16931, 1, 7), (131, 1, 1)]
 _RESIDUE_BASES = {(p, m): field_make(p, m, 0) for p, m, _ in _RESIDUE_CASES}
 
 
@@ -206,6 +210,9 @@ _RESIDUE_BASES = {(p, m): field_make(p, m, 0) for p, m, _ in _RESIDUE_CASES}
 @example(case=(1048573, 1, 13), seed=0)
 @example(case=(9949, 1, 13), seed=0)
 @example(case=(9967, 1, 13), seed=0)
+@example(case=(8423, 1, 17), seed=0)
+@example(case=(16931, 1, 7), seed=0)
+@example(case=(131, 1, 1), seed=0)
 @example(case=(5, 1, 1), seed=0)
 @example(case=(11, 2, 3), seed=0)
 def test_residue_ring_matches_reference(case, seed):
@@ -227,6 +234,13 @@ def test_residue_ring_matches_reference(case, seed):
         assert R.neg(x) == ref.neg(x)
     e = rng.randrange(2 * R.order_total)
     assert R.pow_(a, e) == ref.pow_(a, e)
+    # 200 products on the packed form, each result the next operand:
+    # squares and products with seeded elements, unpacked once at the end
+    x, want = R.pack(top), top
+    for i in range(200):
+        y = want if i % 2 else R.rand(rng)
+        x, want = R.pmul(x, x if i % 2 else R.pack(y)), ref.mul(want, y)
+    assert R.unpack(x) == want
     if any(a):
         assert R.inv(a) == ref.inv(a)
     for x in (a, R.mul(b, b)):
@@ -394,8 +408,9 @@ def test_equal_degree_split_of_an_irreducible_raises_reducible():
 
 @pytest.mark.parametrize("p, reduced", [(9949, False), (9967, True)])
 def test_residue_cases_straddle_the_unreduced_slot_limit(p, reduced):
-    """The packed product reduces its slots mod p only where no slot width
-    holds k(p-1)^2 + k(k-1)^2(p-1)^4; at k = 13 that starts after 9949."""
+    """The packed product reduces the high half and the quotient mod p
+    before their products only where no slot width holds
+    k(p-1)^2 + k(k-1)^2(p-1)^4; at k = 13 that starts after 9949."""
     K = _RESIDUE_BASES[p, 1]
     u = poly_random_monic(K, 13, random.Random(p))
     assert ExtFieldDesc(K, u)._kron[-1] is reduced

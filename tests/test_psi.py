@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from dataclasses import replace
@@ -258,6 +259,29 @@ def test_psi_value_canonical_form(basis59):
         assert lead == 1
         scaled = PsiValue(ext, tuple(ext.base.mul(c, 3) for c in z))
         assert scaled == v
+
+
+# sha256 prefix of the canonical classes of 50 seeded divisors, one line of
+# coordinates per divisor: basis25 runs its target field on the list kernel
+# over F_{5^2}, the other two on the packed product over F_p
+_PSI_VALUE_DIGESTS = {
+    "basis59": "ca87f7b36108e008",
+    "basis11": "673e48461ba63124",
+    "basis25": "1265de8902afcd25",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PSI_VALUE_DIGESTS))
+def test_psi_values_pinned(request, name):
+    """psi_eval of 50 seeded degree-0 divisors, on memos that start cold
+    and fill as the divisors go, gives the pinned classes."""
+    basis = request.getfixturevalue(name)
+    fresh = replace(basis, place_terms={}, point_classes={})
+    rng = random.Random(name + " pinned classes")
+    lines = [",".join(map(str, psi_eval(rand_divisor(basis.curve, rng), fresh).rep))
+             for _ in range(50)]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
+    assert digest == _PSI_VALUE_DIGESTS[name]
 
 
 # ---------------------------------------------------------------------------
@@ -630,7 +654,7 @@ def test_hit_in_a_point_class_slides_the_divisor(basis59, places59, monkeypatch)
         psi._point_class(P1, fresh)
     assert failed == [point_neg(P1)] and fresh.point_classes == {}
     want = psi_per_place(elementary_divisor(place_of_point(basis59.curve, P1)), basis59)
-    assert PsiValue(basis59.ext, psi._point_class(P1, fresh)) == want
+    assert PsiValue(basis59.ext, basis59.ext.unpack(psi._point_class(P1, fresh))) == want
     assert len(fresh.point_classes) == basis59.k - 1
     # (P1) - (O) reduces to the point P1 itself, so every D needs a class
     p1 = elementary_divisor(place_of_point(basis59.curve, basis59.td.P1))
@@ -677,8 +701,9 @@ def test_verify_relation_ignores_order(basis59):
 
 def test_warm_check_is_products_only(basis11, monkeypatch):
     """Once the memos hold a relation's terms, checking it again runs no
-    Miller loop, no chord, no Mumford reduction, no power and no inversion
-    in F_{q^k}: only products."""
+    Miller loop, no chord, no Mumford reduction, no power, no inversion
+    and no packing in F_{q^k}: only products on the packed form, and one
+    unpack of the numerator and of the denominator."""
     import ellog.psi as psi
     cases = []
     for params in itertools.product(range(11), repeat=3):
@@ -706,11 +731,12 @@ def test_warm_check_is_products_only(basis11, monkeypatch):
 
     for name in ("_miller", "_chord", "_mumford_reduce", "_term"):
         count(psi, name)
-    for name in ("pow_", "inv", "mul"):
+    for name in ("pow_", "ppow", "inv", "mul", "pmul", "pack", "unpack"):
         count(ExtFieldDesc, name)
     for lhs, rhs, verdict in cases:
         assert verify_relation(lhs, rhs, warm) == verdict
-    assert calls and set(calls) == {"mul"}
+    assert set(calls) == {"pmul", "unpack"}
+    assert calls.count("unpack") == 2 * len(cases)
 
 
 def test_cold_check_reads_polynomials_at_theta_by_reduction(basis11, monkeypatch):
