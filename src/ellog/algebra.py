@@ -154,8 +154,8 @@ class FieldDesc:
     immutable, apart from the table of `root_table`, filled on first use.
     """
 
-    __slots__ = ("p", "m", "q", "modulus", "_prime", "_mul_table", "_add_table",
-                 "_neg_table", "_inv_table", "_roots")
+    __slots__ = ("p", "m", "q", "modulus", "_prime", "_ring", "_mul_table",
+                 "_add_table", "_neg_table", "_inv_table", "_roots")
 
     def __init__(self, p: int, m: int, modulus: tuple[int, ...]):
         if not is_probable_prime(p):
@@ -179,8 +179,11 @@ class FieldDesc:
         self._inv_table = None
         self._roots = None
         self._prime = _prime_field(p) if m > 1 else self
-        if m > 1 and not _is_irreducible(self._prime, self.modulus):
-            raise Reducible("field modulus is reducible")
+        self._ring = None
+        if m > 1:
+            if not _is_irreducible(self._prime, self.modulus):
+                raise Reducible("field modulus is reducible")
+            self._ring = _ring(self._prime, self.modulus)
         if q <= _TABLE_Q_CAP:
             self._build_tables()
 
@@ -302,7 +305,7 @@ class FieldDesc:
         e %= self.q - 1
         if self.m == 1:
             return pow(a, e, self.p)
-        return self.code(_powmod(self._prime, self.vec(a), e, self.modulus))
+        return self.code(self._ring.pow_(self.vec(a), e))
 
     def embed(self, base_code: int) -> int:
         return base_code
@@ -380,9 +383,16 @@ DEG_ZERO = -1  # degree sentinel for the zero polynomial
 # base a code is its own residue, so products and remainders accumulate as
 # ints and take one `% p` per output coefficient.  Over F_{p^m} they bind
 # the base field's add/sub/mul (lookups in its tables below _TABLE_Q_CAP)
-# to locals.  `Poly`, Rabin's test, the factorization, `ExtFieldDesc.mul`
-# over F_{p^m} and the untabled ops of F_{p^m} itself (on digit vectors
-# over F_p) run their loops on these lists.
+# to locals.  Its users: `Poly`; the gcds, quotients and square-free parts
+# of the factorization and of Rabin's test; `ExtFieldDesc.pmul` over an
+# F_{p^m} base, `ExtFieldDesc.inv` and the Barrett inverse of the packed
+# product; the untabled ops of F_{p^m} itself, on digit vectors over F_p;
+# and, outside this module, the norms and zero ordinates of `divisor`, the
+# Mumford reductions of `psi`, and `curve`'s division by X - x1 and its
+# table of plane pull-backs.  Powers modulo a polynomial are not taken
+# here: every one, in Rabin's test, the factorization, the basis's
+# candidate search, the Frobenius rows and F_{p^m}'s `pow_`, is
+# `ExtFieldDesc.ppow` in the ring of its modulus.
 
 def _strip(cs: list) -> list:
     while cs and not cs[-1]:
@@ -540,19 +550,6 @@ def _gcd(K: FieldDesc, a, b):
     return _monic(K, a)
 
 
-def _powmod(K: FieldDesc, a, e: int, m) -> list:
-    """a^e mod m, square and multiply; a^0 is [1], unreduced."""
-    base = _rem(K, a, m)
-    r = None
-    while e:
-        if e & 1:
-            r = base if r is None else _mul(K, r, base, m)
-        e >>= 1
-        if e:
-            base = _mul(K, base, base, m)
-    return [1] if r is None else r
-
-
 def _euclid(K: FieldDesc, a, b):
     """Yield (r, t) with t*b = r mod a for each remainder after a and b."""
     r0, r1 = a, b
@@ -672,9 +669,6 @@ class Poly:
             acc = dom.add(dom.mul(acc, x), dom.embed(c))
         return acc
 
-    def powmod(self, e: int, mod: "Poly") -> "Poly":
-        return _poly(self.field, _powmod(self.field, self.coeffs, e, mod.coeffs))
-
     def encode(self) -> str:
         K = self.field
         return ";".join(K.enc(c) for c in self.coeffs)
@@ -698,19 +692,30 @@ def poly_euclid(a: Poly, b: Poly):
         yield _poly(K, r), _poly(K, t)
 
 
+def _ring(K: FieldDesc, f) -> "ExtFieldDesc":
+    """F_q[X]/(f) for a monic f of degree >= 1 (a list or tuple): every
+    power modulo f is taken there, by `ExtFieldDesc.ppow`."""
+    return ExtFieldDesc(K, _poly(K, f))
+
+
 def _is_irreducible(K: FieldDesc, f) -> bool:
-    """Rabin's test: X^(q^n) = X mod f and gcd conditions at maximal subfields."""
+    """Rabin's test: X^(q^n) = X mod f, and gcd(f, X^(q^(n/l)) - X) = 1
+    for each prime l | n.  The powers are one chain of q-th powers of X in
+    the ring of f."""
     n = len(f) - 1
     if n <= 0:
         return False
     if n == 1:
         return True
-    x = [0, 1]
-    for ell, _ in factor_modulus(n):
-        h = _sub(K, _powmod(K, x, K.q ** (n // ell), f), x)
-        if len(_gcd(K, f, h)) != 1:
+    R = _ring(K, f)
+    x = R.pack(R.gen())
+    subfields = {n // ell for ell, _ in factor_modulus(n)}
+    h = x
+    for j in range(1, n + 1):
+        h = R.ppow(h, K.q)
+        if j in subfields and len(_gcd(K, f, _sub(K, R.unpack(h), (0, 1)))) != 1:
             return False
-    return _powmod(K, x, K.q ** n, f) == x
+    return h == x
 
 
 def poly_is_irreducible(f: Poly) -> bool:
@@ -784,24 +789,30 @@ def _squarefree_parts(K: FieldDesc, f) -> list[tuple[list, int]]:
     return out
 
 
-def _distinct_degree(K: FieldDesc, f) -> list[tuple[list, int]]:
-    """Split a squarefree monic f into [(product of irreducibles of degree d, d)]."""
-    out = []
-    x = [0, 1]
-    h = x
-    rest = f
-    d = 0
+def _distinct_degree(K: FieldDesc, f, least: int = 1) -> list[tuple[list, int]]:
+    """Split a squarefree monic f with no irreducible factor of degree
+    below `least` into [(product of its irreducibles of degree d, d)].
+
+    h = X^(q^d) stays modulo f, in the ring of f: the rest left to split
+    divides f, so gcd(rest, h - X) is gcd(rest, X^(q^d) - X).  Below
+    `least` that gcd can only be 1, and it is not taken."""
+    if len(f) < 3:
+        return [(f, 1)] if len(f) == 2 else []
+    R = _ring(K, f)
+    x, h = [0, 1], R.pack(R.gen())
+    out, rest, d = [], f, 0
     while len(rest) > 1:
         d += 1
         if 2 * d > len(rest) - 1:
             out.append((rest, len(rest) - 1))
             break
-        h = _powmod(K, h, K.q, rest)
-        g = _gcd(K, rest, _sub(K, h, x))
+        h = R.ppow(h, K.q)
+        if d < least:
+            continue
+        g = _gcd(K, rest, _sub(K, R.unpack(h), x))
         if len(g) > 1:
             out.append((g, d))
             rest = _monic(K, _quo(K, rest, g))
-            h = _rem(K, h, rest)
     return out
 
 
@@ -817,6 +828,7 @@ def _equal_degree(K: FieldDesc, f, d: int, draws) -> list:
     if n == d:
         return [f]
     exp = (K.q ** d - 1) // 2
+    R = _ring(K, f)
     rng = draws()
     for _ in range(64):
         r = _strip([rng.randrange(K.q) for _ in range(n)])
@@ -825,7 +837,8 @@ def _equal_degree(K: FieldDesc, f, d: int, draws) -> list:
         g = _gcd(K, f, r)
         if 0 < len(g) - 1 < n:
             break
-        g = _gcd(K, f, _sub(K, _powmod(K, r, exp, f), [1]))
+        r = R.pack(r + [0] * (n - len(r)))
+        g = _gcd(K, f, _sub(K, R.unpack(R.ppow(r, exp)), [1]))
         if 0 < len(g) - 1 < n:
             break
     else:
@@ -842,6 +855,18 @@ def poly_factor(f: Poly) -> list[tuple[Poly, int]]:
     Deterministic: the equal-degree randomness is seeded from the input, at
     its first draw, and the result is sorted by (degree, coefficient codes).
     """
+    return _factor(f, 1)
+
+
+def _factor_rootless(f: Poly) -> list[tuple[Poly, int]]:
+    """`poly_factor` of an f with no root in F_q: the distinct-degree
+    split skips its gcd with X^q - X, which could only be 1."""
+    return _factor(f, 2)
+
+
+def _factor(f: Poly, least: int) -> list[tuple[Poly, int]]:
+    """`poly_factor` of an f with no irreducible factor of degree below
+    `least` (see `_distinct_degree`)."""
     if f.is_zero():
         raise ZeroPolynomial("cannot factor the zero polynomial")
     if f.degree() == 0:
@@ -860,7 +885,7 @@ def poly_factor(f: Poly) -> list[tuple[Poly, int]]:
 
     factors: dict[tuple, int] = {}
     for part, mult in _squarefree_parts(K, f.coeffs):
-        for prod, d in _distinct_degree(K, part):
+        for prod, d in _distinct_degree(K, part, least):
             for irr in _equal_degree(K, prod, d, draws):
                 key = tuple(irr)
                 factors[key] = factors.get(key, 0) + mult
@@ -950,12 +975,18 @@ def _kron_layout(p: int, k: int) -> tuple:
 
 
 class ExtFieldDesc:
-    """F_q[X]/(I) for monic irreducible I of degree k over the base.
+    """F_q[X]/(I) for a monic I of degree k over the base: a field only
+    when I is irreducible.
 
     The target field of a basis and the residue field of a place
-    (`divisor.place_point`) are both of this class.  Elements are tuples of base codes of length k
-    (low degree first).  The constructor checks only that I is monic;
-    `ext_make` also checks that it is irreducible.
+    (`divisor.place_point`) are both of this class, and so is the ring of
+    each modulus whose powers Rabin's test, the factorization and the
+    basis's candidate search take (`_ring`), reducible or not.  Elements
+    are tuples of base codes of length k (low degree first).  The
+    constructor checks only that I is monic; `ext_make` also checks that
+    it is irreducible.  Sums, products and powers hold in any such ring;
+    `inv`, `div` and `sqrt` need a field (`inv` raises ZeroDivisionError
+    at a zero divisor).
 
     Products run on a packed form, in `pmul`; `mul` is `pack`, `pmul` and
     `unpack`, and `pow_` packs once and squares on the packed form, so a
@@ -1165,7 +1196,7 @@ class ExtFieldDesc:
     def _frobenius_rows(self):
         """The rows X^(iq) mod I of `frobenius`: over F_p as (p, slots,
         packed rows), else as elements."""
-        x_q = self.from_poly(Poly(self.base, (0, 1)).powmod(self.base.q, self.I))
+        x_q = self.pow_(self.from_poly(_poly(self.base, (0, 1))), self.base.q)
         rows = [self.one]
         for _ in range(1, self.k):
             rows.append(self.mul(rows[-1], x_q))

@@ -27,7 +27,7 @@ import random
 from dataclasses import dataclass, field as dc_field
 
 from .algebra import (ConfigError, ExtFieldDesc, FieldDesc, NonResidue, Poly,
-                      _equal_degree, _gcd, _monic, _poly, _powmod, _quo, _rem,
+                      _equal_degree, _gcd, _monic, _poly, _quo, _ring,
                       _squarefree_parts, _sub, field_make)
 from .curve import Curve, Point, Singular, TorsionData, find_point_of_order
 
@@ -63,7 +63,7 @@ def mu_bound(q: int, k: int) -> int:
 class EllipticBasis:
     """Everything the later phases need, frozen after construction.
 
-    The exceptions are four memos.  `pullback_divisors`, the memo of
+    The exceptions are five memos.  `pullback_divisors`, the memo of
     `harvest.pullback_divisor`, holds divisors of pulled-back sieve lines,
     keyed by coefficient vector up to scale, and of brackets, keyed by the
     Plucker vector of their plane up to scale.  For the sieve families,
@@ -72,6 +72,12 @@ class EllipticBasis:
     span; descent pairs over larger monomial sets add their own entries.
     A bracket entry may be derived from that of the plane with U and V
     swapped, as its negation; it is stored all the same, one entry per key.
+    `pencil_divisors`, the pencil memo of `harvest.pair_divisors`, maps a
+    plane's Plucker key to (i, lines): the divisors of its q + 1 lines,
+    entries of `pullback_divisors` shared and not copied, in the order of
+    `harvest._pencil_slots`, which reads coordinate i.  It holds one entry
+    per independent plane met whose lines all pull back to nonzero
+    functions: at most those of span{1, U, V, UV} for the sieve families.
     `place_terms`, the memo of `psi._psi_class`, holds the class under psi
     of each term n((P) - deg(P)(O)) of an evaluated divisor, keyed by
     (place, n), and of the term (P, 1) of each such place, from which the
@@ -98,6 +104,8 @@ class EllipticBasis:
     seed: int
     pullback_divisors: dict = dc_field(default_factory=dict, compare=False,
                                        repr=False)
+    pencil_divisors: dict = dc_field(default_factory=dict, compare=False,
+                                     repr=False)
     place_terms: dict = dc_field(default_factory=dict, compare=False,
                                  repr=False)
     point_classes: dict = dc_field(default_factory=dict, compare=False,
@@ -221,15 +229,16 @@ def theta_min_poly_candidates(curve: Curve, td: TorsionData) -> list[Poly]:
     x = [0, 1]
     factors = []
     for part, _ in _squarefree_parts(K, S.coeffs):
-        rest, h = part, x
+        # h = X^(q^d) in the ring of the part, which the rest divides
+        rest, R = part, _ring(K, part)
+        h = R.pack(R.from_poly(_poly(K, x)))
         for _ in range(2):  # gcd with X^q - X, then with X^(q^2) - X
             if len(rest) <= 1:
                 break
-            h = _powmod(K, h, q, rest)
-            g = _gcd(K, rest, _sub(K, h, x))
+            h = R.ppow(h, q)
+            g = _gcd(K, rest, _sub(K, R.unpack(h), x))
             if len(g) > 1:
                 rest = _monic(K, _quo(K, rest, g))
-                h = _rem(K, h, rest)
         if (len(rest) - 1) % k:
             raise AssertionError(
                 f"S_3(X, X^q, x1) has a factor of degree {len(rest) - 1} "

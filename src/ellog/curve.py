@@ -46,8 +46,9 @@ class Curve:
     filled when N is counted or on first use, and serves `count_points`,
     `curve_points`, `rational_abscissas` and `find_point_of_order`.
     `u_places` is the memo of the places over a monic irreducible abscissa
-    polynomial u (a coefficient tuple), filled by `divisor.places_at` and
-    by the principal-divisor map.  `x_powers` holds (n, x -> [1, x, ...,
+    polynomial u (a coefficient tuple), filled by `divisor.places_at`, by
+    the principal-divisor map and by the factor-base build, which enters
+    every u up to its degree bound.  `x_powers` holds (n, x -> [1, x, ...,
     x^(n-1)]) for the rational abscissas x, the table `abscissa_powers`
     grows.  None of them is compared.
     """

@@ -31,8 +31,8 @@ from __future__ import annotations
 from functools import total_ordering
 from operator import mul
 
-from .algebra import (ExtFieldDesc, FieldDesc, NonResidue, Poly, _add, _ext_gcd, _horner,
-                      _mul, _poly, _rem, _sub, poly_factor)
+from .algebra import (ExtFieldDesc, FieldDesc, NonResidue, Poly, _add, _ext_gcd,
+                      _factor_rootless, _horner, _mul, _poly, _rem, _sub, poly_factor)
 from .curve import Curve, CurveFunction, Point, TorsionData, ZeroFunction, point_add
 from .linalg import _rref
 
@@ -292,10 +292,10 @@ def divisor_of(fun: CurveFunction, curve: Curve) -> Divisor:
     evaluates the monic N at each rational abscissa through the curve's
     power table and divides it by X - r, with `_horner`, only at the roots.
     The rest has no root in F_q: of degree 2 or 3 it is irreducible, and
-    only from degree 4 on does it go to `poly_factor`.  A linear content
-    g = X - r gives the places of `places_at(r)`; a longer one goes to
-    `poly_factor` whole, since its roots may lie under inert places, and
-    the places over each factor are memoized on the curve.
+    only from degree 4 on is it factored, with no gcd with X^q - X.  A
+    linear content g = X - r gives the places of `places_at(r)`; a longer
+    one goes to `poly_factor` whole, since its roots may lie under inert
+    places, and the places over each factor are memoized on the curve.
     """
     if fun.is_zero():
         raise ZeroFunction("divisor of the zero function")
@@ -372,7 +372,7 @@ def _norm_factors(curve: Curve, norm: Poly) -> list[tuple[tuple, int]]:
     the linear ones at the roots of one evaluation pass over the rational
     abscissas (see `divisor_of`), each root's multiplicity by evaluating
     the quotients there too, the rootless rest whole below degree 4, else
-    by `poly_factor`."""
+    by `poly_factor`'s entry for a rootless input (`_factor_rootless`)."""
     K = curve.field
     rest = norm.monic().coeffs
     factors = []
@@ -390,7 +390,7 @@ def _norm_factors(curve: Curve, norm: Poly) -> list[tuple[tuple, int]]:
     if len(rest) in (3, 4):
         factors.append((tuple(rest), 1))
     elif len(rest) > 4:
-        factors += [(u.coeffs, mult) for u, mult in poly_factor(_poly(K, rest))]
+        factors += [(u.coeffs, mult) for u, mult in _factor_rootless(_poly(K, rest))]
     factors.sort(key=lambda item: (len(item[0]), item[0]))
     return factors
 

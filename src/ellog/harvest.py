@@ -29,8 +29,8 @@ from math import gcd
 
 from .algebra import ConfigError, Poly, _scale, poly_irreducibles
 from .curve import TriPoly, bracket, phi_star, plucker_bracket, plucker_pullback
-from .divisor import (Divisor, Place, decompose, divisor_of, negation,
-                      orbit_places, place_of_point, places_over)
+from .divisor import (Divisor, Place, _places_above, decompose, divisor_of,
+                      negation, orbit_places, place_of_point)
 from .linalg import crt, determined_mod_prime, solve_affine_mod
 
 
@@ -72,7 +72,12 @@ class FactorBase:
         self.extend_to(bound)
 
     def extend_to(self, bound: int):
-        """Index every place of degree <= bound (appends, keeping old columns)."""
+        """Index every place of degree <= bound (appends, keeping old columns).
+
+        The places over each u are taken through the curve's memo
+        (`divisor._places_above`), so that later divisors of the sieve find
+        every norm factor of degree <= bound there and read its zero with
+        one product."""
         basis = self.basis
         K = basis.curve.field
         td = basis.td
@@ -83,7 +88,7 @@ class FactorBase:
             dus = [deg] + ([deg // 2] if deg % 2 == 0 else [])
             for du in dus:
                 for u in poly_irreducibles(K, du):
-                    for p in places_over(basis.curve, u):
+                    for p in _places_above(basis.curve, u):
                         if p.degree == deg:
                             new_places.append(p)
             for p in sorted(new_places, key=lambda p: p.sort_key):
@@ -395,18 +400,21 @@ def _class_key(labels, coords, K) -> tuple:
     return tuple([(l, c) for l, c in zip(labels, coords) if c])
 
 
-def _pencil_keys(monos: tuple, a: list, b: list, K) -> list[tuple]:
-    """The `_class_key` of each line a - t b, t = 0..q-1, then of b.
+def _pencil_keys(monos: tuple, a: list, b: list, K):
+    """(keys, order): the `_class_key` of each line a - t b, t = 0..q-1,
+    then of b, and (i, slots), each line's slot in the canonical order of
+    its plane (`_pencil_slots`), or None for a dependent pair.
 
     Every monomial of `monos` is in A or B, so the last coordinate of the
     pencil is nonzero.  The pencil has a basis d, c with 1 and 0 there, c
-    scaled to 1 at its own last nonzero coordinate.  A line x d + y c with
-    x != 0 is keyed as d + (y/x) c, which already ends in 1, and the line
-    with x = 0 as c: one inverse per line and no vector scaled.  With b_n
-    the last coordinate of b and t0 = a_n/b_n, a - t b = l c + (t0 - t) b_n
-    d for l the last nonzero coordinate of a - t0 b; with b_n = 0, it is
-    a_n d - t m c for m that of b.  Dependent pairs, where a - t0 b or b is
-    zero, are keyed line by line.
+    scaled to 1 at its own last nonzero coordinate i.  A line x d + y c with
+    x != 0 is keyed as d + (y/x) c, which already ends in 1, and takes slot
+    d_i + y/x; the line with x = 0 is keyed as c and takes slot q: one
+    inverse per line and no vector scaled.  With b_n the last coordinate of
+    b and t0 = a_n/b_n, a - t b = l c + (t0 - t) b_n d for l the last
+    nonzero coordinate of a - t0 b; with b_n = 0, it is a_n d - t m c for m
+    that of b.  Dependent pairs, where a - t0 b or b is zero, are keyed
+    line by line.
     """
     q, inv, mul, sub = K.q, K.inv, K.mul, K.sub
     an, bn = a[-1], b[-1]
@@ -416,10 +424,11 @@ def _pencil_keys(monos: tuple, a: list, b: list, K) -> list[tuple]:
         d = _scale(K, b, inv(bn))
     else:
         e, d = b, _scale(K, a, inv(an))
-    lam = next((x for x in reversed(e) if x), 0)
-    if not lam:
+    i = next((j for j in range(len(e) - 1, -1, -1) if e[j]), None)
+    if i is None:
         return ([_class_key(monos, [sub(x, mul(t, y)) for x, y in zip(a, b)], K)
-                 for t in range(q)] + [_class_key(monos, b, K)])
+                 for t in range(q)] + [_class_key(monos, b, K)]), None
+    lam = e[i]
     c = _scale(K, e, inv(lam))
     if bn:
         lam_bn = mul(lam, inv(bn))
@@ -430,15 +439,46 @@ def _pencil_keys(monos: tuple, a: list, b: list, K) -> list[tuple]:
         ss = [mul(t, r) for t in range(q)]
         ss.append(None)
     key_c = tuple([(l, x) for l, x in zip(monos, c) if x])
+    di = d[i]
     if K.m == 1:
         p = K.p
-        return [key_c if s is None else
-                tuple([(l, v) for l, x, y in zip(monos, d, c) if (v := (x + s * y) % p)])
-                for s in ss]
+        return ([key_c if s is None else
+                 tuple([(l, v) for l, x, y in zip(monos, d, c) if (v := (x + s * y) % p)])
+                 for s in ss],
+                (i, [q if s is None else (di + s) % p for s in ss]))
     add = K.add
-    return [key_c if s is None else
-            tuple([(l, v) for l, x, y in zip(monos, d, c) if (v := add(x, mul(s, y)))])
-            for s in ss]
+    return ([key_c if s is None else
+             tuple([(l, v) for l, x, y in zip(monos, d, c) if (v := add(x, mul(s, y)))])
+             for s in ss],
+            (i, [q if s is None else add(di, s) for s in ss]))
+
+
+def _pencil_slots(a: list, b: list, i: int, K) -> list[int]:
+    """The slot of each line a - t b, t = 0..q-1, then of b, in the
+    canonical order of their plane, for a and b independent.
+
+    Let c be the plane's vector with last coordinate 0, scaled to 1 at
+    its last nonzero coordinate, index i.  A line [v] with v_n != 0 takes
+    slot v_i / v_n, and [c] takes slot q: a numbering of the q + 1 lines
+    that depends on the plane alone, not on the pair that spans it.
+    """
+    q, an, bn, ai, bi = K.q, a[-1], b[-1], a[i], b[i]
+    inv = K.inv
+    if K.m == 1:
+        p = K.p
+        slots = []
+        for t in range(q):
+            vn = (an - t * bn) % p
+            slots.append((ai - t * bi) * inv(vn) % p if vn else q)
+        slots.append(bi * inv(bn) % p if bn else q)
+        return slots
+    mul, sub = K.mul, K.sub
+    slots = []
+    for t in range(q):
+        vn = sub(an, mul(t, bn))
+        slots.append(mul(sub(ai, mul(t, bi)), inv(vn)) if vn else q)
+    slots.append(mul(bi, inv(bn)) if bn else q)
+    return slots
 
 
 @cache
@@ -523,6 +563,13 @@ def pair_divisors(basis, A: TriPoly, B: TriPoly) -> PairResult:
     p_mn = a_m b_n - a_n b_m.  A pair whose lines and plane are in the memo
     of `pullback_divisor` is therefore lookups only: one pull-back and
     factorization per line and one per plane in all.
+    The pencil memo `basis.pencil_divisors` holds each plane's q + 1 line
+    divisors in the order of `_pencil_slots`, which depends on the plane
+    alone: a pair whose plane is there reads its left divisors through
+    q + 1 slot indices, and keys and looks up no line.  On a miss
+    `_pencil_keys` hands back each line's slot with its key, and the
+    entry is stored.  Dependent pairs, whose plane key is (), and planes
+    with a line that pulls back to zero, which raises first, stay out.
     A plane missing from the memo whose image under the swap of U and V
     (`_swapped_plane`) is there takes that entry's `negation`, a zero
     pull-back included, so the two planes share one factorization; the
@@ -547,10 +594,22 @@ def pair_divisors(basis, A: TriPoly, B: TriPoly) -> PairResult:
     else:
         sub, mul = K.sub, K.mul
         plucker = [sub(mul(a[i], b[j]), mul(a[j], b[i])) for i, j in ij]
-    keys = _pencil_keys(monos, a, b, K)
-    lefts = [pullback_divisor(basis, key, "left factor") for key in keys[:-1]]
-    lefts.append(pullback_divisor(basis, keys[-1], "B"))
     plane = _class_key(labels, plucker, K)
+    pencils = basis.pencil_divisors
+    entry = pencils.get(plane)
+    if entry is not None:
+        i, lines = entry
+        lefts = [lines[s] for s in _pencil_slots(a, b, i, K)]
+    else:
+        keys, order = _pencil_keys(monos, a, b, K)
+        lefts = [pullback_divisor(basis, key, "left factor") for key in keys[:-1]]
+        lefts.append(pullback_divisor(basis, keys[-1], "B"))
+        if order is not None:
+            i, slots = order
+            lines = [None] * (K.q + 1)
+            for s, D in zip(slots, lefts):
+                lines[s] = D
+            pencils[plane] = (i, lines)
     memo = basis.pullback_divisors
     if plane not in memo:
         image = memo.get(_swapped_plane(monos, plucker, K), _UNSEEN)

@@ -249,6 +249,48 @@ def test_residue_ring_matches_reference(case, seed):
         assert (_sqrt_outcome(ref, x) is NonResidue) != ref.is_square(x)
 
 
+def _irreducible(K, d, rng):
+    u = poly_random_monic(K, d, rng)
+    while not poly_is_irreducible(u):
+        u = poly_random_monic(K, d, rng)
+    return u
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(pm=st.sampled_from([(5, 1), (11, 1), (5, 2), (1048573, 1)]),
+       shape=st.sampled_from(["squarefree", "square", "X"]),
+       degrees=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(pm=(11, 1), shape="squarefree", degrees=(2, 3), seed=0)
+@example(pm=(5, 1), shape="square", degrees=(2, 1), seed=0)
+@example(pm=(5, 2), shape="X", degrees=(4, 1), seed=0)
+@example(pm=(1048573, 1), shape="square", degrees=(4, 4), seed=0)
+def test_residue_ring_over_reducible_moduli(pm, shape, degrees, seed):
+    """The factorizer and Rabin's test take their powers in F_q[X]/(I) for
+    a reducible I: `pmul` and `ppow` there compute what the Poly-then-reduce
+    ring computes, for I a product of two distinct irreducibles, the square
+    of one times another, and X times one."""
+    K = field_make(*pm, 0)
+    rng = random.Random(seed)
+    g = _irreducible(K, degrees[0], rng)
+    h = _irreducible(K, degrees[1], rng)
+    while h == g:
+        h = _irreducible(K, degrees[1], rng)
+    X = Poly(K, (0, 1))
+    I = {"squarefree": g * h, "square": g * g * h, "X": X * g}[shape]
+    if shape == "X" and g == X:
+        I = X * h
+    R, ref = ExtFieldDesc(K, I), QuotientRing(K, I)
+    top = (K.q - 1,) * R.k
+    for a, b in ((R.rand(rng), R.rand(rng)), (top, top), (top, R.rand(rng))):
+        assert R.unpack(R.pmul(R.pack(a), R.pack(b))) == ref.mul(a, b)
+        for e in (0, 1, K.q, rng.randrange(2 * R.order_total)):
+            assert R.unpack(R.ppow(R.pack(a), e)) == ref.pow_(a, e)
+    # a zero divisor squares and multiplies like any other element
+    z = R.from_poly(g)
+    assert R.unpack(R.ppow(R.pack(z), K.q ** 2)) == ref.pow_(z, K.q ** 2)
+
+
 def _sqrt_outcome(dom, x):
     """The root `dom.sqrt` gives, or NonResidue if it raises that."""
     try:

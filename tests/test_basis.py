@@ -158,19 +158,19 @@ def test_candidates_are_the_degree_k_factors(request, name):
 
 def test_candidates_take_two_frobenius_steps_per_part(monkeypatch):
     """At (13, 17) a walk through the degrees takes 8 q-th powers; the
-    search strips degrees 1 and 2 and stops."""
+    search strips degrees 1 and 2 and stops.  A q-th power is a call of
+    `ExtFieldDesc.ppow` with e = q, in the ring of the part."""
     b = find_basis(13, 1, 17, seed=0)
     K = b.curve.field
     steps = []
-    powmod = algebra._powmod
+    ppow = algebra.ExtFieldDesc.ppow
 
-    def counted(K_, a, e, m):
+    def counted(R, x, e):
         if e == K.q:
             steps.append(e)
-        return powmod(K_, a, e, m)
+        return ppow(R, x, e)
 
-    monkeypatch.setattr(algebra, "_powmod", counted)
-    monkeypatch.setattr(basis_mod, "_powmod", counted, raising=False)
+    monkeypatch.setattr(algebra.ExtFieldDesc, "ppow", counted)
     S = theta_equation(b.curve, b.td)
     parts = _squarefree_parts(K, S.coeffs)
     assert b.ext.I in theta_min_poly_candidates(b.curve, b.td)

@@ -566,18 +566,22 @@ def test_norm_roots_are_rational_abscissas(basis59, curve121, curve5_split_cubic
 @pytest.mark.parametrize("which", ["curve121", "basis59"])
 def test_norm_factors_call_poly_factor_only_for_a_long_rootless_rest(
         which, curve121, basis59, monkeypatch):
-    """For n0 + y the content is 1, so poly_factor runs only on the norm's
-    rootless rest and only when that has degree >= 4; the divisor is the
-    oracle's either way."""
+    """For n0 + y the content is 1, so the factorizer runs only on the
+    norm's rootless rest, through its entry for a rootless input, and only
+    when that has degree >= 4; the divisor is the oracle's either way."""
     import ellog.divisor
-    from ellog.algebra import poly_factor
+    from ellog.algebra import _factor_rootless
 
     curve = {"curve121": curve121, "basis59": basis59.curve}[which]
     K = curve.field
-    calls = []
+    calls, general = [], []
 
     def counting(f):
         calls.append(f)
+        return _factor_rootless(f)
+
+    def counting_general(f):
+        general.append(f)
         return poly_factor(f)
 
     rng = random.Random(7)
@@ -592,11 +596,12 @@ def test_norm_factors_call_poly_factor_only_for_a_long_rootless_rest(
             continue
         want = divisor_two_root(fun, curve)
         calls.clear()
-        monkeypatch.setattr(ellog.divisor, "poly_factor", counting)
+        monkeypatch.setattr(ellog.divisor, "_factor_rootless", counting)
+        monkeypatch.setattr(ellog.divisor, "poly_factor", counting_general)
         D = divisor_of(fun, curve)
         monkeypatch.undo()
         assert D == want
-        assert len(calls) == (rest >= 4)
+        assert len(calls) == (rest >= 4) and general == []
         for f in calls:
             assert f.degree() == rest
             assert all(poly_eval(f, r) for r in range(K.q))

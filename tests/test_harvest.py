@@ -52,6 +52,49 @@ def test_factor_base_numbering_pinned(request, instance, height, places, digest)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+def test_factor_base_build_fills_the_place_memo(monkeypatch):
+    """The build enters the places over every u of degree <= its height in
+    the curve's memo, so a divisor met afterwards reads the zero above each
+    norm factor of that degree from there: over seeded p0 + p1 y, no
+    `_zero_ordinate` runs for a factor of degree <= 3 after
+    `build_factor_base(basis59, 3)`, where the same curve without the build
+    takes some, and the divisors agree."""
+    import ellog.divisor
+    from ellog.algebra import Poly
+    from ellog.basis import find_basis
+    from ellog.curve import CurveFunction
+
+    degrees = []
+    real = ellog.divisor._zero_ordinate
+
+    def ordinate(curve, p0, p1, u):
+        degrees.append(len(u) - 1)
+        return real(curve, p0, p1, u)
+
+    monkeypatch.setattr(ellog.divisor, "_zero_ordinate", ordinate)
+    built, bare = find_basis(5, 1, 9, seed=0), find_basis(5, 1, 9, seed=0)
+    assert built.curve is not bare.curve
+    build_factor_base(built, 3)
+    K = built.curve.field
+    rng = random.Random(33)
+    funs = []
+    while len(funs) < 60:
+        n0 = Poly(K, [rng.randrange(K.q) for _ in range(rng.randrange(1, 8))])
+        n1 = Poly(K, [rng.randrange(K.q) for _ in range(rng.randrange(1, 4))])
+        if not n1.is_zero() and not n0.is_zero():
+            funs.append((n0, n1))
+    divisors = {}
+    for basis in (built, bare):
+        degrees.clear()
+        divisors[basis is built] = [
+            divisor_of(CurveFunction.make(basis.curve, 0, n0, n1, 0), basis.curve)
+            for n0, n1 in funs]
+        if basis is built:
+            assert [d for d in degrees if d <= 3] == []
+        else:
+            assert sum(1 for d in degrees if 2 <= d <= 3) >= 10
+    assert divisors[True] == divisors[False]
+
 def test_factor_base_expansion_recovers_places(basis59, fb59):
     td = basis59.td
     for place, (col, shift, deg) in fb59.place_map.items():

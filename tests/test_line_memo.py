@@ -17,8 +17,9 @@ import ellog.harvest
 from ellog.curve import (Curve, CurveFunction, Point, TorsionData, TriPoly,
                          bracket, phi_star, plucker_bracket, plucker_pullback)
 from ellog.divisor import SPLIT, divisor_of, negation
-from ellog.harvest import (DegeneratePair, _class_key, _pencil_keys, _swapped_plane,
-                           pullback_divisor, pair_divisors, reconstruct_pair)
+from ellog.harvest import (DegeneratePair, _class_key, _pencil_keys, _pencil_slots,
+                           _swapped_plane, pullback_divisor, pair_divisors,
+                           reconstruct_pair)
 from ellog.solve import _MONOS, _mono_list
 
 from oracles import (family_params, m1_params, pair_divisors_fresh,
@@ -26,8 +27,8 @@ from oracles import (family_params, m1_params, pair_divisors_fresh,
 
 
 def _fresh_basis(basis):
-    """The same basis with an empty memo of its own."""
-    return replace(basis, pullback_divisors={})
+    """The same basis with empty memos of its own."""
+    return replace(basis, pullback_divisors={}, pencil_divisors={})
 
 
 def _family_member(basis, family, params, aprime):
@@ -496,7 +497,11 @@ def test_divisor_of_conjugate_is_negation(request, name):
 def test_pencil_keys_match_class_keys(p, m):
     """The keys of the lines a - t b and of b, read from one basis of the
     pencil, are the `_class_key` of each line, over F_5, F_11 and F_{5^2};
-    dependent pairs (b = c a, a = c b, one of them zero) included."""
+    dependent pairs (b = c a, a = c b, one of them zero) included.  The
+    slots handed back with them, and those of `_pencil_slots`, are the
+    canonical order of the plane: v_i / v_n for a line [v] with v_n != 0,
+    q for the line with v_n = 0, whose last nonzero coordinate is at i; a
+    dependent pair has none."""
     K = field_make(p, m, 0)
     code = st.integers(0, K.q - 1)
 
@@ -518,9 +523,22 @@ def test_pencil_keys_match_class_keys(p, m):
         # every monomial of a pair is in A or B
         assume(all(x or y for x, y in zip(a, b)) and a != b)
         monos = tuple((i, 7 - i, 0) for i in range(n))
-        want = [_class_key(monos, [K.sub(x, K.mul(t, y)) for x, y in zip(a, b)], K)
-                for t in range(K.q)] + [_class_key(monos, b, K)]
-        assert _pencil_keys(monos, a, b, K) == want
+        lines = [[K.sub(x, K.mul(t, y)) for x, y in zip(a, b)]
+                 for t in range(K.q)] + [b]
+        want = [_class_key(monos, v, K) for v in lines]
+        keys, order = _pencil_keys(monos, a, b, K)
+        assert keys == want
+        dependent = not any(K.sub(K.mul(a[i], b[j]), K.mul(a[j], b[i]))
+                            for i in range(n) for j in range(i))
+        assert (order is None) == dependent
+        if dependent:
+            return
+        i, slots = order
+        c = next(v for v in lines if not v[-1])
+        assert i == max(j for j, x in enumerate(c) if x)
+        assert slots == [K.div(v[i], v[-1]) if v[-1] else K.q for v in lines]
+        assert _pencil_slots(a, b, i, K) == slots
+        assert sorted(slots) == list(range(K.q + 1))
 
     check()
 
@@ -555,3 +573,74 @@ def test_plucker_pullback_matches_phi_star(request, name, span):
         assert plucker_pullback(coords, td) == want
 
     check()
+
+
+# ---------------------------------------------------------------------------
+# the pencil memo: one entry per plane, read in its canonical order
+# ---------------------------------------------------------------------------
+
+_SIEVE = [(0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 1, 0)]
+
+
+def _pencil_cases(K, monos, rng, planes):
+    """Seeded pairs over `monos`: each of `planes` planes reached through
+    three bases (x A + y B, z A + w B) with xw != yz, and through (A, B0)
+    with B0 the plane's vector whose coefficient at the last monomial is
+    zero; then dependent pairs (B = c A, B = 0, A = B).  Shuffled."""
+    q = K.q
+    cases = []
+    while len(cases) < 4 * planes:
+        A, B = (TriPoly(K, dict(zip(monos, [rng.randrange(q) for _ in monos])))
+                for _ in range(2))
+        top = max(A.terms.keys() | B.terms.keys(), default=None)
+        an, bn = A.terms.get(top, 0), B.terms.get(top, 0)
+        if not an:
+            continue
+        B0 = A.scale(bn) - B.scale(an)
+        if not B0.terms:
+            continue
+        bases = []
+        while len(bases) < 3:
+            x, y, z, w = (rng.randrange(q) for _ in range(4))
+            if K.sub(K.mul(x, w), K.mul(y, z)):
+                bases.append((A.scale(x) + B.scale(y), A.scale(z) + B.scale(w)))
+        cases += bases + [(A, B0)]
+    A = cases[0][0]
+    cases += [(A, A.scale(2)), (A.scale(3), A), (A, A - A), (A, A)]
+    rng.shuffle(cases)
+    return cases
+
+
+def _pair_outcome(fn, basis, A, B):
+    try:
+        pr = fn(basis, A, B)
+    except DegeneratePair as exc:
+        return str(exc)
+    return pr.left_divisors, pr.right_divisor
+
+
+@pytest.mark.parametrize("name", ["basis59", "basis11", "basis25"])
+@pytest.mark.parametrize("span", ["sieve", "M_2"])
+def test_pencil_memo_matches_fresh(request, name, span):
+    """Seeded planes over the sieve span {1, U, V, UV} and over the
+    descent's M_2, each reached through several bases in shuffled order,
+    one of them with b_n = 0, and dependent pairs: `pair_divisors` gives
+    the left divisors in order, the right divisor and the DegeneratePair
+    message of the memo-free `pair_divisors_fresh`.  The pencil memo holds
+    one entry per independent plane, and the later pairs of a plane read
+    their lines from it."""
+    basis = _fresh_basis(request.getfixturevalue(name))
+    K = basis.curve.field
+    monos = _SIEVE if span == "sieve" else _M2
+    planes = {5: 12, 11: 8, 25: 4}[K.q]
+    pencils = basis.pencil_divisors
+    hits = 0
+    for A, B in _pencil_cases(K, monos, random.Random(f"{name} {span}"), planes):
+        key = _plane_key(A, B)
+        hits += key in pencils
+        got = _pair_outcome(pair_divisors, basis, A, B)
+        assert got == _pair_outcome(pair_divisors_fresh, basis, A, B)
+        if key and not isinstance(got, str):
+            assert key in pencils
+    assert () not in pencils and len(pencils) <= planes
+    assert hits >= 3 * len(pencils)

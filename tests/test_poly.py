@@ -10,7 +10,8 @@ factorization is checked exactly against trial division
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ellog.algebra import Poly, _ext_gcd, _poly, field_make, poly_factor
+from ellog.algebra import (ExtFieldDesc, Poly, _ext_gcd, _factor_rootless, _poly, field_make,
+                           poly_factor, poly_irreducibles)
 
 from oracles import poly_derivative, poly_factor_brute
 
@@ -58,17 +59,20 @@ def test_ext_gcd_is_a_bezout_identity(case):
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
-@given(_polys(2), st.integers(0, 40))
+@given(_polys(3, 5), st.integers(0, 40))
 def test_powmod_is_repeated_multiply_and_reduce(case, e):
-    K, (a, m) = case
-    if m.is_zero():
+    """A power modulo m is `ExtFieldDesc.ppow` in F_q[X]/(m), on the packed
+    form, for a monic m that is reducible here: the product of two
+    polynomials of degree >= 1."""
+    K, (a, g, h) = case
+    if g.degree() < 1 or h.degree() < 1:
         return
+    m = (g * h).monic()
+    R = ExtFieldDesc(K, m)
     r = Poly(K, (1,))
     for _ in range(e):
         r = (r * a) % m
-    if e == 0:
-        r = Poly(K, (1,))   # powmod keeps the convention a^0 = 1 unreduced
-    assert a.powmod(e, m) == r
+    assert R.to_poly(R.unpack(R.ppow(R.pack(R.from_poly(a)), e))) == r
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
@@ -142,3 +146,41 @@ def _factor_inputs(draw):
 @example(Poly(_FIELDS[11, 2], (3,) + (0,) * 10 + (1,)))        # X^11 + 3 over F_121
 def test_poly_factor_matches_trial_division(f):
     assert poly_factor(f) == poly_factor_brute(f)
+
+
+# The rootless inputs are built from the monic irreducibles of degree 2 to
+# the field's top, over a prime base on ints and over F_{5^2} on the base
+# field's tables.
+_ROOTLESS_GENS = {pm: [g for d in range(2, top + 1)
+                       for g in poly_irreducibles(_FIELDS[pm], d)]
+                  for pm, top in (((5, 1), 4), ((11, 1), 3), ((5, 2), 2))}
+
+
+@st.composite
+def _rootless_inputs(draw):
+    """A product of two to four irreducibles of degree >= 2, of degree 4 to
+    10, repeats allowed: the kind of rest `divisor._norm_factors` hands on
+    once its roots are divided out."""
+    gens = _ROOTLESS_GENS[draw(st.sampled_from(sorted(_ROOTLESS_GENS)))]
+    f = Poly(gens[0].field, (1,))
+    for g in draw(st.lists(st.sampled_from(gens), min_size=2, max_size=4)):
+        if f.degree() + g.degree() <= 10:
+            f = f * g
+    return f
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(_rootless_inputs())
+@example(Poly(_FIELDS[5, 1], (2, 0, 1)) * Poly(_FIELDS[5, 1], (3, 0, 1)))   # (X^2+2)(X^2+3)
+@example(Poly(_FIELDS[5, 1], (2, 0, 1)) * Poly(_FIELDS[5, 1], (2, 0, 1)))   # (X^2+2)^2
+@example(Poly(_FIELDS[11, 1], (4, 1, 0, 1)) * Poly(_FIELDS[11, 1], (1, 0, 1))
+         * Poly(_FIELDS[11, 1], (1, 0, 1)))
+def test_rootless_factor_matches_trial_division(f):
+    """The factorizer's entry for an input with no root in F_q, which skips
+    the gcd with X^q - X, factors such inputs, with and without repeated
+    factors, as `poly_factor` and trial division do."""
+    K = f.field
+    assert all(f.eval_in(K, x) != 0 for x in range(K.q))
+    want = poly_factor_brute(f)
+    assert _factor_rootless(f) == poly_factor(f) == want
+    assert all(g.degree() >= 2 for g, _ in want)
