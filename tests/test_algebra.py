@@ -202,6 +202,13 @@ _RESIDUE_CASES = [(p, m, d) for p, m, top in ((5, 1, 13), (11, 1, 13), (11, 2, 5
 _RESIDUE_BASES = {(p, m): field_make(p, m, 0) for p, m, _ in _RESIDUE_CASES}
 
 
+def _irreducible(K, d, rng):
+    u = poly_random_monic(K, d, rng)
+    while not poly_is_irreducible(u):
+        u = poly_random_monic(K, d, rng)
+    return u
+
+
 @settings(derandomize=True, max_examples=80, deadline=None)
 @given(case=st.sampled_from(_RESIDUE_CASES), seed=st.integers(0, 2 ** 32 - 1))
 @example(case=(5, 1, 9), seed=0)
@@ -220,9 +227,7 @@ def test_residue_ring_matches_reference(case, seed):
     p, m, d = case
     K = _RESIDUE_BASES[p, m]
     rng = random.Random(seed)
-    u = poly_random_monic(K, d, rng)
-    while not poly_is_irreducible(u):
-        u = poly_random_monic(K, d, rng)
+    u = _irreducible(K, d, rng)
     R, ref = ExtFieldDesc(K, u), QuotientRing(K, u)
     a, b = R.rand(rng), R.rand(rng)
     # every coefficient q - 1: the largest sums the packed slots must hold
@@ -247,13 +252,6 @@ def test_residue_ring_matches_reference(case, seed):
         # the very root, not one up to sign, or the non-residue error
         assert _sqrt_outcome(R, x) == _sqrt_outcome(ref, x)
         assert (_sqrt_outcome(ref, x) is NonResidue) != ref.is_square(x)
-
-
-def _irreducible(K, d, rng):
-    u = poly_random_monic(K, d, rng)
-    while not poly_is_irreducible(u):
-        u = poly_random_monic(K, d, rng)
-    return u
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
