@@ -383,16 +383,18 @@ DEG_ZERO = -1  # degree sentinel for the zero polynomial
 # base a code is its own residue, so products and remainders accumulate as
 # ints and take one `% p` per output coefficient.  Over F_{p^m} they bind
 # the base field's add/sub/mul (lookups in its tables below _TABLE_Q_CAP)
-# to locals.  Its users: `Poly`; the gcds, quotients and square-free parts
-# of the factorization and of Rabin's test; `ExtFieldDesc.pmul` over an
-# F_{p^m} base, `ExtFieldDesc.inv` and the Barrett inverse of the packed
-# product; the untabled ops of F_{p^m} itself, on digit vectors over F_p;
-# and, outside this module, the norms and zero ordinates of `divisor`, the
-# Mumford reductions of `psi`, and `curve`'s division by X - x1 and its
-# table of plane pull-backs.  Powers modulo a polynomial are not taken
-# here: every one, in Rabin's test, the factorization, the basis's
-# candidate search, the Frobenius rows and F_{p^m}'s `pow_`, is
-# `ExtFieldDesc.ppow` in the ring of its modulus.
+# to locals.  Its users: `Poly`; the gcds and quotients of the
+# factorization and of Rabin's test, and the square-free parts of the
+# basis's candidate search; `ExtFieldDesc.pmul` over an F_{p^m} base,
+# `ExtFieldDesc.inv` and the Barrett inverse of the packed product; the
+# untabled ops of F_{p^m} itself, on digit vectors over F_p; and, outside
+# this module, `divisor_of`, which takes its content, quotients, norm
+# (`_norm`, the one primitive of its own) and zero ordinates here and
+# builds no `Poly`, the Mumford reductions of `psi`, and `curve`'s
+# division by X - x1 and its table of plane pull-backs.  Powers modulo a
+# polynomial are not taken here: every one, in Rabin's test, the
+# factorization, the basis's candidate search, the Frobenius rows and
+# F_{p^m}'s `pow_`, is `ExtFieldDesc.ppow` in the ring of its modulus.
 
 def _strip(cs: list) -> list:
     while cs and not cs[-1]:
@@ -539,6 +541,25 @@ def _horner(K: FieldDesc, a, x: int) -> tuple[list, int]:
     return quot, add(mul(acc, x), a[0]) if a else 0
 
 
+def _norm(K: FieldDesc, a, b, f) -> list:
+    """a^2 - b^2 f, the norm of a + b y where y^2 = f.  Over a prime base
+    the two products accumulate as ints, with one `% p` per coefficient."""
+    if K.m > 1:
+        return _sub(K, _mul(K, a, a), _mul(K, _mul(K, b, b), f))
+    bb = [0] * (2 * len(b) - 1) if b and f else []
+    out = [0] * max(2 * len(a) - 1, len(bb) + len(f) - 1, 0)
+    for sq, cs in ((out, a), (bb, b if bb else ())):
+        for i, x in enumerate(cs):
+            if x:
+                for j, y in enumerate(cs, i):
+                    sq[j] += x * y
+    for i, x in enumerate(bb):
+        for j, y in enumerate(f, i):
+            out[j] -= x * y
+    p = K.p
+    return _strip([c % p for c in out])
+
+
 def _gcd(K: FieldDesc, a, b):
     """The monic gcd (zero only when both are zero).
 
@@ -562,14 +583,46 @@ def _euclid(K: FieldDesc, a, b):
 
 
 def _ext_gcd(K: FieldDesc, a, b):
-    """(g, s) with s*a = g mod b, g = gcd(a, b) monic (or zero)."""
-    r, s = b, []
-    for r, s in _euclid(K, b, a):
-        pass
-    if not r:
-        return r, s
-    ic = K.inv(r[-1])
-    return _scale(K, r, ic), _scale(K, s, ic)
+    """(g, s) with s*a = g mod b, g = gcd(a, b) monic (or zero).
+
+    One loop over the remainder sequence r0 = b, r1 = a and its cofactors
+    s0 = 0, s1 = 1, with r_i = s_i a mod b.  A division step clears each
+    top coefficient c X^j of r0 by c X^j r1 and takes c X^j s1 off s0 in
+    the same pass, so no quotient, product or difference list is built.
+    Over a prime base both accumulate as ints and are reduced once a step.
+    """
+    r0, r1, s0, s1 = list(b), list(a), [], [1]
+    prime = K.m == 1
+    p, sub, mul = K.p, K.sub, K.mul
+    while r1:
+        db = len(r1) - 1
+        inv = 1 if r1[-1] == 1 else K.inv(r1[-1])
+        low = r1[:db]
+        s0 += [0] * (len(r0) - db - 1 + len(s1) - len(s0))
+        for i in range(len(r0) - 1, db - 1, -1):
+            c = r0[i] * inv % p if prime else mul(r0[i], inv)
+            if c:
+                if prime:
+                    for j, y in enumerate(low, i - db):
+                        r0[j] -= c * y
+                    for j, y in enumerate(s1, i - db):
+                        s0[j] -= c * y
+                else:
+                    for j, y in enumerate(low, i - db):
+                        if y:
+                            r0[j] = sub(r0[j], mul(c, y))
+                    for j, y in enumerate(s1, i - db):
+                        if y:
+                            s0[j] = sub(s0[j], mul(c, y))
+        if prime:
+            rem, s0 = [x % p for x in r0[:db]], [x % p for x in s0]
+        else:
+            rem = r0[:db]
+        r0, r1, s0, s1 = r1, _strip(rem), s1, _strip(s0)
+    if not r0:
+        return r0, s0
+    ic = K.inv(r0[-1])
+    return _scale(K, r0, ic), _scale(K, s0, ic)
 
 
 def _poly(K: FieldDesc, cs) -> "Poly":
@@ -744,7 +797,8 @@ def field_make(p: int, m: int, seed: int = 0) -> FieldDesc:
 
 
 # ---------------------------------------------------------------------------
-# factorization (squarefree / distinct-degree / equal-degree), on lists
+# factorization (distinct-degree with repeats / equal-degree), on lists;
+# the square-free split serves the basis's candidate search
 # ---------------------------------------------------------------------------
 
 def _pth_root_code(K: FieldDesc, c: int) -> int:
@@ -789,16 +843,22 @@ def _squarefree_parts(K: FieldDesc, f) -> list[tuple[list, int]]:
     return out
 
 
-def _distinct_degree(K: FieldDesc, f, least: int = 1) -> list[tuple[list, int]]:
-    """Split a squarefree monic f with no irreducible factor of degree
-    below `least` into [(product of its irreducibles of degree d, d)].
+def _distinct_degree(K: FieldDesc, R: "ExtFieldDesc", least: int = 1) -> list[tuple[list, int]]:
+    """Split the modulus f of the ring R = F_q[X]/(f), monic with no
+    irreducible factor of degree below `least`, into [(g, d)]: g a product
+    of distinct irreducibles of degree d.  A factor u^e of f, deg u = d,
+    lies in e of the g at degree d.
 
-    h = X^(q^d) stays modulo f, in the ring of f: the rest left to split
-    divides f, so gcd(rest, h - X) is gcd(rest, X^(q^d) - X).  Below
-    `least` that gcd can only be 1, and it is not taken."""
+    h = X^(q^d) stays in R: the rest left to split divides f, so
+    gcd(rest, h - X) is gcd(rest, X^(q^d) - X), the product of the
+    degree-d irreducibles of rest, each once.  Each such g is peeled off
+    the rest again, g := gcd(rest, g), until that is 1; a repeated factor
+    of degree d is met at degree d, since then 2d <= deg rest, so no
+    square-free split comes first.  Below `least` the gcd can only be 1,
+    and it is not taken."""
+    f = R.I.coeffs
     if len(f) < 3:
-        return [(f, 1)] if len(f) == 2 else []
-    R = _ring(K, f)
+        return [(list(f), 1)] if len(f) == 2 else []
     x, h = [0, 1], R.pack(R.gen())
     out, rest, d = [], f, 0
     while len(rest) > 1:
@@ -810,42 +870,43 @@ def _distinct_degree(K: FieldDesc, f, least: int = 1) -> list[tuple[list, int]]:
         if d < least:
             continue
         g = _gcd(K, rest, _sub(K, R.unpack(h), x))
-        if len(g) > 1:
+        while len(g) > 1:
             out.append((g, d))
             rest = _monic(K, _quo(K, rest, g))
+            g = _gcd(K, rest, g)
     return out
 
 
-def _equal_degree(K: FieldDesc, f, d: int, draws) -> list:
-    """Cantor-Zassenhaus split of a product of degree-d irreducibles (odd q).
+def _equal_degree(K: FieldDesc, f, d: int, draws, R: "ExtFieldDesc") -> list:
+    """Cantor-Zassenhaus split of a product f of degree-d irreducibles (odd
+    q), in the ring R = F_q[X]/(F) of a multiple F of f.
 
-    `draws()` gives the random generator; it is called only when f splits.
-    An f that is not such a product may never split, so each split takes
-    at most 64 draws and then raises Reducible: a true product of two or
-    more factors splits at each draw with chance about 1/2.
+    r^((q^d - 1)/2) is taken in R and reduced modulo f: f divides the
+    modulus of R, so this is r^((q^d - 1)/2) mod f, and one ring serves
+    every product the factorization splits.  `draws()` gives the random
+    generator; it is called only when f splits.  An f that is not such a
+    product may never split, so each split takes at most 64 draws and then
+    raises Reducible: a true product of two or more factors splits at each
+    draw with chance about 1/2.
     """
     n = len(f) - 1
     if n == d:
         return [f]
     exp = (K.q ** d - 1) // 2
-    R = _ring(K, f)
     rng = draws()
     for _ in range(64):
         r = _strip([rng.randrange(K.q) for _ in range(n)])
         if len(r) < 2:
             continue
-        g = _gcd(K, f, r)
-        if 0 < len(g) - 1 < n:
-            break
-        r = R.pack(r + [0] * (n - len(r)))
-        g = _gcd(K, f, _sub(K, R.unpack(R.ppow(r, exp)), [1]))
+        r = R.pack(r + [0] * (R.k - len(r)))
+        g = _gcd(K, f, _sub(K, _rem(K, R.unpack(R.ppow(r, exp)), f), [1]))
         if 0 < len(g) - 1 < n:
             break
     else:
         raise Reducible(f"no split in 64 draws: not a product of degree-{d} "
                         "irreducibles")
-    left = _equal_degree(K, g, d, draws)
-    right = _equal_degree(K, _monic(K, _quo(K, f, g)), d, draws)
+    left = _equal_degree(K, g, d, draws, R)
+    right = _equal_degree(K, _monic(K, _quo(K, f, g)), d, draws, R)
     return left + right
 
 
@@ -866,12 +927,15 @@ def _factor_rootless(f: Poly) -> list[tuple[Poly, int]]:
 
 def _factor(f: Poly, least: int) -> list[tuple[Poly, int]]:
     """`poly_factor` of an f with no irreducible factor of degree below
-    `least` (see `_distinct_degree`)."""
+    `least`: the distinct-degree split of monic f, repeats included, then
+    the equal-degree split of each product, all in the one ring of f
+    (`_distinct_degree`, `_equal_degree`)."""
     if f.is_zero():
         raise ZeroPolynomial("cannot factor the zero polynomial")
-    if f.degree() == 0:
-        return []
     K = f.field
+    g = _monic(K, f.coeffs)
+    if len(g) < 3:
+        return [(_poly(K, g), 1)] if len(g) == 2 else []
     rng = None
 
     def draws() -> random.Random:
@@ -883,12 +947,12 @@ def _factor(f: Poly, least: int) -> list[tuple[Poly, int]]:
             rng = random.Random(seed ^ (K.q << 8))
         return rng
 
+    R = _ring(K, g)
     factors: dict[tuple, int] = {}
-    for part, mult in _squarefree_parts(K, f.coeffs):
-        for prod, d in _distinct_degree(K, part, least):
-            for irr in _equal_degree(K, prod, d, draws):
-                key = tuple(irr)
-                factors[key] = factors.get(key, 0) + mult
+    for prod, d in _distinct_degree(K, R, least):
+        for irr in _equal_degree(K, prod, d, draws, R):
+            key = tuple(irr)
+            factors[key] = factors.get(key, 0) + 1
     return [(_poly(K, g), mult)
             for g, mult in sorted(factors.items(), key=lambda kv: (len(kv[0]), kv[0]))]
 

@@ -244,7 +244,7 @@ def theta_min_poly_candidates(curve: Curve, td: TorsionData) -> list[Poly]:
                 f"S_3(X, X^q, x1) has a factor of degree {len(rest) - 1} "
                 f"beyond 1, 2 and a multiple of k = {k}")
         if len(rest) > 1:
-            factors += _equal_degree(K, rest, k, lambda: rng)
+            factors += _equal_degree(K, rest, k, lambda: rng, R)
     return sorted((_poly(K, g) for g in factors), key=lambda g: g.coeffs)
 
 

@@ -5,15 +5,15 @@ when the ordinates live in F_q[x]/(u), the ordinate polynomial v (deg v <
 deg u, y = v(x) on the place).  Ramified places have v = 0; inert places
 (ordinates outside F_q[x]/(u)) carry u alone and have degree 2 deg u.
 
-The principal-divisor map factors the norm n0^2 - n1^2 (x^3 + a x + b) of
-the primitive part p0 + p1 y of a function (n0 + n1 y)/(x - x1)^e.  At each
-irreducible factor u off the ramified locus only one conjugate place is a
-zero, the one with ordinate v = -p0/p1 mod u, so no square root is taken;
-the places over u are read off the point table (u linear) or kept in a
-memo on the curve (u longer).  The norm's roots in F_q lie over
-F_q-rational points, so its linear factors come from one evaluation pass
-over the curve's rational abscissas; only the rootless rest of degree >= 4
-is factored.
+The principal-divisor map factors the norm p0^2 - p1^2 (x^3 + a x + b) of
+the primitive part p0 + p1 y of a function (n0 + n1 y)/(x - x1)^e, on the
+coefficient tuples of the list kernel.  At each irreducible factor u off
+the ramified locus only one conjugate place is a zero, the one with
+ordinate v = -p0/p1 mod u, so no square root is taken.  The norm's roots
+in F_q lie over F_q-rational points, so its linear factors and their
+zeros come from one evaluation pass over the curve's rational abscissas,
+off the point table; only the rootless rest of degree >= 4 is factored,
+and the places over its factors are kept in a memo on the curve.
 
 Translation by -P1 walks a place along its orbit.  `place_point` reads a
 place's point Q in one field L of degree deg(place) over F_q: F_q[x]/(u)
@@ -29,10 +29,11 @@ chord gives O.  The bilinear descent evaluates its brackets at the same Q.
 from __future__ import annotations
 
 from functools import total_ordering
-from operator import mul
+from operator import itemgetter, mul
 
 from .algebra import (ExtFieldDesc, FieldDesc, NonResidue, Poly, _add, _ext_gcd,
-                      _factor_rootless, _horner, _mul, _poly, _rem, _sub, poly_factor)
+                      _factor_rootless, _gcd, _horner, _monic, _mul, _norm, _poly, _quo,
+                      _rem, _sub, poly_factor)
 from .curve import Curve, CurveFunction, Point, TorsionData, ZeroFunction, point_add
 from .linalg import _rref
 
@@ -279,51 +280,71 @@ def conjugate(place: Place, K: FieldDesc) -> Place:
 def divisor_of(fun: CurveFunction, curve: Curve) -> Divisor:
     """Zeros and poles of (n0 + n1 y)/(x - x1)^e; always degree 0.
 
+    Works on the coefficient tuples of the list kernel, with no `Poly`.
     The affine zero structure comes from the content g = gcd(n0, n1) plus
-    the norm of the primitive part p0 + p1 y.  A norm factor u off the
-    ramified locus lies under two split places (u, v) and (u, -v), and
-    p0 + p1 y vanishes at one of them only, the one with v = -p0 p1^-1 mod
-    u; `_zero_place` picks it.
+    the norm N = p0^2 - p1^2 f (`_norm`) of the primitive part p0 + p1 y.
+    A norm factor u off the ramified locus lies under two split places
+    (u, v) and (u, -v), and p0 + p1 y vanishes at one of them only, the one
+    with v = -p0 p1^-1 mod u.
 
-    The norm N = p0^2 - p1^2 f has its roots in F_q at rational abscissas
-    only: p0 and p1 are coprime, so p1(r) = 0 would force p0(r) = 0; hence
-    p1(r) != 0 and f(r) = (p0(r)/p1(r))^2 is a square or zero, and r is the
-    abscissa of a split or ramified F_q-point.  So `_norm_factors`
-    evaluates the monic N at each rational abscissa through the curve's
-    power table and divides it by X - r, with `_horner`, only at the roots.
-    The rest has no root in F_q: of degree 2 or 3 it is irreducible, and
-    only from degree 4 on is it factored, with no gcd with X^q - X.  A
-    linear content g = X - r gives the places of `places_at(r)`; a longer
-    one goes to `poly_factor` whole, since its roots may lie under inert
-    places, and the places over each factor are memoized on the curve.
+    The roots of N in F_q lie at rational abscissas only: p0 and p1 are
+    coprime, so p1(r) = 0 would force p0(r) = 0; hence p1(r) != 0 and
+    f(r) = (p0(r)/p1(r))^2 is a square or zero, and r is the abscissa of
+    a split or ramified F_q-point.  So one pass evaluates the monic N at
+    each rational abscissa through the curve's power table, divides it by
+    X - r, with `_horner`, only at the roots, and reads the zero there off
+    the point table from the same power row (`_rational_zero`).  The rest
+    has no root in F_q: of degree 2 or 3 it is irreducible, and only from
+    degree 4 on is it factored, by `_factor_rootless`; `_zero_place` reads
+    the zero over each of its factors.  A linear content g = X - r gives
+    the places of `places_at(r)`; a longer one goes to `poly_factor` whole,
+    since its roots may lie under inert places, and the places over each
+    factor are memoized on the curve.  Places are entered content first,
+    then the norm's factors in `poly_factor`'s order, then the poles.
     """
     if fun.is_zero():
         raise ZeroFunction("divisor of the zero function")
     K = curve.field
-    f = curve.rhs_poly()
+    f = curve.rhs_poly().coeffs
     D = Divisor()
 
-    n0, n1 = fun.n0, fun.n1
-    g = n0.gcd(n1) if not n1.is_zero() else n0.monic()
-    if n1.is_zero():
-        p0, p1 = Poly(K, (1,)), Poly(K, ())
-    elif g.degree() > 0:
-        p0, p1 = (n0 // g), (n1 // g)
+    n0, n1 = fun.n0.coeffs, fun.n1.coeffs
+    if not n1:
+        g, p0, p1 = _monic(K, n0), (1,), ()
     else:
-        p0, p1 = n0, n1
+        g = _gcd(K, n0, n1)
+        p0, p1 = (n0, n1) if len(g) == 1 else (_quo(K, n0, g), _quo(K, n1, g))
 
     # content: valuation mult at split/inert places, doubled at ramified ones
-    if g.degree() > 0:
-        for u, mult in [(g, 1)] if g.degree() == 1 else poly_factor(g):
+    if len(g) > 1:
+        for u, mult in [(_poly(K, g), 1)] if len(g) == 2 else poly_factor(_poly(K, g)):
             for place in _places_above(curve, u):
                 D.add_place(place, 2 * mult if place.kind == RAMIFIED else mult)
 
     # primitive part via its norm
-    norm = p0 * p0 - (p1 * p1) * f
-    if norm.is_zero():
+    rest = _norm(K, p0, p1, f)
+    if not rest:
         raise ZeroFunction("function vanishes on the curve")
-    for u, mult in _norm_factors(curve, norm):
-        place = _zero_place(curve, p0.coeffs, p1.coeffs, u)
+    rest = _monic(K, rest)
+    zeros = []  # (u, place, multiplicity), sorted by u as poly_factor sorts
+    for r, powers in curve.abscissa_powers(len(rest)).items():
+        if len(rest) == 1:
+            break
+        if _value_at(K, rest, powers):
+            continue
+        mult = 0
+        while True:
+            rest, mult = _horner(K, rest, r)[0], mult + 1
+            if len(rest) == 1 or _value_at(K, rest, powers):
+                break
+        zeros.append(((K.neg(r), 1), _rational_zero(curve, p0, p1, r, powers), mult))
+    zeros.sort(key=itemgetter(0))
+    if len(rest) in (3, 4):
+        zeros.append((rest, _zero_place(curve, p0, p1, tuple(rest)), 1))
+    elif len(rest) > 4:
+        zeros += [(u.coeffs, _zero_place(curve, p0, p1, u.coeffs), mult)
+                  for u, mult in _factor_rootless(_poly(K, rest))]
+    for _, place, mult in zeros:
         if place.kind == RAMIFIED and mult != 1:
             raise AssertionError("ramified factor of a primitive part with multiplicity > 1")
         D.add_place(place, mult)
@@ -334,9 +355,7 @@ def divisor_of(fun: CurveFunction, curve: Curve) -> Divisor:
             D.add_place(place, -fun.e if place.kind != RAMIFIED else -2 * fun.e)
 
     # balance at infinity
-    w0 = 2 * n0.degree() if not n0.is_zero() else None
-    w1 = 3 + 2 * n1.degree() if not n1.is_zero() else None
-    pole = max(x for x in (w0, w1) if x is not None)
+    pole = max(2 * len(n0) - 2 if n0 else -1, 2 * len(n1) + 1 if n1 else -1)
     D.add_place(PLACE_AT_INFINITY, -pole + 2 * fun.e)
 
     if D.degree != 0:
@@ -366,61 +385,36 @@ def _value_at(K: FieldDesc, cs, powers: list[int]) -> int:
     return acc
 
 
-def _norm_factors(curve: Curve, norm: Poly) -> list[tuple[tuple, int]]:
-    """The monic irreducible factors of the norm of a primitive part, as
-    (u, multiplicity) sorted by (degree, u) as `poly_factor` sorts them:
-    the linear ones at the roots of one evaluation pass over the rational
-    abscissas (see `divisor_of`), each root's multiplicity by evaluating
-    the quotients there too, the rootless rest whole below degree 4, else
-    by `poly_factor`'s entry for a rootless input (`_factor_rootless`)."""
+def _rational_zero(curve: Curve, p0, p1, r: int, powers: list[int]) -> Place:
+    """The place over the rational abscissa r, a root of the norm, where
+    p0 + p1 y vanishes: the ramified place, or the split one whose
+    ordinate y of the point table has p0(r) + p1(r) y = 0, from the power
+    row of r.  Raises AssertionError when neither is a zero."""
+    places = places_at(curve, r)
+    if places[0].kind == RAMIFIED:
+        return places[0]
     K = curve.field
-    rest = norm.monic().coeffs
-    factors = []
-    for r, powers in curve.abscissa_powers(len(rest)).items():
-        if len(rest) == 1:
-            break
-        if _value_at(K, rest, powers):
-            continue
-        mult = 0
-        while True:
-            rest, mult = _horner(K, rest, r)[0], mult + 1
-            if len(rest) == 1 or _value_at(K, rest, powers):
-                break
-        factors.append(((K.neg(r), 1), mult))
-    if len(rest) in (3, 4):
-        factors.append((tuple(rest), 1))
-    elif len(rest) > 4:
-        factors += [(u.coeffs, mult) for u, mult in _factor_rootless(_poly(K, rest))]
-    factors.sort(key=lambda item: (len(item[0]), item[0]))
-    return factors
+    d0, d1 = _value_at(K, p0, powers), _value_at(K, p1, powers)
+    if d1:
+        for place in places:
+            if K.add(d0, K.mul(d1, place.v[0])) == 0:
+                return place
+    raise AssertionError("ordinate of a norm factor is off the curve")
 
 
 def _zero_place(curve: Curve, p0, p1, u) -> Place:
-    """The place above the norm factor u (coefficient tuples) where
-    p0 + p1 y vanishes: the ramified place, or one of the two split ones.
+    """The place above the nonlinear norm factor u (coefficient tuples)
+    where p0 + p1 y vanishes: the ramified place, or one of the two split
+    ones.
 
-    The places over u come from `Curve.u_places`.  A linear u = X - r reads
-    them off the point table (`places_at`) and takes the ordinate y with
-    p0(r) + p1(r) y = 0.  A longer u met for the first time gets its
-    ordinate from `_zero_ordinate`, and its places (u, v), (u, -v) are
-    stored; at a later u, one product w = p1 v mod u tells them apart,
-    p0 = -w at (u, v) and p0 = w at (u, -v).  Raises AssertionError when
-    neither place is a zero.
+    The places over u come from `Curve.u_places`.  A u met for the first
+    time gets its ordinate from `_zero_ordinate`, and its places (u, v),
+    (u, -v) are stored; at a later u, one product w = p1 v mod u tells
+    them apart, p0 = -w at (u, v) and p0 = w at (u, -v).  Raises
+    AssertionError when neither place is a zero.  A linear factor is
+    `_rational_zero`'s.
     """
     K = curve.field
-    if len(u) == 2:
-        r = K.neg(u[0])
-        places = places_at(curve, r)
-        if places[0].kind == RAMIFIED:
-            return places[0]
-        powers = curve.abscissa_powers(max(len(p0), len(p1))).get(r)
-        if powers is not None:
-            d0, d1 = _value_at(K, p0, powers), _value_at(K, p1, powers)
-            if d1:
-                for place in places:
-                    if K.add(d0, K.mul(d1, place.v[0])) == 0:
-                        return place
-        raise AssertionError("ordinate of a norm factor is off the curve")
     places = curve.u_places.get(u)
     if places is None:
         v = _zero_ordinate(curve, p0, p1, u)
@@ -465,17 +459,18 @@ def _zero_ordinate(curve: Curve, p0, p1, u) -> tuple | None:
 def decompose(D: Divisor, bound: int):
     """Elementary-divisor decomposition of finite support, or None.
 
-    Returns [(place, multiplicity)] covering every finite place (signed) when
-    all positive finite places have degree <= bound; otherwise None.
+    Returns [(place, multiplicity)] covering every finite place (signed),
+    sorted as `Divisor.finite_places` sorts them, when all positive finite
+    places have degree <= bound; otherwise None.  The unsorted places are
+    scanned first, and only a divisor that passes is sorted; the place at
+    infinity has degree 1 <= bound and never fails the scan.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    out = []
-    for place, n in D.finite_places():
+    for place, n in D.coeffs.items():
         if n > 0 and place.degree > bound:
             return None
-        out.append((place, n))
-    return out
+    return D.finite_places()
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from ellog.algebra import (CharTooSmall, ExtFieldDesc, FieldDesc, NonResidue,
                            NotPrime, Poly, Reducible, ZeroPolynomial, ext_make,
                            field_make, poly_factor, poly_irreducibles,
                            poly_is_irreducible, poly_random_monic)
-from ellog.algebra import _equal_degree
+from ellog.algebra import _equal_degree, _ring
 
 from oracles import DigitField, QuotientRing, frobenius_pow, poly_eval
 
@@ -440,9 +440,10 @@ def test_equal_degree_split_of_an_irreducible_raises_reducible():
     f = next(g for g in (poly_random_monic(K, 4, random.Random(s))
                          for s in itertools.count()) if poly_is_irreducible(g))
     with pytest.raises(Reducible):
-        _equal_degree(K, list(f.coeffs), 2, lambda: random.Random(0))
+        _equal_degree(K, list(f.coeffs), 2, lambda: random.Random(0), _ring(K, f.coeffs))
     g, h = poly_irreducibles(K, 2)[:2]
-    parts = _equal_degree(K, list((g * h).coeffs), 2, lambda: random.Random(0))
+    parts = _equal_degree(K, list((g * h).coeffs), 2, lambda: random.Random(0),
+                          _ring(K, (g * h).coeffs))
     assert sorted(parts) == sorted([list(g.coeffs), list(h.coeffs)])
 
 

@@ -177,7 +177,7 @@ def test_candidates_take_two_frobenius_steps_per_part(monkeypatch):
     assert 0 < len(steps) <= 2 * len(parts)
     steps.clear()
     for part, _ in parts:
-        algebra._distinct_degree(K, part)
+        algebra._distinct_degree(K, algebra._ring(K, part))
     assert len(steps) > 2 * len(parts)
 
 

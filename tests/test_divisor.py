@@ -8,7 +8,7 @@ from ellog.algebra import (ExtFieldDesc, Poly, field_make, poly_factor, poly_irr
                            poly_is_irreducible, poly_random_monic)
 from ellog.curve import (Curve, CurveFunction, Point, Singular, TorsionData,
                          TriPoly, ZeroFunction, phi_star, point_add, point_neg)
-from ellog.divisor import (Divisor, HitsInfinity, INERT, PLACE_AT_INFINITY,
+from ellog.divisor import (Divisor, HitsInfinity, INERT, INFINITY, PLACE_AT_INFINITY,
                            Place, RAMIFIED, SPLIT, decompose,
                            divisor_of, elementary_divisor, height,
                            place_of_point, places_at, places_over,
@@ -248,6 +248,25 @@ def test_decompose(env):
     assert out is not None
     assert sorted(n for _, n in out) == [1, 1]
     assert all(p.degree == 1 for p, _ in out)
+    # deciding before sorting gives the sort-first definition's answer
+    rng = random.Random(41)
+    smooth = rough = 0
+    for _ in range(300):
+        D = divisor_of(rand_function(curve, td.xs[1], rng, emax=4), curve)
+        if rng.randrange(2):
+            D = D.scale(-1)
+        for bound in (1, 2, 3):
+            want = []
+            for place, n in sorted(D.coeffs.items(), key=lambda item: item[0].sort_key):
+                if n > 0 and place.kind != INFINITY and place.degree > bound:
+                    want = None
+                    break
+                if place.kind != INFINITY:
+                    want.append((place, n))
+            assert decompose(D, bound) == want
+            smooth += want is not None
+            rough += want is None
+    assert smooth > 300 and rough > 100
 
 
 def test_translate_torsion(env):
@@ -636,13 +655,16 @@ def _primitive_parts(curve, rng, count):
 
 @pytest.mark.parametrize("which", ["basis59", "curve121", "curve5_split_cubic"])
 def test_zero_place_matches_zero_ordinate(request, which):
-    """Over every factor of seeded norms, the zero read off the curve (the
-    point table at a linear factor, the memo of places and one product at
-    a longer one) is the place of `_zero_ordinate`, for p0 + p1 y and for
-    its conjugate p0 - p1 y, on a cold memo and a warm one; and a factor
-    of neither norm raises AssertionError, before and after its places
-    are in the memo."""
-    from ellog.divisor import _places_above, _zero_ordinate, _zero_place
+    """Over every factor of seeded norms, for p0 + p1 y and for its
+    conjugate p0 - p1 y, the zero is read off the curve: at a linear
+    factor X - r, `divisor_of` puts the norm's multiplicity on the place
+    of the point table where p0(r) + p1(r) y = 0, and on no other place
+    over r; at a longer factor the memo of places and one product
+    (`_zero_place`) give the place of `_zero_ordinate`, on a cold memo and
+    a warm one.  A factor of neither norm raises AssertionError: a
+    rational abscissa in `_rational_zero`, a longer factor in
+    `_zero_place`, before and after its places are in the memo."""
+    from ellog.divisor import _places_above, _rational_zero, _zero_ordinate, _zero_place
     fix = request.getfixturevalue(which)
     curve = _fresh_curve(fix.curve if which == "basis59" else fix)
     K = curve.field
@@ -652,21 +674,43 @@ def test_zero_place_matches_zero_ordinate(request, which):
     for p0, p1 in _primitive_parts(curve, rng, 80):
         norm = p0 * p0 - (p1 * p1) * f
         for s1 in (p1, -p1):
-            for u, _ in poly_factor(norm):
-                v = _zero_ordinate(curve, p0.coeffs, s1.coeffs, u.coeffs)
-                want = (Place(RAMIFIED, u.coeffs, ()) if v is None
-                        else Place(SPLIT, u.coeffs, v))
-                for _ in range(2):
-                    assert _zero_place(curve, p0.coeffs, s1.coeffs, u.coeffs) is want
+            D = divisor_of(CurveFunction.make(curve, 0, p0, s1, 0), curve)
+            for u, mult in poly_factor(norm):
+                if u.degree() == 1:
+                    r = K.neg(u.coeffs[0])
+                    ys = curve.ordinates()[r]
+                    d0, d1 = poly_eval(p0, r), poly_eval(s1, r)
+                    zero = [y for y in ys if K.add(d0, K.mul(d1, y)) == 0]
+                    assert len(zero) == 1
+                    kind = RAMIFIED if ys == (0,) else SPLIT
+                    for place in places_at(curve, r):
+                        want = mult if place.v in ((), tuple(zero)) else None
+                        assert place.kind == kind and D.coeffs.get(place) == want
+                else:
+                    v = _zero_ordinate(curve, p0.coeffs, s1.coeffs, u.coeffs)
+                    want = (Place(RAMIFIED, u.coeffs, ()) if v is None
+                            else Place(SPLIT, u.coeffs, v))
+                    for _ in range(2):
+                        assert _zero_place(curve, p0.coeffs, s1.coeffs, u.coeffs) is want
+                    assert D.coeffs[want] == mult
                 checked += 1
-        for d in (1, 2, 3):
-            u = poly_random_monic(K, d, rng)
+        powers = curve.abscissa_powers(len(norm.coeffs))
+        for d in (1, 2, 2, 3):
+            if d == 1:  # a rational abscissa, the only kind a norm root has
+                u = Poly(K, (K.neg(rng.choice(list(powers))), 1))
+            else:
+                u = poly_random_monic(K, d, rng)
             if not poly_is_irreducible(u) or (norm % u).is_zero() or (f % u).is_zero():
                 continue
-            for _ in range(2):
+            if d == 1:
+                r = K.neg(u.coeffs[0])
                 with pytest.raises(AssertionError):
-                    _zero_place(curve, p0.coeffs, p1.coeffs, u.coeffs)
-                _places_above(curve, u)
+                    _rational_zero(curve, p0.coeffs, p1.coeffs, r, powers[r])
+            else:
+                for _ in range(2):
+                    with pytest.raises(AssertionError):
+                        _zero_place(curve, p0.coeffs, p1.coeffs, u.coeffs)
+                    _places_above(curve, u)
             forged += 1
     assert checked > 150 and forged > 60
 
@@ -705,3 +749,50 @@ def test_zero_ordinate_runs_once_per_nonlinear_factor(monkeypatch):
     assert len(ordinates) == len(set(ordinates)) == len(set(nonlinear))
     assert all(len(u) > 2 for u in ordinates)
     assert len(nonlinear) > 3 * len(ordinates) // 2
+
+
+# ---------------------------------------------------------------------------
+# pinned divisors of pulled-back lines and planes
+# ---------------------------------------------------------------------------
+
+_DIVISOR_DIGESTS = {
+    "basis11": "bb3242de8106dced",
+    "basis25": "86c4409f415e4f42",
+    "basis59": "397ce8f1f4518ae4",
+}
+
+_SIEVE = [(0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 1, 0)]
+_LINE_MONOS = [(i, j, 0) for i in range(3) for j in range(3) if i + j <= 3]
+
+
+@pytest.mark.parametrize("name", sorted(_DIVISOR_DIGESTS))
+def test_divisor_of_pinned(request, name):
+    """The divisors of 40 seeded lines over U^i V^j, i, j <= 2 (`phi_star`)
+    and 40 seeded planes of the sieve span {1, U, V, UV}
+    (`plucker_pullback`), on a curve and torsion table with cold memos:
+    every place with its multiplicity, in insertion order, gives the
+    pinned digest."""
+    import hashlib
+    from ellog.curve import plucker_pullback
+    basis = request.getfixturevalue(name)
+    K = basis.curve.field
+    curve = _fresh_curve(basis.curve)
+    td = TorsionData(curve, basis.td.P1, basis.td.k)
+    rng = random.Random(name + " pinned divisors")
+    funs = []
+    while len(funs) < 40:
+        A = TriPoly(K, {m: rng.randrange(K.q) for m in _LINE_MONOS})
+        funs.append(phi_star(A, td))
+    while len(funs) < 80:
+        a = [rng.randrange(K.q) for _ in _SIEVE]
+        b = [rng.randrange(K.q) for _ in _SIEVE]
+        coords = [((_SIEVE[i], _SIEVE[j]), K.sub(K.mul(a[i], b[j]), K.mul(a[j], b[i])))
+                  for i in range(4) for j in range(i + 1, 4)]
+        coords = [(label, c) for label, c in coords if c]
+        if coords:
+            funs.append(plucker_pullback(coords, td))
+    lines = [";".join(f"{place.encode(K)}={n}" for place, n in divisor_of(f, curve).coeffs.items())
+             for f in funs if not f.is_zero()]
+    assert len(lines) > 70
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
+    assert digest == _DIVISOR_DIGESTS[name]
