@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import product
 
@@ -7,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from ellog.algebra import (ExtFieldDesc, Poly, field_make, poly_factor, poly_irreducibles,
                            poly_is_irreducible, poly_random_monic)
 from ellog.curve import (Curve, CurveFunction, Point, Singular, TorsionData,
-                         TriPoly, ZeroFunction, phi_star, point_add, point_neg)
+                         TriPoly, ZeroFunction, phi_star, plucker_pullback, point_add,
+                         point_neg)
 from ellog.divisor import (Divisor, HitsInfinity, INERT, INFINITY, PLACE_AT_INFINITY,
                            Place, RAMIFIED, SPLIT, decompose,
                            divisor_of, elementary_divisor, height,
@@ -695,22 +697,19 @@ def test_zero_place_matches_zero_ordinate(request, which):
                     assert D.coeffs[want] == mult
                 checked += 1
         powers = curve.abscissa_powers(len(norm.coeffs))
-        for d in (1, 2, 2, 3):
-            if d == 1:  # a rational abscissa, the only kind a norm root has
-                u = Poly(K, (K.neg(rng.choice(list(powers))), 1))
-            else:
-                u = poly_random_monic(K, d, rng)
+        r = rng.choice(list(powers))  # a norm root is a rational abscissa
+        if poly_eval(norm, r) and curve.rhs(r):
+            with pytest.raises(AssertionError):
+                _rational_zero(curve, p0.coeffs, p1.coeffs, r, powers[r])
+            forged += 1
+        for d in (2, 2, 3):
+            u = poly_random_monic(K, d, rng)
             if not poly_is_irreducible(u) or (norm % u).is_zero() or (f % u).is_zero():
                 continue
-            if d == 1:
-                r = K.neg(u.coeffs[0])
+            for _ in range(2):
                 with pytest.raises(AssertionError):
-                    _rational_zero(curve, p0.coeffs, p1.coeffs, r, powers[r])
-            else:
-                for _ in range(2):
-                    with pytest.raises(AssertionError):
-                        _zero_place(curve, p0.coeffs, p1.coeffs, u.coeffs)
-                    _places_above(curve, u)
+                    _zero_place(curve, p0.coeffs, p1.coeffs, u.coeffs)
+                _places_above(curve, u)
             forged += 1
     assert checked > 150 and forged > 60
 
@@ -767,13 +766,11 @@ _LINE_MONOS = [(i, j, 0) for i in range(3) for j in range(3) if i + j <= 3]
 
 @pytest.mark.parametrize("name", sorted(_DIVISOR_DIGESTS))
 def test_divisor_of_pinned(request, name):
-    """The divisors of 40 seeded lines over U^i V^j, i, j <= 2 (`phi_star`)
-    and 40 seeded planes of the sieve span {1, U, V, UV}
-    (`plucker_pullback`), on a curve and torsion table with cold memos:
-    every place with its multiplicity, in insertion order, gives the
-    pinned digest."""
-    import hashlib
-    from ellog.curve import plucker_pullback
+    """The divisors of 40 seeded lines over U^i V^j, i, j <= 2 and
+    i + j <= 3 (`phi_star`), and of 40 seeded planes of the sieve span
+    {1, U, V, UV} (`plucker_pullback`), on a curve and torsion table with
+    cold memos: every place with its multiplicity, in insertion order,
+    gives the pinned digest."""
     basis = request.getfixturevalue(name)
     K = basis.curve.field
     curve = _fresh_curve(basis.curve)
